@@ -24,6 +24,12 @@ verification report can quantify its deviation rather than hide it.
 Requirements inherited from the derivation: Re(S) > m + 1 for
 convergence at infinity (this is exactly the q-window arithmetic of the
 moment suite), and Im(beta_i) != 0 so no factor has a real-line cut.
+
+Every public closed form (norm, position moments, both momentum
+numerators, overlap) is one call to the private ``_bracket_integral``,
+which returns ((q-1)/2)^(-S/2) * sum_m c_m I(m): each state bracket is
+(q-1)/2 times a monic quadratic in x, raised to -b over its root pair,
+so a product of brackets with exponent sum S carries that scale.
 """
 
 from __future__ import annotations
@@ -32,13 +38,12 @@ import cmath
 import math
 from functools import lru_cache
 
-import numpy as np
 from scipy.special import loggamma
 
 from .errors import BranchCrossing, ConventionMismatch, NotConverged, OutOfValidityWindow
 from .quadrature import integrate_line
 from .specfun import LauricellaArgs, lauricella_fd
-from .states import SQRT2, _psi_un_arrays, beta_roots
+from .states import SQRT2, _pair_roots, _psi_un_density
 
 __all__ = [
     "CALIBRATION_ANCHOR_Q",
@@ -104,13 +109,6 @@ def line_power_moment(m: int, bvec, betas, tol: float = 1e-10,
     return _scaled(log_beta, total)
 
 
-def _pair_roots(q: float, gamma: complex, modsq: float) -> tuple[complex, complex]:
-    # roots of x^2 - 2 sqrt2 gamma x + modsq + gamma^2 + 2/(q-1)
-    rad = gamma * gamma - modsq - 2.0 / (q - 1.0)
-    sr = cmath.sqrt(rad)
-    return (SQRT2 * gamma + sr, SQRT2 * gamma - sr)
-
-
 @lru_cache(maxsize=1)
 def calibrated_reflection() -> bool:
     """Pick the half-line vs with-reflection convention against the oracle.
@@ -120,20 +118,10 @@ def calibrated_reflection() -> bool:
     winner.  Result is cached for the process lifetime.
     """
     q, alpha = CALIBRATION_ANCHOR_Q, CALIBRATION_ANCHOR_ALPHA
-
-    def dens(x):
-        v, _, _ = _psi_un_arrays(q, alpha, x)
-        return (v * np.conj(v)).real
-
-    oracle = integrate_line(dens, tol=1e-12).value.real
-    p = 1.0 / (q - 1.0)
-    log_scale = -2.0 * p * math.log(0.5 * (q - 1.0))
-    betas = beta_roots(q, alpha).as_tuple()
+    oracle = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=1e-12).value.real
     devs = {}
     for refl in (False, True):
-        val = _scaled(
-            log_scale, line_power_moment(0, (p, p, p, p), betas, 1e-12, reflection=refl)
-        )
+        val = norm_squared_closed(q, alpha, 1e-12, reflection=refl)
         devs[refl] = abs(val - oracle) / abs(oracle)
     winner = min(devs, key=devs.get)
     if devs[winner] > 1e-8:
@@ -148,17 +136,32 @@ def _window(q: float, upper: float, what: str) -> None:
         raise OutOfValidityWindow(f"{what} needs 1 < q < {upper:.6g}; got q={q:.6g}")
 
 
+def _bracket_integral(q: float, alpha_bra: complex, alpha_ket: complex, coeffs,
+                      tol: float, reflection: bool | None,
+                      bra_shift: int = 0, ket_shift: int = 0) -> complex:
+    """((q-1)/2)^(-sum(b)/2) * sum_m c_m int x^m prod_i (x - beta_i)^(-b_i) dx.
+
+    conj(psi_un[alpha_bra]) contributes its root pair with b = p + bra_shift,
+    psi_un[alpha_ket] its pair with b = p + ket_shift (p = 1/(q-1); a shift
+    of one per derivative taken); ``coeffs`` maps each power m to c_m.  Each
+    bracket is (q-1)/2 times its monic quadratic, hence the scale.
+    """
+    p = 1.0 / (q - 1.0)
+    betas = (_pair_roots(q, alpha_bra.conjugate(), abs(alpha_bra) ** 2)
+             + _pair_roots(q, alpha_ket, abs(alpha_ket) ** 2))
+    bvec = (p + bra_shift, p + bra_shift, p + ket_shift, p + ket_shift)
+    log_scale = -(2.0 * p + (bra_shift + ket_shift)) * math.log(0.5 * (q - 1.0))
+    total = sum(c * line_power_moment(m, bvec, betas, tol, reflection=reflection)
+                for m, c in coeffs.items())
+    return _scaled(log_scale, total)
+
+
 def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10,
                         reflection: bool | None = None) -> complex:
     """int |psi_un|^2 dx in closed form (q < 5)."""
     _window(q, 5.0, "closed-form norm")
     alpha = complex(alpha)
-    p = 1.0 / (q - 1.0)
-    betas = beta_roots(q, alpha).as_tuple()
-    log_scale = -2.0 * p * math.log(0.5 * (q - 1.0))
-    return _scaled(
-        log_scale, line_power_moment(0, (p, p, p, p), betas, tol, reflection=reflection)
-    )
+    return _bracket_integral(q, alpha, alpha, {0: 1.0}, tol, reflection)
 
 
 def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10,
@@ -169,12 +172,7 @@ def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10,
         raise ValueError("position moments implemented for m in {0, 1, 2}")
     _window(q, upper, f"closed-form <x^{m}>")
     alpha = complex(alpha)
-    p = 1.0 / (q - 1.0)
-    betas = beta_roots(q, alpha).as_tuple()
-    log_scale = -2.0 * p * math.log(0.5 * (q - 1.0))
-    return _scaled(
-        log_scale, line_power_moment(m, (p, p, p, p), betas, tol, reflection=reflection)
-    )
+    return _bracket_integral(q, alpha, alpha, {m: 1.0}, tol, reflection)
 
 
 def momentum_first_closed(q: float, alpha: complex, tol: float = 1e-10,
@@ -186,13 +184,8 @@ def momentum_first_closed(q: float, alpha: complex, tol: float = 1e-10,
     """
     _window(q, 5.0, "closed-form <p>")
     alpha = complex(alpha)
-    p = 1.0 / (q - 1.0)
-    betas = beta_roots(q, alpha).as_tuple()
-    bvec = (p, p, p + 1.0, p + 1.0)
-    log_scale = -(2.0 * p + 1.0) * math.log(0.5 * (q - 1.0))
-    fl1 = line_power_moment(1, bvec, betas, tol, reflection=reflection)
-    fl0 = line_power_moment(0, bvec, betas, tol, reflection=reflection)
-    return 1j * _scaled(log_scale, fl1 - SQRT2 * alpha * fl0)
+    return 1j * _bracket_integral(q, alpha, alpha, {1: 1.0, 0: -SQRT2 * alpha},
+                                  tol, reflection, ket_shift=1)
 
 
 def momentum_second_closed(q: float, alpha: complex, tol: float = 1e-10,
@@ -204,16 +197,9 @@ def momentum_second_closed(q: float, alpha: complex, tol: float = 1e-10,
     """
     _window(q, 5.0, "closed-form <p^2>")
     alpha = complex(alpha)
-    p = 1.0 / (q - 1.0)
-    betas = beta_roots(q, alpha).as_tuple()
-    b1 = p + 1.0
-    bvec = (b1, b1, b1, b1)
-    log_scale = -(2.0 * p + 2.0) * math.log(0.5 * (q - 1.0))
-    fl2 = line_power_moment(2, bvec, betas, tol, reflection=reflection)
-    fl1 = line_power_moment(1, bvec, betas, tol, reflection=reflection)
-    fl0 = line_power_moment(0, bvec, betas, tol, reflection=reflection)
-    two_re = SQRT2 * (alpha + alpha.conjugate())
-    return _scaled(log_scale, fl2 - two_re * fl1 + 2.0 * abs(alpha) ** 2 * fl0)
+    coeffs = {2: 1.0, 1: -SQRT2 * (alpha + alpha.conjugate()), 0: 2.0 * abs(alpha) ** 2}
+    return _bracket_integral(q, alpha, alpha, coeffs, tol, reflection,
+                             bra_shift=1, ket_shift=1)
 
 
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
@@ -224,16 +210,8 @@ def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
     its own pair; same uniform b = p weight as the norm.
     """
     _window(q, 5.0, "closed-form overlap")
-    alpha_a = complex(alpha_a)
-    alpha_b = complex(alpha_b)
-    p = 1.0 / (q - 1.0)
-    bra = _pair_roots(q, alpha_a.conjugate(), abs(alpha_a) ** 2)
-    ket = _pair_roots(q, alpha_b, abs(alpha_b) ** 2)
-    betas = bra + ket
-    log_scale = -2.0 * p * math.log(0.5 * (q - 1.0))
-    return _scaled(
-        log_scale, line_power_moment(0, (p, p, p, p), betas, tol, reflection=reflection)
-    )
+    return _bracket_integral(q, complex(alpha_a), complex(alpha_b), {0: 1.0},
+                             tol, reflection)
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
-from .momentum import momentum_pd
+from .momentum import momentum_amplitude_oracle
 from .quadrature import integrate_line
 from .states import SQRT2, Q_MOMENT_SUITE_MAX, _quad_poly
 
@@ -143,10 +143,10 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
         report = moments_oracle(q, alpha, tol=tol)
         for n in names:
             trajectories[n].append(abs(getattr(report, n) - getattr(ref, n)))
-        dist = momentum_pd(q, alpha, k_grid, tol=min(tol, 1e-8))
-        trajectories["pd_distance"].append(
-            float(np.max(np.abs(dist.pd_values - pd_ref)))
-        )
+        pd = np.array([abs(momentum_amplitude_oracle(q, alpha, float(k),
+                                                     tol=min(tol, 1e-8))) ** 2
+                       for k in k_grid])
+        trajectories["pd_distance"].append(float(np.max(np.abs(pd - pd_ref))))
     gaps = {n: tuple(v) for n, v in trajectories.items()}
     verdicts = {n: _verdict(g, final_tol) for n, g in gaps.items()}
     return LimitReport(alpha, qs, gaps, verdicts, final_tol)

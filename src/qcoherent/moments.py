@@ -36,6 +36,7 @@ from .states import (
     Q_MOMENT_SUITE_MAX,
     SQRT2,
     _psi_un_arrays,
+    _psi_un_density,
     normalization_constant,
     require_window,
 )
@@ -134,8 +135,8 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
         return integrate_line(f, tol=tol).value
 
     deviations: dict = {}
-    norm_closure = a2 * density_weighted(lambda x, v, d1, d2: (v * np.conj(v)).real)
-    deviations["norm_closure"] = abs(norm_closure - 1.0)
+    norm = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=tol).value
+    deviations["norm_closure"] = abs(a2 * norm - 1.0)
 
     # weights associate as (x*v) so huge-|x| tail probes cannot overflow
     mean_x = _real_part(
@@ -165,6 +166,21 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     return _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, "oracle", deviations)
 
 
+def _closed_moments(q: float, alpha: complex, tol: float):
+    """(n2, (<x>, <x^2>, <p>, <p^2>)) from the closed forms, unchecked.
+
+    n2 = int |psi_un|^2 dx; each moment is its closed numerator over n2,
+    still complex.  n2 divides every quotient, so it is taken at tol <= 1e-10.
+    """
+    n2 = closedforms.norm_squared_closed(q, alpha, tol=min(tol, 1e-10))
+    return n2, (
+        closedforms.position_moment_closed(q, alpha, 1, tol=tol) / n2,
+        closedforms.position_moment_closed(q, alpha, 2, tol=tol) / n2,
+        closedforms.momentum_first_closed(q, alpha, tol=tol) / n2,
+        closedforms.momentum_second_closed(q, alpha, tol=tol) / n2,
+    )
+
+
 def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     """Moment suite from the Lauricella closed forms (1 <= q < 7/3).
 
@@ -177,24 +193,11 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     if q == 1.0:
         return _coherent_exact(alpha, "closed-form")
     reference = moments_oracle(q, alpha, tol=tol)
-    ctol = min(tol, 1e-10)
     deviations: dict = {}
-    n2 = closedforms.norm_squared_closed(q, alpha, tol=ctol)
-    mean_x = _real_part(
-        "mean_x", closedforms.position_moment_closed(q, alpha, 1, tol=ctol) / n2,
-        deviations,
-    )
-    mean_x2 = _real_part(
-        "mean_x2", closedforms.position_moment_closed(q, alpha, 2, tol=ctol) / n2,
-        deviations,
-    )
-    mean_p = _real_part(
-        "mean_p", closedforms.momentum_first_closed(q, alpha, tol=ctol) / n2,
-        deviations,
-    )
-    mean_p2 = _real_part(
-        "mean_p2", closedforms.momentum_second_closed(q, alpha, tol=ctol) / n2,
-        deviations,
+    n2, quotients = _closed_moments(q, alpha, tol=min(tol, 1e-10))
+    mean_x, mean_x2, mean_p, mean_p2 = (
+        _real_part(name, z, deviations)
+        for name, z in zip(("mean_x", "mean_x2", "mean_p", "mean_p2"), quotients)
     )
     a_closed = complex(n2) ** -0.5
     # relative-to-oracle gaps, scale-guarded for near-zero quantities

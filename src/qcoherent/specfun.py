@@ -165,10 +165,15 @@ def _phi_asymptotic(a: complex, b: complex, z: complex) -> complex:
             total += term
         return total
 
-    s1 = watson(a, a - b + 1, -z)
-    s2 = watson(b - a, 1 - a, z)
-    t1 = cmath.exp(_sp.loggamma(b) - _sp.loggamma(b - a)) * (-z) ** (-a) * s1
-    t2 = cmath.exp(_sp.loggamma(b) - _sp.loggamma(a) + z) * z ** (a - b) * s2
+    # a term whose 1/Gamma factor sits at a pole is exactly zero (loggamma
+    # reads nan there); the other term's series then terminates
+    t1 = t2 = 0.0 + 0.0j
+    if not _is_nonpositive_integer(b - a):
+        s1 = watson(a, a - b + 1, -z)
+        t1 = cmath.exp(_sp.loggamma(b) - _sp.loggamma(b - a)) * (-z) ** (-a) * s1
+    if not _is_nonpositive_integer(a):
+        s2 = watson(b - a, 1 - a, z)
+        t2 = cmath.exp(_sp.loggamma(b) - _sp.loggamma(a) + z) * z ** (a - b) * s2
     return t1 + t2
 
 

@@ -137,9 +137,12 @@ class BetaRoots:
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (self.beta1, self.beta2, self.beta3, self.beta4)
 
-    def ket_pair(self) -> tuple[complex, complex]:
-        """Roots of the ket bracket's own quadratic (the alpha pair)."""
-        return (self.beta3, self.beta4)
+
+def _pair_roots(q: float, gamma: complex, modsq: float) -> tuple[complex, complex]:
+    # roots of x^2 - 2 sqrt2 gamma x + modsq + gamma^2 + 2/(q-1); the bra
+    # bracket of a state is gamma = conj(alpha), its ket bracket gamma = alpha
+    sr = cmath.sqrt(gamma * gamma - modsq - 2.0 / (q - 1.0))
+    return (SQRT2 * gamma + sr, SQRT2 * gamma - sr)
 
 
 def beta_roots(q: float, alpha: complex) -> BetaRoots:
@@ -152,17 +155,9 @@ def beta_roots(q: float, alpha: complex) -> BetaRoots:
     if q <= 1.0:
         raise OutOfValidityWindow("beta roots exist for q > 1 only")
     alpha = complex(alpha)
-    ac = alpha.conjugate()
-    rad_bra = ac * ac - abs(alpha) ** 2 - 2.0 / (q - 1.0)
-    rad_ket = alpha * alpha - abs(alpha) ** 2 - 2.0 / (q - 1.0)
-    sb = cmath.sqrt(rad_bra)
-    sk = cmath.sqrt(rad_ket)
-    return BetaRoots(
-        beta1=SQRT2 * ac + sb,
-        beta2=SQRT2 * ac - sb,
-        beta3=SQRT2 * alpha + sk,
-        beta4=SQRT2 * alpha - sk,
-    )
+    modsq = abs(alpha) ** 2
+    return BetaRoots(*_pair_roots(q, alpha.conjugate(), modsq),
+                     *_pair_roots(q, alpha, modsq))
 
 
 @dataclass(frozen=True)
@@ -222,6 +217,12 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     return val, d1, d2
 
 
+def _psi_un_density(q: float, alpha: complex, x):
+    """Vectorised |psi_un(x)|^2: the integrand of every norm integral."""
+    v, _, _ = _psi_un_arrays(q, alpha, x)
+    return (v * np.conj(v)).real
+
+
 def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
     """Unnormalised state sample at one point, with derivatives.
 
@@ -240,12 +241,7 @@ def _norm_oracle(q: float, are: float, aim: float, tol: float) -> float:
     alpha = complex(are, aim)
     if q == 1.0:
         return math.pi ** -0.25
-
-    def dens(x):
-        v, _, _ = _psi_un_arrays(q, alpha, x)
-        return (v * np.conj(v)).real
-
-    res = integrate_line(dens, tol=tol)
+    res = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=tol)
     nrm = res.value.real
     if nrm <= 0.0:
         raise ConventionMismatch(f"norm integral came out non-positive: {nrm}")

@@ -164,6 +164,30 @@ def test_verify_findings_do_not_fail_exit_code(verify_report):
     assert code == 0
 
 
+def test_verify_byte_deterministic(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ("verify", "--q-min", "1.3", "--q-max", "1.3", "--q-steps", "1")
+    assert run_cli(*args, "--out", str(a)) == 0
+    assert run_cli(*args, "--out", str(b)) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
+    # the entries and the heisenberg check read one oracle report per q
+    calls = []
+    real = cli.moments_oracle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "moments_oracle", counted)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.5", "--q-steps", "2",
+                   "--out", str(out)) == 0
+    assert [q for q, _ in calls] == [1.2, 1.5]
+
+
 # ------------------------------------------------------------------- pd
 
 def test_pd_csv_with_parseval_trailer(tmp_path):

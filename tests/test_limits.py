@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qcoherent import limits
 from qcoherent.errors import RegimeWarning
 from qcoherent.limits import (
     LimitReport,
@@ -106,6 +107,22 @@ def test_limit_convergence_strictness():
         limit_convergence_check(0.5, q_sequence=(1.1, 1.2))   # not decreasing
     with pytest.raises(ValueError):
         limit_convergence_check(0.5, q_sequence=(2.5, 1.2))   # outside window
+
+
+def test_limit_convergence_samples_each_k_once_per_q(monkeypatch):
+    # the pd distance needs only the amplitude at the k points: no Parseval
+    # total or other momentum_pd extra may be paid for on top
+    calls = []
+    real = limits.momentum_amplitude_oracle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "momentum_amplitude_oracle", counted)
+    qs, k_points = (1.2, 1.1), 7
+    limit_convergence_check(0.3, q_sequence=qs, k_points=k_points)
+    assert len(calls) == len(qs) * k_points
 
 
 def test_limit_report_is_immutable():

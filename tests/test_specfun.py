@@ -119,6 +119,11 @@ def test_kummer_phi_matches_mpmath_moderate_and_large():
         (1.0 + 0.5j, 2.0, 3.0 - 2.0j),
         (2.0, 4.0, -40.0j),   # the momentum closed form feeds large imaginary z
         (2.0, 4.0, 55.0j),
+        (2.0, 1.5, 40.0),     # Re b <= Re a: the large-|z| asymptotic branch
+        (3.0, 2.0, 31.0j),    # b - a a non-positive integer: 1/Gamma(b-a) = 0
+        (2.5, 1.5, 45.0j),
+        (4.0, 2.0, -35.0),
+        (-1.0, 0.5, 40.0),    # a a non-positive integer: 1/Gamma(a) = 0
     ]
     for a, b, z in pts:
         want = complex(mpmath.hyp1f1(a, b, z))
