@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -210,18 +211,14 @@ def _point(q, alpha, **extra):
 
 
 def _hermite_projection_dev(alpha: complex, n_max: int) -> float:
-    """Worst gap between quadrature projections onto the oscillator
-    eigenbasis and the analytic coherent-state coefficients."""
-    alpha = complex(alpha)
-    coeffs = coherent_coefficients(alpha, n_max)
-    worst = 0.0
-    for n in range(n_max + 1):
-        def f(x, n=n):
-            return specfun.hermite_function(n, x) * coherent_psi(alpha, x)
+    """Worst gap between the oscillator-eigenbasis projections, all taken in
+    one quadrature pass, and the analytic coherent-state coefficients."""
+    def f(x):
+        hermite = np.stack([specfun.hermite_function(n, x) for n in range(n_max + 1)])
+        return hermite * coherent_psi(alpha, x)
 
-        proj = integrate_line(f, tol=1e-12).value
-        worst = max(worst, abs(proj - coeffs[n]))
-    return worst
+    proj = integrate_line(f, tol=1e-12).value
+    return float(np.max(np.abs(proj - coherent_coefficients(alpha, n_max))))
 
 
 def _verify_closed_forms(qs, alpha, tol):
@@ -442,6 +439,17 @@ class _ConfigError(Exception):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcoherent",
@@ -450,14 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, *, tol_default):
-        sp.add_argument("--alpha-re", type=float, default=0.5)
-        sp.add_argument("--alpha-im", type=float, default=0.0)
-        sp.add_argument("--tol", type=float, default=tol_default)
+        sp.add_argument("--alpha-re", type=_finite_float, default=0.5)
+        sp.add_argument("--alpha-im", type=_finite_float, default=0.0)
+        sp.add_argument("--tol", type=_finite_float, default=tol_default)
         sp.add_argument("--out", default=None, metavar="PATH")
 
     sp = sub.add_parser("sweep", help="moment suite over a q grid")
-    sp.add_argument("--q-min", type=float, default=1.05)
-    sp.add_argument("--q-max", type=float, default=2.2)
+    sp.add_argument("--q-min", type=_finite_float, default=1.05)
+    sp.add_argument("--q-max", type=_finite_float, default=2.2)
     sp.add_argument("--q-steps", type=int, default=20)
     sp.add_argument("--method", choices=("oracle", "closed-form", "both"),
                     default="oracle")
@@ -465,16 +473,16 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, tol_default=1e-9)
 
     vp = sub.add_parser("verify", help="closed forms vs oracles, JSON report")
-    vp.add_argument("--q-min", type=float, default=1.2)
-    vp.add_argument("--q-max", type=float, default=2.2)
+    vp.add_argument("--q-min", type=_finite_float, default=1.2)
+    vp.add_argument("--q-max", type=_finite_float, default=2.2)
     vp.add_argument("--q-steps", type=int, default=3)
     common(vp, tol_default=1e-8)
     vp.set_defaults(alpha_re=0.3, alpha_im=0.1)
 
     pp = sub.add_parser("pd", help="momentum probability density on a k grid")
-    pp.add_argument("--q", type=float, required=True)
-    pp.add_argument("--k-min", type=float, default=None)
-    pp.add_argument("--k-max", type=float, default=None)
+    pp.add_argument("--q", type=_finite_float, required=True)
+    pp.add_argument("--k-min", type=_finite_float, default=None)
+    pp.add_argument("--k-max", type=_finite_float, default=None)
     pp.add_argument("--k-steps", type=int, default=401)
     pp.add_argument("--method", choices=("oracle", "closed-form"), default="oracle")
     pp.add_argument("--format", choices=("csv", "json"), default="csv")

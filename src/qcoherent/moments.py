@@ -2,11 +2,11 @@
 
 Two fully independent routes produce every number here:
 
-* ``moments_oracle``: adaptive quadrature of the normalised density and
-  its derivatives on the real line.  <p^2> is taken as int |psi'|^2
-  (manifestly positive); the integration-by-parts partner
-  -int conj(psi) psi'' is evaluated too and its relative gap recorded as
-  a self-diagnostic.
+* ``moments_oracle``: one adaptive quadrature pass on the real line whose
+  six components share every node: the norm, <x>, <x^2>, <p>, and <p^2>
+  as int |psi'|^2 (manifestly positive) next to its integration-by-parts
+  partner -int conj(psi) psi'', whose relative gap is recorded as a
+  self-diagnostic.
 * ``moments_closed``: the Lauricella closed forms from ``closedforms``
   under the calibrated convention, cross-checked against the oracle on
   every call; disagreement beyond CONVENTION_TOL raises
@@ -36,7 +36,6 @@ from .states import (
     Q_MOMENT_SUITE_MAX,
     SQRT2,
     _psi_un_arrays,
-    _psi_un_density,
     normalization_constant,
     require_window,
 )
@@ -128,34 +127,19 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     a_const = normalization_constant(q, alpha, tol=min(tol, 1e-10))
     a2 = abs(a_const) ** 2
 
-    def density_weighted(weight):
-        def f(x):
-            v, d1, d2 = _psi_un_arrays(q, alpha, x)
-            return weight(x, v, d1, d2)
-        return integrate_line(f, tol=tol).value
+    def weights(x):
+        v, d1, d2 = _psi_un_arrays(q, alpha, x)
+        xv, cv = x * v, np.conj(v)  # (x*v) first: huge-|x| probes cannot overflow
+        return np.stack([(v * cv).real, (xv * cv).real, (xv * np.conj(xv)).real,
+                         -1j * cv * d1, (d1 * np.conj(d1)).real, -cv * d2])
 
-    deviations: dict = {}
-    norm = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=tol).value
-    deviations["norm_closure"] = abs(a2 * norm - 1.0)
-
-    # weights associate as (x*v) so huge-|x| tail probes cannot overflow
-    mean_x = _real_part(
-        "mean_x",
-        a2 * density_weighted(lambda x, v, d1, d2: ((x * v) * np.conj(v)).real),
-        deviations,
+    norm, mean_x, mean_x2, mean_p, p2_primary, p2_partner = (
+        a2 * z for z in integrate_line(weights, tol=tol).value.tolist()
     )
-    mean_x2 = _real_part(
-        "mean_x2",
-        a2 * density_weighted(lambda x, v, d1, d2: ((x * v) * np.conj(x * v)).real),
-        deviations,
-    )
-    mean_p = _real_part(
-        "mean_p",
-        a2 * density_weighted(lambda x, v, d1, d2: -1j * np.conj(v) * d1),
-        deviations,
-    )
-    p2_primary = a2 * density_weighted(lambda x, v, d1, d2: (d1 * np.conj(d1)).real)
-    p2_partner = a2 * density_weighted(lambda x, v, d1, d2: -np.conj(v) * d2)
+    deviations: dict = {"norm_closure": abs(norm - 1.0)}
+    mean_x = _real_part("mean_x", mean_x, deviations)
+    mean_x2 = _real_part("mean_x2", mean_x2, deviations)
+    mean_p = _real_part("mean_p", mean_p, deviations)
     mean_p2 = _real_part("mean_p2", p2_primary, deviations)
     deviations["mean_p2_partner_gap"] = abs(p2_partner - p2_primary) / abs(p2_primary)
     if deviations["mean_p2_partner_gap"] > 1e-6:

@@ -34,7 +34,7 @@ from scipy.special import loggamma
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
 from .specfun import kummer_phi
-from .states import SQRT2, _psi_un_arrays, normalization_constant, require_window
+from .states import SQRT2, _psi_un, normalization_constant, require_window
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -103,17 +103,16 @@ def momentum_amplitude_oracle(q: float, alpha: complex, k: float,
                               tol: float = 1e-9) -> complex:
     """Normalised momentum amplitude by direct Fourier quadrature."""
     require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite; got {k}")
     alpha = complex(alpha)
     if q == 1.0:
         return _gaussian_amplitude(alpha, k)
     a_const = normalization_constant(q, alpha, tol=min(tol, 1e-10))
 
-    def f(x):
-        v, _, _ = _psi_un_arrays(q, alpha, x)
-        return v
-
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
-    res = fourier_transform_line(f, float(k), tol=tol, core_halfwidth=core)
+    res = fourier_transform_line(lambda x: _psi_un(q, alpha, x), float(k), tol=tol,
+                                 core_halfwidth=core)
     return complex(a_const) * res.value
 
 
@@ -132,8 +131,8 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
     the quadrature oracle's non-zero phi(0); treat this route as a
     reproduction of its source, not as ground truth.
     """
-    if k == 0.0:
-        raise ValueError("the printed closed form is defined for k != 0 only")
+    if k == 0.0 or not math.isfinite(k):
+        raise ValueError("the printed closed form is defined for finite k != 0 only")
     if not (1.0 < q < Q_MOMENTUM_MAX):
         raise OutOfValidityWindow(
             f"closed momentum amplitude needs 1 < q < 3; got q={q:.6g}"
@@ -187,6 +186,8 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     grid = default_k_grid(alpha) if k_grid is None else np.asarray(k_grid, float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("k_grid must be a 1-d grid with at least two points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("k_grid must be finite")
     if method not in ("oracle", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
 

@@ -14,9 +14,12 @@ evaluation.  On top of that sit
   panelised by the local half-period pi/|k| so that successive tail
   panels alternate in sign, then accelerated with iterated averaging.
 
-Evaluators must accept a float ndarray and return an ndarray (complex is
-fine); scalars are broadcast.  All routines count integrand evaluations
-and stop with NotConverged once ``max_evals`` is exhausted.
+Evaluators map a float ndarray of n nodes to an ndarray (complex is fine)
+of shape (n,), or (m, n) for m integrands on shared nodes that one pass
+refines until each meets err_i <= tol * max(1, |value_i|), as in
+``scipy.integrate.quad_vec`` (not used: the oracle stays independent).
+All routines count integrand evaluations (nodes) and stop with
+NotConverged once ``max_evals`` is exhausted.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ _EPS = np.finfo(float).eps
 class IntegrandSpec:
     """An integrand plus the metadata the adaptive driver can exploit.
 
-    evaluator     vectorised callable, ndarray -> ndarray (real or complex)
+    evaluator     vectorised callable, ndarray (n,) -> ndarray (n,) or (m, n)
     singularities points where the integrand is rough.  Interior points
                   become panel boundaries, so they never land on nodes; a
                   point coinciding with an integration endpoint switches
@@ -81,14 +84,15 @@ class IntegrandSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """value with an error estimate and the evaluation count.
+    """value with an error estimate and the evaluation count; for an (m, n)
+    evaluator, length-m arrays with each component held to its own target.
 
     err_estimate is conservative in practice (true error is normally far
     below it); evaluations counts integrand samples actually taken.
     """
 
-    value: complex
-    err_estimate: float
+    value: complex | np.ndarray
+    err_estimate: float | np.ndarray
     evaluations: int
     method: str = ""
 
@@ -102,22 +106,22 @@ def _as_spec(f) -> IntegrandSpec:
 def _panel_batch(evaluator, mids, halfs):
     """Apply the G7/K15 pair to a batch of panels.
 
-    Returns (resk, err, resabs) arrays; err already carries the QUADPACK
+    Returns (resk, err) arrays of shape ([m,] panels); err carries the QUADPACK
     rescaling  resasc * min(1, (200*|K-G|/resasc)^1.5)  with a 50*eps
     round-off floor, so summing it over panels gives a defensible global
     estimate.
     """
     x = mids[:, None] + halfs[:, None] * _XK[None, :]
-    fx = np.asarray(evaluator(x.ravel()))
-    fx = fx.astype(complex, copy=False).reshape(x.shape)
+    fx = np.asarray(evaluator(x.ravel())).astype(complex, copy=False)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     if not np.all(np.isfinite(fx)):
-        bad = x.ravel()[~np.isfinite(fx.ravel())][:3]
+        bad = x[~np.isfinite(fx.reshape(-1, *x.shape)).all(axis=0)][:3]
         raise NotConverged(f"integrand returned non-finite values near x={bad}")
     resk = halfs * (fx @ _WK)
-    resg = halfs * (fx[:, _GIDX] @ _WG)
+    resg = halfs * (fx[..., _GIDX] @ _WG)
     resabs = halfs * (np.abs(fx) @ _WK)
     mean = resk / (2.0 * halfs)
-    resasc = halfs * (np.abs(fx - mean[:, None]) @ _WK)
+    resasc = halfs * (np.abs(fx - mean[..., None]) @ _WK)
     raw = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
@@ -126,62 +130,64 @@ def _panel_batch(evaluator, mids, halfs):
             raw,
         )
     err = np.maximum(scaled, 50.0 * _EPS * resabs)
-    return resk, err, resabs
+    return resk, err
 
 
 def _adaptive(evaluator, edges, tol, max_evals, method):
     """Globally adaptive bisection over the panels defined by ``edges``.
 
-    Splits, per generation, every panel whose error is within a factor two
-    of the current worst (then re-checks the global target), which batches
-    well and keeps the refinement sequence independent of tol: tightening
-    tol only extends the sequence, never reorders it.
+    Splits, per generation, every panel whose score (worst component error
+    over its target) is within a factor two of the current worst, then
+    re-checks the targets; this batches well and keeps the refinement
+    sequence independent of tol: tightening tol only extends it.
     """
     lo = np.asarray(edges[:-1], dtype=float)
     hi = np.asarray(edges[1:], dtype=float)
     mids = 0.5 * (lo + hi)
     halfs = 0.5 * (hi - lo)
-    vals, errs, _ = _panel_batch(evaluator, mids, halfs)
+    vals, errs = _panel_batch(evaluator, mids, halfs)
     evals = 15 * len(mids)
     min_half = 8.0 * _EPS * max(1.0, float(np.max(np.abs(edges))))
 
     while True:
-        value = complex(np.sum(vals))
-        err = float(np.sum(errs))
-        target = tol * max(1.0, abs(value))
-        if err <= target:
-            return QuadratureResult(value, err, evals, method)
+        value = np.sum(vals, axis=-1)
+        err = np.sum(errs, axis=-1)
+        scale = np.maximum(1.0, np.abs(value))
+        target = tol * scale
         splittable = halfs > min_half
-        locked = err - float(np.sum(errs[splittable]))
-        if not np.any(splittable) or locked > target:
-            # width floor reached: further splitting provably cannot meet the
-            # target.  Return the honest floor-limited estimate when it is
-            # within three orders of the request (QUADPACK-style round-off
-            # return), refuse otherwise.
-            if err <= 1e3 * target:
-                return QuadratureResult(value, err, evals, method)
+        locked = err - np.sum(errs[..., splittable], axis=-1)
+        # width floor reached: further splitting provably cannot meet the
+        # target.  Return the honest floor-limited estimate when it is
+        # within three orders of the request (QUADPACK-style round-off
+        # return), refuse otherwise.
+        floored = not np.any(splittable) or np.any(locked > target)
+        if np.all(err <= (1e3 * target if floored else target)):
+            if np.ndim(value) == 0:  # a scalar integrand reports Python scalars
+                value, err = complex(value), float(err)
+            return QuadratureResult(value, err, evals, method)
+        weight = np.max(scale) / scale  # err * weight ~ err / target; 1 if scalar
+        if floored or evals >= max_evals:  # report the component furthest off
+            c = np.argmax(np.ravel(err * weight))
+            e, t, v = (np.ravel(a)[c] for a in (err, target, value))
             raise NotConverged(
-                f"resolution floor at err_estimate={err:.3e} "
-                f"(target {target:.3e}), value={value:.6e}"
+                f"resolution floor at err_estimate={e:.3e} (target {t:.3e}), value={v:.6e}"
+                if floored else f"quadrature budget exhausted: {evals} evaluations, "
+                f"err_estimate={e:.3e}, value={v:.6e}"
             )
-        if evals >= max_evals:
-            raise NotConverged(
-                f"quadrature budget exhausted: {evals} evaluations, "
-                f"err_estimate={err:.3e}, value={value:.6e}"
-            )
-        worst = float(np.max(errs[splittable]))
-        pick = splittable & (errs >= 0.5 * worst)
+        score = np.max((errs * weight[..., None]).reshape(-1, len(halfs)), axis=0)
+        worst = float(np.max(score[splittable]))
+        pick = splittable & (score >= 0.5 * worst)
         if not np.any(pick):  # pragma: no cover - pick always holds the max
             pick = splittable
         keep = ~pick
         new_mids = np.concatenate([mids[pick] - 0.5 * halfs[pick], mids[pick] + 0.5 * halfs[pick]])
         new_halfs = np.concatenate([0.5 * halfs[pick], 0.5 * halfs[pick]])
-        nv, ne, _ = _panel_batch(evaluator, new_mids, new_halfs)
+        nv, ne = _panel_batch(evaluator, new_mids, new_halfs)
         evals += 15 * len(new_mids)
         mids = np.concatenate([mids[keep], new_mids])
         halfs = np.concatenate([halfs[keep], new_halfs])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
+        vals = np.concatenate([vals[..., keep], nv], axis=-1)
+        errs = np.concatenate([errs[..., keep], ne], axis=-1)
 
 
 # Fixed grading power for hinted endpoints: u = end -+ w * v**4 turns an
@@ -262,21 +268,26 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
 
 
 def _decay_probe(evaluator, side: float) -> tuple[float, float] | None:
-    """Crude tail sampling: local |f| ~ x^(-p) exponent on one side.
+    """Crude tail sampling: local |f_i| ~ x^(-p_i) exponents on one side.
 
-    Returns (exponent, |f| at the outer radius), or None when the tail is
-    already below the noise floor (fast decay; safe to drop).  Exponent
-    0.0 flags a tail that is not decaying at all.
+    Returns (smallest exponent, largest |f_i| at the outer radius) over the
+    components, or None when every tail is already below the noise floor
+    (fast decay; safe to drop).  Exponent 0.0 flags a tail that is not
+    decaying at all.
     """
     r1, r2 = _LINE_CORE, _PROBE_OUTER
     cluster = np.array([1.0, 1.17, 1.31])
-    f1 = float(np.max(np.abs(evaluator(side * r1 * cluster))))
-    f2 = float(np.max(np.abs(evaluator(side * r2 * cluster))))
-    if f1 < 1e-280 or f2 < 1e-300:
-        return None
-    if not (math.isfinite(f1) and math.isfinite(f2)) or f2 >= f1:
-        return (0.0, f2)  # not decaying at all
-    return (math.log(f1 / f2) / math.log(r2 / r1), f2)
+    f1s = np.max(np.abs(evaluator(side * r1 * cluster)), axis=-1)
+    f2s = np.max(np.abs(evaluator(side * r2 * cluster)), axis=-1)
+    probes = []
+    for f1, f2 in zip(np.ravel(f1s).tolist(), np.ravel(f2s).tolist()):
+        if f1 < 1e-280 or f2 < 1e-300:
+            continue
+        if not (math.isfinite(f1) and math.isfinite(f2)) or f2 >= f1:
+            probes.append((0.0, f2))  # not decaying at all
+        else:
+            probes.append((math.log(f1 / f2) / math.log(r2 / r1), f2))
+    return (min(probes)[0], max(f for _, f in probes)) if probes else None
 
 
 _LINE_CORE = 96.0     # core half-width; also the decay probe's inner radius
@@ -298,12 +309,12 @@ def _tail_piece(ev, side: float, p_hat: float, tol: float, max_evals: int):
 
     def g(v):
         v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape, dtype=complex)
         safe = v > v_floor
-        if np.any(safe):
-            vs = v[safe]
-            x = side * _LINE_CORE * vs ** (-float(gamma))
-            out[safe] = ev(x) * (gamma * _LINE_CORE * vs ** (-float(gamma) - 1.0))
+        vs = v[safe]
+        x = side * _LINE_CORE * vs ** (-float(gamma))
+        fx = ev(x) * (gamma * _LINE_CORE * vs ** (-float(gamma) - 1.0))
+        out = np.zeros(fx.shape[:-1] + v.shape, dtype=complex)
+        out[..., safe] = fx
         return out
 
     return integrate_interval(g, 0.0, 1.0, tol=tol, max_evals=max_evals)
@@ -314,7 +325,8 @@ def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
 
         int_{X_TOP}^inf |f| dx  ~=  |f(r2)| r2^p X_TOP^(1-p) / (p-1),
 
-    computed in log10 space so extreme exponents cannot overflow."""
+    computed in log10 space so extreme exponents cannot overflow; rising in
+    |f(r2)| and falling in p, it bounds components by max |f(r2)|, min p."""
     if f_outer <= 0.0:
         return 0.0
     log10b = (
@@ -331,9 +343,9 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
 
     Adaptive panels on the finite core [-96, 96] plus one power-
     substituted tail integral per side (see ``_tail_piece``); the tail
-    substitution order comes from a sampled decay exponent, so algebraic
-    tails as slow as |x|^(-1.01) stay fully resolvable.  Slower decay
-    raises SlowDecay; tails already below the double-precision noise
+    substitution order comes from the slowest sampled decay exponent, so
+    algebraic tails as slow as |x|^(-1.01) stay fully resolvable.  Slower
+    decay raises SlowDecay; tails already below the double-precision noise
     floor at the probe radii are dropped as exact zeros.
     """
     spec = _as_spec(f)
@@ -400,6 +412,7 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     alternate in sign (exp(-i*k*(x+pi/|k|)) = -exp(-i*k*x)) and the panel
     series is summed with iterated averaging, which converges even when f
     only decays algebraically (conditional convergence of the transform).
+    Scalar integrands only, since no caller transforms several at once.
     """
     spec = _as_spec(f)
     ev = spec.evaluator
@@ -440,7 +453,7 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
             else:
                 mids = -X - (idx + 0.5) * half_period
             halfs = np.full(batch, 0.5 * half_period)
-            vals, errs, _ = _panel_batch(g, mids, halfs)
+            vals, errs = _panel_batch(g, mids, halfs)
             evals += 15 * batch
             if evals > max_evals:
                 raise NotConverged("fourier tail budget exhausted")

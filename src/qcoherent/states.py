@@ -179,6 +179,20 @@ def _bracket(q: float, alpha: complex, x):
     return 1.0 + 0.5 * (q - 1.0) * _quad_poly(q, alpha, x)
 
 
+def _psi_un(q: float, alpha: complex, x):
+    """Vectorised value of the unnormalised state, without derivatives."""
+    x = np.asarray(x, dtype=float)
+    alpha = complex(alpha)
+    big = np.abs(x) > 1e150
+    if np.any(big):
+        x = np.where(big, 0.0, x)
+    if q == 1.0:
+        val = np.exp(-0.5 * _quad_poly(q, alpha, x))
+    else:
+        val = np.power(_bracket(q, alpha, x), 1.0 / (1.0 - q))
+    return np.where(big, 0.0, val) if np.any(big) else val
+
+
 def _psi_un_arrays(q: float, alpha: complex, x):
     """Vectorised (value, d1, d2) of the unnormalised state.
 
@@ -191,6 +205,7 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     """
     x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
+    val = _psi_un(q, alpha, x)
     # quadrature tails probe |x| up to ~1e250; past 1e150 every windowed
     # quantity here underflows to an exact double-precision zero, so mask
     # those lanes instead of letting x*x reach inf (complex inf arithmetic
@@ -200,18 +215,15 @@ def _psi_un_arrays(q: float, alpha: complex, x):
         x = np.where(big, 0.0, x)
     shift = x - SQRT2 * alpha
     if q == 1.0:
-        val = np.exp(-0.5 * _quad_poly(q, alpha, x))
         d1 = -shift * val
         d2 = shift * (shift * val) - val
     else:
         b = _bracket(q, alpha, x)
         expo = 1.0 / (1.0 - q)
-        val = np.power(b, expo)
         d1 = -shift * np.power(b, expo - 1.0)
         half_piece = shift * np.power(b, 0.5 * (expo - 2.0))
         d2 = q * half_piece * half_piece - np.power(b, expo - 1.0)
     if np.any(big):
-        val = np.where(big, 0.0, val)
         d1 = np.where(big, 0.0, d1)
         d2 = np.where(big, 0.0, d2)
     return val, d1, d2
@@ -219,7 +231,7 @@ def _psi_un_arrays(q: float, alpha: complex, x):
 
 def _psi_un_density(q: float, alpha: complex, x):
     """Vectorised |psi_un(x)|^2: the integrand of every norm integral."""
-    v, _, _ = _psi_un_arrays(q, alpha, x)
+    v = _psi_un(q, alpha, x)
     return (v * np.conj(v)).real
 
 
@@ -260,6 +272,8 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
     """
     require_window(q, Q_NORMALIZABLE_MAX, "normalization")
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite; got {alpha}")
     a_oracle = _norm_oracle(q, alpha.real, alpha.imag, tol)
     if method == "oracle":
         return complex(a_oracle)
@@ -303,8 +317,7 @@ class StateLabel:
         """Normalised wavefunction, vectorised over x."""
         if self.q == 1.0:
             return coherent_psi(self.alpha, x)
-        v, _, _ = _psi_un_arrays(self.q, self.alpha, x)
-        out = self.norm_constant * v
+        out = self.norm_constant * _psi_un(self.q, self.alpha, x)
         return out if np.ndim(x) else complex(out[0] if np.ndim(out) else out)
 
 
@@ -325,9 +338,7 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
         return cmath.exp(aa.conjugate() * ab - 0.5 * abs(aa) ** 2 - 0.5 * abs(ab) ** 2)
     if method == "oracle":
         def f(x):
-            va, _, _ = _psi_un_arrays(q, a.alpha, x)
-            vb, _, _ = _psi_un_arrays(q, b.alpha, x)
-            return np.conj(va) * vb
+            return np.conj(_psi_un(q, a.alpha, x)) * _psi_un(q, b.alpha, x)
 
         res = integrate_line(f, tol=tol)
         return a.norm_constant * b.norm_constant * res.value

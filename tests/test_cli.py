@@ -88,6 +88,11 @@ def test_sweep_grid_validation_exit_codes(tmp_path):
     assert run_cli("sweep", "--q-min", "1.2", "--q-max", "1.4",
                    "--q-steps", "1") == 2
     assert run_cli("sweep", "--q-min", "0.9", "--q-max", "1.2") == 2
+    # non-finite numbers are usage errors, never numerical failures
+    assert run_cli("sweep", "--alpha-re", "nan") == 2
+    assert run_cli("sweep", "--q-max", "inf") == 2
+    assert run_cli("verify", "--tol", "nan") == 2
+    assert run_cli("pd", "--q", "1.5", "--k-min", "-inf") == 2
 
 
 def test_numerical_failure_maps_to_exit_three(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qcoherent import moments
 from qcoherent.errors import ConventionMismatch, OutOfValidityWindow
 from qcoherent.moments import (
     MomentReport,
@@ -28,6 +29,20 @@ def test_oracle_frozen_point():
     assert m.mean_p2.real == pytest.approx(FROZEN_13_03["mean_p2"], rel=1e-9)
     assert m.product == pytest.approx(FROZEN_13_03["product"], rel=1e-9)
     assert m.method == "oracle"
+
+
+def test_oracle_is_one_line_pass(monkeypatch):
+    # the norm and all five moment weights share one integrate_line pass
+    calls = []
+    real = moments.integrate_line
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "integrate_line", counted)
+    moments_oracle(1.5, 0.4 + 0.1j)
+    assert len(calls) == 1
 
 
 def test_oracle_alpha_zero_centered():

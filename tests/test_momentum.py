@@ -92,6 +92,9 @@ def test_closed_form_guards():
         momentum_amplitude_closed(1.5, 0.3, 0.0)
     with pytest.raises(OutOfValidityWindow):
         momentum_amplitude_closed(3.4, 0.3, 1.0)
+    for amplitude in (momentum_amplitude_closed, momentum_amplitude_oracle):
+        with pytest.raises(ValueError):
+            amplitude(1.5, 0.3, math.nan)
 
 
 def test_pd_sentinel_gaussian():
@@ -150,3 +153,6 @@ def test_pd_closed_method_is_labelled_and_quarantined():
 def test_pd_window():
     with pytest.raises(OutOfValidityWindow):
         momentum_pd(5.5, 0.0)
+    for bad in ([0.0, math.nan, 1.0], [0.0, math.inf]):
+        with pytest.raises(ValueError):
+            momentum_pd(1.5, 0.3, bad)

@@ -101,6 +101,25 @@ def test_line_slow_algebraic_decay():
     assert abs(r.value.real - want) <= 5.0 * r.err_estimate
 
 
+def test_line_vector_integrand_meets_each_component_target():
+    # Gaussian and algebraic tails share one pass: each component meets its
+    # own target and agrees with its scalar integral
+    s = 0.8
+    parts = [
+        (lambda x: np.exp(-x * x), SQRT_PI),
+        (lambda x: x * x * np.exp(-x * x), SQRT_PI / 2.0),
+        (lambda x: 1.0 / (1.0 + x * x), math.pi),
+        (lambda x: (1.0 + x * x) ** -s,
+         SQRT_PI * math.exp(math.lgamma(s - 0.5) - math.lgamma(s))),
+    ]
+    tol = 1e-10
+    r = integrate_line(lambda x: np.stack([f(x) for f, _ in parts]), tol=tol)
+    assert r.value.shape == r.err_estimate.shape == (4,)
+    for (f, exact), value in zip(parts, r.value):
+        assert abs(value - exact) <= tol * max(1.0, exact)
+        assert value == pytest.approx(integrate_line(f, tol=tol).value, rel=1e-12)
+
+
 def test_line_offset_complex_gaussian():
     mu = 1.7
     r = integrate_line(lambda x: np.exp(-(x - mu) ** 2) * np.exp(1j * 0.4 * x),

@@ -197,6 +197,18 @@ def test_psi_unnormalized_parity_about_bracket_vertex():
         assert left == pytest.approx(right, rel=1e-12)
 
 
+def test_psi_un_value_only_matches_full_evaluation_bitwise():
+    from qcoherent.states import _psi_un, _psi_un_arrays
+
+    # lanes past |x| = 1e150 are masked to exact zeros
+    x = np.concatenate([np.linspace(-40.0, 40.0, 801), [1e30, -1e151, 1e250, -1e300]])
+    for q, alpha in [(1.0, 0.4 - 0.3j), (1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j),
+                     (4.2, 1.3j)]:
+        v = _psi_un(q, alpha, x)
+        assert v.tobytes() == _psi_un_arrays(q, alpha, x)[0].tobytes()
+        assert np.all(v[-3:] == 0.0)
+
+
 def test_psi_unnormalized_window():
     with pytest.raises(OutOfValidityWindow):
         psi_unnormalized(5.2, 0.0, 0.0)
@@ -218,6 +230,13 @@ def test_normalization_constant_frozen_values():
         got = normalization_constant(q, alpha, tol=1e-12)
         assert got.imag == 0.0
         assert got.real == pytest.approx(want, rel=1e-11)
+
+
+def test_normalization_constant_rejects_non_finite_alpha():
+    for alpha in (math.nan, complex(0.3, math.inf)):
+        for method in ("oracle", "closed-form"):
+            with pytest.raises(ValueError):
+                normalization_constant(1.5, alpha, method=method)
 
 
 def test_normalization_constant_unit_norm():
