@@ -184,13 +184,12 @@ def _run_pd(args) -> int:
 
 # --------------------------------------------------------------- verify
 
-def _entry(equation, point, closed, oracle, threshold=CONVENTION_TOL, note=None,
-           scale=None):
+def _entry(equation, point, closed, oracle, floor, threshold=CONVENTION_TOL, note=None):
     closed = complex(closed)
     oracle = complex(oracle)
-    # scale=1.0 for quantities that are already deviations, so the 1e-12
-    # floor does not inflate a machine-precision result into a finding.
-    dev = abs(closed - oracle) / (scale if scale else max(1e-12, abs(oracle)))
+    # floor: the oracle's absolute accuracy, so a zero in theory is not judged
+    # on round-off; 1.0 for quantities that are already deviations.
+    dev = abs(closed - oracle) / max(floor, abs(oracle))
     e = {
         "equation": equation,
         "point": point,
@@ -237,27 +236,27 @@ def _verify_closed_forms(qs, alpha, tol):
         a_oracle = normalization_constant(q, alpha, tol=min(tol, 1e-10))
         n2, (mean_x, mean_x2, mean_p, mean_p2) = _closed_moments(q, alpha, tol=tol)
         closures.append(abs(abs(a_oracle) ** 2 * n2 - 1.0))
-        entries.append(_entry("normalization_fd", point, n2 ** -0.5, a_oracle))
+        entries.append(_entry("normalization_fd", point, n2 ** -0.5, a_oracle, tol))
         n2_half = closedforms.norm_squared_closed(
             q, alpha, tol=min(tol, 1e-10), reflection=False
         )
         entries.append(
-            _entry("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle,
+            _entry("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, tol,
                    note=halfline_note)
         )
-        entries.append(_entry("moment_x_fd", point, mean_x, oracle.mean_x))
+        entries.append(_entry("moment_x_fd", point, mean_x, oracle.mean_x, tol))
         entries.append(
             _entry(
                 "moment_x_fd_halfline", point,
                 closedforms.position_moment_closed(
                     q, alpha, 1, tol=tol, reflection=False
                 ) / n2_half,
-                oracle.mean_x, note=halfline_note,
+                oracle.mean_x, tol, note=halfline_note,
             )
         )
-        entries.append(_entry("moment_x2_fd", point, mean_x2, oracle.mean_x2))
-        entries.append(_entry("moment_p_fd", point, mean_p, oracle.mean_p))
-        entries.append(_entry("moment_p2_fd", point, mean_p2, oracle.mean_p2))
+        entries.append(_entry("moment_x2_fd", point, mean_x2, oracle.mean_x2, tol))
+        entries.append(_entry("moment_p_fd", point, mean_p, oracle.mean_p, tol))
+        entries.append(_entry("moment_p2_fd", point, mean_p2, oracle.mean_p2, tol))
         partner = alpha + 0.2
         sa = StateLabel(q, alpha)
         sb = StateLabel(q, partner)
@@ -270,7 +269,7 @@ def _verify_closed_forms(qs, alpha, tol):
             _entry(
                 "overlap_fd",
                 _point(q, alpha, partner_re=partner.real, partner_im=partner.imag),
-                ov_closed, ov_oracle,
+                ov_closed, ov_oracle, tol,
             )
         )
         if 1.0 < q < Q_MOMENTUM_MAX:
@@ -279,12 +278,12 @@ def _verify_closed_forms(qs, alpha, tol):
                 amp_c = momentum_amplitude_closed(q, alpha, k)
                 kp = _point(q, alpha, k=k)
                 entries.append(
-                    _entry("momentum_amplitude_kummer", kp, amp_c, amp_o,
+                    _entry("momentum_amplitude_kummer", kp, amp_c, amp_o, tol,
                            note="printed confluent-hypergeometric amplitude")
                 )
                 entries.append(
                     _entry("momentum_pd_kummer", kp,
-                           abs(amp_c) ** 2, abs(amp_o) ** 2,
+                           abs(amp_c) ** 2, abs(amp_o) ** 2, tol,
                            note="density from the printed amplitude")
                 )
             k0 = 0.01
@@ -293,7 +292,7 @@ def _verify_closed_forms(qs, alpha, tol):
             entries.append(
                 _entry(
                     "momentum_amplitude_k_to_zero", _point(q, alpha, k=k0),
-                    amp_c, amp_o,
+                    amp_c, amp_o, tol,
                     note=(
                         "printed amplitude carries |k|^(2/(q-1)-1) and vanishes "
                         "as k -> 0 for q < 3; the oracle transform does not"
@@ -307,7 +306,7 @@ def _verify_closed_forms(qs, alpha, tol):
     entries.append(
         _entry(
             "qexp_phase_expansion", {"q": zq, "z": z},
-            closed, q_exponential(zq, -1j * z),
+            closed, q_exponential(zq, -1j * z), tol,
             threshold=10.0 * (zq - 1.0) ** 2,
             note="first-order small-(q-1) expansion; agreement is O((q-1)^2)",
         )
@@ -317,7 +316,7 @@ def _verify_closed_forms(qs, alpha, tol):
         _entry(
             "hermite_expansion_identity",
             {"alpha_re": 0.7, "alpha_im": 0.3, "n_max": 10},
-            herm_dev, 0.0, threshold=1e-8, scale=1.0,
+            herm_dev, 0.0, 1.0, threshold=1e-8,
             note="max |projection - alpha^n exp(-|alpha|^2/2)/sqrt(n!)| over n",
         )
     )
@@ -339,7 +338,7 @@ def _verify_fd_entries(tol):
         worst = max(worst, abs(s.value - i.value) / abs(i.value))
     entries.append(
         _entry("fd_series_vs_integral", {"draws": 5, "seed": 20240817},
-               worst, 0.0, threshold=1e-8, scale=1.0,
+               worst, 0.0, 1.0, threshold=1e-8,
                note="worst relative gap between the two representations")
     )
     args = specfun.LauricellaArgs(1.1, (0.7, 0.0, 0.0, 0.0), 2.3, (0.35, 0.0, 0.0, 0.0))
@@ -347,7 +346,7 @@ def _verify_fd_entries(tol):
     g = specfun._gauss_2f1(1.1, 0.7, 2.3, 0.35)
     entries.append(
         _entry("fd_gauss_reduction", {"a": 1.1, "b": 0.7, "c": 2.3, "x": 0.35},
-               fd.value, g, threshold=1e-8,
+               fd.value, g, 1e-13, threshold=1e-8,
                note="single-variable degeneration against an independent 2F1")
     )
     return entries

@@ -17,9 +17,9 @@ Probability density is always pd(k) = |amplitude(k)|^2; every
 distribution carries a Parseval total as a closure diagnostic.  The total
 is integrated adaptively (not summed over the sample grid): the position
 tail |x|^(-2p) puts a |k|^(2p-1) kink at k = 0, which silently degrades a
-uniform trapezoid sum to O(h^2) once q reaches 2, while a panel boundary
-pinned at the kink keeps the diagnostic at its requested accuracy for the
-whole momentum window.
+uniform trapezoid sum to O(h^2) once q reaches 2, while grading both sides
+of the kink keeps the diagnostic at its requested accuracy for the whole
+momentum window.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ def _parseval_total(amp_at, alpha: complex, grid: np.ndarray) -> float:
     """Adaptive integral of |amplitude|^2 over a symmetric window.
 
     The window covers both the requested grid and the default one; the
-    k = 0 singularity hint pins a panel boundary on the amplitude's
-    |k|^(2p-1) kink so the estimate holds its accuracy at every q in the
-    momentum window, independent of the caller's output grid.
+    k = 0 singularity hint grades both sides of the amplitude's |k|^(2p-1)
+    kink in the one adaptive pass, so the estimate holds its accuracy at
+    every q in the momentum window, independent of the caller's output grid.
     """
     half = max(8.0 + 2.0 * abs(alpha), abs(float(grid[0])), abs(float(grid[-1])))
 

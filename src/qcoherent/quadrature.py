@@ -4,7 +4,9 @@ This module is the package's independent numerical oracle: every closed
 form elsewhere is validated against integrals computed here.  The core is
 an embedded 7/15-point Gauss-Kronrod pair with QUADPACK-style error
 scaling, global adaptive bisection, and batched (vectorised) panel
-evaluation.  On top of that sit
+evaluation.  Each integral is one adaptive pass: its pieces (plain
+stretches, graded sides of singularity hints, substituted tails) share one
+error target and one evaluation budget.  On top of that sit
 
 * ``integrate_interval`` -- finite interval, optional singularity hints,
 * ``integrate_line``     -- whole real line: adaptive core [-96, 96] plus
@@ -71,11 +73,11 @@ class IntegrandSpec:
     """An integrand plus the metadata the adaptive driver can exploit.
 
     evaluator     vectorised callable, ndarray (n,) -> ndarray (n,) or (m, n)
-    singularities points where the integrand is rough.  Interior points
-                  become panel boundaries, so they never land on nodes; a
-                  point coinciding with an integration endpoint switches
-                  that end to a power-substituted variable that absorbs
-                  algebraic endpoint singularities
+    singularities points where the integrand may be singular, interior or
+                  at an end of the range.  One rule holds for all of them:
+                  each side of a hint is integrated over the half segment
+                  next to it through u = hint +- w*v^4, which absorbs
+                  algebraic singularities
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -133,28 +135,43 @@ def _panel_batch(evaluator, mids, halfs):
     return resk, err
 
 
-def _adaptive(evaluator, edges, tol, max_evals, method):
-    """Globally adaptive bisection over the panels defined by ``edges``.
+def _pieces_batch(evaluators, owner, mids, halfs):
+    """``_panel_batch`` with panel i integrated by evaluators[owner[i]]."""
+    sels = [(owner == i, ev) for i, ev in enumerate(evaluators)]
+    parts = [(sel, _panel_batch(ev, mids[sel], halfs[sel])) for sel, ev in sels if np.any(sel)]
+    vals = np.empty(parts[0][1][0].shape[:-1] + mids.shape, dtype=complex)
+    errs = np.empty(vals.shape)
+    for sel, (v, e) in parts:
+        vals[..., sel], errs[..., sel] = v, e
+    return vals, errs
+
+
+def _adaptive(pieces, tol, max_evals, method):
+    """Globally adaptive bisection over the panels of all ``pieces``, the
+    (evaluator, edges) pairs whose integrals sum to the result.
 
     Splits, per generation, every panel whose score (worst component error
     over its target) is within a factor two of the current worst, then
     re-checks the targets; this batches well and keeps the refinement
     sequence independent of tol: tightening tol only extends it.
     """
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
+    evaluators = [ev for ev, _ in pieces]
+    edges = [np.asarray(e, dtype=float) for _, e in pieces]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    owner = np.concatenate([np.full(len(e) - 1, i) for i, e in enumerate(edges)])
     mids = 0.5 * (lo + hi)
     halfs = 0.5 * (hi - lo)
-    vals, errs = _panel_batch(evaluator, mids, halfs)
+    vals, errs = _pieces_batch(evaluators, owner, mids, halfs)
     evals = 15 * len(mids)
-    min_half = 8.0 * _EPS * max(1.0, float(np.max(np.abs(edges))))
 
     while True:
         value = np.sum(vals, axis=-1)
         err = np.sum(errs, axis=-1)
         scale = np.maximum(1.0, np.abs(value))
         target = tol * scale
-        splittable = halfs > min_half
+        # each panel's width floor is set by its own position, not the far edges
+        splittable = halfs > 8.0 * _EPS * np.maximum(1.0, np.abs(mids) + halfs)
         locked = err - np.sum(errs[..., splittable], axis=-1)
         # width floor reached: further splitting provably cannot meet the
         # target.  Return the honest floor-limited estimate when it is
@@ -182,45 +199,72 @@ def _adaptive(evaluator, edges, tol, max_evals, method):
         keep = ~pick
         new_mids = np.concatenate([mids[pick] - 0.5 * halfs[pick], mids[pick] + 0.5 * halfs[pick]])
         new_halfs = np.concatenate([0.5 * halfs[pick], 0.5 * halfs[pick]])
-        nv, ne = _panel_batch(evaluator, new_mids, new_halfs)
+        new_owner = np.concatenate([owner[pick], owner[pick]])
+        nv, ne = _pieces_batch(evaluators, new_owner, new_mids, new_halfs)
         evals += 15 * len(new_mids)
         mids = np.concatenate([mids[keep], new_mids])
         halfs = np.concatenate([halfs[keep], new_halfs])
+        owner = np.concatenate([owner[keep], new_owner])
         vals = np.concatenate([vals[..., keep], nv], axis=-1)
         errs = np.concatenate([errs[..., keep], ne], axis=-1)
 
 
-# Fixed grading power for hinted endpoints: u = end -+ w * v**4 turns an
-# algebraic endpoint factor u**s into v**(4s+3), smooth for s >= -3/4 and far
-# better conditioned for any integrable s > -1.
-_ENDPOINT_GAMMA = 4.0
+# Grading power next to a hint: u = hint + w * v**4 turns an algebraic factor
+# |u - hint|**s into v**(4s+3), smooth for s >= -3/4 and far better
+# conditioned for any integrable s > -1.
+_HINT_GAMMA = 4.0
+_UNIT_EDGES = (0.0, 0.5, 1.0)
 
 
-def _endpoint_sub(ev, lo: float, hi: float, at_left: bool):
-    """Evaluator over v in (0, 1) absorbing a hinted endpoint of [lo, hi]."""
-    w = hi - lo
-    g = _ENDPOINT_GAMMA
+def _graded(ev, hint: float, w: float):
+    """Evaluator over v in (0, 1): ev from hint to hint + w via u = hint + w*v**4."""
+    g = _HINT_GAMMA
 
     def sub(v):
-        u = lo + w * v ** g if at_left else hi - w * v ** g
-        return ev(u) * (g * w * v ** (g - 1.0))
+        return ev(hint + w * v ** g) * (g * abs(w) * v ** (g - 1.0))
 
     return sub
+
+
+def _pieces(ev, bounds, hints):
+    """(evaluator, edges) pieces for ev over the sorted ``bounds``.
+
+    The hint rule: each side of a hint (a bound where ev may be singular)
+    is integrated over the half segment next to it through ``_graded``.
+    The plain stretches between keep the bounds as panel edges; a one-
+    segment stretch gets its midpoint too, so its first estimate is honest.
+    """
+    pieces, plain = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        if lo in hints:
+            pieces.append((_graded(ev, lo, mid - lo), _UNIT_EDGES))
+            lo = mid
+        if hi in hints:
+            pieces.append((_graded(ev, hi, mid - hi), _UNIT_EDGES))
+            hi = mid
+        if lo < hi:
+            if plain and plain[-1][-1] == lo:
+                plain[-1].append(hi)
+            else:
+                plain.append([lo, hi])
+    for edges in plain:
+        if len(edges) == 2:
+            edges.insert(1, 0.5 * (edges[0] + edges[1]))
+        pieces.append((ev, edges))
+    return pieces
 
 
 def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
                        max_evals: int = 1_000_000) -> QuadratureResult:
     """Integrate f over [a, b] with err_estimate <= tol * max(1, |value|).
 
-    Interior singularity hints from an IntegrandSpec become initial panel
-    boundaries, so no node ever lands on them; a hint at a or b reroutes
-    the outermost segment through a power substitution (GK nodes are all
-    interior, so the endpoint itself is still never sampled).  Swapped
-    bounds integrate with the orientation sign.  When bisection runs into
-    the double-precision panel-width floor before meeting the target, the
-    honest floor-limited estimate is returned as long as it is within
-    three orders of the request; NotConverged otherwise, or when
-    ``max_evals`` is exhausted.
+    Singularity hints in [a, b], interior or at an end, follow the hint
+    rule of ``_pieces``.  Swapped bounds integrate with the orientation
+    sign.  When bisection runs into the double-precision panel-width floor
+    before meeting the target, the honest floor-limited estimate is
+    returned as long as it is within three orders of the request;
+    NotConverged otherwise, or when ``max_evals`` is exhausted.
     """
     spec = _as_spec(f)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -230,41 +274,10 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     sign = 1.0
     if b < a:
         a, b, sign = b, a, -1.0
-    cuts = sorted({float(s) for s in spec.singularities if a < s < b})
-    at_a = any(float(s) == a for s in spec.singularities)
-    at_b = any(float(s) == b for s in spec.singularities)
-
-    if not (at_a or at_b):
-        edges = np.array([a, *cuts, b])
-        # seed with at least two panels so the first error estimate is honest
-        if len(edges) == 2:
-            edges = np.array([a, 0.5 * (a + b), b])
-        res = _adaptive(spec.evaluator, edges, tol, max_evals, "gk-adaptive")
-        return QuadratureResult(sign * res.value, res.err_estimate,
-                                res.evaluations, res.method)
-
-    if at_a and at_b and not cuts:
-        cuts = [0.5 * (a + b)]
-    bounds = [a, *cuts, b]
-    pieces: list[QuadratureResult] = []
-    per_tol = tol / (len(bounds) - 1)
-    per_evals = max(1000, max_evals // (len(bounds) - 1))
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        if at_a and i == 0:
-            ev = _endpoint_sub(spec.evaluator, lo, hi, at_left=True)
-            lo, hi = 0.0, 1.0
-        elif at_b and i == len(bounds) - 2:
-            ev = _endpoint_sub(spec.evaluator, lo, hi, at_left=False)
-            lo, hi = 0.0, 1.0
-        else:
-            ev = spec.evaluator
-        edges = np.array([lo, 0.5 * (lo + hi), hi])
-        pieces.append(_adaptive(ev, edges, per_tol, per_evals, "gk-adaptive"))
-    value = sum(p.value for p in pieces)
-    err = sum(p.err_estimate for p in pieces)
-    evals = sum(p.evaluations for p in pieces)
-    return QuadratureResult(sign * value, err, evals, "gk-adaptive")
+    hints = {float(s) for s in spec.singularities if a <= s <= b}
+    bounds = sorted({float(a), float(b)} | hints)
+    res = _adaptive(_pieces(spec.evaluator, bounds, hints), tol, max_evals, "gk-adaptive")
+    return QuadratureResult(sign * res.value, res.err_estimate, res.evaluations, res.method)
 
 
 def _decay_probe(evaluator, side: float) -> tuple[float, float] | None:
@@ -295,8 +308,18 @@ _PROBE_OUTER = 6144.0
 _X_TOP = 1e250        # beyond this the tail is bounded analytically, not sampled
 
 
-def _tail_piece(ev, side: float, p_hat: float, tol: float, max_evals: int):
-    """int f over side*[X, X_TOP] via the power substitution x = side*X/v^gamma.
+def _seed_edges(top: float) -> set[float]:
+    """0 and +-1.5 * 2^j up to top: fine panels where states sit, wide ones out."""
+    edges, e = {0.0}, 1.5
+    while e <= top:
+        edges |= {e, -e}
+        e *= 2.0
+    return edges
+
+
+def _tail_piece(ev, side: float, p_hat: float):
+    """Evaluator over v in (0, 1) whose integral is that of f over
+    side*[X, X_TOP], via the power substitution x = side*X/v^gamma.
 
     gamma is chosen from the sampled decay exponent so the transformed
     integrand behaves like v^(gamma*(p-1)-1) with exponent >= 1.5 at
@@ -317,7 +340,7 @@ def _tail_piece(ev, side: float, p_hat: float, tol: float, max_evals: int):
         out[..., safe] = fx
         return out
 
-    return integrate_interval(g, 0.0, 1.0, tol=tol, max_evals=max_evals)
+    return g
 
 
 def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
@@ -341,17 +364,17 @@ def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
 def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> QuadratureResult:
     """Integrate f over the whole real line.
 
-    Adaptive panels on the finite core [-96, 96] plus one power-
-    substituted tail integral per side (see ``_tail_piece``); the tail
-    substitution order comes from the slowest sampled decay exponent, so
-    algebraic tails as slow as |x|^(-1.01) stay fully resolvable.  Slower
-    decay raises SlowDecay; tails already below the double-precision noise
-    floor at the probe radii are dropped as exact zeros.
+    One adaptive pass at 0.5*tol over the core [-96, 96] (hints as in
+    ``_pieces``) and one power-substituted tail piece per side (see
+    ``_tail_piece``); the tail substitution order comes from the slowest
+    sampled decay exponent, so algebraic tails as slow as |x|^(-1.01) stay
+    fully resolvable.  Slower decay raises SlowDecay; tails already below
+    the double-precision noise floor at the probe radii are dropped as
+    exact zeros.
     """
     spec = _as_spec(f)
     ev = spec.evaluator
     evals = 0
-    big_x = _LINE_CORE
     sides: list[tuple[float, float, float]] = []
     for side in (+1.0, -1.0):
         probe = _decay_probe(ev, side)
@@ -366,21 +389,13 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
             )
         sides.append((side, p_hat, f_outer))
 
-    seeds = [0.0, 1.5, 3.0, 6.0, 12.0, 24.0, 48.0, big_x]
-    edges = sorted(
-        {-e for e in seeds} | set(seeds)
-        | {float(s) for s in spec.singularities if -big_x < s < big_x}
-    )
-    core = _adaptive(ev, np.array(edges), 0.5 * tol, max_evals, "gk-line")
-    value = core.value
-    err = core.err_estimate
-    evals += core.evaluations
-    for side, p_hat, f_outer in sides:
-        piece = _tail_piece(ev, side, p_hat, 0.25 * tol, max(10_000, max_evals // 4))
-        value += piece.value
-        err += piece.err_estimate + _beyond_top_bound(p_hat, f_outer)
-        evals += piece.evaluations
-    return QuadratureResult(value, err, evals, "gk-line")
+    hints = {float(s) for s in spec.singularities if -_LINE_CORE < s < _LINE_CORE}
+    pieces = _pieces(ev, sorted(_seed_edges(_LINE_CORE) | hints), hints)
+    pieces += [(_tail_piece(ev, side, p_hat), _UNIT_EDGES) for side, p_hat, _ in sides]
+    res = _adaptive(pieces, 0.5 * tol, max_evals, "gk-line")
+    err = res.err_estimate + sum(_beyond_top_bound(p_hat, f_outer)
+                                 for _, p_hat, f_outer in sides)
+    return QuadratureResult(res.value, err, evals + res.evaluations, "gk-line")
 
 
 def _averaged_limit(partials: np.ndarray) -> tuple[complex, float]:
@@ -429,10 +444,14 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
 
     n_half = max(2, math.ceil(core_halfwidth / half_period))
     X = n_half * half_period
-    edges = np.linspace(-X, X, 2 * n_half + 1)
-    if spec.singularities:
-        edges = np.array(sorted(set(edges) | {s for s in spec.singularities if -X < s < X}))
-    core = _adaptive(g, edges, 0.25 * tol, max_evals, "fourier-core")
+    bounds = set(np.linspace(-X, X, 2 * n_half + 1).tolist())
+    if half_period > core_halfwidth:
+        # a state narrower than pi/|k| could sit between the GK nodes of the
+        # half-period panels and read as zero: seed geometric edges out to X
+        bounds |= {s for s in _seed_edges(X) if -X < s < X}
+    hints = {float(s) for s in spec.singularities if -X < s < X}
+    core = _adaptive(_pieces(g, sorted(bounds | hints), hints), 0.25 * tol, max_evals,
+                     "fourier-core")
     evals = core.evaluations
 
     tails_val = 0.0 + 0.0j

@@ -22,9 +22,11 @@ lauricella_fd_series / lauricella_fd_integral / lauricella_fd
     strategy is the Euler representation
         Gamma(c)/(Gamma(a)Gamma(c-a)) int_0^1 u^(a-1)(1-u)^(c-a-1)
                                           prod_i (1 - u x_i)^(-b_i) du,
-    valid for Re a > 0, Re(c-a) > 0, with power substitutions at the
-    endpoints when the exponents make them singular.  All complex powers
-    are principal-branch.
+    valid for Re a > 0, Re(c-a) > 0.  All complex powers are
+    principal-branch.
+
+Kummer's integral branch and F_D's share one Euler integral: graded halves
+u < 1/2 and u > 1/2 as the pieces of one adaptive pass.
 
 Gamma ratios are taken in log space throughout (scipy's loggamma), so the
 large parameters that appear as the deformation approaches 1 do not
@@ -46,7 +48,7 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import QuadratureResult, integrate_interval
+from .quadrature import _UNIT_EDGES, QuadratureResult, _adaptive
 
 __all__ = [
     "LauricellaArgs",
@@ -129,26 +131,34 @@ def _phi_series(a: complex, b: complex, z: complex, tol: float) -> complex:
     raise NotConverged(f"Kummer series stalled at |z|={abs(z):.3g}")
 
 
-def _phi_integral(a: complex, b: complex, z: complex, tol: float) -> complex:
-    # Gamma(b)/(Gamma(a)Gamma(b-a)) int_0^1 e^{zt} t^{a-1} (1-t)^{b-a-1} dt
-    a, b, z = complex(a), complex(b), complex(z)
-    g0 = 1 if a.real >= 1.0 else min(40, math.ceil(1.5 / a.real))
-    g1 = 1 if (b - a).real >= 1.0 else min(40, math.ceil(1.5 / (b - a).real))
+def _euler_integral(f, a: complex, c: complex, tol: float, method: str) -> QuadratureResult:
+    """Gamma(c)/(Gamma(a)Gamma(c-a)) int_0^1 u^(a-1) (1-u)^(c-a-1) f(u) du
+    for Re a > 0, Re(c-a) > 0.  The halves u = v^g0/2 and 1-u = w^g1/2 keep
+    the endpoint powers bounded; pre-scaled to O(1) magnitudes even for
+    large parameters, they are the pieces of one adaptive pass."""
+    ca = c - a
+    g0 = 1 if a.real >= 1.0 else min(60, math.ceil(1.5 / a.real))
+    g1 = 1 if ca.real >= 1.0 else min(60, math.ceil(1.5 / ca.real))
 
-    def left(v):  # t = 0.5 * v**g0
-        t = 0.5 * v ** g0
-        return (np.exp(z * t) * np.power(t, a - 1) * np.power(1.0 - t, b - a - 1)
+    def left(v):  # u = 0.5 v^g0
+        u = 0.5 * v ** g0
+        return (np.power(u, a - 1) * np.power(1.0 - u, ca - 1) * f(u)
                 * 0.5 * g0 * np.power(v, g0 - 1))
 
-    def right(w):  # t = 1 - 0.5 * w**g1
+    def right(w):  # u = 1 - 0.5 w^g1
         s = 0.5 * w ** g1
-        return (np.exp(z * (1.0 - s)) * np.power(1.0 - s, a - 1) * np.power(s, b - a - 1)
+        u = 1.0 - s
+        return (np.power(u, a - 1) * np.power(s, ca - 1) * f(u)
                 * 0.5 * g1 * np.power(w, g1 - 1))
 
-    ra = integrate_interval(left, 0.0, 1.0, tol=0.25 * tol)
-    rb = integrate_interval(right, 0.0, 1.0, tol=0.25 * tol)
-    pref = cmath.exp(_sp.loggamma(b) - _sp.loggamma(a) - _sp.loggamma(b - a))
-    return pref * (ra.value + rb.value)
+    probe = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
+    mag = float(np.max(np.abs(left(probe)) + np.abs(right(probe))))
+    scale = mag if mag > 0.0 else 1.0
+    res = _adaptive([(lambda v: left(v) / scale, _UNIT_EDGES),
+                     (lambda w: right(w) / scale, _UNIT_EDGES)], 0.5 * tol, 1_000_000, method)
+    pref = cmath.exp(_sp.loggamma(c) - _sp.loggamma(a) - _sp.loggamma(ca))
+    return QuadratureResult(pref * scale * res.value, abs(pref) * scale * res.err_estimate,
+                            res.evaluations, method)
 
 
 def _phi_asymptotic(a: complex, b: complex, z: complex) -> complex:
@@ -189,7 +199,7 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     if abs(z) <= _KUMMER_SERIES_RADIUS:
         return _phi_series(a, b, z, tol)
     if b.real > a.real > 0.0:
-        return _phi_integral(a, b, z, tol)
+        return _euler_integral(lambda t: np.exp(z * t), a, b, tol, "kummer-integral").value
     return _phi_asymptotic(a, b, z)
 
 
@@ -278,9 +288,8 @@ def lauricella_fd_integral(args: LauricellaArgs, tol: float = 1e-10) -> Quadratu
     Requires Re a > 0 and Re(c - a) > 0.  The path 1 - u*x_i (u from 0
     to 1) stays off the principal cut whenever Im x_i != 0; a real
     x_i >= 1 would drag the integrand through the cut and raises
-    BranchCrossing instead of silently continuing.  Endpoint power
-    substitutions keep u^(a-1) and (1-u)^(c-a-1) bounded when the
-    exponents are below one.
+    BranchCrossing instead of silently continuing.  The integral itself
+    is ``_euler_integral``.
     """
     a, c = complex(args.a), complex(args.c)
     bs = [complex(v) for v in args.b]
@@ -302,32 +311,7 @@ def lauricella_fd_integral(args: LauricellaArgs, tol: float = 1e-10) -> Quadratu
             val = val * np.power(1.0 - u * x, -b)
         return val
 
-    g0 = 1 if a.real >= 1.0 else min(60, math.ceil(1.5 / a.real))
-    g1 = 1 if ca.real >= 1.0 else min(60, math.ceil(1.5 / ca.real))
-
-    def left(v):  # u = 0.5 v^g0
-        u = 0.5 * v ** g0
-        return (np.power(u, a - 1) * np.power(1.0 - u, ca - 1) * core(u)
-                * 0.5 * g0 * np.power(v, g0 - 1))
-
-    def right(w):  # u = 1 - 0.5 w^g1
-        s = 0.5 * w ** g1
-        u = 1.0 - s
-        return (np.power(u, a - 1) * np.power(s, ca - 1) * core(u)
-                * 0.5 * g1 * np.power(w, g1 - 1))
-
-    # pre-scale so the adaptive driver works in O(1) magnitudes even when
-    # the integral itself is far from unity (large parameters)
-    probe = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
-    mag = float(np.max(np.abs(left(probe)) + np.abs(right(probe))))
-    scale = mag if mag > 0.0 else 1.0
-
-    ra = integrate_interval(lambda v: left(v) / scale, 0.0, 1.0, tol=0.25 * tol)
-    rb = integrate_interval(lambda w: right(w) / scale, 0.0, 1.0, tol=0.25 * tol)
-    pref = cmath.exp(_sp.loggamma(c) - _sp.loggamma(a) - _sp.loggamma(ca))
-    value = pref * scale * (ra.value + rb.value)
-    err = abs(pref) * scale * (ra.err_estimate + rb.err_estimate)
-    return QuadratureResult(value, err, ra.evaluations + rb.evaluations, "fd-integral")
+    return _euler_integral(core, a, c, tol, "fd-integral")
 
 
 def lauricella_fd(args: LauricellaArgs, tol: float = 1e-10) -> QuadratureResult:

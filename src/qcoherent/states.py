@@ -179,6 +179,13 @@ def _bracket(q: float, alpha: complex, x):
     return 1.0 + 0.5 * (q - 1.0) * _quad_poly(q, alpha, x)
 
 
+def _bracket_power(b, expo: float):
+    """b**expo in log form, exp(expo * log b): a huge bracket underflows to
+    0 instead of overflowing the repeated products np.power uses for
+    integral exponents (nan + nanj with a RuntimeWarning)."""
+    return np.exp(expo * np.log(b))
+
+
 def _psi_un(q: float, alpha: complex, x):
     """Vectorised value of the unnormalised state, without derivatives."""
     x = np.asarray(x, dtype=float)
@@ -189,7 +196,7 @@ def _psi_un(q: float, alpha: complex, x):
     if q == 1.0:
         val = np.exp(-0.5 * _quad_poly(q, alpha, x))
     else:
-        val = np.power(_bracket(q, alpha, x), 1.0 / (1.0 - q))
+        val = _bracket_power(_bracket(q, alpha, x), 1.0 / (1.0 - q))
     return np.where(big, 0.0, val) if np.any(big) else val
 
 
@@ -220,9 +227,9 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     else:
         b = _bracket(q, alpha, x)
         expo = 1.0 / (1.0 - q)
-        d1 = -shift * np.power(b, expo - 1.0)
-        half_piece = shift * np.power(b, 0.5 * (expo - 2.0))
-        d2 = q * half_piece * half_piece - np.power(b, expo - 1.0)
+        d1 = -shift * _bracket_power(b, expo - 1.0)
+        half_piece = shift * _bracket_power(b, 0.5 * (expo - 2.0))
+        d2 = q * half_piece * half_piece - _bracket_power(b, expo - 1.0)
     if np.any(big):
         d1 = np.where(big, 0.0, d1)
         d2 = np.where(big, 0.0, d2)

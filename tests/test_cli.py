@@ -136,6 +136,16 @@ def test_verify_normalization_entries_all_pass(verify_report):
     assert entries and all(e["status"] == "pass" for e in entries)
 
 
+def test_verify_judges_zero_moments_against_tol(tmp_path):
+    # <x> vanishes at alpha = 0: both routes return round-off, which is judged
+    # against the oracle's accuracy, not against itself
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--alpha-re", "0", "--alpha-im", "0", "--out", str(out)) == 0
+    entries = [e for e in json.loads(out.read_text())["entries"]
+               if e["equation"] == "moment_x_fd"]
+    assert entries and all(e["status"] == "pass" for e in entries)
+
+
 def test_verify_flags_momentum_closed_form_near_k_zero(verify_report):
     _, rep = verify_report
     entries = [

@@ -62,6 +62,17 @@ def test_oracle_stable_under_tol_halving():
     assert abs(v1 - v2) <= 1e-6 * max(1.0, abs(v2))
 
 
+@pytest.mark.parametrize("q, alpha", [(1.1, 1.0 + 0.5j), (1.3, 0.3 + 0.1j), (1.7, 0.3 + 0.1j)])
+def test_oracle_continuous_down_to_tiny_k(q, alpha):
+    # pi/|k| far wider than the state: the core panels must still sample it
+    # instead of straddling it and reading zero
+    a0 = momentum_amplitude_oracle(q, alpha, 0.0)
+    for k in 10.0 ** -np.arange(3.0, 16.0):
+        for kk in (k, -k):
+            got = momentum_amplitude_oracle(q, alpha, kk)
+            assert abs(got - a0) <= 20.0 * k * abs(a0) + 1e-8
+
+
 def test_closed_form_k_symmetry_real_alpha():
     for k in (0.3, 0.9, 1.7):
         plus = momentum_amplitude_closed(1.5, 0.3, k)
@@ -114,6 +125,30 @@ def test_pd_parseval_and_samples():
     for s in dist.samples[:: 40]:
         assert s.pd == pytest.approx(abs(s.amplitude) ** 2, abs=1e-12)
         assert s.method == "oracle"
+
+
+def test_pd_centre_sample_matches_k_zero():
+    # linspace rounds this default grid's centre to about -1.8e-15
+    alpha = 2.250025j
+    centre = momentum_pd(1.5, alpha).samples[200]
+    assert centre.k != 0.0 and abs(centre.k) < 1e-14
+    want = momentum_amplitude_oracle(1.5, alpha, 0.0)
+    assert centre.amplitude == pytest.approx(want, rel=1e-8)
+
+
+def test_parseval_total_grades_the_k_zero_kink(monkeypatch):
+    # the |k|^(2p-1) kink at k = 0 sits at a hint graded on both sides, so
+    # the total needs few amplitudes on top of the two grid points
+    from qcoherent import momentum
+
+    calls = []
+    amplitude = momentum.momentum_amplitude_oracle
+    monkeypatch.setattr(momentum, "momentum_amplitude_oracle",
+                        lambda *a, **k: calls.append(a) or amplitude(*a, **k))
+    alpha = 0.3 + 0.1j
+    dist = momentum_pd(1.7, alpha, default_k_grid(alpha, 2))
+    assert abs(dist.parseval_total - 1.0) < 1e-6
+    assert len(calls) <= 200
 
 
 def test_pd_even_for_alpha_zero():

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from qcoherent import quadrature
 from qcoherent.errors import NotConverged, SlowDecay
 from qcoherent.quadrature import (
     IntegrandSpec,
@@ -57,6 +58,29 @@ def test_interval_interior_hint_splits_kink():
     r = integrate_interval(spec, 0.0, 1.0, tol=1e-12)
     want = 0.5 * (0.3 ** 2 + 0.7 ** 2)
     assert r.value.real == pytest.approx(want, rel=1e-13)
+
+
+def test_interval_interior_hint_next_to_hinted_ends():
+    # each side of every hint is graded over its own half segment, so the
+    # substitution next to an end hint never rounds onto the interior one
+    spec = IntegrandSpec(lambda u: np.abs(u - 0.3) ** -0.5, singularities=(0.0, 0.3, 1.0))
+    tol = 1e-10
+    r = integrate_interval(spec, 0.0, 1.0, tol=tol)
+    assert abs(r.value - 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))) <= tol
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_interval(IntegrandSpec(f, singularities=(0.0, 0.3, 1.0)), 0.0, 1.0),
+    integrate_line,
+])
+def test_one_adaptive_pass_per_integral(monkeypatch, integrate):
+    # hinted pieces, the line core and both tails share one error budget
+    calls = []
+    adaptive = quadrature._adaptive
+    monkeypatch.setattr(quadrature, "_adaptive",
+                        lambda *a, **k: calls.append(len(a[0])) or adaptive(*a, **k))
+    integrate(lambda x: 1.0 / (1.0 + x * x))
+    assert len(calls) == 1 and calls[0] >= 3
 
 
 def test_interval_budget_exhaustion():

@@ -175,6 +175,18 @@ def test_fd_integral_beta_normalization():
     assert r.value == pytest.approx(1.0, rel=1e-11)
 
 
+def test_euler_integrals_take_one_adaptive_pass(monkeypatch):
+    # F_D and Kummer share one Euler integral; its two graded halves are
+    # pieces of one pass with one error budget
+    calls = []
+    adaptive = specfun._adaptive
+    monkeypatch.setattr(specfun, "_adaptive",
+                        lambda *a, **k: calls.append(len(a[0])) or adaptive(*a, **k))
+    lauricella_fd_integral(LauricellaArgs(0.4, (0.4, 0.3, 0.2, 0.1), 1.2, (0.3, -0.2, 0.1, 0.25)))
+    kummer_phi(2.0, 4.0, -40.0j)  # |z| > 30 with Re b > Re a > 0: the integral
+    assert calls == [2, 2]
+
+
 def test_fd_series_vs_integral_spotcheck():
     args = LauricellaArgs(1.2, (0.4, 0.3, 0.2, 0.1), 2.5, (0.3, -0.2, 0.1, 0.25))
     s = lauricella_fd_series(args, tol=1e-13)

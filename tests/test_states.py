@@ -4,6 +4,7 @@ roots, normalization, overlaps, and the lowering-operator eigenproperty.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ def test_psi_un_value_only_matches_full_evaluation_bitwise():
         v = _psi_un(q, alpha, x)
         assert v.tobytes() == _psi_un_arrays(q, alpha, x)[0].tobytes()
         assert np.all(v[-3:] == 0.0)
+
+
+def test_psi_underflows_to_zero_far_out():
+    # the bracket's powers are taken in log form, so huge |x| underflow to 0
+    # instead of overflowing into nan with a RuntimeWarning
+    label = StateLabel(1.5, 0.4 + 0.1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e52, 1e78, 1e149):
+            assert abs(label.psi(x)) < 1e-200
+            s = psi_unnormalized(1.5, 0.4 + 0.1j, x)
+            assert all(abs(v) < 1e-200 for v in (s.value, s.d1, s.d2))
 
 
 def test_psi_unnormalized_window():
