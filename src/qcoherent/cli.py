@@ -134,8 +134,6 @@ def _run_sweep(args) -> int:
 def _run_pd(args) -> int:
     if not (1.0 <= args.q < Q_MOMENTUM_MAX):
         raise _ConfigError(f"pd needs 1 <= q < {Q_MOMENTUM_MAX:.6g}")
-    if args.method == "both":
-        raise _ConfigError("pd accepts a single method (oracle or closed-form)")
     alpha = complex(args.alpha_re, args.alpha_im)
     if args.k_min is None or args.k_max is None:
         ref = default_k_grid(alpha)
@@ -233,13 +231,11 @@ def _verify_closed_forms(qs, alpha, tol):
         point = _point(q, alpha)
         oracle = moments_oracle(q, alpha, tol=tol)
         products.append(oracle.product)
-        a_oracle = normalization_constant(q, alpha, tol=min(tol, 1e-10))
+        a_oracle = normalization_constant(q, alpha, tol=tol)
         n2, (mean_x, mean_x2, mean_p, mean_p2) = _closed_moments(q, alpha, tol=tol)
         closures.append(abs(abs(a_oracle) ** 2 * n2 - 1.0))
         entries.append(_entry("normalization_fd", point, n2 ** -0.5, a_oracle, tol))
-        n2_half = closedforms.norm_squared_closed(
-            q, alpha, tol=min(tol, 1e-10), reflection=False
-        )
+        n2_half = closedforms.norm_squared_closed(q, alpha, tol=tol, reflection=False)
         entries.append(
             _entry("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, tol,
                    note=halfline_note)

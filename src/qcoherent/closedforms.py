@@ -158,10 +158,11 @@ def _bracket_integral(q: float, alpha_bra: complex, alpha_ket: complex, coeffs,
 
 def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10,
                         reflection: bool | None = None) -> complex:
-    """int |psi_un|^2 dx in closed form (q < 5)."""
+    """int |psi_un|^2 dx in closed form (q < 5), at min(tol, 1e-10): the
+    norm divides every normalised quantity."""
     _window(q, 5.0, "closed-form norm")
     alpha = complex(alpha)
-    return _bracket_integral(q, alpha, alpha, {0: 1.0}, tol, reflection)
+    return _bracket_integral(q, alpha, alpha, {0: 1.0}, min(tol, 1e-10), reflection)
 
 
 def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10,

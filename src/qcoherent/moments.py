@@ -124,7 +124,7 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     alpha = complex(alpha)
     if q == 1.0:
         return _coherent_exact(alpha, "oracle")
-    a_const = normalization_constant(q, alpha, tol=min(tol, 1e-10))
+    a_const = normalization_constant(q, alpha, tol=tol)
     a2 = abs(a_const) ** 2
 
     def weights(x):
@@ -154,9 +154,9 @@ def _closed_moments(q: float, alpha: complex, tol: float):
     """(n2, (<x>, <x^2>, <p>, <p^2>)) from the closed forms, unchecked.
 
     n2 = int |psi_un|^2 dx; each moment is its closed numerator over n2,
-    still complex.  n2 divides every quotient, so it is taken at tol <= 1e-10.
+    still complex.
     """
-    n2 = closedforms.norm_squared_closed(q, alpha, tol=min(tol, 1e-10))
+    n2 = closedforms.norm_squared_closed(q, alpha, tol=tol)
     return n2, (
         closedforms.position_moment_closed(q, alpha, 1, tol=tol) / n2,
         closedforms.position_moment_closed(q, alpha, 2, tol=tol) / n2,
@@ -185,7 +185,7 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     )
     a_closed = complex(n2) ** -0.5
     # relative-to-oracle gaps, scale-guarded for near-zero quantities
-    a_oracle = normalization_constant(q, alpha, tol=min(tol, 1e-10))
+    a_oracle = normalization_constant(q, alpha, tol=tol)
     gaps = {
         "norm_constant": abs(a_closed - a_oracle) / abs(a_oracle),
         "mean_x": abs(mean_x - reference.mean_x) / max(1.0, abs(reference.mean_x)),

@@ -108,7 +108,7 @@ def momentum_amplitude_oracle(q: float, alpha: complex, k: float,
     alpha = complex(alpha)
     if q == 1.0:
         return _gaussian_amplitude(alpha, k)
-    a_const = normalization_constant(q, alpha, tol=min(tol, 1e-10))
+    a_const = normalization_constant(q, alpha, tol=tol)
 
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
     res = fourier_transform_line(lambda x: _psi_un(q, alpha, x), float(k), tol=tol,

@@ -12,9 +12,11 @@ error target and one evaluation budget.  On top of that sit
 * ``integrate_line``     -- whole real line: adaptive core [-96, 96] plus
   power-substituted tails x = 96/v^gamma chosen from a sampled decay
   exponent, so even barely-integrable algebraic tails stay smooth,
-* ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx,
-  panelised by the local half-period pi/|k| so that successive tail
-  panels alternate in sign, then accelerated with iterated averaging.
+* ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx:
+  an adaptive core, then both tails as one stream of half-period pi/|k|
+  panels (successive panels alternate in sign), 16 per side per batch,
+  summed with iterated averaging (Longman's method); a stream that
+  reaches its 4096-panel cap raises NotConverged.
 
 Evaluators map a float ndarray of n nodes to an ndarray (complex is fine)
 of shape (n,), or (m, n) for m integrands on shared nodes that one pass
@@ -77,7 +79,10 @@ class IntegrandSpec:
                   at an end of the range.  One rule holds for all of them:
                   each side of a hint is integrated over the half segment
                   next to it through u = hint +- w*v^4, which absorbs
-                  algebraic singularities
+                  algebraic singularities.  Nodes within one ulp of a
+                  non-zero hint round onto it, so an integrand that is
+                  infinite there raises NotConverged once refinement
+                  reaches that depth
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -221,7 +226,13 @@ def _graded(ev, hint: float, w: float):
     g = _HINT_GAMMA
 
     def sub(v):
-        return ev(hint + w * v ** g) * (g * abs(w) * v ** (g - 1.0))
+        u = hint + w * v ** g
+        fu = ev(u)
+        finite = np.all(np.isfinite(np.reshape(fu, (-1, u.size))), axis=0)
+        if not np.all(finite):
+            raise NotConverged(f"integrand returned non-finite values near u={u[~finite][:3]} "
+                               f"(graded towards the hint {hint})")
+        return fu * (g * abs(w) * v ** (g - 1.0))
 
     return sub
 
@@ -398,23 +409,24 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     return QuadratureResult(res.value, err, evals + res.evaluations, "gk-line")
 
 
-def _averaged_limit(partials: np.ndarray) -> tuple[complex, float]:
-    """Iterated-averaging (Euler) limit of a partial-sum sequence.
+def _averaged_limit(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Iterated-averaging (Euler) limits of partial-sum sequences, one per
+    row of the (rows, n) array ``row``.
 
     For alternating tails with a smooth envelope each averaging pass gains
-    roughly one factor of the envelope ratio; the returned remainder is
-    the spread of the deepest usable row.
+    roughly one factor of the envelope ratio; each row's limit is the last
+    entry of its deepest pass with the least spread |last - second last|,
+    and that spread is the returned remainder.
     """
-    row = partials.astype(complex)
-    best = row[-1]
-    rem = abs(row[-1] - row[-2]) if len(row) > 1 else float("inf")
-    while len(row) > 2:
-        row = 0.5 * (row[1:] + row[:-1])
-        d = abs(row[-1] - row[-2])
-        if d <= rem:
-            rem = d
-            best = row[-1]
-    return complex(best), float(rem)
+    ends = np.empty((row.shape[1] - 1, len(row), 2), dtype=complex)
+    ends[0] = row[:, -2:]
+    for j in range(1, len(ends)):
+        row = 0.5 * (row[:, 1:] + row[:, :-1])
+        ends[j] = row[:, -2:]
+    spread = np.abs(ends[..., 1] - ends[..., 0])
+    deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)  # ties go deeper
+    rows = np.arange(len(row))
+    return ends[deepest, rows, 1], spread[deepest, rows]
 
 
 def fourier_transform_line(f, k: float, tol: float = 1e-10,
@@ -424,10 +436,14 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
 
     The core |x| <= X is integrated adaptively with panels no wider than
     the half-period pi/|k|; beyond it, consecutive half-period panels
-    alternate in sign (exp(-i*k*(x+pi/|k|)) = -exp(-i*k*x)) and the panel
-    series is summed with iterated averaging, which converges even when f
-    only decays algebraically (conditional convergence of the transform).
-    Scalar integrands only, since no caller transforms several at once.
+    alternate in sign (exp(-i*k*(x+pi/|k|)) = -exp(-i*k*x)), and each
+    tail's panel series is summed with iterated averaging, which converges
+    even when f only decays algebraically (conditional convergence of the
+    transform).  Both tails are one stream: each round adds 16 panels per
+    side in one batch until both averaged remainders are within
+    0.25*tol*max(1, |core|) or the last panels underflow; NotConverged at
+    4096 panels per side or ``max_evals``.  Scalar integrands only, since
+    no caller transforms several at once.
     """
     spec = _as_spec(f)
     ev = spec.evaluator
@@ -454,41 +470,28 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
                      "fourier-core")
     evals = core.evaluations
 
-    tails_val = 0.0 + 0.0j
-    tails_err = 0.0
-    batch = 16
-    j_max = 4096
-    for side in (+1.0, -1.0):
-        panel_sums: list[complex] = []
-        partial: list[complex] = []
-        acc = 0.0 + 0.0j
-        best, rem = 0.0 + 0.0j, float("inf")
-        qerr = 0.0
-        j = 0
-        while j < j_max:
-            idx = np.arange(j, j + batch)
-            if side > 0:
-                mids = X + (idx + 0.5) * half_period
-            else:
-                mids = -X - (idx + 0.5) * half_period
-            halfs = np.full(batch, 0.5 * half_period)
-            vals, errs = _panel_batch(g, mids, halfs)
-            evals += 15 * batch
-            if evals > max_evals:
-                raise NotConverged("fourier tail budget exhausted")
-            for v in vals:
-                acc += v
-                partial.append(acc)
-            panel_sums.extend(vals.tolist())
-            qerr += float(np.sum(errs))
-            j += batch
-            best, rem = _averaged_limit(np.asarray(partial))
-            if rem <= 0.25 * tol * max(1.0, abs(core.value)) or abs(panel_sums[-1]) < 1e-305:
-                break
-        tails_val += best
-        tails_err += qerr + rem
+    # rows: the +inf and -inf tails; columns: half-period panels outward from X
+    sides = np.array([[1.0], [-1.0]])
+    target = 0.25 * tol * max(1.0, abs(core.value))
+    panels = np.empty((2, 0), dtype=complex)
+    qerr = np.zeros(2)
+    while True:
+        idx = np.arange(panels.shape[1], panels.shape[1] + 16)
+        mids = (sides * (X + (idx + 0.5) * half_period)).ravel()
+        vals, errs = _panel_batch(g, mids, np.full(mids.size, 0.5 * half_period))
+        evals += 15 * mids.size
+        panels = np.concatenate([panels, vals.reshape(2, -1)], axis=1)
+        qerr += np.sum(errs.reshape(2, -1), axis=1)
+        best, rem = _averaged_limit(np.cumsum(panels, axis=1))
+        if np.all((rem <= target) | (np.abs(panels[:, -1]) < 1e-305)):
+            break
+        if panels.shape[1] >= 4096 or evals >= max_evals:
+            raise NotConverged(
+                f"fourier tails not converged after {panels.shape[1]} panels per side "
+                f"({evals} evaluations): remainder {np.max(rem):.3e} (target {target:.3e})"
+            )
 
     norm = 1.0 / math.sqrt(2.0 * math.pi)
-    value = norm * (core.value + tails_val)
-    err = norm * (core.err_estimate + tails_err)
+    value = norm * (core.value + complex(best[0] + best[1]))
+    err = norm * (core.err_estimate + float(np.sum(qerr + rem)))
     return QuadratureResult(value, err, evals, "fourier-osc")

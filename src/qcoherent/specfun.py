@@ -152,8 +152,9 @@ def _euler_integral(f, a: complex, c: complex, tol: float, method: str) -> Quadr
                 * 0.5 * g1 * np.power(w, g1 - 1))
 
     probe = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
-    mag = float(np.max(np.abs(left(probe)) + np.abs(right(probe))))
-    scale = mag if mag > 0.0 else 1.0
+    scale = float(np.max(np.abs(left(probe)) + np.abs(right(probe))))
+    if not scale > 0.0:  # every probe underflowed: the pass would read an exact 0
+        raise NotConverged(f"Euler integrand underflows at every probe node (a={a}, c={c})")
     res = _adaptive([(lambda v: left(v) / scale, _UNIT_EDGES),
                      (lambda w: right(w) / scale, _UNIT_EDGES)], 0.5 * tol, 1_000_000, method)
     pref = cmath.exp(_sp.loggamma(c) - _sp.loggamma(a) - _sp.loggamma(ca))

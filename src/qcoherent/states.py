@@ -275,12 +275,15 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
     construction).  method='closed-form' evaluates the Lauricella
     expression from ``closedforms`` under the calibrated reflection
     convention, checks it against the oracle, and raises
-    ConventionMismatch beyond CONVENTION_TOL relative deviation.
+    ConventionMismatch beyond CONVENTION_TOL relative deviation.  A
+    divides every normalised quantity, so it is computed at
+    min(tol, 1e-10) whatever the caller asks for.
     """
     require_window(q, Q_NORMALIZABLE_MAX, "normalization")
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite; got {alpha}")
+    tol = min(tol, 1e-10)
     a_oracle = _norm_oracle(q, alpha.real, alpha.imag, tol)
     if method == "oracle":
         return complex(a_oracle)
@@ -290,7 +293,7 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
         return complex(a_oracle)
     from . import closedforms
 
-    nrm2 = closedforms.norm_squared_closed(q, alpha, tol=min(tol, 1e-10))
+    nrm2 = closedforms.norm_squared_closed(q, alpha, tol=tol)
     a_closed = nrm2 ** -0.5
     dev = abs(a_closed - a_oracle) / abs(a_oracle)
     if dev > CONVENTION_TOL:

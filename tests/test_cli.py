@@ -96,6 +96,10 @@ def test_sweep_grid_validation_exit_codes(tmp_path):
 
 
 def test_numerical_failure_maps_to_exit_three(monkeypatch):
+    # the closed norm's Euler integrand underflows at every probe at q = 1.001
+    assert run_cli("sweep", "--q-min", "1.001", "--q-max", "1.001", "--q-steps", "1",
+                   "--method", "closed-form") == 3
+
     def boom(*a, **k):
         raise NotConverged("synthetic non-convergence")
 

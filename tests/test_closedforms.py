@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qcoherent import closedforms
+from qcoherent import closedforms, moments_closed
 from qcoherent.closedforms import (
     calibrated_reflection,
     line_power_moment,
@@ -21,7 +21,7 @@ from qcoherent.closedforms import (
     position_moment_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import BranchCrossing, OutOfValidityWindow
+from qcoherent.errors import BranchCrossing, NotConverged, OutOfValidityWindow
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import SQRT2, StateLabel, beta_roots, normalization_constant
 
@@ -98,6 +98,15 @@ def test_norm_squared_closed_vs_exact_real_alpha_identity():
         exact = real_alpha_norm_squared_exact(q)
         closed = norm_squared_closed(q, 0.3, tol=1e-12)
         assert closed == pytest.approx(exact, rel=1e-10)
+
+
+def test_closed_norm_never_reads_an_underflowed_zero():
+    # below q ~ 1.013 every probe of the Euler integrand underflows; the
+    # norm must refuse rather than return 0j (which moments_closed divided by)
+    with pytest.raises(NotConverged, match="underflows"):
+        norm_squared_closed(1.008, 0.3 + 0.2j)
+    with pytest.raises(NotConverged, match="underflows"):
+        moments_closed(1.008, 0.3 + 0.2j)
 
 
 def test_position_moment_closed_windows():

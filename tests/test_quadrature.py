@@ -69,6 +69,22 @@ def test_interval_interior_hint_next_to_hinted_ends():
     assert abs(r.value - 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))) <= tol
 
 
+def test_interval_hint_failure_names_the_callers_x():
+    # next to a non-zero hint the graded nodes round onto it, where this
+    # integrand is infinite: the failure names u and the hint, not the
+    # graded variable; at hint 0 the same singularity resolves
+    def f(h):
+        def ev(x):
+            with np.errstate(divide="ignore"):
+                return np.abs(x - h) ** -0.3
+        return IntegrandSpec(ev, singularities=(h,))
+
+    with pytest.raises(NotConverged, match=r"u=\[0\.3\].*hint 0\.3"):
+        integrate_interval(f(0.3), -1.0, 2.0, tol=1e-10)
+    r = integrate_interval(f(0.0), -1.0, 2.0, tol=1e-10)
+    assert abs(r.value - (1.0 + 2.0 ** 0.7) / 0.7) <= 1e-12
+
+
 @pytest.mark.parametrize("integrate", [
     lambda f: integrate_interval(IntegrandSpec(f, singularities=(0.0, 0.3, 1.0)), 0.0, 1.0),
     integrate_line,
@@ -240,6 +256,30 @@ def test_fourier_lorentzian_known_transform():
         want = math.sqrt(math.pi / 2.0) * math.exp(-abs(k))
         assert r.value.real == pytest.approx(want, rel=1e-7)
         assert abs(r.value.imag) < 1e-9
+
+
+def test_fourier_tails_are_one_stream():
+    # every evaluator call past the core end X reaches both tails at once
+    k = 1.0
+    X = math.ceil(16.0 / math.pi) * math.pi  # core end at core_halfwidth 16
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (1.0 + x * x)
+
+    r = fourier_transform_line(f, k, tol=1e-9)
+    assert r.value.real == pytest.approx(math.sqrt(math.pi / 2.0) * math.exp(-k), rel=1e-7)
+    tails = [x for x in calls if np.max(np.abs(x)) > X]
+    assert tails
+    assert all(x.min() < -X and x.max() > X for x in tails)
+
+
+def test_fourier_divergent_tail_raises():
+    # exp(i x) cancels the kernel at k = 1: the tails are non-oscillating
+    # |x|^-0.6, the integral diverges, and the panel cap must say so
+    with pytest.raises(NotConverged, match="remainder"):
+        fourier_transform_line(lambda x: np.exp(1j * x) / (1.0 + x * x) ** 0.3, 1.0, tol=1e-9)
 
 
 def test_fourier_q_state_matches_momentum_oracle():

@@ -245,6 +245,17 @@ def test_normalization_constant_frozen_values():
         assert got.real == pytest.approx(want, rel=1e-11)
 
 
+def test_normalization_is_never_looser_than_1e_10():
+    # A and n2 divide every normalised quantity: a loose tol is tightened
+    from qcoherent.closedforms import norm_squared_closed
+
+    q, alpha = 1.5, 0.4 + 0.1j
+    for method in ("oracle", "closed-form"):
+        assert (normalization_constant(q, alpha, method=method, tol=1e-5)
+                == normalization_constant(q, alpha, method=method, tol=1e-10))
+    assert norm_squared_closed(q, alpha, tol=1e-5) == norm_squared_closed(q, alpha, tol=1e-10)
+
+
 def test_normalization_constant_rejects_non_finite_alpha():
     for alpha in (math.nan, complex(0.3, math.inf)):
         for method in ("oracle", "closed-form"):
