@@ -29,7 +29,7 @@ import numpy as np
 from . import closedforms, specfun
 from .errors import NumericsError, OutOfValidityWindow
 from .limits import limit_convergence_check
-from .moments import _closed_moments, moments_closed, moments_oracle
+from .moments import moments_closed, moments_oracle
 from .momentum import (
     Q_MOMENTUM_MAX,
     default_k_grid,
@@ -232,24 +232,17 @@ def _verify_closed_forms(qs, alpha, tol):
         oracle = moments_oracle(q, alpha, tol=tol)
         products.append(oracle.product)
         a_oracle = normalization_constant(q, alpha, tol=tol)
-        n2, (mean_x, mean_x2, mean_p, mean_p2) = _closed_moments(q, alpha, tol=tol)
+        n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half) = (
+            closedforms._closed_moments(q, alpha, tol))
         closures.append(abs(abs(a_oracle) ** 2 * n2 - 1.0))
         entries.append(_entry("normalization_fd", point, n2 ** -0.5, a_oracle, tol))
-        n2_half = closedforms.norm_squared_closed(q, alpha, tol=tol, reflection=False)
         entries.append(
             _entry("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, tol,
                    note=halfline_note)
         )
         entries.append(_entry("moment_x_fd", point, mean_x, oracle.mean_x, tol))
-        entries.append(
-            _entry(
-                "moment_x_fd_halfline", point,
-                closedforms.position_moment_closed(
-                    q, alpha, 1, tol=tol, reflection=False
-                ) / n2_half,
-                oracle.mean_x, tol, note=halfline_note,
-            )
-        )
+        entries.append(_entry("moment_x_fd_halfline", point, mean_x_half, oracle.mean_x,
+                              tol, note=halfline_note))
         entries.append(_entry("moment_x2_fd", point, mean_x2, oracle.mean_x2, tol))
         entries.append(_entry("moment_p_fd", point, mean_p, oracle.mean_p, tol))
         entries.append(_entry("moment_p2_fd", point, mean_p2, oracle.mean_p2, tol))

@@ -1,4 +1,4 @@
-"""Closed-form moment integrals assembled from Lauricella F_D blocks.
+"""Closed-form moment integrals from one vector Euler pass per state.
 
 Every physics integral this package needs has the shape
 
@@ -13,6 +13,12 @@ half, i.e. one Lauricella F_D value per half:
 
 where S = sum(b_i) and Phi = prod_i exp(i pi b_i sign(Im beta_i)) carries
 the branch phases picked up when the reflected half crosses the cuts.
+The F_D prefactor Gamma(S)/(Gamma(S-m-1)Gamma(m+1)) is exactly 1/Beta,
+so neither is ever formed: each half is the bare integral
+
+    int_0^1 u^(S-m-2) (1-u)^m prod_i (1 - u x_i)^(-b_i) du,
+    x_i = 1 + beta_i (plus half) or 1 - beta_i (reflected half).
+
 The first term alone (the positive half-line piece) is a competing
 convention found in the literature for the same quantities; which of the
 two conventions this package treats as "the" closed form is not assumed
@@ -25,24 +31,31 @@ Requirements inherited from the derivation: Re(S) > m + 1 for
 convergence at infinity (this is exactly the q-window arithmetic of the
 moment suite), and Im(beta_i) != 0 so no factor has a real-line cut.
 
-Every public closed form (norm, position moments, both momentum
-numerators, overlap) is one call to the private ``_bracket_integral``,
-which returns ((q-1)/2)^(-S/2) * sum_m c_m I(m): each state bracket is
-(q-1)/2 times a monic quadratic in x, raised to -b over its root pair,
-so a product of brackets with exponent sum S carries that scale.
+One private builder, ``_state_halves``, takes every (bra_shift,
+ket_shift, coefficient map) term of a state and returns each term's plus
+and reflected half of ((q-1)/2)^(-S/2) * sum_m c_m I(m): each state
+bracket is (q-1)/2 times a monic quadratic in x, raised to -b over its
+root pair, so a product of brackets with exponent sum S carries that
+scale.  Its rows, one per (bracket family, half, power m), are the rows
+of a single log-space ``specfun._euler_integral`` pass; the scale and
+the branch phase join each row's log, so no value over- or underflows on
+the way.  The norm, position moments, both momentum numerators, the
+overlap, ``line_power_moment`` and the calibration are views of it, and
+``_closed_moments`` takes all five moment terms of a state from one call
+(``moments_closed`` and ``verify`` read it).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
+import numpy as np
 from scipy.special import loggamma
 
-from .errors import BranchCrossing, ConventionMismatch, NotConverged, OutOfValidityWindow
+from .errors import BranchCrossing, ConventionMismatch, OutOfValidityWindow
 from .quadrature import integrate_line
-from .specfun import LauricellaArgs, lauricella_fd
+from .specfun import _euler_integral
 from .states import SQRT2, _pair_roots, _psi_un_density
 
 __all__ = [
@@ -62,14 +75,38 @@ CALIBRATION_ANCHOR_Q = 1.2
 CALIBRATION_ANCHOR_ALPHA = 0.3 + 0.0j
 
 
-def _scaled(log_scale, value: complex) -> complex:
-    """exp(log_scale) * value computed in log space; exact zero passes through."""
-    if value == 0.0:
-        return 0.0 + 0.0j
-    z = complex(log_scale) + cmath.log(complex(value))
-    if z.real > 700.0:
-        raise NotConverged("closed-form value overflows double precision")
-    return cmath.exp(z)
+def _halves(betas, terms, tol: float) -> np.ndarray:
+    """(len(terms), 2) array: each (bvec, coeffs, log_scale) term's plus and
+    reflected half of exp(log_scale) * sum_m c_m I(m), from one Euler pass.
+
+    ``coeffs`` maps each power m to c_m; every (term, m) pair is one plus
+    row and one reflected row of the pass, with exponents a = S-m-1, c = S.
+    """
+    betas = np.asarray(betas, dtype=complex)
+    owner, m, c_m = map(np.array, zip(*[(t, m, c_m) for t, (_, coeffs, _) in enumerate(terms)
+                                        for m, c_m in coeffs.items()]))
+    b = np.array([terms[t][0] for t in owner], dtype=complex)
+    log_scale = np.array([terms[t][2] for t in owner], dtype=complex)
+    big_s = b.sum(axis=1)
+    zero = np.zeros_like(b)
+    weights = np.block([[b, zero], [zero, b]])
+    offsets = np.concatenate([log_scale,
+                              log_scale + 1j * math.pi * (b @ np.sign(betas.imag))])
+    xs = np.concatenate([1.0 + betas, 1.0 - betas])
+    res = _euler_integral(lambda u: offsets[:, None] - weights @ np.log(1.0 - xs[:, None] * u),
+                          np.tile(big_s - m - 1.0, 2), np.tile(big_s, 2), tol, "closed-form")
+    plus, minus = np.split(res.value, 2)
+    out = np.zeros((len(terms), 2), dtype=complex)
+    np.add.at(out[:, 0], owner, c_m * plus)
+    np.add.at(out[:, 1], owner, c_m * (-1.0) ** m * minus)
+    return out
+
+
+def _whole(halves, reflection: bool | None) -> complex:
+    """The calibrated (or the asked-for) convention from a (plus, minus) pair."""
+    if reflection is None:
+        reflection = calibrated_reflection()
+    return complex(halves[0] + halves[1] if reflection else halves[0])
 
 
 def line_power_moment(m: int, bvec, betas, tol: float = 1e-10,
@@ -85,28 +122,11 @@ def line_power_moment(m: int, bvec, betas, tol: float = 1e-10,
     betas = tuple(complex(b) for b in betas)
     if any(b.imag == 0.0 for b in betas):
         raise BranchCrossing("a root sits on the real axis; the factorisation has a cut")
-    if reflection is None:
-        reflection = calibrated_reflection()
-    big_s = sum(bvec)
-    a = big_s - m - 1.0
-    if a.real <= 0.0:
+    if (sum(bvec) - m - 1.0).real <= 0.0:
         raise OutOfValidityWindow(
             f"moment of order {m} diverges at infinity (needs Re(sum b) > {m + 1})"
         )
-    log_beta = loggamma(a) + loggamma(m + 1.0) - loggamma(big_s)
-    plus = lauricella_fd(
-        LauricellaArgs(a, bvec, big_s, tuple(1.0 + b for b in betas)), tol=tol
-    ).value
-    total = plus
-    if reflection:
-        phase = 1.0 + 0.0j
-        for b, beta in zip(bvec, betas):
-            phase *= cmath.exp(1j * math.pi * b * math.copysign(1.0, beta.imag))
-        minus = lauricella_fd(
-            LauricellaArgs(a, bvec, big_s, tuple(1.0 - b for b in betas)), tol=tol
-        ).value
-        total = plus + (-1.0) ** m * phase * minus
-    return _scaled(log_beta, total)
+    return _whole(_halves(betas, [(bvec, {m: 1.0}, 0.0)], tol)[0], reflection)
 
 
 @lru_cache(maxsize=1)
@@ -119,10 +139,9 @@ def calibrated_reflection() -> bool:
     """
     q, alpha = CALIBRATION_ANCHOR_Q, CALIBRATION_ANCHOR_ALPHA
     oracle = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=1e-12).value.real
-    devs = {}
-    for refl in (False, True):
-        val = norm_squared_closed(q, alpha, 1e-12, reflection=refl)
-        devs[refl] = abs(val - oracle) / abs(oracle)
+    plus, minus = _state_halves(q, alpha, alpha, [_moment_terms(alpha)["n2"]], 1e-12)[0]
+    devs = {refl: abs(val - oracle) / abs(oracle)
+            for refl, val in ((False, plus), (True, plus + minus))}
     winner = min(devs, key=devs.get)
     if devs[winner] > 1e-8:
         raise ConventionMismatch(
@@ -136,10 +155,11 @@ def _window(q: float, upper: float, what: str) -> None:
         raise OutOfValidityWindow(f"{what} needs 1 < q < {upper:.6g}; got q={q:.6g}")
 
 
-def _bracket_integral(q: float, alpha_bra: complex, alpha_ket: complex, coeffs,
-                      tol: float, reflection: bool | None,
-                      bra_shift: int = 0, ket_shift: int = 0) -> complex:
-    """((q-1)/2)^(-sum(b)/2) * sum_m c_m int x^m prod_i (x - beta_i)^(-b_i) dx.
+def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
+                  tol: float) -> np.ndarray:
+    """Each (bra_shift, ket_shift, coeffs) term's plus and reflected half of
+    ((q-1)/2)^(-sum(b)/2) * sum_m c_m int x^m prod_i (x - beta_i)^(-b_i) dx,
+    all from one Euler pass (``_halves``).
 
     conj(psi_un[alpha_bra]) contributes its root pair with b = p + bra_shift,
     psi_un[alpha_ket] its pair with b = p + ket_shift (p = 1/(q-1); a shift
@@ -149,11 +169,48 @@ def _bracket_integral(q: float, alpha_bra: complex, alpha_ket: complex, coeffs,
     p = 1.0 / (q - 1.0)
     betas = (_pair_roots(q, alpha_bra.conjugate(), abs(alpha_bra) ** 2)
              + _pair_roots(q, alpha_ket, abs(alpha_ket) ** 2))
-    bvec = (p + bra_shift, p + bra_shift, p + ket_shift, p + ket_shift)
-    log_scale = -(2.0 * p + (bra_shift + ket_shift)) * math.log(0.5 * (q - 1.0))
-    total = sum(c * line_power_moment(m, bvec, betas, tol, reflection=reflection)
-                for m, c in coeffs.items())
-    return _scaled(log_scale, total)
+    log_unit = math.log(0.5 * (q - 1.0))
+    return _halves(betas, [((p + bra,) * 2 + (p + ket,) * 2, coeffs,
+                            -(2.0 * p + bra + ket) * log_unit)
+                           for bra, ket, coeffs in terms], tol)
+
+
+def _moment_terms(alpha: complex) -> dict:
+    """The (bra_shift, ket_shift, coeffs) terms of the numerators of n2,
+    <x>, <x^2>, <p> and <p^2>, keyed "n2", "x", "x2", "p", "p2".
+
+    psi_un' = -(x - sqrt2 alpha) * ket_bracket^(-p-1), so -i conj(psi_un)
+    psi_un' is a degree-(0 or 1) moment over b = (p, p, p+1, p+1), and
+    |psi_un'|^2 = (x - sqrt2 conj(alpha))(x - sqrt2 alpha) * prod (x -
+    beta_i)^(-(p+1)) a quadratic over the uniform b = p+1 family.
+    """
+    return {"n2": (0, 0, {0: 1.0}), "x": (0, 0, {1: 1.0}), "x2": (0, 0, {2: 1.0}),
+            "p": (0, 1, {1: 1j, 0: -1j * SQRT2 * alpha}),
+            "p2": (1, 1, {2: 1.0, 1: -SQRT2 * (alpha + alpha.conjugate()),
+                          0: 2.0 * abs(alpha) ** 2})}
+
+
+def _moment_closed(q: float, alpha: complex, name: str, tol: float,
+                   reflection: bool | None) -> complex:
+    alpha = complex(alpha)
+    return _whole(_state_halves(q, alpha, alpha, [_moment_terms(alpha)[name]], tol)[0],
+                  reflection)
+
+
+def _closed_moments(q: float, alpha: complex, tol: float):
+    """(n2, (<x>, <x^2>, <p>, <p^2>), (n2_half, <x>_half)) of one state,
+    from one closed pass at min(tol, 1e-10), the norm's accuracy; unchecked.
+
+    n2 = int |psi_un|^2 dx under the calibrated convention; each moment is
+    its closed numerator over n2, still complex.  The last pair repeats n2
+    and <x> from the plus halves alone (the half-line convention).
+    """
+    alpha = complex(alpha)
+    norm, *numerators = _state_halves(q, alpha, alpha, list(_moment_terms(alpha).values()),
+                                      min(tol, 1e-10))
+    n2 = _whole(norm, None)
+    return (n2, tuple(_whole(h, None) / n2 for h in numerators),
+            (norm[0], numerators[0][0] / norm[0]))
 
 
 def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10,
@@ -161,8 +218,7 @@ def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10,
     """int |psi_un|^2 dx in closed form (q < 5), at min(tol, 1e-10): the
     norm divides every normalised quantity."""
     _window(q, 5.0, "closed-form norm")
-    alpha = complex(alpha)
-    return _bracket_integral(q, alpha, alpha, {0: 1.0}, min(tol, 1e-10), reflection)
+    return _moment_closed(q, alpha, "n2", min(tol, 1e-10), reflection)
 
 
 def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10,
@@ -172,35 +228,21 @@ def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10,
     if upper is None:
         raise ValueError("position moments implemented for m in {0, 1, 2}")
     _window(q, upper, f"closed-form <x^{m}>")
-    alpha = complex(alpha)
-    return _bracket_integral(q, alpha, alpha, {m: 1.0}, tol, reflection)
+    return _moment_closed(q, alpha, ("n2", "x", "x2")[m], tol, reflection)
 
 
 def momentum_first_closed(q: float, alpha: complex, tol: float = 1e-10,
                           reflection: bool | None = None) -> complex:
-    """-i * int conj(psi_un) psi_un' dx in closed form (q < 5).
-
-    psi_un' = -(x - sqrt2 alpha) * ket_bracket^(-p-1), so the integrand is
-    a degree-(0 or 1) moment over the root family b = (p, p, p+1, p+1).
-    """
+    """-i * int conj(psi_un) psi_un' dx in closed form (q < 5)."""
     _window(q, 5.0, "closed-form <p>")
-    alpha = complex(alpha)
-    return 1j * _bracket_integral(q, alpha, alpha, {1: 1.0, 0: -SQRT2 * alpha},
-                                  tol, reflection, ket_shift=1)
+    return _moment_closed(q, alpha, "p", tol, reflection)
 
 
 def momentum_second_closed(q: float, alpha: complex, tol: float = 1e-10,
                            reflection: bool | None = None) -> complex:
-    """int |psi_un'|^2 dx in closed form (q < 5).
-
-    |psi_un'|^2 = (x - sqrt2 conj(alpha))(x - sqrt2 alpha) *
-    prod (x - beta_i)^(-(p+1)), a quadratic over the uniform b = p+1 family.
-    """
+    """int |psi_un'|^2 dx in closed form (q < 5)."""
     _window(q, 5.0, "closed-form <p^2>")
-    alpha = complex(alpha)
-    coeffs = {2: 1.0, 1: -SQRT2 * (alpha + alpha.conjugate()), 0: 2.0 * abs(alpha) ** 2}
-    return _bracket_integral(q, alpha, alpha, coeffs, tol, reflection,
-                             bra_shift=1, ket_shift=1)
+    return _moment_closed(q, alpha, "p2", tol, reflection)
 
 
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
@@ -211,8 +253,8 @@ def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
     its own pair; same uniform b = p weight as the norm.
     """
     _window(q, 5.0, "closed-form overlap")
-    return _bracket_integral(q, complex(alpha_a), complex(alpha_b), {0: 1.0},
-                             tol, reflection)
+    halves = _state_halves(q, complex(alpha_a), complex(alpha_b), [(0, 0, {0: 1.0})], tol)
+    return _whole(halves[0], reflection)
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:

@@ -150,21 +150,6 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     return _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, "oracle", deviations)
 
 
-def _closed_moments(q: float, alpha: complex, tol: float):
-    """(n2, (<x>, <x^2>, <p>, <p^2>)) from the closed forms, unchecked.
-
-    n2 = int |psi_un|^2 dx; each moment is its closed numerator over n2,
-    still complex.
-    """
-    n2 = closedforms.norm_squared_closed(q, alpha, tol=tol)
-    return n2, (
-        closedforms.position_moment_closed(q, alpha, 1, tol=tol) / n2,
-        closedforms.position_moment_closed(q, alpha, 2, tol=tol) / n2,
-        closedforms.momentum_first_closed(q, alpha, tol=tol) / n2,
-        closedforms.momentum_second_closed(q, alpha, tol=tol) / n2,
-    )
-
-
 def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     """Moment suite from the Lauricella closed forms (1 <= q < 7/3).
 
@@ -178,7 +163,7 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
         return _coherent_exact(alpha, "closed-form")
     reference = moments_oracle(q, alpha, tol=tol)
     deviations: dict = {}
-    n2, quotients = _closed_moments(q, alpha, tol=min(tol, 1e-10))
+    n2, quotients, _ = closedforms._closed_moments(q, alpha, tol)
     mean_x, mean_x2, mean_p, mean_p2 = (
         _real_part(name, z, deviations)
         for name, z in zip(("mean_x", "mean_x2", "mean_p", "mean_p2"), quotients)

@@ -25,8 +25,12 @@ lauricella_fd_series / lauricella_fd_integral / lauricella_fd
     valid for Re a > 0, Re(c-a) > 0.  All complex powers are
     principal-branch.
 
-Kummer's integral branch and F_D's share one Euler integral: graded halves
-u < 1/2 and u > 1/2 as the pieces of one adaptive pass.
+Kummer's integral branch and F_D's share one Euler integral,
+``_euler_integral``: graded halves u < 1/2 and u > 1/2 as the pieces of
+one adaptive pass, the integrand formed in log space, and any number of
+rows, each with its own exponents a and c, on shared nodes.  The closed
+forms of ``closedforms`` run all rows of a state through it at once;
+F_D and Kummer are its one-row callers and add the Gamma prefactor.
 
 Gamma ratios are taken in log space throughout (scipy's loggamma), so the
 large parameters that appear as the deformation approaches 1 do not
@@ -131,34 +135,65 @@ def _phi_series(a: complex, b: complex, z: complex, tol: float) -> complex:
     raise NotConverged(f"Kummer series stalled at |z|={abs(z):.3g}")
 
 
-def _euler_integral(f, a: complex, c: complex, tol: float, method: str) -> QuadratureResult:
-    """Gamma(c)/(Gamma(a)Gamma(c-a)) int_0^1 u^(a-1) (1-u)^(c-a-1) f(u) du
-    for Re a > 0, Re(c-a) > 0.  The halves u = v^g0/2 and 1-u = w^g1/2 keep
-    the endpoint powers bounded; pre-scaled to O(1) magnitudes even for
-    large parameters, they are the pieces of one adaptive pass."""
-    ca = c - a
-    g0 = 1 if a.real >= 1.0 else min(60, math.ceil(1.5 / a.real))
-    g1 = 1 if ca.real >= 1.0 else min(60, math.ceil(1.5 / ca.real))
+def _grade(e: float, side: str, method: str) -> int:
+    """The power g of t = v^g/2 that turns t^(e-1) into v^(g*e-1), smooth
+    once g*e >= 1.5.  The map also squeezes everything at u of order one
+    into a layer of width ~1/g at v = 1 (and a row with a larger exponent
+    e' into v^(g*e'-1)), which the nodes stop resolving near g = 10^4: the norm at
+    q = 4.9996 (g = 15000) read 6e-5 off.  So an exponent that needs
+    g > 1000 is refused rather than integrated."""
+    g = 1 if e >= 1.0 else math.ceil(1.5 / e)
+    if g > 1000:
+        raise NotConverged(f"Euler exponent Re {side} = {e:.3g} needs grading power {g} "
+                           f"> 1000 ({method})")
+    return g
 
-    def left(v):  # u = 0.5 v^g0
-        u = 0.5 * v ** g0
-        return (np.power(u, a - 1) * np.power(1.0 - u, ca - 1) * f(u)
-                * 0.5 * g0 * np.power(v, g0 - 1))
 
-    def right(w):  # u = 1 - 0.5 w^g1
-        s = 0.5 * w ** g1
-        u = 1.0 - s
-        return (np.power(u, a - 1) * np.power(s, ca - 1) * f(u)
-                * 0.5 * g1 * np.power(w, g1 - 1))
+def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
+    """int_0^1 u^(a_j-1) (1-u)^(c_j-a_j-1) f_j(u) du for each row j, in one
+    adaptive pass; value and err_estimate are length-k arrays.
 
+    a and c are length-k arrays with Re a_j > 0 and Re(c_j-a_j) > 0; log_f
+    maps nodes u of shape (n,) to log f_j(u) of shape (k, n).  No Gamma
+    prefactor is applied here (see ``_euler_value``).  The halves
+    u = t and 1-u = t, with t = v^g/2 graded (``_grade``) by the smallest
+    Re a (left) and Re(c-a) (right), are the pieces.  The integrand is
+    formed in log space, with log t = log(1/2) + g log v, so u^(a-1) never
+    underflows to 0.  Each row is divided by exp of its largest probe
+    log-magnitude, which is restored only on the result; a result that
+    overflows raises NotConverged.
+    """
+    a = np.asarray(a, dtype=complex)
+    ca = np.asarray(c, dtype=complex) - a
+    g0, g1 = _grade(np.min(a.real), "a", method), _grade(np.min(ca.real), "c-a", method)
+
+    def log_integrand(v, g, right):
+        log_t = math.log(0.5) + g * np.log(v)
+        t = np.exp(log_t)
+        log_u, log_1mu = (np.log1p(-t), log_t) if right else (log_t, np.log1p(-t))
+        return ((a[:, None] - 1.0) * log_u + (ca[:, None] - 1.0) * log_1mu
+                + log_f(1.0 - t if right else t) + math.log(0.5 * g) + (g - 1) * np.log(v))
+
+    halves = ((g0, False), (g1, True))
     probe = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
-    scale = float(np.max(np.abs(left(probe)) + np.abs(right(probe))))
-    if not scale > 0.0:  # every probe underflowed: the pass would read an exact 0
-        raise NotConverged(f"Euler integrand underflows at every probe node (a={a}, c={c})")
-    res = _adaptive([(lambda v: left(v) / scale, _UNIT_EDGES),
-                     (lambda w: right(w) / scale, _UNIT_EDGES)], 0.5 * tol, 1_000_000, method)
-    pref = cmath.exp(_sp.loggamma(c) - _sp.loggamma(a) - _sp.loggamma(ca))
-    return QuadratureResult(pref * scale * res.value, abs(pref) * scale * res.err_estimate,
+    log_scale = np.max([log_integrand(probe, *h).real.max(axis=1) for h in halves], axis=0)
+    res = _adaptive([(lambda v, h=h: np.exp(log_integrand(v, *h) - log_scale[:, None]),
+                      _UNIT_EDGES) for h in halves], 0.5 * tol, 1_000_000, method)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        scale = np.exp(log_scale)
+        value, err = scale * res.value, scale * res.err_estimate
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(err))):
+        raise NotConverged(f"Euler integral overflows double precision ({method})")
+    return QuadratureResult(value, err, res.evaluations, method)
+
+
+def _euler_value(log_f, a: complex, c: complex, tol: float, method: str) -> QuadratureResult:
+    """Gamma(c)/(Gamma(a)Gamma(c-a)) times the one-row Euler integral of f,
+    the F_D and Kummer value; the prefactor joins log f, so no Gamma is
+    ever formed outside log space."""
+    log_pref = _sp.loggamma(c) - _sp.loggamma(a) - _sp.loggamma(c - a)
+    res = _euler_integral(lambda u: log_pref + log_f(u)[None, :], [a], [c], tol, method)
+    return QuadratureResult(complex(res.value[0]), float(res.err_estimate[0]),
                             res.evaluations, method)
 
 
@@ -200,7 +235,7 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     if abs(z) <= _KUMMER_SERIES_RADIUS:
         return _phi_series(a, b, z, tol)
     if b.real > a.real > 0.0:
-        return _euler_integral(lambda t: np.exp(z * t), a, b, tol, "kummer-integral").value
+        return _euler_value(lambda t: z * t, a, b, tol, "kummer-integral").value
     return _phi_asymptotic(a, b, z)
 
 
@@ -289,8 +324,11 @@ def lauricella_fd_integral(args: LauricellaArgs, tol: float = 1e-10) -> Quadratu
     Requires Re a > 0 and Re(c - a) > 0.  The path 1 - u*x_i (u from 0
     to 1) stays off the principal cut whenever Im x_i != 0; a real
     x_i >= 1 would drag the integrand through the cut and raises
-    BranchCrossing instead of silently continuing.  The integral itself
-    is ``_euler_integral``.
+    BranchCrossing instead of silently continuing.  The integral is one
+    row of ``_euler_integral`` with exponents a and c: the integrand's log,
+    (a-1) log u + (c-a-1) log(1-u) - sum_i b_i log(1 - u x_i) plus the
+    log Gamma prefactor, is exponentiated only after the row's largest
+    probe log-magnitude is taken out, so no factor under- or overflows.
     """
     a, c = complex(args.a), complex(args.c)
     bs = [complex(v) for v in args.b]
@@ -306,13 +344,10 @@ def lauricella_fd_integral(args: LauricellaArgs, tol: float = 1e-10) -> Quadratu
                 f"argument x={x.real:.6g} puts 1-u*x on the principal cut"
             )
 
-    def core(u):
-        val = np.ones_like(u, dtype=complex)
-        for b, x in zip(bs, xs):
-            val = val * np.power(1.0 - u * x, -b)
-        return val
+    def log_core(u):
+        return sum(-b * np.log(1.0 - u * x) for b, x in zip(bs, xs))
 
-    return _euler_integral(core, a, c, tol, "fd-integral")
+    return _euler_value(log_core, a, c, tol, "fd-integral")
 
 
 def lauricella_fd(args: LauricellaArgs, tol: float = 1e-10) -> QuadratureResult:

@@ -96,9 +96,11 @@ def test_sweep_grid_validation_exit_codes(tmp_path):
 
 
 def test_numerical_failure_maps_to_exit_three(monkeypatch):
-    # the closed norm's Euler integrand underflows at every probe at q = 1.001
+    # the log-space Euler pass reaches q = 1.001 on the closed route ...
     assert run_cli("sweep", "--q-min", "1.001", "--q-max", "1.001", "--q-steps", "1",
-                   "--method", "closed-form") == 3
+                   "--method", "closed-form") == 0
+    # ... while the oracle's SlowDecay next to 7/3 is a real numerical failure
+    assert run_cli("sweep", "--q-min", "2.333", "--q-max", "2.333", "--q-steps", "1") == 3
 
     def boom(*a, **k):
         raise NotConverged("synthetic non-convergence")

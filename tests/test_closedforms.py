@@ -21,9 +21,9 @@ from qcoherent.closedforms import (
     position_moment_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import BranchCrossing, NotConverged, OutOfValidityWindow
+from qcoherent.errors import BranchCrossing, OutOfValidityWindow
 from qcoherent.quadrature import integrate_line
-from qcoherent.states import SQRT2, StateLabel, beta_roots, normalization_constant
+from qcoherent.states import CONVENTION_TOL, SQRT2, StateLabel, beta_roots, normalization_constant
 
 
 def _quartic_integrand(m, bvec, betas):
@@ -101,12 +101,26 @@ def test_norm_squared_closed_vs_exact_real_alpha_identity():
 
 
 def test_closed_norm_never_reads_an_underflowed_zero():
-    # below q ~ 1.013 every probe of the Euler integrand underflows; the
-    # norm must refuse rather than return 0j (which moments_closed divided by)
-    with pytest.raises(NotConverged, match="underflows"):
-        norm_squared_closed(1.008, 0.3 + 0.2j)
-    with pytest.raises(NotConverged, match="underflows"):
-        moments_closed(1.008, 0.3 + 0.2j)
+    # below q ~ 1.013 every linear-space probe of the Euler integrand
+    # underflows; in log space the norm is the oracle's, not 0j, and
+    # moments_closed passes its own CONVENTION_TOL cross-check
+    q, alpha = 1.008, 0.3 + 0.2j
+    oracle = abs(normalization_constant(q, alpha, tol=1e-12)) ** -2.0
+    assert abs(norm_squared_closed(q, alpha) - oracle) <= 1e-10 * oracle
+    report = moments_closed(q, alpha)
+    assert report.method == "closed-form"
+    assert max(report.deviations.values()) <= CONVENTION_TOL
+
+
+def test_closed_route_is_warning_free_at_the_window_edges():
+    # the suite turns every RuntimeWarning into an error; in linear space
+    # q = 1.014 divided by a subnormal probe scale and q >= 4.9 raised an
+    # underflowed u = 0 to a negative power
+    for q in (1.001, 1.014):
+        assert moments_closed(q, 0.3 + 0.2j).method == "closed-form"
+    for q in (4.9, 4.95):
+        exact = real_alpha_norm_squared_exact(q)
+        assert abs(norm_squared_closed(q, 0.3) - exact) <= 1e-10 * exact
 
 
 def test_position_moment_closed_windows():

@@ -1,10 +1,12 @@
 """Position/momentum moments and the uncertainty product, both routes."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qcoherent import moments
-from qcoherent.errors import ConventionMismatch, OutOfValidityWindow
+from qcoherent import closedforms, moments, specfun
+from qcoherent.errors import ConventionMismatch, NotConverged, OutOfValidityWindow
 from qcoherent.moments import (
     MomentReport,
     moments_closed,
@@ -116,6 +118,47 @@ def test_closed_complex_alpha_grid():
             m = moments_closed(q, alpha, tol=1e-10)
             worst = max(m.deviations.values())
             assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 2.3, 2.32, 2.33])
+def test_closed_moments_match_exact_real_alpha_anchors(q):
+    # for real alpha the state is a shift of (1 + (q-1)/2 y^2)^(-1/(q-1)),
+    # whose moments are Beta integrals (DLMF 5.12.3), independent of alpha
+    var_x, var_p = 2.0 / (7.0 - 3.0 * q), (5.0 - q) / (4.0 * (q + 1.0))
+    for alpha in (0.0, 0.3, -1.2):
+        _, quotients, _ = closedforms._closed_moments(q, alpha, 1e-10)
+        mean_x, mean_x2, mean_p, mean_p2 = (z.real for z in quotients)
+        got = (mean_x, mean_p, mean_x2 - mean_x ** 2, mean_p2 - mean_p ** 2,
+               (mean_x2 - mean_x ** 2) * (mean_p2 - mean_p ** 2))
+        want = (math.sqrt(2.0) * alpha, 0.0, var_x, var_p,
+                (5.0 - q) / (2.0 * (7.0 - 3.0 * q) * (q + 1.0)))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("q, alpha", [(2.3333, 0.3), (7.0 / 3.0 - 1e-6, -1.2)])
+def test_closed_moments_refuse_past_the_grading_cap(q, alpha):
+    # <x^2>'s Euler exponent 4/(q-1) - 3 vanishes as q -> 7/3; once its
+    # endpoint grading would pass 1000 the pass raises instead of returning
+    # a value the Gauss-Kronrod estimate cannot vouch for
+    with pytest.raises(NotConverged, match="grading power"):
+        closedforms._closed_moments(q, alpha, 1e-10)
+
+
+def test_closed_moments_take_one_euler_pass(monkeypatch):
+    # the 16 (bracket family, half, power) integrands of a state are rows of
+    # one vector pass, not 16 F_D calls
+    closedforms.calibrated_reflection()
+    calls = []
+    real = specfun._adaptive
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_adaptive", counted)
+    moments_closed(1.5, 0.4 + 0.1j)
+    assert len(calls) == 1
 
 
 def test_uncertainty_product_sentinel_exact():
