@@ -15,7 +15,7 @@ Layers (import order is dependency order):
     states      wavefunctions, beta roots, normalisation, overlaps
     closedforms Lauricella assembly of the moment integrals (internal)
     moments     <x>, <x^2>, <p>, <p^2>, uncertainty products
-    momentum    Fourier amplitudes and |phi(k)|^2 densities
+    momentum    Bessel-K and Fourier amplitudes, |phi(k)|^2 densities
     limits      Gaussian references and the q -> 1 convergence harness
     cli         sweep / verify / pd command-line frontend
 """
@@ -46,6 +46,7 @@ from .momentum import (
     MomentumSample,
     default_k_grid,
     grid_momentum_moments,
+    momentum_amplitude_bessel,
     momentum_amplitude_closed,
     momentum_amplitude_oracle,
     momentum_pd,
@@ -107,7 +108,8 @@ __all__ = [
     "MomentReport", "moments_oracle", "moments_closed", "uncertainty_product",
     # momentum
     "MomentumSample", "MomentumDistribution", "default_k_grid",
-    "momentum_amplitude_oracle", "momentum_amplitude_closed", "momentum_pd",
+    "momentum_amplitude_bessel", "momentum_amplitude_oracle", "momentum_amplitude_closed",
+    "momentum_pd",
     "grid_momentum_moments",
     # limits
     "LimitReport", "coherent_reference_moments", "gaussian_momentum_pd",

@@ -33,6 +33,7 @@ from .moments import moments_closed, moments_oracle
 from .momentum import (
     Q_MOMENTUM_MAX,
     default_k_grid,
+    momentum_amplitude_bessel,
     momentum_amplitude_closed,
     momentum_amplitude_oracle,
     momentum_pd,
@@ -218,6 +219,16 @@ def _hermite_projection_dev(alpha: complex, n_max: int) -> float:
     return float(np.max(np.abs(proj - coherent_coefficients(alpha, n_max))))
 
 
+def _bessel_entry(q, alpha, k, amp_oracle, tol):
+    """The Bessel-K amplitude against the oracle amplitude already taken at k."""
+    return _entry(
+        "momentum_amplitude_bessel", _point(q, alpha, k=k),
+        momentum_amplitude_bessel(q, alpha, k, tol=tol), amp_oracle, tol,
+        note="corrected counterpart of the printed Kummer amplitude: the exact "
+             "transform by Basset's integral, finite and non-zero as k -> 0",
+    )
+
+
 def _verify_closed_forms(qs, alpha, tol):
     """One entry per (equation family, grid point), plus the worst
     normalisation closure and the smallest oracle uncertainty product
@@ -275,6 +286,7 @@ def _verify_closed_forms(qs, alpha, tol):
                            abs(amp_c) ** 2, abs(amp_o) ** 2, tol,
                            note="density from the printed amplitude")
                 )
+                entries.append(_bessel_entry(q, alpha, k, amp_o, tol))
             k0 = 0.01
             amp_o = momentum_amplitude_oracle(q, alpha, k0, tol=tol)
             amp_c = momentum_amplitude_closed(q, alpha, k0)
@@ -288,6 +300,7 @@ def _verify_closed_forms(qs, alpha, tol):
                     ),
                 )
             )
+            entries.append(_bessel_entry(q, alpha, k0, amp_o, tol))
     # q-independent families
     zq = 1.01
     z = 0.7

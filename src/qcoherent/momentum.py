@@ -1,25 +1,31 @@
 """Momentum-space amplitudes and probability densities.
 
-The oracle route Fourier-transforms the normalised position wavefunction
-numerically, phi(k) = (2 pi)^(-1/2) int psi(x) exp(-i k x) dx, using the
-oscillatory-tail machinery in ``quadrature``.  It exists for
-1 <= q < 3 (the amplitude must be absolutely integrable) with the exact
-Gaussian dispatch at the q = 1 sentinel.
+Three routes give the amplitude phi(k) = (2 pi)^(-1/2) int psi(x) e^(-ikx) dx,
+all with the exact Gaussian dispatch at the q = 1 sentinel and defined for
+1 <= q < 3 (the amplitude must be absolutely integrable):
 
-The closed route evaluates a confluent-hypergeometric (Kummer phi)
-expression for the same amplitude *exactly as printed in its source*,
-k != 0.  That expression is kept in quarantine: its k -> 0 limit
-vanishes for q < 3 while the oracle's does not, so the package treats
-the oracle as authoritative and surfaces the closed form's behaviour in
-the verification report instead of patching it silently.
+* ``momentum_amplitude_bessel``, the engine of ``momentum_pd``: the exact
+  transform in closed form.  With w = x - sqrt2 alpha the state's bracket is
+  ((q-1)/2) (w^2 + c^2), c^2 = |alpha|^2 - alpha^2 + 2/(q-1), and Re c >
+  sqrt2 |Im alpha| for every q > 1, so the contour shifts back to the real
+  w axis and Basset's integral (DLMF 10.32.11) gives a Bessel-K expression
+  in k, vectorised over any k array.
+* ``momentum_amplitude_oracle``: numerical Fourier quadrature with the
+  oscillatory-tail machinery in ``quadrature``, one k at a time.  It is the
+  independent check of the Bessel form in the tests and in ``verify``.
+* ``momentum_amplitude_closed``: a confluent-hypergeometric (Kummer phi)
+  expression *exactly as printed in its source*, k != 0.  It is kept in
+  quarantine: its k -> 0 limit vanishes for q < 3 while the transform's
+  does not, so the verification report records its behaviour instead of
+  patching it silently.
 
-Probability density is always pd(k) = |amplitude(k)|^2; every
-distribution carries a Parseval total as a closure diagnostic.  The total
-is integrated adaptively (not summed over the sample grid): the position
-tail |x|^(-2p) puts a |k|^(2p-1) kink at k = 0, which silently degrades a
-uniform trapezoid sum to O(h^2) once q reaches 2, while grading both sides
-of the kink keeps the diagnostic at its requested accuracy for the whole
-momentum window.
+Probability density is always pd(k) = |amplitude(k)|^2; every distribution
+carries a Parseval total as a closure diagnostic.  The total is integrated
+adaptively (not summed over the sample grid): the position tail |x|^(-2p)
+puts a |k|^(2p-1) kink at k = 0, which silently degrades a uniform
+trapezoid sum to O(h^2) once q reaches 2, while grading both sides of the
+kink keeps the diagnostic at its requested accuracy for the whole momentum
+window.  The window is sized from the density's exponential decay rate.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
+from scipy.special import log1p, loggamma
 
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
-from .specfun import kummer_phi
+from .specfun import _log_bessel_g, kummer_phi
 from .states import SQRT2, _psi_un, normalization_constant, require_window
 
 __all__ = [
@@ -41,6 +47,7 @@ __all__ = [
     "MomentumSample",
     "MomentumDistribution",
     "default_k_grid",
+    "momentum_amplitude_bessel",
     "momentum_amplitude_oracle",
     "momentum_amplitude_closed",
     "momentum_pd",
@@ -84,19 +91,62 @@ class MomentumDistribution:
 def default_k_grid(alpha: complex, n: int = 401) -> np.ndarray:
     """Uniform grid on [-(8 + 2|alpha|), 8 + 2|alpha|], 401 points.
 
-    Wide enough that the exponentially decaying tails of |phi|^2 are
-    below double-precision relevance for every q in the momentum window.
+    A sampling grid only: where the density decays slowly (q near 3, or a
+    large |Im alpha|) it still carries visible mass past the ends, which is
+    why the Parseval total sizes its own window.
     """
     half = 8.0 + 2.0 * abs(complex(alpha))
     return np.linspace(-half, half, n)
 
 
-def _gaussian_amplitude(alpha: complex, k: float) -> complex:
-    # exact transform of the ordinary coherent state
+def _gaussian_amplitude(alpha: complex, k):
+    # exact transform of the ordinary coherent state, vectorised over k
     alpha = complex(alpha)
-    return math.pi ** -0.25 * cmath.exp(
+    return math.pi ** -0.25 * np.exp(
         -0.5 * (k * k + 2.0 * SQRT2 * 1j * alpha * k - alpha * alpha + abs(alpha) ** 2)
     )
+
+
+def _bessel_c(q: float, alpha: complex) -> complex:
+    """c with c^2 = |alpha|^2 - alpha^2 + 2/(q-1) and Re c > sqrt2 |Im alpha|."""
+    return cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
+
+
+def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
+    """Normalised momentum amplitude in closed form, vectorised over k.
+
+    With p = 1/(q-1), nu = p - 1/2, c from ``_bessel_c`` and
+    g(z) = 2 (z/2)^nu K_nu(z) / Gamma(nu), so that g(0) = 1:
+
+        phi(k) = A 2^(-1/2) Gamma(nu)/Gamma(p) c (1 + (q-1)(b^2 - i a b))^(-p)
+                 * g(c |k|) e^(-i sqrt2 alpha k),          alpha = a + i b,
+
+    which is Basset's integral A (2 pi)^(-1/2) ((q-1)/2)^(-p) 2 sqrt(pi)/Gamma(p)
+    (|k|/2c)^nu K_nu(c|k|) e^(-i sqrt2 alpha k) rewritten so that k = 0 is
+    an ordinary point.  Everything but A is one exponent, so no factor
+    overflows on its own at large |k| |Im alpha| or as q -> 1.  ``tol``
+    is the accuracy of the normalisation constant A, the one quadrature.
+    Returns a complex for scalar k, an ndarray otherwise.
+    """
+    require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.isfinite(k)):
+        raise ValueError("k must be finite")
+    alpha = complex(alpha)
+    if q == 1.0:
+        out = _gaussian_amplitude(alpha, k)
+    else:
+        p = 1.0 / (q - 1.0)
+        c = _bessel_c(q, alpha)
+        a_const = normalization_constant(q, alpha, tol=tol)
+        log_phi0 = (
+            math.log(abs(complex(a_const))) - 0.5 * math.log(2.0)
+            + loggamma(p - 0.5) - loggamma(p) + cmath.log(c)
+            - p * log1p((q - 1.0) * (alpha.imag ** 2 - 1j * alpha.real * alpha.imag))
+        )
+        out = np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
+                     - 1j * SQRT2 * alpha * k)
+    return out if out.ndim else complex(out)
 
 
 def momentum_amplitude_oracle(q: float, alpha: complex, k: float,
@@ -107,7 +157,7 @@ def momentum_amplitude_oracle(q: float, alpha: complex, k: float,
         raise ValueError(f"k must be finite; got {k}")
     alpha = complex(alpha)
     if q == 1.0:
-        return _gaussian_amplitude(alpha, k)
+        return complex(_gaussian_amplitude(alpha, k))
     a_const = normalization_constant(q, alpha, tol=tol)
 
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
@@ -156,19 +206,17 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
 _PARSEVAL_TOL = 1e-6  # comfortably inside the 1e-4 closure contract
 
 
-def _parseval_total(amp_at, alpha: complex, grid: np.ndarray) -> float:
-    """Adaptive integral of |amplitude|^2 over a symmetric window.
+def _parseval_total(density, alpha: complex, grid: np.ndarray, rate: float) -> float:
+    """Adaptive integral of the vectorised ``density`` over a symmetric window.
 
-    The window covers both the requested grid and the default one; the
-    k = 0 singularity hint grades both sides of the amplitude's |k|^(2p-1)
-    kink in the one adaptive pass, so the estimate holds its accuracy at
-    every q in the momentum window, independent of the caller's output grid.
+    The window covers the requested grid and the default one, and reaches
+    40/rate for a density that decays like exp(-rate |k|), so that ~e^(-40)
+    of its mass lies outside.  The k = 0 singularity hint grades both sides
+    of the density's |k|^(2p-1) kink in the one adaptive pass, so the
+    estimate holds its accuracy at every q in the momentum window,
+    independent of the caller's output grid.
     """
-    half = max(8.0 + 2.0 * abs(alpha), abs(float(grid[0])), abs(float(grid[-1])))
-
-    def density(ks):
-        return np.array([abs(amp_at(float(k))) ** 2 for k in np.atleast_1d(ks)])
-
+    half = max(8.0 + 2.0 * abs(alpha), abs(float(grid[0])), abs(float(grid[-1])), 40.0 / rate)
     spec = IntegrandSpec(density, singularities=(0.0,))
     return float(integrate_interval(spec, -half, half, tol=_PARSEVAL_TOL).value.real)
 
@@ -177,9 +225,13 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
                 tol: float = 1e-9) -> MomentumDistribution:
     """pd(k) = |amplitude(k)|^2 on a grid, plus an adaptive Parseval total.
 
-    With method='closed-form' the k = 0 grid point (if present) is
-    assigned the printed form's own k -> 0 limit, which is exactly 0 for
-    q < 3, a deliberate faithful reproduction; compare with the oracle.
+    method='oracle' takes the exact transform, ``momentum_amplitude_bessel``
+    (``tol`` is the accuracy of its normalisation constant), for the
+    samples and the total alike; no Fourier quadrature is run.  With
+    method='closed-form' the samples and the total come from the printed
+    form, and the k = 0 grid point (if present) is assigned the printed
+    form's own k -> 0 limit, which is exactly 0 for q < 3, a deliberate
+    faithful reproduction; compare with the oracle.
     """
     require_window(q, Q_MOMENTUM_MAX, "momentum distribution")
     alpha = complex(alpha)
@@ -191,21 +243,21 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     if method not in ("oracle", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
 
-    def amp_at(k: float) -> complex:
-        if method == "oracle":
-            return momentum_amplitude_oracle(q, alpha, k, tol=tol)
-        if q == 1.0:
-            return _gaussian_amplitude(alpha, k)
-        if k == 0.0:
-            return 0.0 + 0.0j
-        return momentum_amplitude_closed(q, alpha, k)
+    def amplitudes(ks: np.ndarray) -> np.ndarray:
+        if method == "oracle" or q == 1.0:
+            return momentum_amplitude_bessel(q, alpha, ks, tol=tol)
+        return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
+                         else 0.0 + 0.0j for k in ks])
 
-    samples = []
-    for k in grid:
-        amp = complex(amp_at(float(k)))
-        samples.append(MomentumSample(float(k), amp, abs(amp) ** 2, method))
-    total = _parseval_total(amp_at, alpha, grid)
-    return MomentumDistribution(q, alpha, tuple(samples), total, method)
+    samples = tuple(MomentumSample(float(k), complex(amp), abs(complex(amp)) ** 2, method)
+                    for k, amp in zip(grid, amplitudes(grid)))
+    # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
+    # the printed form's density does not decay, and keeps the fixed window
+    rate = math.inf
+    if method == "oracle" and q != 1.0:
+        rate = 2.0 * (_bessel_c(q, alpha).real - SQRT2 * abs(alpha.imag))
+    total = _parseval_total(lambda ks: np.abs(amplitudes(ks)) ** 2, alpha, grid, rate)
+    return MomentumDistribution(q, alpha, samples, total, method)
 
 
 def grid_momentum_moments(dist: MomentumDistribution) -> tuple[float, float]:

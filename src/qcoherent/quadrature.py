@@ -409,24 +409,48 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     return QuadratureResult(res.value, err, evals + res.evaluations, "gk-line")
 
 
-def _averaged_limit(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Iterated-averaging (Euler) limits of partial-sum sequences, one per
-    row of the (rows, n) array ``row``.
+class _AveragedLimit:
+    """Iterated-averaging (Euler) limits of growing series, one per row.
 
-    For alternating tails with a smooth envelope each averaging pass gains
-    roughly one factor of the envelope ratio; each row's limit is the last
+    Pass 0 holds a row's partial sums; each entry of pass j is the mean of
+    two neighbouring entries of pass j-1.  Each row's limit is the last
     entry of its deepest pass with the least spread |last - second last|,
-    and that spread is the returned remainder.
+    and that spread is the remainder.  For alternating tails with a smooth
+    envelope each pass gains roughly one factor of the envelope ratio.
+
+    Appending m terms appends m entries to every pass, and each new entry
+    needs only the new entries and the last old entry of the pass before.
+    So only each pass's last entry is kept: every entry is still the same
+    floating-point operation on the same inputs as in a recomputation from
+    scratch, at O(m * passes) work per call instead of O(passes^2).
     """
-    ends = np.empty((row.shape[1] - 1, len(row), 2), dtype=complex)
-    ends[0] = row[:, -2:]
-    for j in range(1, len(ends)):
-        row = 0.5 * (row[:, 1:] + row[:, :-1])
-        ends[j] = row[:, -2:]
-    spread = np.abs(ends[..., 1] - ends[..., 0])
-    deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)  # ties go deeper
-    rows = np.arange(len(row))
-    return ends[deepest, rows, 1], spread[deepest, rows]
+
+    def __init__(self, rows: int):
+        self.last = np.empty((0, rows), dtype=complex)  # last entry of each pass
+
+    def extend(self, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Append the (rows, m) ``terms``; return (limits, remainders)."""
+        n_old = len(self.last)
+        if n_old:
+            seg = np.cumsum(np.concatenate([self.last[0][:, None], terms], axis=1),
+                            axis=1)[:, 1:]
+        else:
+            seg = np.cumsum(terms, axis=1)
+        n, m = n_old + terms.shape[1], terms.shape[1]
+        # band[j, 0] is pass j's last old entry and band[j, 1:] its new
+        # entries, right-aligned: a pass with no old entry is shorter, and
+        # the cells left of it hold finite values that no kept cell reads
+        band = np.zeros((n, m + 1) + self.last.shape[1:], dtype=complex)
+        band[:n_old, 0] = self.last
+        band[0, 1:] = seg.T
+        for j in range(n - 1):
+            band[j + 1, 1:] = 0.5 * (band[j, 1:] + band[j, :-1])
+        self.last = band[:, -1]
+        ends = np.moveaxis(band[:-1, -2:], 1, -1)
+        spread = np.abs(ends[..., 1] - ends[..., 0])
+        deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)  # ties go deeper
+        rows = np.arange(ends.shape[1])
+        return ends[deepest, rows, 1], spread[deepest, rows]
 
 
 def fourier_transform_line(f, k: float, tol: float = 1e-10,
@@ -473,21 +497,23 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     # rows: the +inf and -inf tails; columns: half-period panels outward from X
     sides = np.array([[1.0], [-1.0]])
     target = 0.25 * tol * max(1.0, abs(core.value))
-    panels = np.empty((2, 0), dtype=complex)
     qerr = np.zeros(2)
+    averages = _AveragedLimit(2)
+    n_panels = 0
     while True:
-        idx = np.arange(panels.shape[1], panels.shape[1] + 16)
+        idx = np.arange(n_panels, n_panels + 16)
         mids = (sides * (X + (idx + 0.5) * half_period)).ravel()
         vals, errs = _panel_batch(g, mids, np.full(mids.size, 0.5 * half_period))
         evals += 15 * mids.size
-        panels = np.concatenate([panels, vals.reshape(2, -1)], axis=1)
+        n_panels += 16
+        vals = vals.reshape(2, -1)
         qerr += np.sum(errs.reshape(2, -1), axis=1)
-        best, rem = _averaged_limit(np.cumsum(panels, axis=1))
-        if np.all((rem <= target) | (np.abs(panels[:, -1]) < 1e-305)):
+        best, rem = averages.extend(vals)
+        if np.all((rem <= target) | (np.abs(vals[:, -1]) < 1e-305)):
             break
-        if panels.shape[1] >= 4096 or evals >= max_evals:
+        if n_panels >= 4096 or evals >= max_evals:
             raise NotConverged(
-                f"fourier tails not converged after {panels.shape[1]} panels per side "
+                f"fourier tails not converged after {n_panels} panels per side "
                 f"({evals} evaluations): remainder {np.max(rem):.3e} (target {target:.3e})"
             )
 

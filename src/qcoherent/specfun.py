@@ -24,6 +24,12 @@ lauricella_fd_series / lauricella_fd_integral / lauricella_fd
                                           prod_i (1 - u x_i)^(-b_i) du,
     valid for Re a > 0, Re(c-a) > 0.  All complex powers are
     principal-branch.
+_log_bessel_g (private)
+    log g(z) for the modified Bessel function K_nu normalised to g(0) = 1,
+    g(z) = 2 (z/2)^nu K_nu(z) / Gamma(nu), vectorised over complex z: the
+    factor of the exact momentum amplitude.  scipy's exponentially scaled
+    kve below order 30, Debye's uniform expansion from 30 up, where kve
+    overflows near z = 0.
 
 Kummer's integral branch and F_D's share one Euler integral,
 ``_euler_integral``: graded halves u < 1/2 and u > 1/2 as the pieces of
@@ -237,6 +243,69 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     if b.real > a.real > 0.0:
         return _euler_value(lambda t: z * t, a, b, tol, "kummer-integral").value
     return _phi_asymptotic(a, b, z)
+
+
+def _debye_polynomials(n: int) -> np.ndarray:
+    """(n+1, 3n+1) array: row k holds the t^i coefficients of Debye's u_k(t)
+    (DLMF 10.41.10), built by the recurrence 10.41.9,
+    u_{k+1} = t^2 (1 - t^2) u_k'(t) / 2 + int_0^t (1 - 5 s^2) u_k(s) ds / 8."""
+    out = np.zeros((n + 1, 3 * n + 1))
+    out[0, 0] = 1.0
+    i = np.arange(3 * n - 2)
+    for k in range(n):
+        u = out[k, :3 * n - 2]
+        out[k + 1, 1:3 * n - 1] += i * u / 2.0 + u / (8.0 * (i + 1))
+        out[k + 1, 3:] -= i * u / 2.0 + 5.0 * u / (8.0 * (i + 3))
+    return out
+
+
+_DEBYE_U = _debye_polynomials(12)
+_DEBYE_MIN_ORDER = 30.0  # from here Debye's 12 terms hold g to ~1e-12
+_HANKEL_MIN_ABS = 1e8    # scipy's kve reads nan from about |z| = 1e12
+
+
+def _log_bessel_g(nu: float, z) -> np.ndarray:
+    """log g(z), where g(z) = 2 (z/2)^nu K_nu(z) / Gamma(nu), for an order
+    nu > 0 and complex z with |arg z| < pi/4.
+
+    g is K_nu normalised to g(0) = 1; on the real axis it falls from 1 to 0,
+    while K_nu itself overflows as z -> 0 once nu is large.  From order 30 up
+    the whole range is one formula: Debye's uniform expansion (DLMF 10.41.4)
+    of K_nu(nu w) divided by its own w -> 0 limit, in which the Gamma
+    function and every large power cancel exactly.  Below order 30 it is
+    scipy's exponentially scaled kve in log space, with Hankel's expansion
+    (DLMF 10.40.2) past |z| = 1e8.  Where kve would overflow (tiny or
+    subnormal |z|), the series of K_nu ends after its first term: g = 1 to
+    double precision from order 1 up (1 - g < 1e-19 there), and
+    g = 1 - Gamma(1-nu)/Gamma(1+nu) (z/2)^(2 nu) below, which still matters
+    as nu -> 0.
+    """
+    z = np.asarray(z, dtype=complex)
+    if nu >= _DEBYE_MIN_ORDER:
+        w2 = (z / nu) ** 2
+        s = np.sqrt(1.0 + w2)
+        d = w2 / (1.0 + s)  # s - 1 without cancellation
+        coef = (-1.0 / nu) ** np.arange(len(_DEBYE_U)) @ _DEBYE_U
+        series = np.polynomial.polynomial.polyval(1.0 / s, coef)
+        return (nu * (_sp.log1p(0.5 * d) - d) - 0.25 * _sp.log1p(w2)
+                + np.log(series / np.sum(coef)))
+    out = np.zeros(z.shape, dtype=complex)
+    r = np.abs(z)
+    tiny = max(2.0 * math.exp((_sp.gammaln(nu) - 700.0) / nu), np.finfo(float).tiny)
+    mid = (r >= tiny) & (r <= _HANKEL_MIN_ABS)
+    big = r > _HANKEL_MIN_ABS
+    small = (r > 0.0) & (r < tiny)
+    if nu < 1.0:  # K_nu's series (DLMF 10.27.4, 10.25.2) to its first z^(2 nu) term
+        out[small] = _sp.log1p(-math.exp(_sp.gammaln(1.0 - nu) - _sp.gammaln(1.0 + nu))
+                               * np.exp(2.0 * nu * (np.log(z[small]) - math.log(2.0))))
+    out[mid] = np.log(_sp.kve(nu, z[mid]))
+    zb, mu = z[big], 4.0 * nu * nu
+    out[big] = 0.5 * np.log(0.5 * math.pi / zb) + np.log(
+        1.0 + (mu - 1.0) / (8.0 * zb) * (1.0 + (mu - 9.0) / (16.0 * zb)
+                                         * (1.0 + (mu - 25.0) / (24.0 * zb))))
+    on = mid | big
+    out[on] += math.log(2.0) - _sp.gammaln(nu) + nu * np.log(0.5 * z[on]) - z[on]
+    return out
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,18 @@ def test_verify_flags_momentum_closed_form_near_k_zero(verify_report):
         assert "k -> 0" in e["note"]
 
 
+def test_verify_reports_bessel_amplitude_next_to_the_printed_form(verify_report):
+    # the exact transform passes at every k where the printed form is judged,
+    # k -> 0 included
+    _, rep = verify_report
+    points = {(e["point"]["q"], e["point"]["k"]): e for e in rep["entries"]
+              if e["equation"] == "momentum_amplitude_bessel"}
+    kummer = {(e["point"]["q"], e["point"]["k"]) for e in rep["entries"]
+              if e["equation"] in ("momentum_amplitude_kummer", "momentum_amplitude_k_to_zero")}
+    assert set(points) == kummer
+    assert all(e["status"] == "pass" and "Kummer" in e["note"] for e in points.values())
+
+
 def test_verify_halfline_variants_reported_as_findings(verify_report):
     _, rep = verify_report
     for family in ("normalization_fd_halfline", "moment_x_fd_halfline"):

@@ -110,19 +110,20 @@ def test_limit_convergence_strictness():
 
 
 def test_limit_convergence_samples_each_k_once_per_q(monkeypatch):
-    # the pd distance needs only the amplitude at the k points: no Parseval
-    # total or other momentum_pd extra may be paid for on top
+    # the pd distance needs only the amplitude at the k points, one
+    # vectorised call per q: no Parseval total or other momentum_pd extra
+    # may be paid for on top
     calls = []
-    real = limits.momentum_amplitude_oracle
+    real = limits.momentum_amplitude_bessel
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(q, alpha, k, **kwargs):
+        calls.append(np.size(k))
+        return real(q, alpha, k, **kwargs)
 
-    monkeypatch.setattr(limits, "momentum_amplitude_oracle", counted)
+    monkeypatch.setattr(limits, "momentum_amplitude_bessel", counted)
     qs, k_points = (1.2, 1.1), 7
     limit_convergence_check(0.3, q_sequence=qs, k_points=k_points)
-    assert len(calls) == len(qs) * k_points
+    assert calls == [k_points] * len(qs)
 
 
 def test_limit_report_is_immutable():

@@ -1,26 +1,30 @@
 """Momentum-space amplitude and probability distribution.
 
-The Fourier-quadrature oracle is authoritative.  The printed closed form is
-implemented as published and tested for exactly the behavior the library
-documents: finite values, |k| symmetry, and the k -> 0 discrepancy against
-the oracle that the verify report records.
+The Bessel-K form is the engine of ``momentum_pd``; the Fourier-quadrature
+oracle is its independent check.  The printed closed form is implemented as
+published and tested for exactly the behavior the library documents: finite
+values, |k| symmetry, and the k -> 0 discrepancy against the oracle that the
+verify report records.
 """
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from qcoherent.errors import OutOfValidityWindow
+from qcoherent.errors import NumericsError, OutOfValidityWindow
 from qcoherent.momentum import (
     MomentumDistribution,
     default_k_grid,
     grid_momentum_moments,
+    momentum_amplitude_bessel,
     momentum_amplitude_closed,
     momentum_amplitude_oracle,
     momentum_pd,
 )
+from qcoherent.states import normalization_constant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,19 +140,89 @@ def test_pd_centre_sample_matches_k_zero():
     assert centre.amplitude == pytest.approx(want, rel=1e-8)
 
 
-def test_parseval_total_grades_the_k_zero_kink(monkeypatch):
-    # the |k|^(2p-1) kink at k = 0 sits at a hint graded on both sides, so
-    # the total needs few amplitudes on top of the two grid points
+def test_pd_runs_no_fourier_quadrature(monkeypatch):
+    # samples and Parseval total both come from the Bessel form: a Fourier
+    # quadrature anywhere on the path would raise here
     from qcoherent import momentum
 
-    calls = []
-    amplitude = momentum.momentum_amplitude_oracle
-    monkeypatch.setattr(momentum, "momentum_amplitude_oracle",
-                        lambda *a, **k: calls.append(a) or amplitude(*a, **k))
-    alpha = 0.3 + 0.1j
-    dist = momentum_pd(1.7, alpha, default_k_grid(alpha, 2))
+    def refuse(*args, **kwargs):
+        raise AssertionError("momentum_pd ran a Fourier quadrature")
+
+    monkeypatch.setattr(momentum, "fourier_transform_line", refuse)
+    monkeypatch.setattr(momentum, "momentum_amplitude_oracle", refuse)
+    dist = momentum_pd(1.7, 0.3 + 0.1j)
+    assert len(dist.samples) == 401
     assert abs(dist.parseval_total - 1.0) < 1e-6
-    assert len(calls) <= 200
+
+
+def _masked_tail_at_k0(q, alpha):
+    # states._psi_un zeroes |x| > 1e150, where psi ~ A ((q-1)/2 x^2)^(-p);
+    # at k = 0 the oracle misses that mass, which is ~1e-7 as q -> 3
+    p = 1.0 / (q - 1.0)
+    a_const = normalization_constant(q, alpha).real
+    return (a_const * (2.0 * math.pi) ** -0.5 * 2.0 * ((q - 1.0) / 2.0) ** -p
+            * 1e150 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0))
+
+
+@pytest.mark.parametrize("q", [1.05, 1.3, 1.5, 2.0, 2.5, 2.9])
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.1j, -1.2 + 0.7j, 1.5j])
+def test_bessel_matches_oracle(q, alpha):
+    # absolute floor: the oracle's relative error grows where |phi| < 1e-10
+    ks = np.array([0.0, 1e-15, -1e-15, 0.01, -0.8, 2.0, 5.0])
+    got = momentum_amplitude_bessel(q, alpha, ks, tol=1e-11)
+    for k, amp in zip(ks, got):
+        want = momentum_amplitude_oracle(q, alpha, float(k), tol=1e-11)
+        if k == 0.0:
+            want += _masked_tail_at_k0(q, alpha)
+        assert abs(amp - want) <= 1e-10 * max(1.0, abs(want)), (k, amp, want)
+        assert amp == pytest.approx(momentum_amplitude_bessel(q, alpha, float(k), tol=1e-11),
+                                    rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [1.001, 1.005, 1.01, 1.02])
+def test_bessel_large_orders_are_finite(q):
+    # K_{p-1/2} overflows scipy's kve here for small |k|; the amplitude does not
+    alpha = 0.3 + 0.1j
+    ks = np.array([0.0, 1e-15, 1e-6, 0.01, 0.5, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = momentum_amplitude_bessel(q, alpha, ks)
+    assert np.all(np.isfinite(got)) and abs(got[0]) > 0.5
+    for k, amp in zip(ks, got):
+        try:
+            want = momentum_amplitude_oracle(q, alpha, float(k), tol=1e-11)
+        except NumericsError:
+            continue
+        assert abs(amp - want) <= 1e-10 * max(1.0, abs(want)), (k, amp, want)
+
+
+def test_bessel_sentinel_and_guards():
+    ks = np.array([-1.3, 0.0, 2.5])
+    want = [momentum_amplitude_oracle(1.0, 0.4 + 0.3j, float(k)) for k in ks]
+    np.testing.assert_allclose(momentum_amplitude_bessel(1.0, 0.4 + 0.3j, ks), want,
+                               rtol=1e-14)
+    with pytest.raises(OutOfValidityWindow):
+        momentum_amplitude_bessel(3.0, 0.3, 1.0)
+    with pytest.raises(ValueError):
+        momentum_amplitude_bessel(1.5, 0.3, [0.0, math.inf])
+
+
+def test_bessel_large_k_decays_without_warnings():
+    # exp(sqrt2 Im(alpha) k) alone would overflow at k = 800; it shares one
+    # exponent with K's faster decay, so the amplitude is finite and tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = momentum_amplitude_bessel(1.5, 0.2 + 1.5j, np.array([-1e9, -800.0, 800.0, 1e9]))
+    assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1e-250)
+
+
+@pytest.mark.parametrize("q, alpha", [(2.3, 1.5j), (2.15, 1.5j), (2.99, 0.5)])
+def test_parseval_window_follows_the_decay_rate(q, alpha):
+    # |phi|^2 ~ exp(-2 (Re c - sqrt2 |Im alpha|) |k|) decays slowly at these
+    # labels; the old fixed window +-(8 + 2|alpha|) missed 1.5e-4 at the first
+    dist = momentum_pd(q, alpha)
+    assert dist.k_values[-1] == 8.0 + 2.0 * abs(alpha)
+    assert abs(dist.parseval_total - 1.0) < 1e-6
 
 
 def test_pd_even_for_alpha_zero():

@@ -16,7 +16,8 @@ PUBLIC_API = [
     "hermite_poly", "integrate_interval", "integrate_line", "kummer_phi",
     "lauricella_fd", "lauricella_fd_integral", "lauricella_fd_series",
     "limit_convergence_check", "moments_closed", "moments_oracle",
-    "momentum_amplitude_closed", "momentum_amplitude_oracle", "momentum_pd",
+    "momentum_amplitude_bessel", "momentum_amplitude_closed",
+    "momentum_amplitude_oracle", "momentum_pd",
     "normalization_constant", "overlap", "pochhammer",
     "pseudo_coherent_wavefunction", "psi_unnormalized", "q_expansion_state",
     "q_exponential", "uncertainty_product",

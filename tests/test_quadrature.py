@@ -275,6 +275,27 @@ def test_fourier_tails_are_one_stream():
     assert all(x.min() < -X and x.max() > X for x in tails)
 
 
+def test_averaged_limit_extends_bit_identically():
+    # appending terms must give exactly what averaging every partial sum
+    # from scratch gives, limits and remainders alike
+    rng = np.random.default_rng(7)
+    terms = (rng.standard_normal((2, 80)) + 1j * rng.standard_normal((2, 80)))
+    terms *= (-0.9) ** np.arange(80)
+    averages = quadrature._AveragedLimit(2)
+    for n in range(16, 81, 16):
+        got = averages.extend(terms[:, n - 16:n])
+        row = np.cumsum(terms[:, :n], axis=1)
+        ends = [row[:, -2:]]
+        while row.shape[1] > 2:
+            row = 0.5 * (row[:, 1:] + row[:, :-1])
+            ends.append(row[:, -2:])
+        ends = np.array(ends)
+        spread = np.abs(ends[..., 1] - ends[..., 0])
+        deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)
+        want = ends[deepest, [0, 1], 1], spread[deepest, [0, 1]]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_fourier_divergent_tail_raises():
     # exp(i x) cancels the kernel at k = 1: the tails are non-oscillating
     # |x|^-0.6, the integral diverges, and the panel cap must say so

@@ -140,6 +140,32 @@ def test_kummer_phi_derivative_recurrence():
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
+@pytest.mark.parametrize("nu", [0.3, 5.5, 29.5, 30.5, 45.3, 200.5])
+def test_log_bessel_g_matches_mpmath_across_the_debye_switch(nu):
+    # g(z) = 2 (z/2)^nu K_nu(z) / Gamma(nu): scipy's kve below order 30,
+    # Debye's expansion from 30 up
+    zs = np.array([1e-3, 0.7 + 0.2j, 4.0 - 3.0j, 40.0 + 10.0j])
+    got = np.exp(specfun._log_bessel_g(nu, zs))
+    with mpmath.workdps(30):
+        for z, g in zip(zs, got):
+            z = mpmath.mpc(z)
+            want = complex(2 * (z / 2) ** nu * mpmath.besselk(nu, z) / mpmath.gamma(nu))
+            assert abs(g - want) <= 1e-11 * abs(want), (z, g, want)
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.5, 1.0, 7.5, 29.99, 30.0, 999.5])
+def test_log_bessel_g_is_finite_from_zero_to_huge_arguments(nu):
+    # kve overflows near 0 (at subnormal z for every order) and reads nan
+    # past |z| ~ 1e12
+    zs = np.array([0.0, 1e-320, 1e-300, 1e-15, 1e-6, 1.0, 1e8, 2e8, 1e12 + 1e11j, 1e30])
+    out = specfun._log_bessel_g(nu, zs)
+    assert np.all(np.isfinite(out))
+    assert out[0] == 0.0
+    # g falls from 1 on the real axis; near kve's overflow edge log g sums
+    # terms of size ~700, so it carries ~1e-13 of rounding
+    assert np.all(np.diff(out.real[:8]) <= 1e-12)
+
+
 # ---------------------------------------------------------- Lauricella
 
 def test_fd_series_degenerate_to_one():
