@@ -494,10 +494,31 @@ def _build_parser() -> argparse.ArgumentParser:
 _DISPATCH = {"sweep": _run_sweep, "verify": _run_verify, "pd": _run_pd}
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join each option with a negative number after it, "--alpha-im=-5e-05".
+
+    argparse reads "-1.5" as a value but "-5e-05" (how repr writes a small
+    float) as an unknown option, and exits 2.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if tok.startswith("-") and out and out[-1].startswith("--") and "=" not in out[-1]:
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
     try:

@@ -51,11 +51,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import BranchCrossing, ConventionMismatch, OutOfValidityWindow
 from .quadrature import integrate_line
-from .specfun import _euler_integral
+from .specfun import _euler_integral, _log_gamma_ratio_half
 from .states import SQRT2, _pair_roots, _psi_un_density
 
 __all__ = [
@@ -268,6 +267,4 @@ def real_alpha_norm_squared_exact(q: float) -> float:
     """
     _window(q, 5.0, "real-alpha exact norm")
     p = 1.0 / (q - 1.0)
-    return math.sqrt(2.0 * math.pi / (q - 1.0)) * math.exp(
-        loggamma(2.0 * p - 0.5) - loggamma(2.0 * p)
-    )
+    return math.sqrt(2.0 * math.pi / (q - 1.0)) * math.exp(_log_gamma_ratio_half(2.0 * p))

@@ -39,7 +39,7 @@ from scipy.special import log1p, loggamma
 
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
-from .specfun import _log_bessel_g, kummer_phi
+from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
 from .states import SQRT2, _psi_un, normalization_constant, require_window
 
 __all__ = [
@@ -67,7 +67,15 @@ class MomentumSample:
 
 @dataclass(frozen=True)
 class MomentumDistribution:
-    """Momentum density sampled on a k grid, with its Parseval closure."""
+    """Momentum density sampled on a k grid, with its Parseval total.
+
+    ``parseval_total`` is the integral of ``|amplitude|^2`` over the window
+    that ``momentum_pd`` sizes.  For method 'oracle' (the exact transform)
+    it is a closure check and reads 1 to ~1e-10.  For method 'closed-form'
+    it is not a closure: the printed amplitude grows with |k|, so the
+    number measures the window (4.6e27 at q = 1.5, alpha = 0.3i) and says
+    nothing about normalisation.
+    """
 
     q: float
     alpha: complex
@@ -141,7 +149,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
         a_const = normalization_constant(q, alpha, tol=tol)
         log_phi0 = (
             math.log(abs(complex(a_const))) - 0.5 * math.log(2.0)
-            + loggamma(p - 0.5) - loggamma(p) + cmath.log(c)
+            + _log_gamma_ratio_half(p) + cmath.log(c)
             - p * log1p((q - 1.0) * (alpha.imag ** 2 - 1j * alpha.real * alpha.imag))
         )
         out = np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
@@ -231,7 +239,10 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     method='closed-form' the samples and the total come from the printed
     form, and the k = 0 grid point (if present) is assigned the printed
     form's own k -> 0 limit, which is exactly 0 for q < 3, a deliberate
-    faithful reproduction; compare with the oracle.
+    faithful reproduction; compare with the oracle.  The closed-form
+    ``parseval_total`` is then the printed density's integral over the
+    fixed default window, not a closure: that density does not decay, and
+    the total reads 4.6e27 at q = 1.5, alpha = 0.3i.
     """
     require_window(q, Q_MOMENTUM_MAX, "momentum distribution")
     alpha = complex(alpha)

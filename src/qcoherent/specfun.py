@@ -34,9 +34,12 @@ _log_bessel_g (private)
 Kummer's integral branch and F_D's share one Euler integral,
 ``_euler_integral``: graded halves u < 1/2 and u > 1/2 as the pieces of
 one adaptive pass, the integrand formed in log space, and any number of
-rows, each with its own exponents a and c, on shared nodes.  The closed
-forms of ``closedforms`` run all rows of a state through it at once;
-F_D and Kummer are its one-row callers and add the Gamma prefactor.
+rows, each with its own exponents a and c, on shared nodes.  Each half is
+graded to a smooth endpoint power (``_grade``): not at all where every
+row's exponent on that side is a positive integer, else by the power that
+lifts the smallest exponent to at least 5.  The closed forms of
+``closedforms`` run all rows of a state through it at once; F_D and Kummer
+are its one-row callers and add the Gamma prefactor.
 
 Gamma ratios are taken in log space throughout (scipy's loggamma), so the
 large parameters that appear as the deformation approaches 1 do not
@@ -141,17 +144,34 @@ def _phi_series(a: complex, b: complex, z: complex, tol: float) -> complex:
     raise NotConverged(f"Kummer series stalled at |z|={abs(z):.3g}")
 
 
-def _grade(e: float, side: str, method: str) -> int:
-    """The power g of t = v^g/2 that turns t^(e-1) into v^(g*e-1), smooth
-    once g*e >= 1.5.  The map also squeezes everything at u of order one
-    into a layer of width ~1/g at v = 1 (and a row with a larger exponent
-    e' into v^(g*e'-1)), which the nodes stop resolving near g = 10^4: the norm at
-    q = 4.9996 (g = 15000) read 6e-5 off.  So an exponent that needs
-    g > 1000 is refused rather than integrated."""
-    g = 1 if e >= 1.0 else math.ceil(1.5 / e)
-    if g > 1000:
-        raise NotConverged(f"Euler exponent Re {side} = {e:.3g} needs grading power {g} "
-                           f"> 1000 ({method})")
+def _grade(e: np.ndarray, size: float, side: str, method: str) -> int:
+    """The power g of t = v^g/2 for one side's exponents e (one per row),
+    which turns t^(e-1) dt into v^(g*e-1) dv.
+
+    If every e is a positive integer to rounding (within 1e-12 times
+    ``size``, the largest parameter magnitude the exponents come from),
+    g = 1: the end factor is then a polynomial.  Otherwise
+    g = ceil(5 / min Re e), which makes every end factor v^(g*e-1) with
+    g*e >= 5 for min Re e >= 0.005, where g reaches its cap of 1000.  With a
+    rougher factor, such as v^0.5 or v^1.12, the G7/K15 estimate of the end
+    panel shrinks so slowly that the adaptive pass halves toward the end
+    some 20 times at a 5e-14 target, one generation per halving.
+
+    The map also squeezes everything at u of order one into a layer of
+    width ~1/g at v = 1 (and a row with a larger exponent e' into
+    v^(g*e'-1)), which the nodes stop resolving near g = 10^4: the norm at
+    q = 4.9996 (g = 15000) read 6e-5 off.  So g stops at 1000, and an
+    exponent that g = 1000 leaves singular, g*e < 1.5, is refused rather
+    than integrated: that is min Re e < 0.0015.
+    """
+    whole = np.round(e.real)
+    if np.all((whole >= 1.0) & (np.abs(e - whole) <= 1e-12 * size)):
+        return 1
+    low = float(np.min(e.real))
+    g = min(math.ceil(5.0 / low), 1000) if low > 0.0 else 1000
+    if not g * low >= 1.5:
+        raise NotConverged(f"Euler exponent Re {side} = {low:.3g} needs grading power "
+                           f"above the cap of 1000 ({method})")
     return g
 
 
@@ -161,17 +181,23 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
 
     a and c are length-k arrays with Re a_j > 0 and Re(c_j-a_j) > 0; log_f
     maps nodes u of shape (n,) to log f_j(u) of shape (k, n).  No Gamma
-    prefactor is applied here (see ``_euler_value``).  The halves
-    u = t and 1-u = t, with t = v^g/2 graded (``_grade``) by the smallest
-    Re a (left) and Re(c-a) (right), are the pieces.  The integrand is
-    formed in log space, with log t = log(1/2) + g log v, so u^(a-1) never
-    underflows to 0.  Each row is divided by exp of its largest probe
-    log-magnitude, which is restored only on the result; a result that
-    overflows raises NotConverged.
+    prefactor is applied here (see ``_euler_value``).  The halves u = t
+    and 1-u = t, with t = v^g/2, are the pieces; each side has its own g,
+    from all rows' exponents on it, a (left) and c-a (right), by
+    ``_grade``.  g = 1 where every exponent on the side is a positive
+    integer (the closed forms' right halves, c-a = m+1, and every row at
+    q = 1.2, 1.5 or 2); otherwise the roughest end factor v^(g*e-1) is v^4
+    (down to v^0.5 at the cap g = 1000), and an exponent below 0.0015
+    raises NotConverged.  The integrand is formed in log space, with
+    log t = log(1/2) + g log v, so u^(a-1) never underflows to 0.  Each
+    row is divided by exp of its largest probe log-magnitude, which is
+    restored only on the result; a result that overflows raises
+    NotConverged.
     """
-    a = np.asarray(a, dtype=complex)
-    ca = np.asarray(c, dtype=complex) - a
-    g0, g1 = _grade(np.min(a.real), "a", method), _grade(np.min(ca.real), "c-a", method)
+    a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
+    ca = c - a
+    size = max(1.0, float(np.max(np.abs(np.concatenate([a, c])))))
+    g0, g1 = _grade(a, size, "a", method), _grade(ca, size, "c-a", method)
 
     def log_integrand(v, g, right):
         log_t = math.log(0.5) + g * np.log(v)
@@ -234,6 +260,8 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
 
     Series below |z| = 30 (term-ratio stopping); above that the integral
     representation when Re b > Re a > 0, else the asymptotic expansion.
+    The integral branch raises NotConverged where Re a or Re(b-a) is below
+    0.0015, the exponent its endpoint grading cannot smooth (``_grade``).
     """
     if _is_nonpositive_integer(b):
         raise ParameterPole(f"lower parameter b={b} is a non-positive integer")
@@ -306,6 +334,32 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
     on = mid | big
     out[on] += math.log(2.0) - _sp.gammaln(nu) + nu * np.log(0.5 * z[on]) - z[on]
     return out
+
+
+def _ratio_series_coefficients(n: int) -> np.ndarray:
+    """c_k, k = 2..n, of log Gamma(x - 1/2) - log Gamma(x) ~ -log(x)/2 +
+    sum_k c_k x^(1-k): the difference of DLMF 5.11.8 at h = -1/2 and h = 0,
+    the log form of the ratio series 5.11.13.  c_k = (-1)^k (B_k(-1/2) -
+    B_k) / (k (k-1)), with B_k(-1/2) = (2^(1-k) - 1) B_k - k (-1/2)^(k-1)."""
+    k = np.arange(2, n + 1)
+    bern = _sp.bernoulli(n)[2:]
+    return (-1.0) ** k * ((2.0 ** (1 - k) - 2.0) * bern - k * (-0.5) ** (k - 1)) / (k * (k - 1))
+
+
+_RATIO_SERIES = _ratio_series_coefficients(20)
+_RATIO_SERIES_MIN_X = 6.0  # from here 19 terms hold the log to ~1e-15
+
+
+def _log_gamma_ratio_half(x: float) -> float:
+    """log Gamma(x - 1/2) - log Gamma(x) for real x > 1/2.
+
+    A difference of two loggamma values loses their size in absolute
+    digits (9.3e-13 at x = 1000), so from x = 6 up it is the asymptotic
+    ratio series, which forms the difference directly; below, loggamma.
+    """
+    if x < _RATIO_SERIES_MIN_X:
+        return math.lgamma(x - 0.5) - math.lgamma(x)
+    return -0.5 * math.log(x) + float(np.polynomial.polynomial.polyval(1.0 / x, _RATIO_SERIES)) / x
 
 
 @dataclass(frozen=True)

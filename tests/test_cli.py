@@ -95,6 +95,20 @@ def test_sweep_grid_validation_exit_codes(tmp_path):
     assert run_cli("pd", "--q", "1.5", "--k-min", "-inf") == 2
 
 
+def test_negative_values_in_exponent_notation_are_values(tmp_path):
+    # repr writes a small negative float as "-5e-05", which argparse alone
+    # takes for an unknown option and exits 2 on
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run_cli("pd", "--q", "1.5", "--alpha-im", "-5e-05", "--k-min", "-1e+01",
+                   "--k-max", "2", "--k-steps", "5", "--out", str(spaced)) == 0
+    assert run_cli("pd", "--q", "1.5", "--alpha-im=-5e-05", "--k-min=-1e+01",
+                   "--k-max", "2", "--k-steps", "5", "--out", str(joined)) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert "alpha_im=-5.0000000000000002e-05 k_min=-10 " in spaced.read_text()
+    assert run_cli("verify", "--alpha-re", "0.621950984878743",
+                   "--alpha-im", "-5.388158053133789e-05", "--out", str(tmp_path / "v.json")) == 0
+
+
 def test_numerical_failure_maps_to_exit_three(monkeypatch):
     # the log-space Euler pass reaches q = 1.001 on the closed route ...
     assert run_cli("sweep", "--q-min", "1.001", "--q-max", "1.001", "--q-steps", "1",

@@ -7,10 +7,11 @@ hypergeometrics vs panel subdivision) meeting at the same number.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qcoherent import closedforms, moments_closed
+from qcoherent import closedforms, moments_closed, specfun
 from qcoherent.closedforms import (
     calibrated_reflection,
     line_power_moment,
@@ -21,7 +22,7 @@ from qcoherent.closedforms import (
     position_moment_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import BranchCrossing, OutOfValidityWindow
+from qcoherent.errors import BranchCrossing, NotConverged, OutOfValidityWindow
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import CONVENTION_TOL, SQRT2, StateLabel, beta_roots, normalization_constant
 
@@ -180,3 +181,76 @@ def test_overlap_closed_against_cross_density_quadrature():
     got = overlap_closed(q, aa, ab, tol=1e-12)
     want = integrate_line(cross, tol=1e-11).value
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_exact_real_alpha_norm_holds_its_digits_as_q_approaches_one():
+    # Gamma(2p - 1/2)/Gamma(2p) at p = 1/(q-1) up to 1000: a loggamma
+    # difference lost 4.8e-13 relative at q = 1.001
+    with mpmath.workdps(40):
+        for q in (1.001, 1.01, 1.3, 4.9):
+            p = 1 / (mpmath.mpf(q) - 1)
+            want = mpmath.sqrt(2 * mpmath.pi * p) * mpmath.gamma(2 * p - 0.5) / mpmath.gamma(2 * p)
+            assert abs(real_alpha_norm_squared_exact(q) / float(want) - 1.0) <= 1e-15
+
+
+def _var_x_or_refusal(q, alpha):
+    try:
+        _, (mean_x, mean_x2, _, _), _ = closedforms._closed_moments(q, alpha, 1e-10)
+    except NotConverged:
+        return None
+    return (mean_x2 - mean_x ** 2).real
+
+
+def test_var_x_next_to_the_grading_cap_is_exact_or_refused():
+    # <x^2>'s Euler exponent 4/(q-1) - 3 falls to 0.0015 at q = 2.332667;
+    # up to there each value is the exact anchor 2/(7 - 3q), past it the
+    # pass raises
+    for alpha in (0.0, 0.3, -1.2):
+        for q in np.linspace(2.325, 2.3327, 40):
+            got = _var_x_or_refusal(q, alpha)
+            if 4.0 / (q - 1.0) - 3.0 < 0.0015:
+                assert got is None, (q, alpha)
+            else:
+                want = 2.0 / (7.0 - 3.0 * q)
+                assert abs(got - want) <= 1e-11 * want, (q, alpha, got)
+
+
+def test_norm_next_to_the_grading_cap_is_exact_or_refused():
+    # the norm's exponent 4/(q-1) - 1 falls to 0.0015 at q = 4.994009
+    for q in np.linspace(4.97, 4.9945, 40):
+        want = real_alpha_norm_squared_exact(q)
+        if 4.0 / (q - 1.0) - 1.0 < 0.0015:
+            with pytest.raises(NotConverged, match="grading power"):
+                norm_squared_closed(q, 0.3)
+        else:
+            assert abs(norm_squared_closed(q, 0.3) - want) <= 1e-11 * want, q
+
+
+def _closed_pass_evaluations(monkeypatch, q):
+    calibrated_reflection()
+    evals = []
+    adaptive = specfun._adaptive
+
+    def counted(*args, **kwargs):
+        res = adaptive(*args, **kwargs)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(specfun, "_adaptive", counted)
+    closedforms._closed_moments(q, 0.4 + 0.1j, 1e-10)
+    return evals
+
+
+@pytest.mark.parametrize("q, ceiling", [(2.1, 450), (2.25, 660), (2.32, 870)])
+def test_closed_pass_grades_non_integer_exponents_to_a_smooth_end(monkeypatch, q, ceiling):
+    # the ceilings are the counts of a grading that only made each end
+    # factor integrable, v^(g*e-1) with g*e >= 1.5
+    (evals,) = _closed_pass_evaluations(monkeypatch, q)
+    assert evals < ceiling
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0])
+def test_closed_pass_leaves_integer_exponents_ungraded(monkeypatch, q):
+    # p = 1/(q-1) is an integer, so every row's exponents are: the end
+    # factors are polynomials and no grading can cheapen the pass
+    assert _closed_pass_evaluations(monkeypatch, q) == [120]

@@ -11,6 +11,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -194,6 +195,18 @@ def test_bessel_large_orders_are_finite(q):
         except NumericsError:
             continue
         assert abs(amp - want) <= 1e-10 * max(1.0, abs(want)), (k, amp, want)
+
+
+@pytest.mark.parametrize("q", [1.001, 1.01, 1.3])
+def test_bessel_k_zero_amplitude_holds_its_gamma_ratio(q):
+    # for real alpha phi(0) = A Gamma(p - 1/2) / (Gamma(p) sqrt(q-1)); the
+    # Gamma ratio at p = 1000 lost 9.9e-13 as a loggamma difference
+    a_const = normalization_constant(q, 0.3)
+    with mpmath.workdps(40):
+        p = 1 / (mpmath.mpf(q) - 1)
+        ratio = mpmath.gamma(p - 0.5) / mpmath.gamma(p) * mpmath.sqrt(p)
+    got = momentum_amplitude_bessel(q, 0.3, 0.0) / a_const
+    assert abs(got / float(ratio) - 1.0) <= 2e-15
 
 
 def test_bessel_sentinel_and_guards():

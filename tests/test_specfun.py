@@ -131,6 +131,25 @@ def test_kummer_phi_matches_mpmath_moderate_and_large():
         assert got == pytest.approx(want, rel=5e-9)
 
 
+def test_kummer_phi_integral_branch_matches_mpmath():
+    # |z| > 30 with Re b > Re a > 0 takes the Euler integral, here with
+    # non-integer exponents a and b - a drawn from (0.002, 3)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        a = rng.uniform(0.002, 3.0)
+        b = a + rng.uniform(0.002, 3.0)
+        z = complex(rng.uniform(30.0, 70.0) * np.exp(1j * rng.uniform(-math.pi, math.pi)))
+        want = complex(mpmath.hyp1f1(a, b, z))
+        assert abs(kummer_phi(a, b, z) - want) <= 1e-13 * max(1.0, abs(want)), (a, b, z)
+
+
+def test_kummer_phi_integral_branch_refuses_exponents_below_the_grading_cap():
+    with pytest.raises(NotConverged, match="grading power"):
+        kummer_phi(0.001, 1.5, -40.0)
+    with pytest.raises(NotConverged, match="grading power"):
+        kummer_phi(1.0, 1.001, 40.0j)
+
+
 def test_kummer_phi_derivative_recurrence():
     # d/dz phi(a,b;z) = (a/b) phi(a+1,b+1;z), probed with a central difference
     for a, b, z in [(0.9, 1.7, 0.4), (1.3, 2.2, -0.8), (0.6, 1.1, 0.25 + 0.3j)]:
@@ -164,6 +183,16 @@ def test_log_bessel_g_is_finite_from_zero_to_huge_arguments(nu):
     # g falls from 1 on the real axis; near kve's overflow edge log g sums
     # terms of size ~700, so it carries ~1e-13 of rounding
     assert np.all(np.diff(out.real[:8]) <= 1e-12)
+
+
+@pytest.mark.parametrize("x", [0.6, 2.0, 5.99, 6.0, 30.0, 1000.0, 2000.0, 1e6])
+def test_log_gamma_ratio_half_matches_mpmath(x):
+    # log Gamma(x - 1/2) - log Gamma(x): loggamma below x = 6, the ratio
+    # series from 6 up, where the difference of two loggamma values would
+    # lose 9.3e-13 by x = 1000
+    with mpmath.workdps(40):
+        want = float(mpmath.loggamma(mpmath.mpf(x) - 0.5) - mpmath.loggamma(x))
+    assert abs(specfun._log_gamma_ratio_half(x) - want) <= 2e-15
 
 
 # ---------------------------------------------------------- Lauricella
@@ -217,7 +246,7 @@ def test_fd_series_vs_integral_spotcheck():
     args = LauricellaArgs(1.2, (0.4, 0.3, 0.2, 0.1), 2.5, (0.3, -0.2, 0.1, 0.25))
     s = lauricella_fd_series(args, tol=1e-13)
     i = lauricella_fd_integral(args, tol=1e-13)
-    assert abs(s.value - i.value) <= 1e-8 * abs(i.value)
+    assert abs(s.value - i.value) <= 1e-12 * abs(i.value)
 
 
 def test_fd_series_vs_integral_randomized():
@@ -230,7 +259,40 @@ def test_fd_series_vs_integral_randomized():
         args = LauricellaArgs(a, b, c, x)
         s = lauricella_fd_series(args, tol=1e-13)
         i = lauricella_fd_integral(args, tol=1e-13)
-        assert abs(s.value - i.value) <= 1e-8 * abs(i.value)
+        assert abs(s.value - i.value) <= 1e-12 * abs(i.value)
+
+
+def test_fd_integral_matches_series_at_non_integer_exponents():
+    # exponents a and c - a in (0.002, 3), none an integer: each Euler half
+    # is graded to v^(g*e-1) with g*e >= 5, or at the cap g = 1000
+    rng = np.random.default_rng(808)
+    for _ in range(30):
+        a, ca = rng.uniform(0.002, 3.0, 2)
+        args = LauricellaArgs(a, tuple(rng.uniform(-1.0, 2.0, 4)), a + ca,
+                              tuple((rng.random(4) - 0.5) * 0.9))
+        s = lauricella_fd_series(args, tol=1e-16)
+        i = lauricella_fd_integral(args, tol=1e-13)
+        assert abs(s.value - i.value) <= 1e-14 * abs(s.value), (a, ca)
+
+
+def test_verify_fd_draws_cost_at_most_1200_evaluations(monkeypatch):
+    # verify's five F_D draws have non-integer exponents a in (0.5, 2.5) and
+    # c - a in (0.7, 2.7); a grading that left v^(g*e-1) rough there took
+    # 5910 evaluations
+    from qcoherent import cli
+
+    evals = []
+    adaptive = specfun._adaptive
+
+    def counted(*args, **kwargs):
+        res = adaptive(*args, **kwargs)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(specfun, "_adaptive", counted)
+    cli._verify_fd_entries(1e-8)
+    assert len(evals) == 5
+    assert sum(evals) <= 1200
 
 
 def test_fd_single_variable_reduces_to_2f1():
