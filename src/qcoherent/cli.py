@@ -212,8 +212,7 @@ def _hermite_projection_dev(alpha: complex, n_max: int) -> float:
     """Worst gap between the oscillator-eigenbasis projections, all taken in
     one quadrature pass, and the analytic coherent-state coefficients."""
     def f(x):
-        hermite = np.stack([specfun.hermite_function(n, x) for n in range(n_max + 1)])
-        return hermite * coherent_psi(alpha, x)
+        return specfun._hermite_functions(n_max, x) * coherent_psi(alpha, x)
 
     proj = integrate_line(f, tol=1e-12).value
     return float(np.max(np.abs(proj - coherent_coefficients(alpha, n_max))))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -118,14 +119,13 @@ def _coherent_exact(alpha: complex, method: str) -> MomentReport:
     )
 
 
-def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
-    """Moment suite by direct adaptive quadrature (1 <= q < 7/3)."""
-    require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
-    alpha = complex(alpha)
-    if q == 1.0:
-        return _coherent_exact(alpha, "oracle")
-    a_const = normalization_constant(q, alpha, tol=tol)
-    a2 = abs(a_const) ** 2
+@lru_cache(maxsize=512)
+def _oracle_integrals(q: float, are: float, aim: float, tol: float) -> tuple[complex, ...]:
+    """The six normalised integrals of ``moments_oracle`` at 1 < q, from one
+    line pass: the norm, <x>, <x^2>, <p>, and <p^2> by both routes, each
+    still complex and unchecked."""
+    alpha = complex(are, aim)
+    a2 = abs(normalization_constant(q, alpha, tol=tol)) ** 2
 
     def weights(x):
         v, d1, d2 = _psi_un_arrays(q, alpha, x)
@@ -133,9 +133,20 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
         return np.stack([(v * cv).real, (xv * cv).real, (xv * np.conj(xv)).real,
                          -1j * cv * d1, (d1 * np.conj(d1)).real, -cv * d2])
 
-    norm, mean_x, mean_x2, mean_p, p2_primary, p2_partner = (
-        a2 * z for z in integrate_line(weights, tol=tol).value.tolist()
-    )
+    return tuple(a2 * z for z in integrate_line(weights, tol=tol).value.tolist())
+
+
+def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
+    """Moment suite by direct adaptive quadrature (1 <= q < 7/3).
+
+    The quadrature pass is memoised per (q, alpha, tol); each call builds
+    a fresh report from it and reruns every check."""
+    require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
+    alpha = complex(alpha)
+    if q == 1.0:
+        return _coherent_exact(alpha, "oracle")
+    norm, mean_x, mean_x2, mean_p, p2_primary, p2_partner = _oracle_integrals(
+        q, alpha.real, alpha.imag, tol)
     deviations: dict = {"norm_closure": abs(norm - 1.0)}
     mean_x = _real_part("mean_x", mean_x, deviations)
     mean_x2 = _real_part("mean_x2", mean_x2, deviations)
@@ -153,9 +164,10 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
 def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     """Moment suite from the Lauricella closed forms (1 <= q < 7/3).
 
-    The oracle report is always computed alongside and each quantity's
-    gap recorded in ``deviations``; any gap beyond CONVENTION_TOL makes
-    this raise ConventionMismatch rather than return.
+    The oracle report is computed alongside, or reused when already
+    computed at the same (q, alpha, tol), and each quantity's gap is
+    recorded in ``deviations``; any gap beyond CONVENTION_TOL makes this
+    raise ConventionMismatch rather than return.
     """
     require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
     alpha = complex(alpha)

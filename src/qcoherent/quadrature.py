@@ -6,12 +6,19 @@ an embedded 7/15-point Gauss-Kronrod pair with QUADPACK-style error
 scaling, global adaptive bisection, and batched (vectorised) panel
 evaluation.  Each integral is one adaptive pass: its pieces (plain
 stretches, graded sides of singularity hints, substituted tails) share one
-error target and one evaluation budget.  On top of that sit
+error target, one evaluation budget and one evaluator.  A piece does not
+wrap the integrand: it maps its own nodes to the points where the
+integrand is sampled and finishes the values there with its Jacobian, so
+each generation of the pass (one round of panel splitting) costs one
+evaluator call and one G7/K15 reduction however many pieces it spans.
+The rule's constants are QUADPACK's qk15 values to full precision.  On top
+of that sit
 
 * ``integrate_interval`` -- finite interval, optional singularity hints,
 * ``integrate_line``     -- whole real line: adaptive core [-96, 96] plus
-  power-substituted tails x = 96/v^gamma chosen from a sampled decay
-  exponent, so even barely-integrable algebraic tails stay smooth,
+  power-substituted tails x = 96/v^gamma chosen from a decay exponent
+  sampled on both sides in one call, so even barely-integrable algebraic
+  tails stay smooth,
 * ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx:
   an adaptive core, then both tails as one stream of half-period pi/|k|
   panels (successive panels alternate in sign), 16 per side per batch,
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,28 +51,32 @@ __all__ = [
     "fourier_transform_line",
 ]
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1]: QUADPACK's qk15
+# abscissae and weights (Piessens et al. 1983) to 33 digits, listed from the
+# right end inward and mirrored, so the rule is exactly symmetric.
+_XK_RIGHT = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WK_RIGHT = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WK_MID = 0.209482141084727828012999174891714
+_WG_RIGHT = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG_MID = 0.417959183673469387755102040816327
+_XK = np.concatenate([-np.array(_XK_RIGHT), [0.0], _XK_RIGHT[::-1]])
+_WK = np.concatenate([_WK_RIGHT, [_WK_MID], _WK_RIGHT[::-1]])
 # Gauss-7 sub-rule uses every other Kronrod node.
 _GIDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+_WG = np.concatenate([_WG_RIGHT, [_WG_MID], _WG_RIGHT[::-1]])
 
 _EPS = np.finfo(float).eps
 
@@ -110,17 +121,15 @@ def _as_spec(f) -> IntegrandSpec:
     return IntegrandSpec(evaluator=f)
 
 
-def _panel_batch(evaluator, mids, halfs):
-    """Apply the G7/K15 pair to a batch of panels.
+def _gk_reduce(fx, x, halfs):
+    """Apply the G7/K15 pair to the values fx, shape ([m,] panels, 15), of
+    a batch of panels with nodes x (reported if a value is not finite).
 
     Returns (resk, err) arrays of shape ([m,] panels); err carries the QUADPACK
     rescaling  resasc * min(1, (200*|K-G|/resasc)^1.5)  with a 50*eps
     round-off floor, so summing it over panels gives a defensible global
     estimate.
     """
-    x = mids[:, None] + halfs[:, None] * _XK[None, :]
-    fx = np.asarray(evaluator(x.ravel())).astype(complex, copy=False)
-    fx = fx.reshape(fx.shape[:-1] + x.shape)
     if not np.all(np.isfinite(fx)):
         bad = x[~np.isfinite(fx.reshape(-1, *x.shape)).all(axis=0)][:3]
         raise NotConverged(f"integrand returned non-finite values near x={bad}")
@@ -140,34 +149,69 @@ def _panel_batch(evaluator, mids, halfs):
     return resk, err
 
 
-def _pieces_batch(evaluators, owner, mids, halfs):
-    """``_panel_batch`` with panel i integrated by evaluators[owner[i]]."""
-    sels = [(owner == i, ev) for i, ev in enumerate(evaluators)]
-    parts = [(sel, _panel_batch(ev, mids[sel], halfs[sel])) for sel, ev in sels if np.any(sel)]
-    vals = np.empty(parts[0][1][0].shape[:-1] + mids.shape, dtype=complex)
-    errs = np.empty(vals.shape)
-    for sel, (v, e) in parts:
-        vals[..., sel], errs[..., sel] = v, e
-    return vals, errs
+def _panel_batch(evaluator, mids, halfs):
+    """The G7/K15 pair on a batch of panels of one plain integrand."""
+    x = mids[:, None] + halfs[:, None] * _XK[None, :]
+    fx = np.asarray(evaluator(x.ravel())).astype(complex, copy=False)
+    return _gk_reduce(fx.reshape(fx.shape[:-1] + x.shape), x, halfs)
 
 
-def _adaptive(pieces, tol, max_evals, method):
-    """Globally adaptive bisection over the panels of all ``pieces``, the
-    (evaluator, edges) pairs whose integrals sum to the result.
+class _Piece(NamedTuple):
+    """One piece of an adaptive pass, in its own variable v.
 
-    Splits, per generation, every panel whose score (worst component error
-    over its target) is within a factor two of the current worst, then
-    re-checks the targets; this batches well and keeps the refinement
-    sequence independent of tol: tightening tol only extends it.
+    edges   the initial panel edges in v
+    points  maps nodes v to the points where the pass's shared evaluator
+            is sampled
+    finish  (v, values there) -> the piece's integrand at v: the Jacobian
+            of the map, and zeros for lanes the piece leaves out
     """
-    evaluators = [ev for ev, _ in pieces]
-    edges = [np.asarray(e, dtype=float) for _, e in pieces]
+
+    edges: Sequence[float]
+    points: Callable[[np.ndarray], np.ndarray]
+    finish: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _plain(edges) -> _Piece:
+    """A stretch integrated in x itself."""
+    return _Piece(edges, lambda v: v, lambda v, fx: fx)
+
+
+def _pieces_batch(ev, pieces, owner, mids, halfs):
+    """The G7/K15 pair on a batch of panels, panel i belonging to
+    pieces[owner[i]]: one ev call on the points of every piece's nodes,
+    each piece's finish on its share of the values, one reduction."""
+    v = mids[:, None] + halfs[:, None] * _XK[None, :]
+    parts = [(piece, sel, v[sel].ravel())
+             for piece, sel in ((p, owner == i) for i, p in enumerate(pieces)) if np.any(sel)]
+    fx = np.asarray(ev(np.concatenate([piece.points(nodes) for piece, _, nodes in parts])))
+    out = np.empty(fx.shape[:-1] + v.shape, dtype=complex)
+    start = 0
+    for piece, sel, nodes in parts:
+        stop = start + nodes.size
+        out[..., sel, :] = np.reshape(piece.finish(nodes, fx[..., start:stop]),
+                                      fx.shape[:-1] + (-1, v.shape[1]))
+        start = stop
+    return _gk_reduce(out, v, halfs)
+
+
+def _adaptive(pieces, ev, tol, max_evals, method):
+    """Globally adaptive bisection over the panels of all ``pieces``
+    (``_Piece``), whose integrals sum to the result.
+
+    Each generation costs one call of the shared evaluator ``ev`` on every
+    new panel's points and one G7/K15 reduction.  It splits every panel
+    whose score (worst component error over its target) is within a factor
+    two of the current worst, then re-checks the targets; this batches well
+    and keeps the refinement sequence independent of tol: tightening tol
+    only extends it.
+    """
+    edges = [np.asarray(p.edges, dtype=float) for p in pieces]
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     owner = np.concatenate([np.full(len(e) - 1, i) for i, e in enumerate(edges)])
     mids = 0.5 * (lo + hi)
     halfs = 0.5 * (hi - lo)
-    vals, errs = _pieces_batch(evaluators, owner, mids, halfs)
+    vals, errs = _pieces_batch(ev, pieces, owner, mids, halfs)
     evals = 15 * len(mids)
 
     while True:
@@ -205,7 +249,7 @@ def _adaptive(pieces, tol, max_evals, method):
         new_mids = np.concatenate([mids[pick] - 0.5 * halfs[pick], mids[pick] + 0.5 * halfs[pick]])
         new_halfs = np.concatenate([0.5 * halfs[pick], 0.5 * halfs[pick]])
         new_owner = np.concatenate([owner[pick], owner[pick]])
-        nv, ne = _pieces_batch(evaluators, new_owner, new_mids, new_halfs)
+        nv, ne = _pieces_batch(ev, pieces, new_owner, new_mids, new_halfs)
         evals += 15 * len(new_mids)
         mids = np.concatenate([mids[keep], new_mids])
         halfs = np.concatenate([halfs[keep], new_halfs])
@@ -221,38 +265,43 @@ _HINT_GAMMA = 4.0
 _UNIT_EDGES = (0.0, 0.5, 1.0)
 
 
-def _graded(ev, hint: float, w: float):
-    """Evaluator over v in (0, 1): ev from hint to hint + w via u = hint + w*v**4."""
+def _graded(hint: float, w: float) -> _Piece:
+    """Piece over v in (0, 1) for hint to hint + w: its points are
+    u = hint + w*v**4, its finish checks the values there and multiplies
+    by the Jacobian 4|w| v**3."""
     g = _HINT_GAMMA
 
-    def sub(v):
-        u = hint + w * v ** g
-        fu = ev(u)
-        finite = np.all(np.isfinite(np.reshape(fu, (-1, u.size))), axis=0)
+    def points(v):
+        return hint + w * v ** g
+
+    def finish(v, fu):
+        finite = np.all(np.isfinite(np.reshape(fu, (-1, v.size))), axis=0)
         if not np.all(finite):
-            raise NotConverged(f"integrand returned non-finite values near u={u[~finite][:3]} "
-                               f"(graded towards the hint {hint})")
+            raise NotConverged(f"integrand returned non-finite values near "
+                               f"u={points(v)[~finite][:3]} (graded towards the hint {hint})")
         return fu * (g * abs(w) * v ** (g - 1.0))
 
-    return sub
+    return _Piece(_UNIT_EDGES, points, finish)
 
 
-def _pieces(ev, bounds, hints):
-    """(evaluator, edges) pieces for ev over the sorted ``bounds``.
+def _pieces(bounds, hints) -> list[_Piece]:
+    """The pieces of an integral over the sorted ``bounds``.
 
-    The hint rule: each side of a hint (a bound where ev may be singular)
-    is integrated over the half segment next to it through ``_graded``.
-    The plain stretches between keep the bounds as panel edges; a one-
-    segment stretch gets its midpoint too, so its first estimate is honest.
+    The hint rule: each side of a hint (a bound where the integrand may be
+    singular) is integrated over the half segment next to it through
+    ``_graded``.  The plain stretches between keep the bounds as panel
+    edges; a one-segment stretch gets its midpoint too, so its first
+    estimate is honest.  All pieces sample one evaluator, so a generation
+    of the adaptive pass costs one call whatever the number of pieces.
     """
     pieces, plain = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (lo + hi)
         if lo in hints:
-            pieces.append((_graded(ev, lo, mid - lo), _UNIT_EDGES))
+            pieces.append(_graded(lo, mid - lo))
             lo = mid
         if hi in hints:
-            pieces.append((_graded(ev, hi, mid - hi), _UNIT_EDGES))
+            pieces.append(_graded(hi, mid - hi))
             hi = mid
         if lo < hi:
             if plain and plain[-1][-1] == lo:
@@ -262,7 +311,7 @@ def _pieces(ev, bounds, hints):
     for edges in plain:
         if len(edges) == 2:
             edges.insert(1, 0.5 * (edges[0] + edges[1]))
-        pieces.append((ev, edges))
+        pieces.append(_plain(edges))
     return pieces
 
 
@@ -287,31 +336,37 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
         a, b, sign = b, a, -1.0
     hints = {float(s) for s in spec.singularities if a <= s <= b}
     bounds = sorted({float(a), float(b)} | hints)
-    res = _adaptive(_pieces(spec.evaluator, bounds, hints), tol, max_evals, "gk-adaptive")
+    res = _adaptive(_pieces(bounds, hints), spec.evaluator, tol, max_evals, "gk-adaptive")
     return QuadratureResult(sign * res.value, res.err_estimate, res.evaluations, res.method)
 
 
-def _decay_probe(evaluator, side: float) -> tuple[float, float] | None:
-    """Crude tail sampling: local |f_i| ~ x^(-p_i) exponents on one side.
+def _decay_probe(evaluator) -> list[tuple[float, float] | None]:
+    """Crude tail sampling: local |f_i| ~ |x|^(-p_i) exponents on the +inf
+    and the -inf side, from one 12-node evaluator call (6 nodes a side).
 
-    Returns (smallest exponent, largest |f_i| at the outer radius) over the
-    components, or None when every tail is already below the noise floor
-    (fast decay; safe to drop).  Exponent 0.0 flags a tail that is not
-    decaying at all.
+    Returns, per side, (smallest exponent, largest |f_i| at the outer
+    radius) over the components, or None when every tail is already below
+    the noise floor (fast decay; safe to drop).  Exponent 0.0 flags a tail
+    that is not decaying at all.
     """
     r1, r2 = _LINE_CORE, _PROBE_OUTER
     cluster = np.array([1.0, 1.17, 1.31])
-    f1s = np.max(np.abs(evaluator(side * r1 * cluster)), axis=-1)
-    f2s = np.max(np.abs(evaluator(side * r2 * cluster)), axis=-1)
-    probes = []
-    for f1, f2 in zip(np.ravel(f1s).tolist(), np.ravel(f2s).tolist()):
-        if f1 < 1e-280 or f2 < 1e-300:
-            continue
-        if not (math.isfinite(f1) and math.isfinite(f2)) or f2 >= f1:
-            probes.append((0.0, f2))  # not decaying at all
-        else:
-            probes.append((math.log(f1 / f2) / math.log(r2 / r1), f2))
-    return (min(probes)[0], max(f for _, f in probes)) if probes else None
+    x = np.array([1.0, -1.0])[:, None, None] * np.array([r1, r2])[None, :, None] * cluster
+    fx = np.abs(np.asarray(evaluator(x.ravel())))
+    peaks = np.max(fx.reshape(fx.shape[:-1] + x.shape), axis=-1)  # ([m,] side, radius)
+    out = []
+    for s in range(2):
+        probes = []
+        inner, outer = (np.ravel(peaks[..., s, r]).tolist() for r in (0, 1))
+        for f1, f2 in zip(inner, outer):
+            if f1 < 1e-280 or f2 < 1e-300:
+                continue
+            if not (math.isfinite(f1) and math.isfinite(f2)) or f2 >= f1:
+                probes.append((0.0, f2))  # not decaying at all
+            else:
+                probes.append((math.log(f1 / f2) / math.log(r2 / r1), f2))
+        out.append((min(probes)[0], max(f for _, f in probes)) if probes else None)
+    return out
 
 
 _LINE_CORE = 96.0     # core half-width; also the decay probe's inner radius
@@ -328,30 +383,30 @@ def _seed_edges(top: float) -> set[float]:
     return edges
 
 
-def _tail_piece(ev, side: float, p_hat: float):
-    """Evaluator over v in (0, 1) whose integral is that of f over
+def _tail_piece(side: float, p_hat: float) -> _Piece:
+    """Piece over v in (0, 1) whose integral is that of f over
     side*[X, X_TOP], via the power substitution x = side*X/v^gamma.
 
     gamma is chosen from the sampled decay exponent so the transformed
     integrand behaves like v^(gamma*(p-1)-1) with exponent >= 1.5 at
     v = 0, smooth enough for plain bisection regardless of how slowly
     the original tail decays (p > 1).  The orientation works out so no
-    sign flip is needed on either side.
+    sign flip is needed on either side.  Nodes below v_floor, which map
+    past X_TOP, are sampled at x = side*X instead and read zero in the
+    finish.
     """
     gamma = max(1, math.ceil(2.5 / (p_hat - 1.0)))
     v_floor = (_LINE_CORE / _X_TOP) ** (1.0 / gamma)
 
-    def g(v):
-        v = np.asarray(v, dtype=float)
-        safe = v > v_floor
-        vs = v[safe]
-        x = side * _LINE_CORE * vs ** (-float(gamma))
-        fx = ev(x) * (gamma * _LINE_CORE * vs ** (-float(gamma) - 1.0))
-        out = np.zeros(fx.shape[:-1] + v.shape, dtype=complex)
-        out[..., safe] = fx
-        return out
+    def points(v):
+        return side * _LINE_CORE * np.where(v > v_floor, v, 1.0) ** (-float(gamma))
 
-    return g
+    def finish(v, fx):
+        safe = v > v_floor
+        jac = gamma * _LINE_CORE * np.where(safe, v, 1.0) ** (-float(gamma) - 1.0)
+        return np.where(safe, fx * jac, 0.0)
+
+    return _Piece(_UNIT_EDGES, points, finish)
 
 
 def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
@@ -377,19 +432,17 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
 
     One adaptive pass at 0.5*tol over the core [-96, 96] (hints as in
     ``_pieces``) and one power-substituted tail piece per side (see
-    ``_tail_piece``); the tail substitution order comes from the slowest
-    sampled decay exponent, so algebraic tails as slow as |x|^(-1.01) stay
-    fully resolvable.  Slower decay raises SlowDecay; tails already below
-    the double-precision noise floor at the probe radii are dropped as
-    exact zeros.
+    ``_tail_piece``), all sampled through one evaluator call per
+    generation; the tail substitution order comes from the slowest
+    sampled decay exponent (``_decay_probe``, one more call), so algebraic
+    tails as slow as |x|^(-1.01) stay fully resolvable.  Slower decay
+    raises SlowDecay; tails already below the double-precision noise floor
+    at the probe radii are dropped as exact zeros.
     """
     spec = _as_spec(f)
     ev = spec.evaluator
-    evals = 0
     sides: list[tuple[float, float, float]] = []
-    for side in (+1.0, -1.0):
-        probe = _decay_probe(ev, side)
-        evals += 6
+    for side, probe in zip((1.0, -1.0), _decay_probe(ev)):
         if probe is None:
             continue  # tail below the noise floor: identically zero here
         p_hat, f_outer = probe
@@ -401,12 +454,13 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
         sides.append((side, p_hat, f_outer))
 
     hints = {float(s) for s in spec.singularities if -_LINE_CORE < s < _LINE_CORE}
-    pieces = _pieces(ev, sorted(_seed_edges(_LINE_CORE) | hints), hints)
-    pieces += [(_tail_piece(ev, side, p_hat), _UNIT_EDGES) for side, p_hat, _ in sides]
-    res = _adaptive(pieces, 0.5 * tol, max_evals, "gk-line")
+    pieces = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints)
+    pieces += [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
+    res = _adaptive(pieces, ev, 0.5 * tol, max_evals, "gk-line")
     err = res.err_estimate + sum(_beyond_top_bound(p_hat, f_outer)
                                  for _, p_hat, f_outer in sides)
-    return QuadratureResult(res.value, err, evals + res.evaluations, "gk-line")
+    # the decay probe took 6 nodes a side
+    return QuadratureResult(res.value, err, 12 + res.evaluations, "gk-line")
 
 
 class _AveragedLimit:
@@ -490,7 +544,7 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
         # half-period panels and read as zero: seed geometric edges out to X
         bounds |= {s for s in _seed_edges(X) if -X < s < X}
     hints = {float(s) for s in spec.singularities if -X < s < X}
-    core = _adaptive(_pieces(g, sorted(bounds | hints), hints), 0.25 * tol, max_evals,
+    core = _adaptive(_pieces(sorted(bounds | hints), hints), g, 0.25 * tol, max_evals,
                      "fourier-core")
     evals = core.evaluations
 

@@ -5,7 +5,8 @@ Contents
 hermite_poly / hermite_function
     Physicists' Hermite polynomials H_n and the orthonormal oscillator
     eigenfunctions; both use stable three-term recurrences and the
-    normalised recurrence never forms n! explicitly.
+    normalised recurrence never forms n! explicitly.  The private
+    ``_hermite_functions`` returns every order up to n from one pass.
 pochhammer
     Rising factorial (a)_m for complex a.
 kummer_phi
@@ -33,11 +34,12 @@ _log_bessel_g (private)
 
 Kummer's integral branch and F_D's share one Euler integral,
 ``_euler_integral``: graded halves u < 1/2 and u > 1/2 as the pieces of
-one adaptive pass, the integrand formed in log space, and any number of
-rows, each with its own exponents a and c, on shared nodes.  Each half is
-graded to a smooth endpoint power (``_grade``): not at all where every
-row's exponent on that side is a positive integer, else by the power that
-lifts the smallest exponent to at least 5.  The closed forms of
+one adaptive pass with one log f call per generation, the integrand formed
+in log space, and any number of rows, each with its own exponents a and
+c, on shared nodes.  Each half is graded to a smooth endpoint power
+(``_grade``): not at all where every row's exponent on that side is a
+positive integer, else by the power that lifts the smallest exponent to at
+least 5.  The closed forms of
 ``closedforms`` run all rows of a state through it at once; F_D and Kummer
 are its one-row callers and add the Gamma prefactor.
 
@@ -61,7 +63,7 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import _UNIT_EDGES, QuadratureResult, _adaptive
+from .quadrature import _UNIT_EDGES, QuadratureResult, _adaptive, _Piece
 
 __all__ = [
     "LauricellaArgs",
@@ -98,6 +100,20 @@ def hermite_poly(n: int, x):
     return h if h.ndim else float(h)
 
 
+def _hermite_functions(n_max: int, x) -> np.ndarray:
+    """Oscillator eigenfunctions of every order 0..n_max at x, shape
+    (n_max + 1,) + x.shape, from one pass of ``hermite_function``'s
+    recurrence."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape)
+    out[0] = _PI4 * np.exp(-0.5 * x * x)
+    if n_max >= 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for k in range(1, n_max):
+        out[k + 1] = math.sqrt(2.0 / (k + 1)) * x * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
+    return out
+
+
 def hermite_function(n: int, x):
     """Orthonormal oscillator eigenfunction of order n.
 
@@ -108,13 +124,7 @@ def hermite_function(n: int, x):
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    p_prev = _PI4 * np.exp(-0.5 * x * x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = math.sqrt(2.0) * x * p_prev
-    for k in range(1, n):
-        p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1)) * p_prev, p
+    p = _hermite_functions(n, x)[-1]
     return p if p.ndim else float(p)
 
 
@@ -181,36 +191,49 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
 
     a and c are length-k arrays with Re a_j > 0 and Re(c_j-a_j) > 0; log_f
     maps nodes u of shape (n,) to log f_j(u) of shape (k, n).  No Gamma
-    prefactor is applied here (see ``_euler_value``).  The halves u = t
-    and 1-u = t, with t = v^g/2, are the pieces; each side has its own g,
-    from all rows' exponents on it, a (left) and c-a (right), by
-    ``_grade``.  g = 1 where every exponent on the side is a positive
-    integer (the closed forms' right halves, c-a = m+1, and every row at
-    q = 1.2, 1.5 or 2); otherwise the roughest end factor v^(g*e-1) is v^4
-    (down to v^0.5 at the cap g = 1000), and an exponent below 0.0015
-    raises NotConverged.  The integrand is formed in log space, with
-    log t = log(1/2) + g log v, so u^(a-1) never underflows to 0.  Each
-    row is divided by exp of its largest probe log-magnitude, which is
-    restored only on the result; a result that overflows raises
-    NotConverged.
+    prefactor is applied here (see ``_euler_value``).  The halves are the
+    pieces, as the maps u = v^g/2 and u = 1 - v^g/2 from their nodes v to
+    the points of log_f, so log_f is called once per adaptive generation
+    for both halves; each half's finish adds the row factors in log space
+    and exponentiates.  Each side has its own g, from all rows' exponents
+    on it, a (left) and c-a (right), by ``_grade``.  g = 1 where every
+    exponent on the side is a positive integer (the closed forms' right
+    halves, c-a = m+1, and every row at q = 1.2, 1.5 or 2); otherwise the
+    roughest end factor v^(g*e-1) is v^4 (down to v^0.5 at the cap
+    g = 1000), and an exponent below 0.0015 raises NotConverged.  The
+    integrand is formed in log space, with log t = log(1/2) + g log v, so
+    u^(a-1) never underflows to 0.  Each row is divided by exp of its
+    largest probe log-magnitude (33 nodes a half, both halves in one log_f
+    call), which is restored only on the result; a result that overflows
+    raises NotConverged.
     """
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     ca = c - a
     size = max(1.0, float(np.max(np.abs(np.concatenate([a, c])))))
     g0, g1 = _grade(a, size, "a", method), _grade(ca, size, "c-a", method)
 
-    def log_integrand(v, g, right):
+    def to_u(g, right):
+        def points(v):
+            t = np.exp(math.log(0.5) + g * np.log(v))
+            return 1.0 - t if right else t
+        return points
+
+    def log_rows(v, log_fu, g, right):
         log_t = math.log(0.5) + g * np.log(v)
         t = np.exp(log_t)
         log_u, log_1mu = (np.log1p(-t), log_t) if right else (log_t, np.log1p(-t))
         return ((a[:, None] - 1.0) * log_u + (ca[:, None] - 1.0) * log_1mu
-                + log_f(1.0 - t if right else t) + math.log(0.5 * g) + (g - 1) * np.log(v))
+                + log_fu + math.log(0.5 * g) + (g - 1) * np.log(v))
 
     halves = ((g0, False), (g1, True))
     probe = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
-    log_scale = np.max([log_integrand(probe, *h).real.max(axis=1) for h in halves], axis=0)
-    res = _adaptive([(lambda v, h=h: np.exp(log_integrand(v, *h) - log_scale[:, None]),
-                      _UNIT_EDGES) for h in halves], 0.5 * tol, 1_000_000, method)
+    log_fu = log_f(np.concatenate([to_u(*h)(probe) for h in halves]))
+    log_scale = np.max([log_rows(probe, lf, *h).real.max(axis=1)
+                        for lf, h in zip(np.split(log_fu, 2, axis=-1), halves)], axis=0)
+    pieces = [_Piece(_UNIT_EDGES, to_u(*h),
+                     lambda v, lf, h=h: np.exp(log_rows(v, lf, *h) - log_scale[:, None]))
+              for h in halves]
+    res = _adaptive(pieces, log_f, 0.5 * tol, 1_000_000, method)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)
         value, err = scale * res.value, scale * res.err_estimate

@@ -179,25 +179,39 @@ def _bracket(q: float, alpha: complex, x):
     return 1.0 + 0.5 * (q - 1.0) * _quad_poly(q, alpha, x)
 
 
-def _bracket_power(b, expo: float):
-    """b**expo in log form, exp(expo * log b): a huge bracket underflows to
-    0 instead of overflowing the repeated products np.power uses for
-    integral exponents (nan + nanj with a RuntimeWarning)."""
-    return np.exp(expo * np.log(b))
+def _psi_un_lanes(q: float, alpha: complex, x):
+    """(value, x, big, log_b) of the unnormalised state, the parts that
+    ``_psi_un`` and ``_psi_un_arrays`` share.
 
-
-def _psi_un(q: float, alpha: complex, x):
-    """Vectorised value of the unnormalised state, without derivatives."""
+    The quadrature tails probe |x| up to ~1e250; past 1e150 every windowed
+    quantity here underflows to an exact double-precision zero, so those
+    lanes (``big``) are set to x = 0 and their value to 0 instead of
+    letting x*x reach inf (complex inf arithmetic breeds NaNs in cross
+    terms).  log_b is the log of the bracket at the masked x, None at the
+    q = 1 sentinel.  Powers of the bracket are taken as exp(expo * log_b):
+    a huge bracket then underflows to 0 instead of overflowing the
+    repeated products np.power uses for integral exponents (nan + nanj
+    with a RuntimeWarning).
+    """
     x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
     big = np.abs(x) > 1e150
     if np.any(big):
         x = np.where(big, 0.0, x)
     if q == 1.0:
+        log_b = None
         val = np.exp(-0.5 * _quad_poly(q, alpha, x))
     else:
-        val = _bracket_power(_bracket(q, alpha, x), 1.0 / (1.0 - q))
-    return np.where(big, 0.0, val) if np.any(big) else val
+        log_b = np.log(_bracket(q, alpha, x))
+        val = np.exp((1.0 / (1.0 - q)) * log_b)
+    if np.any(big):
+        val = np.where(big, 0.0, val)
+    return val, x, big, log_b
+
+
+def _psi_un(q: float, alpha: complex, x):
+    """Vectorised value of the unnormalised state, without derivatives."""
+    return _psi_un_lanes(q, alpha, x)[0]
 
 
 def _psi_un_arrays(q: float, alpha: complex, x):
@@ -210,26 +224,18 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     factors first: the quadrature tails probe |x| up to ~1e250, where a
     bare shift^2 would overflow against an underflowing power.
     """
-    x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
-    val = _psi_un(q, alpha, x)
-    # quadrature tails probe |x| up to ~1e250; past 1e150 every windowed
-    # quantity here underflows to an exact double-precision zero, so mask
-    # those lanes instead of letting x*x reach inf (complex inf arithmetic
-    # breeds NaNs in cross terms)
-    big = np.abs(x) > 1e150
-    if np.any(big):
-        x = np.where(big, 0.0, x)
+    val, x, big, log_b = _psi_un_lanes(q, alpha, x)
     shift = x - SQRT2 * alpha
-    if q == 1.0:
+    if log_b is None:
         d1 = -shift * val
         d2 = shift * (shift * val) - val
     else:
-        b = _bracket(q, alpha, x)
         expo = 1.0 / (1.0 - q)
-        d1 = -shift * _bracket_power(b, expo - 1.0)
-        half_piece = shift * _bracket_power(b, 0.5 * (expo - 2.0))
-        d2 = q * half_piece * half_piece - _bracket_power(b, expo - 1.0)
+        power = np.exp((expo - 1.0) * log_b)  # B^(-p-1)
+        d1 = -shift * power
+        half_piece = shift * np.exp((0.5 * (expo - 2.0)) * log_b)
+        d2 = q * half_piece * half_piece - power
     if np.any(big):
         d1 = np.where(big, 0.0, d1)
         d2 = np.where(big, 0.0, d2)

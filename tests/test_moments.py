@@ -43,8 +43,63 @@ def test_oracle_is_one_line_pass(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(moments, "integrate_line", counted)
+    moments._oracle_integrals.cache_clear()  # a memo hit would take no pass
     moments_oracle(1.5, 0.4 + 0.1j)
     assert len(calls) == 1
+
+
+def _evaluator_log(monkeypatch, module):
+    """Route module.integrate_line's evaluator through a (calls, nodes, evaluations) log."""
+    log = []
+    real = module.integrate_line
+
+    def counted(f, *args, **kwargs):
+        entry = [0, 0, 0]
+        log.append(entry)
+
+        def ev(x):
+            entry[0] += 1
+            entry[1] += np.size(x)
+            return f(x)
+
+        res = real(ev, *args, **kwargs)
+        entry[2] = res.evaluations
+        return res
+
+    monkeypatch.setattr(module, "integrate_line", counted)
+    return log
+
+
+def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
+    # q = 1.6, alpha = 0.4+0.1i: the decay probe of both sides is one call,
+    # then one call per adaptive generation.  The evaluations are those of
+    # one call per piece and per probe radius (8 and 10 calls), so the
+    # refinement itself did not change.
+    from qcoherent import states
+
+    norm_log = _evaluator_log(monkeypatch, states)
+    moment_log = _evaluator_log(monkeypatch, moments)
+    states._norm_oracle.cache_clear()
+    moments._oracle_integrals.cache_clear()
+    moments_oracle(1.6, 0.4 + 0.1j)
+    assert norm_log == [[3, 372, 372]]  # the norm integral at tol 1e-10
+    assert moment_log == [[5, 402, 402]]  # the 6-row moment pass at tol 1e-9
+
+
+def test_closed_reuses_the_oracle_pass_of_the_same_label(monkeypatch):
+    q, alpha = 1.7, 0.2 - 0.3j
+    moments._oracle_integrals.cache_clear()
+    oracle = moments_oracle(q, alpha)
+    log = _evaluator_log(monkeypatch, moments)
+    closed = moments_closed(q, alpha)
+    assert log == []
+    for name in ("mean_x", "mean_x2", "mean_p", "mean_p2"):
+        want = getattr(oracle, name)
+        assert closed.deviations[name] == abs(getattr(closed, name) - want) / max(1.0, abs(want))
+    # each call builds a fresh report with a fresh deviations dict
+    again = moments_oracle(q, alpha)
+    assert again == oracle and again is not oracle
+    assert again.deviations is not oracle.deviations
 
 
 def test_oracle_alpha_zero_centered():

@@ -114,6 +114,57 @@ def test_interval_orientation_and_degenerate_bounds():
         integrate_interval(lambda x: x, 0.0, math.inf)
 
 
+# ------------------------------------------------------ the G7/K15 rule
+
+def test_gauss_kronrod_constants_integrate_polynomials_exactly():
+    # K15 is exact to degree 22 and its G7 sub-rule to degree 13; the
+    # 15-digit constants once summed the Kronrod weights to 2 - 6.0e-15
+    xk, wk = quadrature._XK, quadrature._WK
+    xg, wg = xk[quadrature._GIDX], quadrature._WG
+    for k in range(0, 23, 2):
+        exact = 2.0 / (k + 1)
+        assert abs(np.sum(wk * xk ** k) - exact) <= 4 * np.spacing(exact), k
+        if k <= 12:
+            assert abs(np.sum(wg * xg ** k) - exact) <= 4 * np.spacing(exact), k
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.max(np.abs(xg - nodes)) <= 4 * np.spacing(1.0)
+    assert np.max(np.abs(wg - weights)) <= 4 * np.spacing(1.0)
+    assert np.array_equal(xk, -xk[::-1]) and np.array_equal(wk, wk[::-1])
+
+
+def _counting(f):
+    """f with a log of (calls, nodes) of its evaluator."""
+    log = [0, 0]
+
+    def counted(x):
+        log[0] += 1
+        log[1] += np.size(x)
+        return f(x)
+
+    return counted, log
+
+
+def test_each_generation_makes_one_evaluator_call(monkeypatch):
+    # a hinted interval: both graded sides of the hint and the plain
+    # stretches are sampled in one call, and reduced once, per generation
+    reductions = []
+    reduce = quadrature._gk_reduce
+    monkeypatch.setattr(quadrature, "_gk_reduce",
+                        lambda *a: reductions.append(a[0].shape) or reduce(*a))
+    f, log = _counting(lambda x: np.abs(x - 0.3) ** -0.5 + 1.0 / (1.0 + x * x))
+    r = integrate_interval(IntegrandSpec(f, singularities=(0.3,)), -1.0, 2.0, tol=1e-10)
+    assert log == [len(reductions), r.evaluations]
+    # two graded sides and two plain stretches, two panels each
+    assert len(reductions) > 1 and reductions[0] == (8, 15)
+
+
+def test_decay_probe_samples_both_sides_in_one_call():
+    f, log = _counting(lambda x: 1.0 / (1.0 + x ** 4))
+    probes = quadrature._decay_probe(f)
+    assert log == [1, 12]
+    assert all(p is not None and p[0] == pytest.approx(4.0, rel=1e-3) for p in probes)
+
+
 # ---------------------------------------------------------- whole line
 
 def test_line_gaussian():

@@ -68,6 +68,42 @@ def test_hermite_function_large_n_stable():
     assert abs(v) < 1.0  # orthonormal-family amplitude bound
 
 
+def _hermite_by_order(n, x):
+    # one order per call, the recurrence hermite_function ran before it
+    # took its last row from the all-orders pass
+    x = np.asarray(x, dtype=float)
+    p_prev = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n == 0:
+        return p_prev
+    p = math.sqrt(2.0) * x * p_prev
+    for k in range(1, n):
+        p, p_prev = math.sqrt(2.0 / (k + 1)) * x * p - math.sqrt(k / (k + 1)) * p_prev, p
+    return p
+
+
+def test_all_hermite_orders_in_one_pass_are_bitwise_per_order_values():
+    x = np.linspace(-12.0, 12.0, 301)
+    rows = specfun._hermite_functions(40, x)
+    assert rows.shape == (41, 301)
+    for n in range(41):
+        want = _hermite_by_order(n, x)
+        assert rows[n].tobytes() == want.tobytes(), n
+        assert hermite_function(n, x).tobytes() == want.tobytes(), n
+    assert hermite_function(7, 0.9) == float(_hermite_by_order(7, 0.9))
+    assert specfun._hermite_functions(0, 0.5).shape == (1,)
+
+
+def test_verify_hermite_check_unchanged_by_the_one_pass_orders():
+    from qcoherent import cli
+    from qcoherent.states import coherent_coefficients, coherent_psi
+
+    alpha = 0.7 + 0.3j
+    proj = integrate_line(lambda x: np.stack([_hermite_by_order(n, x) for n in range(11)])
+                          * coherent_psi(alpha, x), tol=1e-12).value
+    want = float(np.max(np.abs(proj - coherent_coefficients(alpha, 10))))
+    assert cli._hermite_projection_dev(alpha, 10) == want
+
+
 def test_hermite_orthonormality_quadrature():
     for m in range(0, 11, 2):
         for n in range(m, 11, 3):

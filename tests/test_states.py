@@ -210,6 +210,24 @@ def test_psi_un_value_only_matches_full_evaluation_bitwise():
         assert np.all(v[-3:] == 0.0)
 
 
+def test_psi_un_derivatives_match_the_bracket_powers_bitwise():
+    from qcoherent.states import _bracket, _psi_un_arrays
+
+    # d1 = -shift B^(expo-1), d2 = q (shift B^((expo-2)/2))^2 - B^(expo-1),
+    # each power taken as exp(e log B); the shared log B changes no bit
+    x = np.linspace(-60.0, 60.0, 1201)
+    for q, alpha in [(1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j), (4.2, 1.3j)]:
+        b = _bracket(q, alpha, x)
+        expo = 1.0 / (1.0 - q)
+        shift = x - SQRT2 * alpha
+        half = shift * np.exp(0.5 * (expo - 2.0) * np.log(b))
+        want_d1 = -shift * np.exp((expo - 1.0) * np.log(b))
+        want_d2 = q * half * half - np.exp((expo - 1.0) * np.log(b))
+        _, d1, d2 = _psi_un_arrays(q, alpha, x)
+        assert d1.tobytes() == want_d1.tobytes()
+        assert d2.tobytes() == want_d2.tobytes()
+
+
 def test_psi_underflows_to_zero_far_out():
     # the bracket's powers are taken in log form, so huge |x| underflow to 0
     # instead of overflowing into nan with a RuntimeWarning
