@@ -14,7 +14,9 @@ Three subcommands:
   Parseval trailer comment, or JSON.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure (or a
-mandatory verification check failing).
+mandatory verification check failing).  A q grid outside 1 < q_min <=
+q_max < 7/3, fewer than one q step and a ``--tol`` that is not a positive
+finite number are config errors: exit 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ SCHEMA_VERSION = 1
 __all__ = ["main"]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(x) -> str:
+    """A CSV cell or config value: a string as it is, a number to 17 digits."""
+    return x if isinstance(x, str) else f"{float(x):.17g}"
 
 
 def _emit(text: str, out_path) -> None:
@@ -67,66 +70,68 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_table(args, command, config_args, columns, rows, extra) -> None:
+    """sweep's and pd's output; ``config_args`` names the arguments the
+    config line records.  CSV: a schema and a config comment, the header,
+    one line per row and one trailer comment per ``extra`` item.  JSON:
+    ``extra`` joins the meta block, each row is an entry."""
+    config = " ".join(f"{name}={_fmt(getattr(args, name))}" for name in config_args)
+    if args.format == "csv":
+        lines = [f"# qcoherent {command} schema={SCHEMA_VERSION}", f"# config {config}",
+                 ",".join(columns)]
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [f"# {key}={_fmt(value)}" for key, value in extra.items()]
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = {
+            "meta": {"tool": "qcoherent", "command": command,
+                     "schema": SCHEMA_VERSION, "config": config, **extra},
+            "entries": [dict(zip(columns, row)) for row in rows],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit(text, args.out)
+
+
+def _check_q_grid(args, what: str, steps_rule: str = "q_steps must be >= 1") -> list[float]:
+    """The q grid of sweep and verify, 1 < q_min <= q_max < 7/3 in q_steps >= 1
+    points; ``what`` heads the range message, ``steps_rule`` is the step one."""
+    if not (1.0 < args.q_min <= args.q_max < Q_MOMENT_SUITE_MAX):
+        raise _ConfigError(f"{what} 1 < q_min <= q_max < {Q_MOMENT_SUITE_MAX:.6g}")
+    if args.q_steps < 1:
+        raise _ConfigError(steps_rule)
+    return [float(q) for q in np.linspace(args.q_min, args.q_max, args.q_steps)]
+
+
 # ---------------------------------------------------------------- sweep
 
 _SWEEP_COLUMNS = (
     "q", "mean_x", "mean_x2", "mean_p", "mean_p2", "var_x", "var_p",
     "delta_x", "delta_p", "product", "method", "max_deviation",
 )
+_SWEEP_STEPS_RULE = "q_steps must match the grid (1 step iff q_min == q_max)"
 
 
 def _sweep_rows(qs, alpha, tol, methods):
     rows = []
     for q in qs:
         for method in methods:
-            rep = (
-                moments_oracle(q, alpha, tol=tol)
-                if method == "oracle"
-                else moments_closed(q, alpha, tol=tol)
-            )
-            max_dev = max(rep.deviations.values(), default=0.0)
-            rows.append(
-                (q, rep.mean_x, rep.mean_x2, rep.mean_p, rep.mean_p2,
-                 rep.var_x, rep.var_p, rep.delta_x, rep.delta_p,
-                 rep.product, method, max_dev)
-            )
+            route = moments_oracle if method == "oracle" else moments_closed
+            rep = route(q, alpha, tol=tol)
+            # the report fields from mean_x to product, then method and max_deviation
+            rows.append((q, *(getattr(rep, name) for name in _SWEEP_COLUMNS[1:-2]), method,
+                         max(rep.deviations.values(), default=0.0)))
     return rows
 
 
 def _run_sweep(args) -> int:
-    if not (1.0 < args.q_min <= args.q_max < Q_MOMENT_SUITE_MAX):
-        raise _ConfigError(
-            f"moment sweeps need 1 < q_min <= q_max < {Q_MOMENT_SUITE_MAX:.6g}"
-        )
-    if args.q_steps < 1 or (args.q_steps == 1) != (args.q_min == args.q_max):
-        raise _ConfigError("q_steps must match the grid (1 step iff q_min == q_max)")
+    qs = _check_q_grid(args, "moment sweeps need", _SWEEP_STEPS_RULE)
+    if (args.q_steps == 1) != (args.q_min == args.q_max):
+        raise _ConfigError(_SWEEP_STEPS_RULE)
     alpha = complex(args.alpha_re, args.alpha_im)
-    qs = np.linspace(args.q_min, args.q_max, args.q_steps)
     methods = ("oracle", "closed-form") if args.method == "both" else (args.method,)
-    rows = _sweep_rows(qs, alpha, args.tol, methods)
-    config = (
-        f"q_min={_fmt(args.q_min)} q_max={_fmt(args.q_max)} q_steps={args.q_steps} "
-        f"alpha_re={_fmt(args.alpha_re)} alpha_im={_fmt(args.alpha_im)} "
-        f"tol={_fmt(args.tol)} method={args.method}"
-    )
-    if args.format == "csv":
-        lines = [
-            f"# qcoherent sweep schema={SCHEMA_VERSION}",
-            f"# config {config}",
-            ",".join(_SWEEP_COLUMNS),
-        ]
-        for row in rows:
-            lines.append(
-                ",".join(_fmt(v) if not isinstance(v, str) else v for v in row)
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "meta": {"tool": "qcoherent", "command": "sweep",
-                     "schema": SCHEMA_VERSION, "config": config},
-            "entries": [dict(zip(_SWEEP_COLUMNS, row)) for row in rows],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_table(args, "sweep",
+                ("q_min", "q_max", "q_steps", "alpha_re", "alpha_im", "tol", "method"),
+                _SWEEP_COLUMNS, _sweep_rows(qs, alpha, args.tol, methods), {})
     return 0
 
 
@@ -136,48 +141,19 @@ def _run_pd(args) -> int:
     if not (1.0 <= args.q < Q_MOMENTUM_MAX):
         raise _ConfigError(f"pd needs 1 <= q < {Q_MOMENTUM_MAX:.6g}")
     alpha = complex(args.alpha_re, args.alpha_im)
-    if args.k_min is None or args.k_max is None:
-        ref = default_k_grid(alpha)
-        k_min = args.k_min if args.k_min is not None else float(ref[0])
-        k_max = args.k_max if args.k_max is not None else float(ref[-1])
-    else:
-        k_min, k_max = args.k_min, args.k_max
-    if not (k_min < k_max and args.k_steps >= 2):
+    # an end left out is the default grid's, and the config line records it
+    ends = default_k_grid(alpha, 2)
+    args.k_min = float(ends[0]) if args.k_min is None else args.k_min
+    args.k_max = float(ends[-1]) if args.k_max is None else args.k_max
+    if not (args.k_min < args.k_max and args.k_steps >= 2):
         raise _ConfigError("pd needs k_min < k_max and k_steps >= 2")
-    grid = np.linspace(k_min, k_max, args.k_steps)
+    grid = np.linspace(args.k_min, args.k_max, args.k_steps)
     dist = momentum_pd(args.q, alpha, grid, method=args.method, tol=args.tol)
-    config = (
-        f"q={_fmt(args.q)} alpha_re={_fmt(args.alpha_re)} "
-        f"alpha_im={_fmt(args.alpha_im)} k_min={_fmt(k_min)} k_max={_fmt(k_max)} "
-        f"k_steps={args.k_steps} tol={_fmt(args.tol)} method={args.method}"
-    )
-    if args.format == "csv":
-        lines = [
-            f"# qcoherent pd schema={SCHEMA_VERSION}",
-            f"# config {config}",
-            "k,pd,amplitude_re,amplitude_im",
-        ]
-        for s in dist.samples:
-            lines.append(
-                ",".join(
-                    (_fmt(s.k), _fmt(s.pd),
-                     _fmt(s.amplitude.real), _fmt(s.amplitude.imag))
-                )
-            )
-        lines.append(f"# parseval_total={_fmt(dist.parseval_total)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "meta": {"tool": "qcoherent", "command": "pd",
-                     "schema": SCHEMA_VERSION, "config": config,
-                     "parseval_total": dist.parseval_total},
-            "entries": [
-                {"k": s.k, "pd": s.pd, "amplitude_re": s.amplitude.real,
-                 "amplitude_im": s.amplitude.imag}
-                for s in dist.samples
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    rows = [(s.k, s.pd, s.amplitude.real, s.amplitude.imag) for s in dist.samples]
+    _emit_table(args, "pd",
+                ("q", "alpha_re", "alpha_im", "k_min", "k_max", "k_steps", "tol", "method"),
+                ("k", "pd", "amplitude_re", "amplitude_im"), rows,
+                {"parseval_total": dist.parseval_total})
     return 0
 
 
@@ -203,9 +179,7 @@ def _entry(equation, point, closed, oracle, floor, threshold=CONVENTION_TOL, not
 
 
 def _point(q, alpha, **extra):
-    d = {"q": q, "alpha_re": alpha.real, "alpha_im": alpha.imag}
-    d.update(extra)
-    return d
+    return {"q": q, "alpha_re": alpha.real, "alpha_im": alpha.imag, **extra}
 
 
 def _hermite_projection_dev(alpha: complex, n_max: int) -> float:
@@ -218,14 +192,11 @@ def _hermite_projection_dev(alpha: complex, n_max: int) -> float:
     return float(np.max(np.abs(proj - coherent_coefficients(alpha, n_max))))
 
 
-def _bessel_entry(q, alpha, k, amp_oracle, tol):
-    """The Bessel-K amplitude against the oracle amplitude already taken at k."""
-    return _entry(
-        "momentum_amplitude_bessel", _point(q, alpha, k=k),
-        momentum_amplitude_bessel(q, alpha, k, tol=tol), amp_oracle, tol,
-        note="corrected counterpart of the printed Kummer amplitude: the exact "
-             "transform by Basset's integral, finite and non-zero as k -> 0",
-    )
+_HALFLINE_NOTE = (
+    "positive-half-line convention reproduced verbatim; the calibrated "
+    "whole-line form adds the reflected term this variant omits"
+)
+_K_NEAR_ZERO = 0.01
 
 
 def _verify_closed_forms(qs, alpha, tol):
@@ -233,10 +204,6 @@ def _verify_closed_forms(qs, alpha, tol):
     normalisation closure and the smallest oracle uncertainty product
     over the grid, which the mandatory checks read."""
     entries, closures, products = [], [], []
-    halfline_note = (
-        "positive-half-line convention reproduced verbatim; the calibrated "
-        "whole-line form adds the reflected term this variant omits"
-    )
     for q in qs:
         point = _point(q, alpha)
         oracle = moments_oracle(q, alpha, tol=tol)
@@ -245,17 +212,16 @@ def _verify_closed_forms(qs, alpha, tol):
         n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half) = (
             closedforms._closed_moments(q, alpha, tol))
         closures.append(abs(abs(a_oracle) ** 2 * n2 - 1.0))
-        entries.append(_entry("normalization_fd", point, n2 ** -0.5, a_oracle, tol))
-        entries.append(
-            _entry("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, tol,
-                   note=halfline_note)
-        )
-        entries.append(_entry("moment_x_fd", point, mean_x, oracle.mean_x, tol))
-        entries.append(_entry("moment_x_fd_halfline", point, mean_x_half, oracle.mean_x,
-                              tol, note=halfline_note))
-        entries.append(_entry("moment_x2_fd", point, mean_x2, oracle.mean_x2, tol))
-        entries.append(_entry("moment_p_fd", point, mean_p, oracle.mean_p, tol))
-        entries.append(_entry("moment_p2_fd", point, mean_p2, oracle.mean_p2, tol))
+        for equation, closed, oracle_value, note in (
+            ("normalization_fd", n2 ** -0.5, a_oracle, None),
+            ("normalization_fd_halfline", n2_half ** -0.5, a_oracle, _HALFLINE_NOTE),
+            ("moment_x_fd", mean_x, oracle.mean_x, None),
+            ("moment_x_fd_halfline", mean_x_half, oracle.mean_x, _HALFLINE_NOTE),
+            ("moment_x2_fd", mean_x2, oracle.mean_x2, None),
+            ("moment_p_fd", mean_p, oracle.mean_p, None),
+            ("moment_p2_fd", mean_p2, oracle.mean_p2, None),
+        ):
+            entries.append(_entry(equation, point, closed, oracle_value, tol, note=note))
         partner = alpha + 0.2
         sa = StateLabel(q, alpha)
         sb = StateLabel(q, partner)
@@ -271,35 +237,28 @@ def _verify_closed_forms(qs, alpha, tol):
                 ov_closed, ov_oracle, tol,
             )
         )
-        if 1.0 < q < Q_MOMENTUM_MAX:
-            for k in (0.8, 2.0):
-                amp_o = momentum_amplitude_oracle(q, alpha, k, tol=tol)
-                amp_c = momentum_amplitude_closed(q, alpha, k)
-                kp = _point(q, alpha, k=k)
-                entries.append(
-                    _entry("momentum_amplitude_kummer", kp, amp_c, amp_o, tol,
-                           note="printed confluent-hypergeometric amplitude")
-                )
-                entries.append(
-                    _entry("momentum_pd_kummer", kp,
-                           abs(amp_c) ** 2, abs(amp_o) ** 2, tol,
-                           note="density from the printed amplitude")
-                )
-                entries.append(_bessel_entry(q, alpha, k, amp_o, tol))
-            k0 = 0.01
-            amp_o = momentum_amplitude_oracle(q, alpha, k0, tol=tol)
-            amp_c = momentum_amplitude_closed(q, alpha, k0)
-            entries.append(
-                _entry(
-                    "momentum_amplitude_k_to_zero", _point(q, alpha, k=k0),
-                    amp_c, amp_o, tol,
-                    note=(
-                        "printed amplitude carries |k|^(2/(q-1)-1) and vanishes "
-                        "as k -> 0 for q < 3; the oracle transform does not"
-                    ),
-                )
-            )
-            entries.append(_bessel_entry(q, alpha, k0, amp_o, tol))
+        # the printed Kummer amplitude (and, away from k = 0, its density),
+        # then the Bessel-K amplitude, each against the oracle amplitude at k
+        for k in (0.8, 2.0, _K_NEAR_ZERO):
+            amp_o = momentum_amplitude_oracle(q, alpha, k, tol=tol)
+            amp_c = momentum_amplitude_closed(q, alpha, k)
+            if k == _K_NEAR_ZERO:
+                rows = [("momentum_amplitude_k_to_zero", amp_c, amp_o,
+                         "printed amplitude carries |k|^(2/(q-1)-1) and vanishes "
+                         "as k -> 0 for q < 3; the oracle transform does not")]
+            else:
+                rows = [("momentum_amplitude_kummer", amp_c, amp_o,
+                         "printed confluent-hypergeometric amplitude"),
+                        ("momentum_pd_kummer", abs(amp_c) ** 2, abs(amp_o) ** 2,
+                         "density from the printed amplitude")]
+            rows.append(("momentum_amplitude_bessel",
+                         momentum_amplitude_bessel(q, alpha, k, tol=tol), amp_o,
+                         "corrected counterpart of the printed Kummer amplitude: the "
+                         "exact transform by Basset's integral, finite and non-zero "
+                         "as k -> 0"))
+            for equation, closed, oracle_value, note in rows:
+                entries.append(_entry(equation, _point(q, alpha, k=k), closed, oracle_value,
+                                      tol, note=note))
     # q-independent families
     zq = 1.01
     z = 0.7
@@ -385,17 +344,13 @@ def _mandatory_checks(qs, alpha, tol, closure, min_product):
 
 
 def _run_verify(args) -> int:
-    if not (1.0 < args.q_min <= args.q_max < Q_MOMENT_SUITE_MAX):
-        raise _ConfigError(
-            f"verify grid needs 1 < q_min <= q_max < {Q_MOMENT_SUITE_MAX:.6g}"
-        )
+    qs = _check_q_grid(args, "verify grid needs")
     alpha = complex(args.alpha_re, args.alpha_im)
-    qs = [float(q) for q in np.linspace(args.q_min, args.q_max, args.q_steps)]
     entries, closure, min_product = _verify_closed_forms(qs, alpha, args.tol)
     checks, fd_entries = _mandatory_checks(qs, alpha, args.tol, closure, min_product)
     entries += fd_entries
     findings = sum(1 for e in entries if e["status"] == "finding")
-    all_ok = all(c["status"] == "pass" for c in checks.values())
+    failing = [n for n, c in checks.items() if c["status"] != "pass"]
     payload = {
         "meta": {
             "tool": "qcoherent",
@@ -420,8 +375,7 @@ def _run_verify(args) -> int:
         "entries": entries,
     }
     _emit(json.dumps(payload, indent=2, default=_json_default) + "\n", args.out)
-    if not all_ok:
-        failing = [n for n, c in checks.items() if c["status"] != "pass"]
+    if failing:
         print(f"mandatory checks failed: {', '.join(failing)}", file=sys.stderr)
         return 3
     return 0
@@ -450,6 +404,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcoherent",
@@ -460,22 +422,23 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, *, tol_default):
         sp.add_argument("--alpha-re", type=_finite_float, default=0.5)
         sp.add_argument("--alpha-im", type=_finite_float, default=0.0)
-        sp.add_argument("--tol", type=_finite_float, default=tol_default)
+        sp.add_argument("--tol", type=_positive_float, default=tol_default)
         sp.add_argument("--out", default=None, metavar="PATH")
 
+    def q_grid(sp, q_min, q_max, q_steps):
+        sp.add_argument("--q-min", type=_finite_float, default=q_min)
+        sp.add_argument("--q-max", type=_finite_float, default=q_max)
+        sp.add_argument("--q-steps", type=int, default=q_steps)
+
     sp = sub.add_parser("sweep", help="moment suite over a q grid")
-    sp.add_argument("--q-min", type=_finite_float, default=1.05)
-    sp.add_argument("--q-max", type=_finite_float, default=2.2)
-    sp.add_argument("--q-steps", type=int, default=20)
+    q_grid(sp, 1.05, 2.2, 20)
     sp.add_argument("--method", choices=("oracle", "closed-form", "both"),
                     default="oracle")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     common(sp, tol_default=1e-9)
 
     vp = sub.add_parser("verify", help="closed forms vs oracles, JSON report")
-    vp.add_argument("--q-min", type=_finite_float, default=1.2)
-    vp.add_argument("--q-max", type=_finite_float, default=2.2)
-    vp.add_argument("--q-steps", type=int, default=3)
+    q_grid(vp, 1.2, 2.2, 3)
     common(vp, tol_default=1e-8)
     vp.set_defaults(alpha_re=0.3, alpha_im=0.1)
 
@@ -522,10 +485,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except _ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OutOfValidityWindow as exc:
+    except (_ConfigError, OutOfValidityWindow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

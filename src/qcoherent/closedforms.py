@@ -24,8 +24,9 @@ convention found in the literature for the same quantities; which of the
 two conventions this package treats as "the" closed form is not assumed
 but *calibrated*: both candidates are evaluated once against the direct
 quadrature oracle at a single anchor point and the winner is cached.
-The rejected convention stays available (``reflection=False``) so the
-verification report can quantify its deviation rather than hide it.
+The rejected convention stays available (``_closed_moments`` returns the
+plus halves of the norm and of <x>) so the verification report can
+quantify its deviation rather than hide it.
 
 Requirements inherited from the derivation: Re(S) > m + 1 for
 convergence at infinity (this is exactly the q-window arithmetic of the
@@ -101,20 +102,14 @@ def _halves(betas, terms, tol: float) -> np.ndarray:
     return out
 
 
-def _whole(halves, reflection: bool | None) -> complex:
-    """The calibrated (or the asked-for) convention from a (plus, minus) pair."""
-    if reflection is None:
-        reflection = calibrated_reflection()
-    return complex(halves[0] + halves[1] if reflection else halves[0])
+def _whole(halves) -> complex:
+    """The calibrated convention from a (plus, minus) pair."""
+    return complex(halves[0] + halves[1] if calibrated_reflection() else halves[0])
 
 
-def line_power_moment(m: int, bvec, betas, tol: float = 1e-10,
-                      reflection: bool | None = None) -> complex:
-    """int x^m prod (x - beta_i)^(-b_i) dx over the whole real line.
-
-    ``reflection=None`` uses the calibrated convention; False evaluates
-    only the positive half-line piece (the competing printed form).
-    """
+def line_power_moment(m: int, bvec, betas, tol: float = 1e-10) -> complex:
+    """int x^m prod (x - beta_i)^(-b_i) dx over the whole real line, under
+    the calibrated convention."""
     if m < 0:
         raise ValueError("moment order must be >= 0")
     bvec = tuple(complex(b) for b in bvec)
@@ -125,7 +120,7 @@ def line_power_moment(m: int, bvec, betas, tol: float = 1e-10,
         raise OutOfValidityWindow(
             f"moment of order {m} diverges at infinity (needs Re(sum b) > {m + 1})"
         )
-    return _whole(_halves(betas, [(bvec, {m: 1.0}, 0.0)], tol)[0], reflection)
+    return _whole(_halves(betas, [(bvec, {m: 1.0}, 0.0)], tol)[0])
 
 
 @lru_cache(maxsize=1)
@@ -189,11 +184,9 @@ def _moment_terms(alpha: complex) -> dict:
                           0: 2.0 * abs(alpha) ** 2})}
 
 
-def _moment_closed(q: float, alpha: complex, name: str, tol: float,
-                   reflection: bool | None) -> complex:
+def _moment_closed(q: float, alpha: complex, name: str, tol: float) -> complex:
     alpha = complex(alpha)
-    return _whole(_state_halves(q, alpha, alpha, [_moment_terms(alpha)[name]], tol)[0],
-                  reflection)
+    return _whole(_state_halves(q, alpha, alpha, [_moment_terms(alpha)[name]], tol)[0])
 
 
 def _closed_moments(q: float, alpha: complex, tol: float):
@@ -207,45 +200,41 @@ def _closed_moments(q: float, alpha: complex, tol: float):
     alpha = complex(alpha)
     norm, *numerators = _state_halves(q, alpha, alpha, list(_moment_terms(alpha).values()),
                                       min(tol, 1e-10))
-    n2 = _whole(norm, None)
-    return (n2, tuple(_whole(h, None) / n2 for h in numerators),
+    n2 = _whole(norm)
+    return (n2, tuple(_whole(h) / n2 for h in numerators),
             (norm[0], numerators[0][0] / norm[0]))
 
 
-def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10,
-                        reflection: bool | None = None) -> complex:
+def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
     """int |psi_un|^2 dx in closed form (q < 5), at min(tol, 1e-10): the
     norm divides every normalised quantity."""
     _window(q, 5.0, "closed-form norm")
-    return _moment_closed(q, alpha, "n2", min(tol, 1e-10), reflection)
+    return _moment_closed(q, alpha, "n2", min(tol, 1e-10))
 
 
-def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10,
-                           reflection: bool | None = None) -> complex:
+def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10) -> complex:
     """int x^m |psi_un|^2 dx in closed form; window q < 1 + 4/(m+1) ... m<=2 intended."""
     upper = {0: 5.0, 1: 3.0, 2: 7.0 / 3.0}.get(m)
     if upper is None:
         raise ValueError("position moments implemented for m in {0, 1, 2}")
     _window(q, upper, f"closed-form <x^{m}>")
-    return _moment_closed(q, alpha, ("n2", "x", "x2")[m], tol, reflection)
+    return _moment_closed(q, alpha, ("n2", "x", "x2")[m], tol)
 
 
-def momentum_first_closed(q: float, alpha: complex, tol: float = 1e-10,
-                          reflection: bool | None = None) -> complex:
+def momentum_first_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
     """-i * int conj(psi_un) psi_un' dx in closed form (q < 5)."""
     _window(q, 5.0, "closed-form <p>")
-    return _moment_closed(q, alpha, "p", tol, reflection)
+    return _moment_closed(q, alpha, "p", tol)
 
 
-def momentum_second_closed(q: float, alpha: complex, tol: float = 1e-10,
-                           reflection: bool | None = None) -> complex:
+def momentum_second_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
     """int |psi_un'|^2 dx in closed form (q < 5)."""
     _window(q, 5.0, "closed-form <p^2>")
-    return _moment_closed(q, alpha, "p2", tol, reflection)
+    return _moment_closed(q, alpha, "p2", tol)
 
 
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
-                   tol: float = 1e-10, reflection: bool | None = None) -> complex:
+                   tol: float = 1e-10) -> complex:
     """int conj(psi_un[alpha_a]) psi_un[alpha_b] dx in closed form (q < 5).
 
     The bra contributes the root pair of its conjugated bracket, the ket
@@ -253,7 +242,7 @@ def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
     """
     _window(q, 5.0, "closed-form overlap")
     halves = _state_halves(q, complex(alpha_a), complex(alpha_b), [(0, 0, {0: 1.0})], tol)
-    return _whole(halves[0], reflection)
+    return _whole(halves[0])
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:

@@ -65,7 +65,7 @@ def _expansion_norm(q: float, are: float, aim: float) -> float:
 
 
 def _expansion_raw(q: float, alpha: complex, x):
-    w = _quad_poly(q, alpha, np.asarray(x, dtype=float))
+    w = _quad_poly(alpha, np.asarray(x, dtype=float))
     return (1.0 + (q - 1.0) / 8.0 * w * w) * np.exp(-0.5 * w)
 
 

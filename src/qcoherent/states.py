@@ -170,13 +170,13 @@ class WaveFunctionSample:
     d2: complex
 
 
-def _quad_poly(q: float, alpha: complex, x):
+def _quad_poly(alpha: complex, x):
     # x^2 - 2 sqrt2 alpha x + |alpha|^2 + alpha^2, vectorised
     return x * x - 2.0 * SQRT2 * alpha * x + abs(alpha) ** 2 + alpha * alpha
 
 
 def _bracket(q: float, alpha: complex, x):
-    return 1.0 + 0.5 * (q - 1.0) * _quad_poly(q, alpha, x)
+    return 1.0 + 0.5 * (q - 1.0) * _quad_poly(alpha, x)
 
 
 def _psi_un_lanes(q: float, alpha: complex, x):
@@ -200,7 +200,7 @@ def _psi_un_lanes(q: float, alpha: complex, x):
         x = np.where(big, 0.0, x)
     if q == 1.0:
         log_b = None
-        val = np.exp(-0.5 * _quad_poly(q, alpha, x))
+        val = np.exp(-0.5 * _quad_poly(alpha, x))
     else:
         log_b = np.log(_bracket(q, alpha, x))
         val = np.exp((1.0 / (1.0 - q)) * log_b)

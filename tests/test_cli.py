@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -93,6 +94,47 @@ def test_sweep_grid_validation_exit_codes(tmp_path):
     assert run_cli("sweep", "--q-max", "inf") == 2
     assert run_cli("verify", "--tol", "nan") == 2
     assert run_cli("pd", "--q", "1.5", "--k-min", "-inf") == 2
+    # so are a tol that is not positive and fewer than one q step
+    for command in (("sweep",), ("verify",), ("pd", "--q", "1.5")):
+        assert run_cli(*command, "--tol", "0") == 2
+        assert run_cli(*command, "--tol", "-1e-9") == 2
+    assert run_cli("verify", "--q-steps", "0") == 2
+    assert run_cli("verify", "--q-steps", "-1") == 2
+
+
+def test_csv_cells_match_json_values(tmp_path):
+    # sweep and pd write one table in two formats: every CSV cell reads back
+    # as the float (or the string) the JSON entry holds
+    cases = {
+        "sweep": ("sweep", "--q-min", "1.2", "--q-max", "1.4", "--q-steps", "2",
+                  "--alpha-re", "0.3", "--alpha-im", "0.1", "--method", "both"),
+        "pd": ("pd", "--q", "1.5", "--alpha-im", "0.2", "--k-steps", "11"),
+    }
+    for name, args in cases.items():
+        csv_out, json_out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert run_cli(*args, "--out", str(csv_out)) == 0
+        assert run_cli(*args, "--format", "json", "--out", str(json_out)) == 0
+        comments, rows = read_rows(csv_out)
+        doc = json.loads(json_out.read_text())
+        assert len(rows) == len(doc["entries"]) > 0
+        for row, entry in zip(rows, doc["entries"]):
+            assert list(row) == list(entry)
+            for key, cell in row.items():
+                want = entry[key]
+                assert (cell == want) if isinstance(want, str) else float(cell) == want
+        assert f"# config {doc['meta']['config']}\n" in comments
+    trailer = [c for c in comments if c.startswith("# parseval_total=")]
+    assert [float(c.split("=")[1]) for c in trailer] == [doc["meta"]["parseval_total"]]
+
+
+def test_verify_q_grid_accepts_one_step_and_repeats():
+    def grid(q_min, q_max, q_steps):
+        args = SimpleNamespace(q_min=q_min, q_max=q_max, q_steps=q_steps)
+        return cli._check_q_grid(args, "verify grid needs")
+
+    assert grid(1.2, 1.5, 1) == [1.2]
+    assert grid(1.2, 1.2, 3) == [1.2, 1.2, 1.2]
+    assert grid(1.2, 2.2, 3) == pytest.approx([1.2, 1.7, 2.2])
 
 
 def test_negative_values_in_exponent_notation_are_values(tmp_path):
@@ -148,6 +190,27 @@ def test_verify_mandatory_checks_pass(verify_report):
         "limit_recovery", "fd_consistency",
     }
     assert all(c["status"] == "pass" for c in checks.values())
+
+
+def test_verify_entry_sequence(verify_report):
+    # 16 entries per grid point in a fixed order, then the q-independent ones
+    _, rep = verify_report
+    per_q = (
+        "normalization_fd", "normalization_fd_halfline", "moment_x_fd",
+        "moment_x_fd_halfline", "moment_x2_fd", "moment_p_fd", "moment_p2_fd",
+        "overlap_fd",
+        "momentum_amplitude_kummer", "momentum_pd_kummer", "momentum_amplitude_bessel",
+        "momentum_amplitude_kummer", "momentum_pd_kummer", "momentum_amplitude_bessel",
+        "momentum_amplitude_k_to_zero", "momentum_amplitude_bessel",
+    )
+    tail = ("qexp_phase_expansion", "hermite_expansion_identity",
+            "fd_series_vs_integral", "fd_gauss_reduction")
+    qs = rep["meta"]["config"]["q_grid"]
+    assert [e["equation"] for e in rep["entries"]] == list(per_q) * len(qs) + list(tail)
+    for i, q in enumerate(qs):
+        block = rep["entries"][16 * i:16 * (i + 1)]
+        assert all(e["point"]["q"] == q for e in block)
+        assert [e["point"].get("k") for e in block[8:]] == [0.8] * 3 + [2.0] * 3 + [0.01] * 2
 
 
 def test_verify_normalization_entries_all_pass(verify_report):

@@ -86,7 +86,8 @@ def test_calibration_selects_reflection_term():
 def test_halfline_variant_disagrees_at_anchor():
     q, alpha = 1.2, 0.3
     full = norm_squared_closed(q, alpha, tol=1e-11)
-    half = norm_squared_closed(q, alpha, tol=1e-11, reflection=False)
+    # the plus half alone, the positive-half-line convention
+    _, _, (half, _) = closedforms._closed_moments(q, alpha, 1e-11)
     oracle = normalization_constant(q, alpha, tol=1e-11) ** -2.0
     assert full == pytest.approx(oracle.real, rel=1e-9)
     assert abs(half - oracle.real) > 1e-3 * abs(oracle.real)
