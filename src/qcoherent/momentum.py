@@ -138,7 +138,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     """
     require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
     k = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise ValueError("k must be finite")
     alpha = complex(alpha)
     if q == 1.0:
@@ -260,8 +260,8 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
         return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
                          else 0.0 + 0.0j for k in ks])
 
-    samples = tuple(MomentumSample(float(k), complex(amp), abs(complex(amp)) ** 2, method)
-                    for k, amp in zip(grid, amplitudes(grid)))
+    samples = tuple(MomentumSample(k, z, abs(z) ** 2, method)
+                    for k, z in zip(grid.tolist(), amplitudes(grid).tolist()))
     # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
     # the printed form's density does not decay, and keeps the fixed window
     rate = math.inf

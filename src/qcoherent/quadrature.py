@@ -30,7 +30,13 @@ of shape (n,), or (m, n) for m integrands on shared nodes that one pass
 refines until each meets err_i <= tol * max(1, |value_i|), as in
 ``scipy.integrate.quad_vec`` (not used: the oracle stays independent).
 All routines count integrand evaluations (nodes) and stop with
-NotConverged once ``max_evals`` is exhausted.
+NotConverged once ``max_evals`` is exhausted.  An adaptive pass stops
+sooner when splitting can no longer meet its target: every panel's error
+is locked once the panel reaches the double-precision width floor or its
+error reaches the round-off floor 50*eps*resabs, which halves do not
+lower.  When the locked error alone misses the target, the pass returns
+its floor-limited estimate if that is within 1e3 times the target and
+raises NotConverged ("resolution floor") otherwise.
 """
 
 from __future__ import annotations
@@ -121,39 +127,46 @@ def _as_spec(f) -> IntegrandSpec:
     return IntegrandSpec(evaluator=f)
 
 
-def _gk_reduce(fx, x, halfs):
+def _gk_reduce(fx, halfs, where):
     """Apply the G7/K15 pair to the values fx, shape ([m,] panels, 15), of
-    a batch of panels with nodes x (reported if a value is not finite).
+    a batch of panels of half-widths halfs.
 
-    Returns (resk, err) arrays of shape ([m,] panels); err carries the QUADPACK
-    rescaling  resasc * min(1, (200*|K-G|/resasc)^1.5)  with a 50*eps
-    round-off floor, so summing it over panels gives a defensible global
-    estimate.
+    Returns (resk, err, floor) arrays of shape ([m,] panels): err carries
+    the QUADPACK rescaling  resasc * min(1, (200*|K-G|/resasc)^1.5)  held
+    at or above the round-off floor 50*eps*resabs, so summing it over
+    panels gives a defensible global estimate.  A value that is not finite
+    raises NotConverged naming the evaluator's points there: ``where()``
+    returns them, shape (panels, 15), and is called only then.
     """
-    if not np.all(np.isfinite(fx)):
-        bad = x[~np.isfinite(fx.reshape(-1, *x.shape)).all(axis=0)][:3]
-        raise NotConverged(f"integrand returned non-finite values near x={bad}")
+    resabs = halfs * (np.abs(fx) @ _WK)
+    if not np.isfinite(resabs).all():  # finite values can still overflow resabs
+        finite = np.isfinite(fx).reshape(-1, *fx.shape[-2:]).all(axis=0)
+        if not finite.all():
+            raise NotConverged(f"integrand returned non-finite values near "
+                               f"x={where()[~finite][:3]}")
     resk = halfs * (fx @ _WK)
     resg = halfs * (fx[..., _GIDX] @ _WG)
-    resabs = halfs * (np.abs(fx) @ _WK)
     mean = resk / (2.0 * halfs)
     resasc = halfs * (np.abs(fx - mean[..., None]) @ _WK)
     raw = np.abs(resk - resg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(
-            resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-            raw,
-        )
-    err = np.maximum(scaled, 50.0 * _EPS * resabs)
-    return resk, err
+    if (resasc > 0.0).all():
+        scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+    else:  # a flat panel (resasc == 0) keeps the raw |K - G|
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = np.where(
+                resasc > 0.0,
+                resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+                raw,
+            )
+    floor = 50.0 * _EPS * resabs
+    return resk, np.maximum(scaled, floor), floor
 
 
 def _panel_batch(evaluator, mids, halfs):
     """The G7/K15 pair on a batch of panels of one plain integrand."""
     x = mids[:, None] + halfs[:, None] * _XK[None, :]
     fx = np.asarray(evaluator(x.ravel())).astype(complex, copy=False)
-    return _gk_reduce(fx.reshape(fx.shape[:-1] + x.shape), x, halfs)
+    return _gk_reduce(fx.reshape(fx.shape[:-1] + x.shape), halfs, lambda: x)
 
 
 class _Piece(NamedTuple):
@@ -179,19 +192,44 @@ def _plain(edges) -> _Piece:
 def _pieces_batch(ev, pieces, owner, mids, halfs):
     """The G7/K15 pair on a batch of panels, panel i belonging to
     pieces[owner[i]]: one ev call on the points of every piece's nodes,
-    each piece's finish on its share of the values, one reduction."""
+    each piece's finish on its share of the values, one reduction.  A
+    non-finite value is reported at its point of ev, not at its v."""
     v = mids[:, None] + halfs[:, None] * _XK[None, :]
-    parts = [(piece, sel, v[sel].ravel())
-             for piece, sel in ((p, owner == i) for i, p in enumerate(pieces)) if np.any(sel)]
-    fx = np.asarray(ev(np.concatenate([piece.points(nodes) for piece, _, nodes in parts])))
+    first = owner[0]
+    if (owner == first).all():  # one piece: no masks, no scatter
+        piece, nodes = pieces[first], v.ravel()
+        at = piece.points(nodes)
+        fx = np.asarray(ev(at))
+        out = np.asarray(piece.finish(nodes, fx), dtype=complex)
+        return _gk_reduce(out.reshape(fx.shape[:-1] + v.shape), halfs,
+                          lambda: at.reshape(v.shape))
+    parts, stop = [], 0
+    for i, piece in enumerate(pieces):
+        sel = owner == i
+        if sel.any():
+            nodes = v[sel].ravel()
+            parts.append((piece, sel, nodes, slice(stop, stop + nodes.size)))
+            stop += nodes.size
+    at = np.concatenate([piece.points(nodes) for piece, _, nodes, _ in parts])
+    fx = np.asarray(ev(at))
     out = np.empty(fx.shape[:-1] + v.shape, dtype=complex)
-    start = 0
-    for piece, sel, nodes in parts:
-        stop = start + nodes.size
-        out[..., sel, :] = np.reshape(piece.finish(nodes, fx[..., start:stop]),
+    for piece, sel, nodes, span in parts:
+        out[..., sel, :] = np.reshape(piece.finish(nodes, fx[..., span]),
                                       fx.shape[:-1] + (-1, v.shape[1]))
-        start = stop
-    return _gk_reduce(out, v, halfs)
+
+    def where():
+        points = np.empty(v.shape)
+        for _, sel, _, span in parts:
+            points[sel] = at[span].reshape(-1, v.shape[1])
+        return points
+
+    return _gk_reduce(out, halfs, where)
+
+
+def _splittable(mids, halfs):
+    """Panels wider than their width floor, which is set by each panel's
+    own position, not by the far edges."""
+    return halfs > 8.0 * _EPS * np.maximum(1.0, np.abs(mids) + halfs)
 
 
 def _adaptive(pieces, ev, tol, max_evals, method):
@@ -204,6 +242,16 @@ def _adaptive(pieces, ev, tol, max_evals, method):
     two of the current worst, then re-checks the targets; this batches well
     and keeps the refinement sequence independent of tol: tightening tol
     only extends it.
+
+    A panel stays open while splitting can still lower its error: it is
+    wider than its width floor (``_splittable``, kept per panel and
+    computed once, when the panel is made) and its error is above its
+    round-off floor 50*eps*resabs, which halves do not lower (their floors
+    sum to the same).  The error of every other panel is locked.  Once no
+    panel is open, or the locked error alone misses a target, the pass is
+    floored: it returns the honest floor-limited estimate when that is
+    within three orders of the request (QUADPACK-style round-off return)
+    and refuses otherwise, without spending its budget.
     """
     edges = [np.asarray(p.edges, dtype=float) for p in pieces]
     lo = np.concatenate([e[:-1] for e in edges])
@@ -211,27 +259,27 @@ def _adaptive(pieces, ev, tol, max_evals, method):
     owner = np.concatenate([np.full(len(e) - 1, i) for i, e in enumerate(edges)])
     mids = 0.5 * (lo + hi)
     halfs = 0.5 * (hi - lo)
-    vals, errs = _pieces_batch(ev, pieces, owner, mids, halfs)
+    vals, errs, floors = _pieces_batch(ev, pieces, owner, mids, halfs)
+    splittable = _splittable(mids, halfs)
     evals = 15 * len(mids)
 
     while True:
-        value = np.sum(vals, axis=-1)
-        err = np.sum(errs, axis=-1)
+        value = vals.sum(axis=-1)
+        err = errs.sum(axis=-1)
         scale = np.maximum(1.0, np.abs(value))
         target = tol * scale
-        # each panel's width floor is set by its own position, not the far edges
-        splittable = halfs > 8.0 * _EPS * np.maximum(1.0, np.abs(mids) + halfs)
-        locked = err - np.sum(errs[..., splittable], axis=-1)
-        # width floor reached: further splitting provably cannot meet the
-        # target.  Return the honest floor-limited estimate when it is
-        # within three orders of the request (QUADPACK-style round-off
-        # return), refuse otherwise.
-        floored = not np.any(splittable) or np.any(locked > target)
-        if np.all(err <= (1e3 * target if floored else target)):
-            if np.ndim(value) == 0:  # a scalar integrand reports Python scalars
+        done, floored = (err <= target).all(), False
+        if not done:
+            open_ = splittable & (errs > floors)
+            if not open_.all():
+                floored = not open_.any() or (
+                    err - np.where(open_, errs, 0.0).sum(axis=-1) > target).any()
+                done = floored and (err <= 1e3 * target).all()
+        if done:
+            if value.ndim == 0:  # a scalar integrand reports Python scalars
                 value, err = complex(value), float(err)
             return QuadratureResult(value, err, evals, method)
-        weight = np.max(scale) / scale  # err * weight ~ err / target; 1 if scalar
+        weight = scale.max() / scale if errs.ndim > 1 else 1.0  # err * weight ~ err / target
         if floored or evals >= max_evals:  # report the component furthest off
             c = np.argmax(np.ravel(err * weight))
             e, t, v = (np.ravel(a)[c] for a in (err, target, value))
@@ -240,22 +288,28 @@ def _adaptive(pieces, ev, tol, max_evals, method):
                 if floored else f"quadrature budget exhausted: {evals} evaluations, "
                 f"err_estimate={e:.3e}, value={v:.6e}"
             )
-        score = np.max((errs * weight[..., None]).reshape(-1, len(halfs)), axis=0)
-        worst = float(np.max(score[splittable]))
-        pick = splittable & (score >= 0.5 * worst)
-        if not np.any(pick):  # pragma: no cover - pick always holds the max
+        score = errs if errs.ndim == 1 else (errs * weight[..., None]).reshape(
+            -1, len(halfs)).max(axis=0)
+        if splittable.all():
+            pick = score >= 0.5 * score.max()
+        else:
+            pick = splittable & (score >= 0.5 * score[splittable].max())
+        if not pick.any():  # pragma: no cover - pick always holds the max
             pick = splittable
         keep = ~pick
-        new_mids = np.concatenate([mids[pick] - 0.5 * halfs[pick], mids[pick] + 0.5 * halfs[pick]])
-        new_halfs = np.concatenate([0.5 * halfs[pick], 0.5 * halfs[pick]])
+        picked, quarter = mids[pick], 0.5 * halfs[pick]
+        new_mids = np.concatenate([picked - quarter, picked + quarter])
+        new_halfs = np.concatenate([quarter, quarter])
         new_owner = np.concatenate([owner[pick], owner[pick]])
-        nv, ne = _pieces_batch(ev, pieces, new_owner, new_mids, new_halfs)
+        nv, ne, nf = _pieces_batch(ev, pieces, new_owner, new_mids, new_halfs)
         evals += 15 * len(new_mids)
         mids = np.concatenate([mids[keep], new_mids])
         halfs = np.concatenate([halfs[keep], new_halfs])
         owner = np.concatenate([owner[keep], new_owner])
+        splittable = np.concatenate([splittable[keep], _splittable(new_mids, new_halfs)])
         vals = np.concatenate([vals[..., keep], nv], axis=-1)
         errs = np.concatenate([errs[..., keep], ne], axis=-1)
+        floors = np.concatenate([floors[..., keep], nf], axis=-1)
 
 
 # Grading power next to a hint: u = hint + w * v**4 turns an algebraic factor
@@ -275,8 +329,8 @@ def _graded(hint: float, w: float) -> _Piece:
         return hint + w * v ** g
 
     def finish(v, fu):
-        finite = np.all(np.isfinite(np.reshape(fu, (-1, v.size))), axis=0)
-        if not np.all(finite):
+        if not np.isfinite(fu).all():
+            finite = np.isfinite(np.reshape(fu, (-1, v.size))).all(axis=0)
             raise NotConverged(f"integrand returned non-finite values near "
                                f"u={points(v)[~finite][:3]} (graded towards the hint {hint})")
         return fu * (g * abs(w) * v ** (g - 1.0))
@@ -322,9 +376,10 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     Singularity hints in [a, b], interior or at an end, follow the hint
     rule of ``_pieces``.  Swapped bounds integrate with the orientation
     sign.  When bisection runs into the double-precision panel-width floor
-    before meeting the target, the honest floor-limited estimate is
-    returned as long as it is within three orders of the request;
-    NotConverged otherwise, or when ``max_evals`` is exhausted.
+    or the round-off floor (see ``_adaptive``) before meeting the target,
+    the honest floor-limited estimate is returned as long as it is within
+    three orders of the request; NotConverged otherwise, or when
+    ``max_evals`` is exhausted.
     """
     spec = _as_spec(f)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -557,13 +612,13 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     while True:
         idx = np.arange(n_panels, n_panels + 16)
         mids = (sides * (X + (idx + 0.5) * half_period)).ravel()
-        vals, errs = _panel_batch(g, mids, np.full(mids.size, 0.5 * half_period))
+        vals, errs, _ = _panel_batch(g, mids, np.full(mids.size, 0.5 * half_period))
         evals += 15 * mids.size
         n_panels += 16
         vals = vals.reshape(2, -1)
         qerr += np.sum(errs.reshape(2, -1), axis=1)
         best, rem = averages.extend(vals)
-        if np.all((rem <= target) | (np.abs(vals[:, -1]) < 1e-305)):
+        if ((rem <= target) | (np.abs(vals[:, -1]) < 1e-305)).all():
             break
         if n_panels >= 4096 or evals >= max_evals:
             raise NotConverged(

@@ -187,24 +187,26 @@ def _psi_un_lanes(q: float, alpha: complex, x):
     quantity here underflows to an exact double-precision zero, so those
     lanes (``big``) are set to x = 0 and their value to 0 instead of
     letting x*x reach inf (complex inf arithmetic breeds NaNs in cross
-    terms).  log_b is the log of the bracket at the masked x, None at the
-    q = 1 sentinel.  Powers of the bracket are taken as exp(expo * log_b):
-    a huge bracket then underflows to 0 instead of overflowing the
-    repeated products np.power uses for integral exponents (nan + nanj
-    with a RuntimeWarning).
+    terms); big is None when no lane is masked.  log_b is the log of the
+    bracket at the masked x, None at the q = 1 sentinel.  Powers of the
+    bracket are taken as exp(expo * log_b): a huge bracket then underflows
+    to 0 instead of overflowing the repeated products np.power uses for
+    integral exponents (nan + nanj with a RuntimeWarning).
     """
     x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
     big = np.abs(x) > 1e150
-    if np.any(big):
+    if big.any():
         x = np.where(big, 0.0, x)
+    else:
+        big = None
     if q == 1.0:
         log_b = None
         val = np.exp(-0.5 * _quad_poly(alpha, x))
     else:
         log_b = np.log(_bracket(q, alpha, x))
         val = np.exp((1.0 / (1.0 - q)) * log_b)
-    if np.any(big):
+    if big is not None:
         val = np.where(big, 0.0, val)
     return val, x, big, log_b
 
@@ -236,7 +238,7 @@ def _psi_un_arrays(q: float, alpha: complex, x):
         d1 = -shift * power
         half_piece = shift * np.exp((0.5 * (expo - 2.0)) * log_b)
         d2 = q * half_piece * half_piece - power
-    if np.any(big):
+    if big is not None:
         d1 = np.where(big, 0.0, d1)
         d2 = np.where(big, 0.0, d2)
     return val, d1, d2

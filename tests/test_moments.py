@@ -1,11 +1,12 @@
 """Position/momentum moments and the uncertainty product, both routes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qcoherent import closedforms, moments, specfun
+from qcoherent import closedforms, moments, momentum, specfun
 from qcoherent.errors import ConventionMismatch, NotConverged, OutOfValidityWindow
 from qcoherent.moments import (
     MomentReport,
@@ -13,6 +14,7 @@ from qcoherent.moments import (
     moments_oracle,
     uncertainty_product,
 )
+from qcoherent.quadrature import IntegrandSpec
 
 # frozen oracle outputs at (q, alpha) = (1.3, 0.3), quadrature tol 1e-11;
 # mean_x is exactly sqrt(2)*alpha by the density's reflection symmetry
@@ -48,25 +50,30 @@ def test_oracle_is_one_line_pass(monkeypatch):
     assert len(calls) == 1
 
 
-def _evaluator_log(monkeypatch, module):
-    """Route module.integrate_line's evaluator through a (calls, nodes, evaluations) log."""
+def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):
+    """Route the evaluator of module.<name>, its positional argument ``arg``
+    (a callable or an IntegrandSpec), through a (calls, nodes, evaluations)
+    log."""
     log = []
-    real = module.integrate_line
+    real = getattr(module, name)
 
-    def counted(f, *args, **kwargs):
+    def counted(*args, **kwargs):
         entry = [0, 0, 0]
         log.append(entry)
+        f = args[arg]
+        spec = f if isinstance(f, IntegrandSpec) else IntegrandSpec(f)
 
         def ev(x):
             entry[0] += 1
             entry[1] += np.size(x)
-            return f(x)
+            return spec.evaluator(x)
 
-        res = real(ev, *args, **kwargs)
+        f = dataclasses.replace(spec, evaluator=ev) if f is spec else ev
+        res = real(*args[:arg], f, *args[arg + 1:], **kwargs)
         entry[2] = res.evaluations
         return res
 
-    monkeypatch.setattr(module, "integrate_line", counted)
+    monkeypatch.setattr(module, name, counted)
     return log
 
 
@@ -84,6 +91,24 @@ def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     moments_oracle(1.6, 0.4 + 0.1j)
     assert norm_log == [[3, 372, 372]]  # the norm integral at tol 1e-10
     assert moment_log == [[5, 402, 402]]  # the 6-row moment pass at tol 1e-9
+
+
+def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
+    # (evaluator calls, nodes, evaluations) of three more kinds of pass, so
+    # that no change to the adaptive driver's bookkeeping moves a refinement
+    # sequence unseen: a state's closed Euler pass (the probe call comes
+    # before the pass), one Fourier amplitude (core generations, then tail
+    # rounds) and momentum_pd's Parseval integral
+    closedforms.calibrated_reflection()
+    euler_log = _evaluator_log(monkeypatch, specfun, "_adaptive", arg=1)
+    fourier_log = _evaluator_log(monkeypatch, momentum, "fourier_transform_line")
+    parseval_log = _evaluator_log(monkeypatch, momentum, "integrate_interval")
+    closedforms._closed_moments(1.6, 0.4 + 0.1j, 1e-9)
+    momentum.momentum_amplitude_oracle(1.9, -1.2 + 0.7j, 0.3)
+    momentum.momentum_pd(1.9, -1.2 + 0.7j)
+    assert euler_log == [[4, 150, 150]]
+    assert fourier_log == [[11, 810, 810]]
+    assert parseval_log == [[3, 210, 210]]
 
 
 def test_closed_reuses_the_oracle_pass_of_the_same_label(monkeypatch):

@@ -9,6 +9,7 @@ own physics layer.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,57 @@ def test_interval_budget_exhaustion():
                            tol=1e-13, max_evals=60)
 
 
+def test_below_the_round_off_floor_stops_at_once():
+    # splitting does not lower the panels' round-off floors 50*eps*resabs,
+    # so a target below their sum is not chased through the budget: the
+    # floor-limited estimate is returned within 1e3 times the target, and
+    # refused beyond
+    f, log = _counting(lambda x: 1.0 / (1.0 + x * x))
+    with pytest.raises(NotConverged, match="resolution floor"):
+        integrate_line(f, tol=1e-20)
+    assert log[1] <= 3000
+    r = integrate_line(f, tol=1e-14)
+    assert r.evaluations <= 3000
+    assert abs(r.value - math.pi) <= r.err_estimate <= 1e3 * 1e-14 * math.pi
+
+
+def test_round_off_floor_counts_only_resolved_panels():
+    # two opposite spikes on K15 nodes of the wide seed panels: the first
+    # estimates read |f| ~ 100 against a value of ~1.8, a floor far above
+    # the target, but only panels whose error is already at their floor
+    # lock it, so the pass converges as it always did
+    def f(x):
+        return (10.0 * np.exp(-((x - 72.0) / 0.05) ** 2)
+                - 10.0 * np.exp(-((x + 72.0) / 0.05) ** 2) + np.exp(-x * x))
+
+    r = integrate_line(f, tol=1e-13)
+    assert r.evaluations == 1962
+    assert abs(r.value - SQRT_PI) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.inf, 0.0)])
+def test_non_finite_values_raise(bad):
+    def f(x):
+        return np.where(x > 0.5, bad, 1.0 / (1.0 + x * x))
+
+    with pytest.raises(NotConverged, match="non-finite"):
+        integrate_interval(f, 0.0, 1.0)
+    with pytest.raises(NotConverged, match="non-finite"):  # in a Fourier tail panel
+        fourier_transform_line(lambda x: np.where(x > 40.0, bad, np.exp(-x * x)), 1.0)
+
+
+def test_non_finite_tail_values_are_reported_at_x():
+    # the tail piece samples x = 96/v^gamma; the failure names x, not v
+    def f(x):
+        return np.where((x > 200.0) & (x < 300.0), math.nan, 1.0 / (1.0 + x * x))
+
+    with pytest.raises(NotConverged, match="non-finite") as info:
+        integrate_line(f)
+    points = [float(t) for t in
+              re.search(r"x=\[([^\]]*)\]", str(info.value)).group(1).split()]
+    assert points and all(200.0 < x < 300.0 for x in points)
+
+
 def test_interval_orientation_and_degenerate_bounds():
     fwd = integrate_interval(lambda x: x * x, 0.0, 1.0, tol=1e-13)
     rev = integrate_interval(lambda x: x * x, 1.0, 0.0, tol=1e-13)
@@ -130,6 +182,35 @@ def test_gauss_kronrod_constants_integrate_polynomials_exactly():
     assert np.max(np.abs(xg - nodes)) <= 4 * np.spacing(1.0)
     assert np.max(np.abs(wg - weights)) <= 4 * np.spacing(1.0)
     assert np.array_equal(xk, -xk[::-1]) and np.array_equal(wk, wk[::-1])
+
+
+@pytest.mark.parametrize("f, has_flat", [
+    (lambda x: np.exp(1j * x) / (1.0 + x * x), False),
+    (lambda x: np.where(x < 0.0, 1.0, np.cos(3.0 * x)), True),  # flat on [-1, 0]
+])
+def test_gk_reduce_rescales_as_quadpack(f, has_flat):
+    # both branches of the rescale, bit for bit against QUADPACK's qk15
+    # error written out: resasc * min(1, (200 |K - G| / resasc)^1.5), or
+    # |K - G| where resasc = 0, and never below 50 eps resabs
+    mids, halfs = np.array([-0.5, 0.5, 2.0]), np.array([0.5, 0.5, 1.0])
+    x = mids[:, None] + halfs[:, None] * quadrature._XK
+    fx = np.asarray(f(x), dtype=complex)
+    resk, err, floor = quadrature._gk_reduce(fx, halfs, lambda: x)
+
+    wk, wg = quadrature._WK, quadrature._WG
+    want_k = halfs * (fx @ wk)
+    resg = halfs * (fx[:, quadrature._GIDX] @ wg)
+    resabs = halfs * (np.abs(fx) @ wk)
+    resasc = halfs * (np.abs(fx - (want_k / (2.0 * halfs))[:, None]) @ wk)
+    raw = np.abs(want_k - resg)
+    flat = resasc == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(flat, raw, resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5))
+    want_floor = 50.0 * np.finfo(float).eps * resabs
+    assert flat.any() == has_flat
+    assert np.array_equal(resk, want_k)
+    assert np.array_equal(floor, want_floor)
+    assert np.array_equal(err, np.maximum(scaled, want_floor))
 
 
 def _counting(f):
