@@ -34,9 +34,10 @@ NotConverged once ``max_evals`` is exhausted.  An adaptive pass stops
 sooner when splitting can no longer meet its target: every panel's error
 is locked once the panel reaches the double-precision width floor or its
 error reaches the round-off floor 50*eps*resabs, which halves do not
-lower.  When the locked error alone misses the target, the pass returns
-its floor-limited estimate if that is within 1e3 times the target and
-raises NotConverged ("resolution floor") otherwise.
+lower.  When the locked error alone misses the target and the error of
+the panels still open is no larger, the pass returns its floor-limited
+estimate if that is within 1e3 times the target and raises NotConverged
+("resolution floor") otherwise.
 """
 
 from __future__ import annotations
@@ -241,17 +242,20 @@ def _adaptive(pieces, ev, tol, max_evals, method):
     whose score (worst component error over its target) is within a factor
     two of the current worst, then re-checks the targets; this batches well
     and keeps the refinement sequence independent of tol: tightening tol
-    only extends it.
+    extends it, up to the floored stop below.
 
     A panel stays open while splitting can still lower its error: it is
     wider than its width floor (``_splittable``, kept per panel and
     computed once, when the panel is made) and its error is above its
     round-off floor 50*eps*resabs, which halves do not lower (their floors
-    sum to the same).  The error of every other panel is locked.  Once no
-    panel is open, or the locked error alone misses a target, the pass is
-    floored: it returns the honest floor-limited estimate when that is
-    within three orders of the request (QUADPACK-style round-off return)
-    and refuses otherwise, without spending its budget.
+    sum to the same).  The error of every other panel is locked.  The pass
+    is floored once, for some component, the locked error alone misses the
+    target and the open panels' error is no larger than it (so also when
+    no panel is open): more splitting could at most halve that estimate,
+    never meet the target.  It then returns the honest floor-limited
+    estimate when that is within three orders of the request
+    (QUADPACK-style round-off return) and refuses otherwise, without
+    spending its budget.
     """
     edges = [np.asarray(p.edges, dtype=float) for p in pieces]
     lo = np.concatenate([e[:-1] for e in edges])
@@ -270,16 +274,15 @@ def _adaptive(pieces, ev, tol, max_evals, method):
         target = tol * scale
         done, floored = (err <= target).all(), False
         if not done:
-            open_ = splittable & (errs > floors)
-            if not open_.all():
-                floored = not open_.any() or (
-                    err - np.where(open_, errs, 0.0).sum(axis=-1) > target).any()
-                done = floored and (err <= 1e3 * target).all()
+            open_err = np.where(splittable & (errs > floors), errs, 0.0).sum(axis=-1)
+            locked = err - open_err
+            floored = ((locked > target) & (open_err <= locked)).any()
+            done = floored and (err <= 1e3 * target).all()
         if done:
             if value.ndim == 0:  # a scalar integrand reports Python scalars
                 value, err = complex(value), float(err)
             return QuadratureResult(value, err, evals, method)
-        weight = scale.max() / scale if errs.ndim > 1 else 1.0  # err * weight ~ err / target
+        weight = scale.max() / scale  # err * weight ~ err / target; 1 if scalar
         if floored or evals >= max_evals:  # report the component furthest off
             c = np.argmax(np.ravel(err * weight))
             e, t, v = (np.ravel(a)[c] for a in (err, target, value))
@@ -288,12 +291,8 @@ def _adaptive(pieces, ev, tol, max_evals, method):
                 if floored else f"quadrature budget exhausted: {evals} evaluations, "
                 f"err_estimate={e:.3e}, value={v:.6e}"
             )
-        score = errs if errs.ndim == 1 else (errs * weight[..., None]).reshape(
-            -1, len(halfs)).max(axis=0)
-        if splittable.all():
-            pick = score >= 0.5 * score.max()
-        else:
-            pick = splittable & (score >= 0.5 * score[splittable].max())
+        score = (errs * weight[..., None]).reshape(-1, len(halfs)).max(axis=0)
+        pick = splittable & (score >= 0.5 * score[splittable].max())
         if not pick.any():  # pragma: no cover - pick always holds the max
             pick = splittable
         keep = ~pick

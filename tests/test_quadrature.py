@@ -108,7 +108,8 @@ def test_interval_budget_exhaustion():
 
 def test_below_the_round_off_floor_stops_at_once():
     # splitting does not lower the panels' round-off floors 50*eps*resabs,
-    # so a target below their sum is not chased through the budget: the
+    # so a target below their sum is not chased through the budget: once
+    # the open panels' error is no larger than the locked one, the
     # floor-limited estimate is returned within 1e3 times the target, and
     # refused beyond
     f, log = _counting(lambda x: 1.0 / (1.0 + x * x))
@@ -118,6 +119,8 @@ def test_below_the_round_off_floor_stops_at_once():
     r = integrate_line(f, tol=1e-14)
     assert r.evaluations <= 3000
     assert abs(r.value - math.pi) <= r.err_estimate <= 1e3 * 1e-14 * math.pi
+    # a tighter tol never stops on a coarser estimate than a looser one
+    assert r.err_estimate <= integrate_line(f, tol=1e-13).err_estimate
 
 
 def test_round_off_floor_counts_only_resolved_panels():
