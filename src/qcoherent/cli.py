@@ -283,7 +283,7 @@ def _verify_closed_forms(qs, alpha, tol):
     return entries, max(closures), min(products)
 
 
-def _verify_fd_entries(tol):
+def _verify_fd_entries():
     entries = []
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -337,7 +337,7 @@ def _mandatory_checks(qs, alpha, tol, closure, min_product):
     record("limit_recovery", limit.all_converged,
            {n: v for n, v in limit.verdicts.items()})
 
-    fd_entries = _verify_fd_entries(tol)
+    fd_entries = _verify_fd_entries()
     fd_ok = all(e["status"] == "pass" for e in fd_entries)
     record("fd_consistency", fd_ok, max(e["rel_deviation"] for e in fd_entries))
     return checks, fd_entries

@@ -40,10 +40,11 @@ root pair, so a product of brackets with exponent sum S carries that
 scale.  Its rows, one per (bracket family, half, power m), are the rows
 of a single log-space ``specfun._euler_integral`` pass; the scale and
 the branch phase join each row's log, so no value over- or underflows on
-the way.  The norm, position moments, both momentum numerators, the
-overlap, ``line_power_moment`` and the calibration are views of it, and
-``_closed_moments`` takes all five moment terms of a state from one call
-(``moments_closed`` and ``verify`` read it).
+the way.  Three views read it: ``norm_squared_closed`` and
+``overlap_closed`` take the norm's row (``_norm_halves``, which the
+calibration reads too), and ``_closed_moments`` takes all five moment
+terms of a state from one call (``moments_closed`` and ``verify`` read
+it).
 """
 
 from __future__ import annotations
@@ -53,20 +54,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BranchCrossing, ConventionMismatch, OutOfValidityWindow
-from .quadrature import integrate_line
+from .errors import ConventionMismatch, OutOfValidityWindow
 from .specfun import _euler_integral, _log_gamma_ratio_half
-from .states import SQRT2, _pair_roots, _psi_un_density
+from .states import Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots
 
 __all__ = [
     "CALIBRATION_ANCHOR_Q",
     "CALIBRATION_ANCHOR_ALPHA",
     "calibrated_reflection",
-    "line_power_moment",
     "norm_squared_closed",
-    "position_moment_closed",
-    "momentum_first_closed",
-    "momentum_second_closed",
     "overlap_closed",
     "real_alpha_norm_squared_exact",
 ]
@@ -75,18 +71,24 @@ CALIBRATION_ANCHOR_Q = 1.2
 CALIBRATION_ANCHOR_ALPHA = 0.3 + 0.0j
 
 
-def _halves(betas, terms, tol: float) -> np.ndarray:
-    """(len(terms), 2) array: each (bvec, coeffs, log_scale) term's plus and
-    reflected half of exp(log_scale) * sum_m c_m I(m), from one Euler pass.
+def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
+                  tol: float) -> np.ndarray:
+    """(len(terms), 2) array: each (bra_shift, ket_shift, coeffs) term's
+    plus and reflected half of ((q-1)/2)^(-S/2) * sum_m c_m I(m), from one
+    Euler pass with a plus and a reflected row per (term, m), a = S-m-1, c = S.
 
-    ``coeffs`` maps each power m to c_m; every (term, m) pair is one plus
-    row and one reflected row of the pass, with exponents a = S-m-1, c = S.
+    conj(psi_un[alpha_bra]) contributes its root pair with b = p + bra_shift,
+    psi_un[alpha_ket] its pair with b = p + ket_shift (p = 1/(q-1); a shift
+    of one per derivative taken); ``coeffs`` maps each power m to c_m.
     """
-    betas = np.asarray(betas, dtype=complex)
-    owner, m, c_m = map(np.array, zip(*[(t, m, c_m) for t, (_, coeffs, _) in enumerate(terms)
-                                        for m, c_m in coeffs.items()]))
-    b = np.array([terms[t][0] for t in owner], dtype=complex)
-    log_scale = np.array([terms[t][2] for t in owner], dtype=complex)
+    p = 1.0 / (q - 1.0)
+    betas = np.array(_pair_roots(q, alpha_bra.conjugate(), abs(alpha_bra) ** 2)
+                     + _pair_roots(q, alpha_ket, abs(alpha_ket) ** 2))
+    owner, bra, ket, m, c_m = map(np.array, zip(*[(t, bra, ket, m, c_m)
+                                                  for t, (bra, ket, coeffs) in enumerate(terms)
+                                                  for m, c_m in coeffs.items()]))
+    b = np.stack([p + bra, p + bra, p + ket, p + ket], axis=1).astype(complex)
+    log_scale = (-(2.0 * p + bra + ket) * math.log(0.5 * (q - 1.0))).astype(complex)
     big_s = b.sum(axis=1)
     zero = np.zeros_like(b)
     weights = np.block([[b, zero], [zero, b]])
@@ -102,25 +104,14 @@ def _halves(betas, terms, tol: float) -> np.ndarray:
     return out
 
 
+def _norm_halves(q: float, alpha_bra: complex, alpha_ket: complex, tol: float) -> np.ndarray:
+    """Plus and reflected half of int conj(psi_un[alpha_bra]) psi_un[alpha_ket] dx."""
+    return _state_halves(q, alpha_bra, alpha_ket, [(0, 0, {0: 1.0})], tol)[0]
+
+
 def _whole(halves) -> complex:
     """The calibrated convention from a (plus, minus) pair."""
     return complex(halves[0] + halves[1] if calibrated_reflection() else halves[0])
-
-
-def line_power_moment(m: int, bvec, betas, tol: float = 1e-10) -> complex:
-    """int x^m prod (x - beta_i)^(-b_i) dx over the whole real line, under
-    the calibrated convention."""
-    if m < 0:
-        raise ValueError("moment order must be >= 0")
-    bvec = tuple(complex(b) for b in bvec)
-    betas = tuple(complex(b) for b in betas)
-    if any(b.imag == 0.0 for b in betas):
-        raise BranchCrossing("a root sits on the real axis; the factorisation has a cut")
-    if (sum(bvec) - m - 1.0).real <= 0.0:
-        raise OutOfValidityWindow(
-            f"moment of order {m} diverges at infinity (needs Re(sum b) > {m + 1})"
-        )
-    return _whole(_halves(betas, [(bvec, {m: 1.0}, 0.0)], tol)[0])
 
 
 @lru_cache(maxsize=1)
@@ -132,8 +123,8 @@ def calibrated_reflection() -> bool:
     winner.  Result is cached for the process lifetime.
     """
     q, alpha = CALIBRATION_ANCHOR_Q, CALIBRATION_ANCHOR_ALPHA
-    oracle = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=1e-12).value.real
-    plus, minus = _state_halves(q, alpha, alpha, [_moment_terms(alpha)["n2"]], 1e-12)[0]
+    oracle = _norm_integral(q, alpha.real, alpha.imag, 1e-12)
+    plus, minus = _norm_halves(q, alpha, alpha, 1e-12)
     devs = {refl: abs(val - oracle) / abs(oracle)
             for refl, val in ((False, plus), (True, plus + minus))}
     winner = min(devs, key=devs.get)
@@ -149,26 +140,6 @@ def _window(q: float, upper: float, what: str) -> None:
         raise OutOfValidityWindow(f"{what} needs 1 < q < {upper:.6g}; got q={q:.6g}")
 
 
-def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
-                  tol: float) -> np.ndarray:
-    """Each (bra_shift, ket_shift, coeffs) term's plus and reflected half of
-    ((q-1)/2)^(-sum(b)/2) * sum_m c_m int x^m prod_i (x - beta_i)^(-b_i) dx,
-    all from one Euler pass (``_halves``).
-
-    conj(psi_un[alpha_bra]) contributes its root pair with b = p + bra_shift,
-    psi_un[alpha_ket] its pair with b = p + ket_shift (p = 1/(q-1); a shift
-    of one per derivative taken); ``coeffs`` maps each power m to c_m.  Each
-    bracket is (q-1)/2 times its monic quadratic, hence the scale.
-    """
-    p = 1.0 / (q - 1.0)
-    betas = (_pair_roots(q, alpha_bra.conjugate(), abs(alpha_bra) ** 2)
-             + _pair_roots(q, alpha_ket, abs(alpha_ket) ** 2))
-    log_unit = math.log(0.5 * (q - 1.0))
-    return _halves(betas, [((p + bra,) * 2 + (p + ket,) * 2, coeffs,
-                            -(2.0 * p + bra + ket) * log_unit)
-                           for bra, ket, coeffs in terms], tol)
-
-
 def _moment_terms(alpha: complex) -> dict:
     """The (bra_shift, ket_shift, coeffs) terms of the numerators of n2,
     <x>, <x^2>, <p> and <p^2>, keyed "n2", "x", "x2", "p", "p2".
@@ -182,11 +153,6 @@ def _moment_terms(alpha: complex) -> dict:
             "p": (0, 1, {1: 1j, 0: -1j * SQRT2 * alpha}),
             "p2": (1, 1, {2: 1.0, 1: -SQRT2 * (alpha + alpha.conjugate()),
                           0: 2.0 * abs(alpha) ** 2})}
-
-
-def _moment_closed(q: float, alpha: complex, name: str, tol: float) -> complex:
-    alpha = complex(alpha)
-    return _whole(_state_halves(q, alpha, alpha, [_moment_terms(alpha)[name]], tol)[0])
 
 
 def _closed_moments(q: float, alpha: complex, tol: float):
@@ -208,41 +174,17 @@ def _closed_moments(q: float, alpha: complex, tol: float):
 def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
     """int |psi_un|^2 dx in closed form (q < 5), at min(tol, 1e-10): the
     norm divides every normalised quantity."""
-    _window(q, 5.0, "closed-form norm")
-    return _moment_closed(q, alpha, "n2", min(tol, 1e-10))
-
-
-def position_moment_closed(q: float, alpha: complex, m: int, tol: float = 1e-10) -> complex:
-    """int x^m |psi_un|^2 dx in closed form; window q < 1 + 4/(m+1) ... m<=2 intended."""
-    upper = {0: 5.0, 1: 3.0, 2: 7.0 / 3.0}.get(m)
-    if upper is None:
-        raise ValueError("position moments implemented for m in {0, 1, 2}")
-    _window(q, upper, f"closed-form <x^{m}>")
-    return _moment_closed(q, alpha, ("n2", "x", "x2")[m], tol)
-
-
-def momentum_first_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
-    """-i * int conj(psi_un) psi_un' dx in closed form (q < 5)."""
-    _window(q, 5.0, "closed-form <p>")
-    return _moment_closed(q, alpha, "p", tol)
-
-
-def momentum_second_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
-    """int |psi_un'|^2 dx in closed form (q < 5)."""
-    _window(q, 5.0, "closed-form <p^2>")
-    return _moment_closed(q, alpha, "p2", tol)
+    _window(q, Q_NORMALIZABLE_MAX, "closed-form norm")
+    alpha = complex(alpha)
+    return _whole(_norm_halves(q, alpha, alpha, min(tol, 1e-10)))
 
 
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
                    tol: float = 1e-10) -> complex:
-    """int conj(psi_un[alpha_a]) psi_un[alpha_b] dx in closed form (q < 5).
-
-    The bra contributes the root pair of its conjugated bracket, the ket
-    its own pair; same uniform b = p weight as the norm.
-    """
-    _window(q, 5.0, "closed-form overlap")
-    halves = _state_halves(q, complex(alpha_a), complex(alpha_b), [(0, 0, {0: 1.0})], tol)
-    return _whole(halves[0])
+    """int conj(psi_un[alpha_a]) psi_un[alpha_b] dx in closed form (q < 5):
+    the norm's row across two states."""
+    _window(q, Q_NORMALIZABLE_MAX, "closed-form overlap")
+    return _whole(_norm_halves(q, complex(alpha_a), complex(alpha_b), tol))
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:
@@ -254,6 +196,6 @@ def real_alpha_norm_squared_exact(q: float) -> float:
     independent of alpha (the shift x -> x + sqrt2 alpha removes it).
     Pins the Lauricella route against something derived with no shared code.
     """
-    _window(q, 5.0, "real-alpha exact norm")
+    _window(q, Q_NORMALIZABLE_MAX, "real-alpha exact norm")
     p = 1.0 / (q - 1.0)
     return math.sqrt(2.0 * math.pi / (q - 1.0)) * math.exp(_log_gamma_ratio_half(2.0 * p))

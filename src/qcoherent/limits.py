@@ -132,6 +132,8 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     """
     alpha = complex(alpha)
     qs = tuple(float(q) for q in q_sequence)
+    if not qs:
+        raise ValueError("q_sequence must hold at least one q")
     if any(later >= earlier for earlier, later in zip(qs, qs[1:])):
         raise ValueError("q_sequence must be strictly decreasing")
     if any(not (1.0 < q < Q_MOMENT_SUITE_MAX) for q in qs):

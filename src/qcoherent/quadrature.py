@@ -29,13 +29,14 @@ Evaluators map a float ndarray of n nodes to an ndarray (complex is fine)
 of shape (n,), or (m, n) for m integrands on shared nodes that one pass
 refines until each meets err_i <= tol * max(1, |value_i|), as in
 ``scipy.integrate.quad_vec`` (not used: the oracle stays independent).
-All routines count integrand evaluations (nodes) and stop with
-NotConverged once ``max_evals`` is exhausted.  An adaptive pass stops
-sooner when splitting can no longer meet its target: every panel's error
-is locked once the panel reaches the double-precision width floor or its
-error reaches the round-off floor 50*eps*resabs, which halves do not
-lower.  When the locked error alone misses the target and the error of
-the panels still open is no larger, the pass returns its floor-limited
+All routines raise ValueError for a tol that is not a positive finite
+number, count integrand evaluations (nodes) and stop with NotConverged
+once ``max_evals`` is exhausted.  An adaptive pass stops sooner when
+splitting can no longer meet its target: every panel's error is locked
+once the panel reaches the double-precision width floor or its error
+reaches the round-off floor 50*eps*resabs, which halves do not lower.
+When the locked error alone misses the target and the error of the
+panels still open is no larger, the pass returns its floor-limited
 estimate if that is within 1e3 times the target and raises NotConverged
 ("resolution floor") otherwise.
 """
@@ -122,6 +123,11 @@ class QuadratureResult:
     method: str = ""
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number; got {tol!r}")
+
+
 def _as_spec(f) -> IntegrandSpec:
     if isinstance(f, IntegrandSpec):
         return f
@@ -161,13 +167,6 @@ def _gk_reduce(fx, halfs, where):
             )
     floor = 50.0 * _EPS * resabs
     return resk, np.maximum(scaled, floor), floor
-
-
-def _panel_batch(evaluator, mids, halfs):
-    """The G7/K15 pair on a batch of panels of one plain integrand."""
-    x = mids[:, None] + halfs[:, None] * _XK[None, :]
-    fx = np.asarray(evaluator(x.ravel())).astype(complex, copy=False)
-    return _gk_reduce(fx.reshape(fx.shape[:-1] + x.shape), halfs, lambda: x)
 
 
 class _Piece(NamedTuple):
@@ -380,6 +379,7 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
     three orders of the request; NotConverged otherwise, or when
     ``max_evals`` is exhausted.
     """
+    _check_tol(tol)
     spec = _as_spec(f)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_interval needs finite endpoints; use integrate_line")
@@ -493,6 +493,7 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     raises SlowDecay; tails already below the double-precision noise floor
     at the probe radii are dropped as exact zeros.
     """
+    _check_tol(tol)
     spec = _as_spec(f)
     ev = spec.evaluator
     sides: list[tuple[float, float, float]] = []
@@ -574,14 +575,17 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     transform).  Both tails are one stream: each round adds 16 panels per
     side in one batch until both averaged remainders are within
     0.25*tol*max(1, |core|) or the last panels underflow; NotConverged at
-    4096 panels per side or ``max_evals``.  Scalar integrands only, since
-    no caller transforms several at once.
+    4096 panels per side or ``max_evals``; ValueError for a k that is not
+    finite.  Scalar integrands only: no caller transforms several at once.
     """
+    _check_tol(tol)
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite; got {k!r}")
     spec = _as_spec(f)
     ev = spec.evaluator
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
     if k == 0.0:
         res = integrate_line(spec, tol=tol, max_evals=max_evals)
-        norm = 1.0 / math.sqrt(2.0 * math.pi)
         return QuadratureResult(norm * res.value, norm * res.err_estimate,
                                 res.evaluations, "fourier-k0")
 
@@ -607,11 +611,12 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     target = 0.25 * tol * max(1.0, abs(core.value))
     qerr = np.zeros(2)
     averages = _AveragedLimit(2)
-    n_panels = 0
+    tails, owner = (_plain(()),), np.zeros(32, dtype=int)  # 16 panels a side, one piece
+    halfs, n_panels = np.full(32, 0.5 * half_period), 0
     while True:
         idx = np.arange(n_panels, n_panels + 16)
         mids = (sides * (X + (idx + 0.5) * half_period)).ravel()
-        vals, errs, _ = _panel_batch(g, mids, np.full(mids.size, 0.5 * half_period))
+        vals, errs, _ = _pieces_batch(g, tails, owner, mids, halfs)
         evals += 15 * mids.size
         n_panels += 16
         vals = vals.reshape(2, -1)
@@ -625,7 +630,6 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
                 f"({evals} evaluations): remainder {np.max(rem):.3e} (target {target:.3e})"
             )
 
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
     value = norm * (core.value + complex(best[0] + best[1]))
     err = norm * (core.err_estimate + float(np.sum(qerr + rem)))
     return QuadratureResult(value, err, evals, "fourier-osc")

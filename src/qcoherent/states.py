@@ -244,12 +244,6 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     return val, d1, d2
 
 
-def _psi_un_density(q: float, alpha: complex, x):
-    """Vectorised |psi_un(x)|^2: the integrand of every norm integral."""
-    v = _psi_un(q, alpha, x)
-    return (v * np.conj(v)).real
-
-
 def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
     """Unnormalised state sample at one point, with derivatives.
 
@@ -264,15 +258,16 @@ def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
 
 
 @lru_cache(maxsize=512)
-def _norm_oracle(q: float, are: float, aim: float, tol: float) -> float:
-    alpha = complex(are, aim)
-    if q == 1.0:
-        return math.pi ** -0.25
-    res = integrate_line(lambda x: _psi_un_density(q, alpha, x), tol=tol)
-    nrm = res.value.real
+def _norm_integral(q: float, are: float, aim: float, tol: float) -> float:
+    """int |psi_un|^2 dx by the quadrature oracle (q > 1), memoised."""
+    def density(x):
+        v = _psi_un(q, complex(are, aim), x)
+        return (v * np.conj(v)).real
+
+    nrm = integrate_line(density, tol=tol).value.real
     if nrm <= 0.0:
         raise ConventionMismatch(f"norm integral came out non-positive: {nrm}")
-    return nrm ** -0.5
+    return nrm
 
 
 def normalization_constant(q: float, alpha: complex, method: str = "oracle",
@@ -292,7 +287,8 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite; got {alpha}")
     tol = min(tol, 1e-10)
-    a_oracle = _norm_oracle(q, alpha.real, alpha.imag, tol)
+    a_oracle = (math.pi ** -0.25 if q == 1.0
+                else _norm_integral(q, alpha.real, alpha.imag, tol) ** -0.5)
     if method == "oracle":
         return complex(a_oracle)
     if method != "closed-form":

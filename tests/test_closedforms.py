@@ -14,15 +14,11 @@ import pytest
 from qcoherent import closedforms, moments_closed, specfun
 from qcoherent.closedforms import (
     calibrated_reflection,
-    line_power_moment,
-    momentum_first_closed,
-    momentum_second_closed,
     norm_squared_closed,
     overlap_closed,
-    position_moment_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import BranchCrossing, NotConverged, OutOfValidityWindow
+from qcoherent.errors import NotConverged
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import CONVENTION_TOL, SQRT2, StateLabel, beta_roots, normalization_constant
 
@@ -42,39 +38,31 @@ def _root_config(q, alpha):
     return (r.beta1, r.beta2, r.beta3, r.beta4)
 
 
-def test_line_power_moment_matches_quadrature_norm_family():
+def _generic_identity(q, alpha, m, shift):
+    # the builder's (shift, shift, {m: 1}) term with its bracket scale
+    # ((q-1)/2)^(-S/2) taken off, S = 4 (p + shift), is the generic
+    # int x^m prod (x - beta_i)^(-b_i) dx at the uniform b = p + shift;
+    # returns it with the quadrature of that integrand
+    p = 1.0 / (q - 1.0)
+    alpha = complex(alpha)
+    halves = closedforms._state_halves(q, alpha, alpha, [(shift, shift, {m: 1.0})], 1e-12)[0]
+    closed = closedforms._whole(halves) * (0.5 * (q - 1.0)) ** (2.0 * (p + shift))
+    integrand = _quartic_integrand(m, (p + shift,) * 4, _root_config(q, alpha))
+    return closed, integrate_line(integrand, tol=1e-11).value
+
+
+def test_state_halves_match_quadrature_norm_family():
     # the m = 0 member with equal exponents is the normalization integrand
     for q, alpha in [(1.2, 0.3), (1.6, 0.3 + 0.1j), (2.0, 0.5 + 0.2j)]:
-        p = 1.0 / (q - 1.0)
-        betas = _root_config(q, alpha)
-        bvec = (p, p, p, p)
-        closed = line_power_moment(0, bvec, betas, tol=1e-12)
-        oracle = integrate_line(_quartic_integrand(0, bvec, betas), tol=1e-11)
-        assert closed == pytest.approx(oracle.value, rel=1e-9)
+        closed, oracle = _generic_identity(q, alpha, 0, 0)
+        assert closed == pytest.approx(oracle, rel=1e-9)
 
 
-def test_line_power_moment_first_and_second_moments():
+def test_state_halves_first_and_second_moments():
     q, alpha = 1.3, 0.25 + 0.15j
-    p = 1.0 / (q - 1.0)
-    betas = _root_config(q, alpha)
-    for m in (1, 2):
-        bvec = (p + 1, p + 1, p + 1, p + 1) if m == 2 else (p, p, p, p)
-        closed = line_power_moment(m, bvec, betas, tol=1e-12)
-        oracle = integrate_line(_quartic_integrand(m, bvec, betas), tol=1e-11)
-        assert closed == pytest.approx(oracle.value, rel=1e-8)
-
-
-def test_line_power_moment_requires_decay():
-    # total exponent must exceed m + 1 for the line integral to converge
-    betas = _root_config(1.5, 0.2)
-    with pytest.raises(OutOfValidityWindow):
-        line_power_moment(2, (0.6, 0.6, 0.6, 0.6), betas, tol=1e-10)
-
-
-def test_line_power_moment_rejects_real_roots():
-    with pytest.raises(BranchCrossing):
-        line_power_moment(0, (1.5, 1.5, 1.5, 1.5), (1.0, 2.0j, -2.0j, 3.0j),
-                          tol=1e-10)
+    for m, shift in ((1, 0), (2, 1)):
+        closed, oracle = _generic_identity(q, alpha, m, shift)
+        assert closed == pytest.approx(oracle, rel=1e-8)
 
 
 def test_calibration_selects_reflection_term():
@@ -125,19 +113,12 @@ def test_closed_route_is_warning_free_at_the_window_edges():
         assert abs(norm_squared_closed(q, 0.3) - exact) <= 1e-10 * exact
 
 
-def test_position_moment_closed_windows():
-    with pytest.raises(OutOfValidityWindow):
-        position_moment_closed(2.5, 0.3, 2, tol=1e-10)   # needs q < 7/3
-    with pytest.raises(OutOfValidityWindow):
-        position_moment_closed(3.2, 0.3, 1, tol=1e-10)   # needs q < 3
-
-
 def test_position_moments_against_density_quadrature():
     from qcoherent.states import _psi_un_arrays
 
     q, alpha = 1.4, 0.3 + 0.1j
-    for m in (0, 1, 2):
-        closed = position_moment_closed(q, alpha, m, tol=1e-12)
+    n2, (mean_x, mean_x2, _, _), _ = closedforms._closed_moments(q, alpha, 1e-12)
+    for m, closed in enumerate((n2, mean_x * n2, mean_x2 * n2)):
 
         def f(x):
             v, _, _ = _psi_un_arrays(q, alpha, x)
@@ -160,13 +141,12 @@ def test_momentum_numerators_against_derivative_quadrature():
         _, d1, _ = _psi_un_arrays(q, alpha, x)
         return d1 * np.conj(d1)
 
-    got1 = momentum_first_closed(q, alpha, tol=1e-12)
+    n2, (_, _, mean_p, mean_p2), _ = closedforms._closed_moments(q, alpha, 1e-12)
     want1 = integrate_line(first, tol=1e-11).value
-    assert got1 == pytest.approx(want1, rel=1e-8)
+    assert mean_p * n2 == pytest.approx(want1, rel=1e-8)
 
-    got2 = momentum_second_closed(q, alpha, tol=1e-12)
     want2 = integrate_line(second, tol=1e-11).value
-    assert got2 == pytest.approx(want2, rel=1e-8)
+    assert mean_p2 * n2 == pytest.approx(want2, rel=1e-8)
 
 
 def test_overlap_closed_against_cross_density_quadrature():

@@ -109,6 +109,11 @@ def test_limit_convergence_strictness():
         limit_convergence_check(0.5, q_sequence=(2.5, 1.2))   # outside window
 
 
+def test_limit_convergence_rejects_an_empty_sequence():
+    with pytest.raises(ValueError, match="at least one q"):
+        limit_convergence_check(0.5, q_sequence=())
+
+
 def test_limit_convergence_samples_each_k_once_per_q(monkeypatch):
     # the pd distance needs only the amplitude at the k points, one
     # vectorised call per q: no Parseval total or other momentum_pd extra

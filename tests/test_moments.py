@@ -86,7 +86,7 @@ def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
 
     norm_log = _evaluator_log(monkeypatch, states)
     moment_log = _evaluator_log(monkeypatch, moments)
-    states._norm_oracle.cache_clear()
+    states._norm_integral.cache_clear()
     moments._oracle_integrals.cache_clear()
     moments_oracle(1.6, 0.4 + 0.1j)
     assert norm_log == [[3, 372, 372]]  # the norm integral at tol 1e-10

@@ -431,6 +431,26 @@ def test_averaged_limit_extends_bit_identically():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+def test_integrators_reject_a_tol_that_is_not_positive_and_finite(tol):
+    # unchecked, a nan target spends the whole evaluation budget, tol <= 0
+    # ends in a "resolution floor" refusal and an infinite one returns at once
+    def gauss(x):
+        return np.exp(-x * x)
+
+    for call in (lambda: integrate_interval(gauss, 0.0, 1.0, tol=tol),
+                 lambda: integrate_line(gauss, tol=tol),
+                 lambda: fourier_transform_line(gauss, 0.5, tol=tol)):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            call()
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_fourier_rejects_a_non_finite_k(k):
+    with pytest.raises(ValueError, match="k must be finite"):
+        fourier_transform_line(lambda x: np.exp(-x * x), k)
+
+
 def test_fourier_divergent_tail_raises():
     # exp(i x) cancels the kernel at k = 1: the tails are non-oscillating
     # |x|^-0.6, the integral diverges, and the panel cap must say so

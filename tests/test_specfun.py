@@ -326,7 +326,7 @@ def test_verify_fd_draws_cost_at_most_1200_evaluations(monkeypatch):
         return res
 
     monkeypatch.setattr(specfun, "_adaptive", counted)
-    cli._verify_fd_entries(1e-8)
+    cli._verify_fd_entries()
     assert len(evals) == 5
     assert sum(evals) <= 1200
 
