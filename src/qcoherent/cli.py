@@ -228,7 +228,7 @@ def _verify_closed_forms(qs, alpha, tol):
         ov_oracle = overlap(sa, sb, method="oracle", tol=tol)
         ov_closed = (
             sa.norm_constant * sb.norm_constant
-            * closedforms.overlap_closed(q, alpha, partner, tol=min(tol, 1e-10))
+            * closedforms.overlap_closed(q, alpha, partner, tol=tol)
         )
         entries.append(
             _entry(
@@ -323,7 +323,7 @@ def _mandatory_checks(qs, alpha, tol, closure, min_product):
 
     # the two end points fix the default Parseval window; only the total is read
     q_mid = float(qs[len(qs) // 2])
-    dist = momentum_pd(q_mid, alpha, default_k_grid(alpha, 2), tol=min(tol, 1e-9))
+    dist = momentum_pd(q_mid, alpha, default_k_grid(alpha, 2), tol=tol)
     record("parseval", abs(dist.parseval_total - 1.0) < 1e-4,
            abs(dist.parseval_total - 1.0))
 

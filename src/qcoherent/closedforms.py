@@ -182,9 +182,9 @@ def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
                    tol: float = 1e-10) -> complex:
     """int conj(psi_un[alpha_a]) psi_un[alpha_b] dx in closed form (q < 5):
-    the norm's row across two states."""
+    the norm's row across two states, at the norm's min(tol, 1e-10)."""
     _window(q, Q_NORMALIZABLE_MAX, "closed-form overlap")
-    return _whole(_norm_halves(q, complex(alpha_a), complex(alpha_b), tol))
+    return _whole(_norm_halves(q, complex(alpha_a), complex(alpha_b), min(tol, 1e-10)))
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:

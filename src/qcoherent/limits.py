@@ -148,7 +148,7 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
         report = moments_oracle(q, alpha, tol=tol)
         for n in names:
             trajectories[n].append(abs(getattr(report, n) - getattr(ref, n)))
-        pd = np.abs(momentum_amplitude_bessel(q, alpha, k_grid, tol=min(tol, 1e-8))) ** 2
+        pd = np.abs(momentum_amplitude_bessel(q, alpha, k_grid, tol=tol)) ** 2
         trajectories["pd_distance"].append(float(np.max(np.abs(pd - pd_ref))))
     gaps = {n: tuple(v) for n, v in trajectories.items()}
     verdicts = {n: _verdict(g, final_tol) for n, g in gaps.items()}

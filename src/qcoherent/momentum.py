@@ -6,10 +6,10 @@ all with the exact Gaussian dispatch at the q = 1 sentinel and defined for
 
 * ``momentum_amplitude_bessel``, the engine of ``momentum_pd``: the exact
   transform in closed form.  With w = x - sqrt2 alpha the state's bracket is
-  ((q-1)/2) (w^2 + c^2), c^2 = |alpha|^2 - alpha^2 + 2/(q-1), and Re c >
-  sqrt2 |Im alpha| for every q > 1, so the contour shifts back to the real
-  w axis and Basset's integral (DLMF 10.32.11) gives a Bessel-K expression
-  in k, vectorised over any k array.
+  ((q-1)/2) (w^2 + c^2), c = ``states._root_c`` as in the state's own
+  evaluation, and Re c > sqrt2 |Im alpha| for every q > 1, so the contour
+  shifts back to the real w axis and Basset's integral (DLMF 10.32.11)
+  gives a Bessel-K expression in k, vectorised over any k array.
 * ``momentum_amplitude_oracle``: numerical Fourier quadrature with the
   oscillatory-tail machinery in ``quadrature``, one k at a time.  It is the
   independent check of the Bessel form in the tests and in ``verify``.
@@ -40,7 +40,7 @@ from scipy.special import log1p, loggamma
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
-from .states import SQRT2, _psi_un, normalization_constant, require_window
+from .states import SQRT2, _psi_un, _root_c, normalization_constant, require_window
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -115,15 +115,10 @@ def _gaussian_amplitude(alpha: complex, k):
     )
 
 
-def _bessel_c(q: float, alpha: complex) -> complex:
-    """c with c^2 = |alpha|^2 - alpha^2 + 2/(q-1) and Re c > sqrt2 |Im alpha|."""
-    return cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
-
-
 def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     """Normalised momentum amplitude in closed form, vectorised over k.
 
-    With p = 1/(q-1), nu = p - 1/2, c from ``_bessel_c`` and
+    With p = 1/(q-1), nu = p - 1/2, c from ``states._root_c`` and
     g(z) = 2 (z/2)^nu K_nu(z) / Gamma(nu), so that g(0) = 1:
 
         phi(k) = A 2^(-1/2) Gamma(nu)/Gamma(p) c (1 + (q-1)(b^2 - i a b))^(-p)
@@ -145,7 +140,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
         out = _gaussian_amplitude(alpha, k)
     else:
         p = 1.0 / (q - 1.0)
-        c = _bessel_c(q, alpha)
+        c = _root_c(q, alpha)
         a_const = normalization_constant(q, alpha, tol=tol)
         log_phi0 = (
             math.log(abs(complex(a_const))) - 0.5 * math.log(2.0)
@@ -266,7 +261,7 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     # the printed form's density does not decay, and keeps the fixed window
     rate = math.inf
     if method == "oracle" and q != 1.0:
-        rate = 2.0 * (_bessel_c(q, alpha).real - SQRT2 * abs(alpha.imag))
+        rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
     total = _parseval_total(lambda ks: np.abs(amplitudes(ks)) ** 2, alpha, grid, rate)
     return MomentumDistribution(q, alpha, samples, total, method)
 

@@ -63,7 +63,7 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import _UNIT_EDGES, QuadratureResult, _adaptive, _Piece
+from .quadrature import _UNIT_EDGES, QuadratureResult, _adaptive, _check_tol, _Piece
 
 __all__ = [
     "LauricellaArgs",
@@ -207,6 +207,7 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     call), which is restored only on the result; a result that overflows
     raises NotConverged.
     """
+    _check_tol(tol)
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     ca = c - a
     size = max(1.0, float(np.max(np.abs(np.concatenate([a, c])))))
@@ -286,6 +287,7 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     The integral branch raises NotConverged where Re a or Re(b-a) is below
     0.0015, the exponent its endpoint grading cannot smooth (``_grade``).
     """
+    _check_tol(tol)
     if _is_nonpositive_integer(b):
         raise ParameterPole(f"lower parameter b={b} is a non-positive integer")
     a, b, z = complex(a), complex(b), complex(z)
@@ -414,6 +416,7 @@ def lauricella_fd_series(args: LauricellaArgs, tol: float = 1e-10,
     and F_D = sum_N [(a)_N / (c)_N] S_N.  Stops once ``quiet_shells``
     consecutive shells fall below tol relative to the running sum.
     """
+    _check_tol(tol)
     a, c = complex(args.a), complex(args.c)
     bs = [complex(v) for v in args.b]
     xs = [complex(v) for v in args.x]

@@ -17,9 +17,9 @@ The quartic |psi|^2 factors over four complex roots
     beta_{3,4} = sqrt2*alpha       +- sqrt(alpha^2      - |alpha|^2 - 2/(q-1))
 
 (principal square roots), which feed every Lauricella closed form in
-``closedforms``.  The real part of the bracket is >= 1 for real x, so the
-principal-branch power is smooth on the whole line and the per-root
-factorisation holds exactly there.
+``closedforms``.  The state itself is evaluated at every finite x through
+the bracket's factored form (``_log_b``), which has no real root and no
+overflow; only ``quadrature`` decides where the sampled line ends.
 """
 
 from __future__ import annotations
@@ -175,45 +175,37 @@ def _quad_poly(alpha: complex, x):
     return x * x - 2.0 * SQRT2 * alpha * x + abs(alpha) ** 2 + alpha * alpha
 
 
-def _bracket(q: float, alpha: complex, x):
-    return 1.0 + 0.5 * (q - 1.0) * _quad_poly(alpha, x)
+def _root_c(q: float, alpha: complex) -> complex:
+    """c with c^2 = |alpha|^2 - alpha^2 + 2/(q-1) and Re c > sqrt2 |Im alpha|."""
+    return cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
 
 
-def _psi_un_lanes(q: float, alpha: complex, x):
-    """(value, x, big, log_b) of the unnormalised state, the parts that
-    ``_psi_un`` and ``_psi_un_arrays`` share.
+def _log_b(q: float, alpha: complex, x):
+    """(w, log B) at real x for q > 1, B = s^2 (w - ic)(w + ic) the bracket,
+    s^2 = (q-1)/2, w = x - sqrt2 alpha and c = ``_root_c``:
 
-    The quadrature tails probe |x| up to ~1e250; past 1e150 every windowed
-    quantity here underflows to an exact double-precision zero, so those
-    lanes (``big``) are set to x = 0 and their value to 0 instead of
-    letting x*x reach inf (complex inf arithmetic breeds NaNs in cross
-    terms); big is None when no lane is masked.  log_b is the log of the
-    bracket at the masked x, None at the q = 1 sentinel.  Powers of the
-    bracket are taken as exp(expo * log_b): a huge bracket then underflows
-    to 0 instead of overflowing the repeated products np.power uses for
-    integral exponents (nan + nanj with a RuntimeWarning).
+        log B = 2 log(s/h) + log(h (w - ic)) + log(h (w + ic)),  h = min(1, s).
+
+    One root +-ic lies in each half-plane, so for real w neither factor
+    crosses the cut and the principal logs add up to that of B.  h <= 1
+    keeps every factor finite at any finite x.  For q <= 3 the first term
+    is exactly 0 and both factors have modulus ~1 at the centre, so the
+    logs lose no digits as q -> 1.
     """
-    x = np.asarray(x, dtype=float)
-    alpha = complex(alpha)
-    big = np.abs(x) > 1e150
-    if big.any():
-        x = np.where(big, 0.0, x)
-    else:
-        big = None
-    if q == 1.0:
-        log_b = None
-        val = np.exp(-0.5 * _quad_poly(alpha, x))
-    else:
-        log_b = np.log(_bracket(q, alpha, x))
-        val = np.exp((1.0 / (1.0 - q)) * log_b)
-    if big is not None:
-        val = np.where(big, 0.0, val)
-    return val, x, big, log_b
+    w = x - SQRT2 * alpha
+    s = math.sqrt(0.5 * (q - 1.0))
+    h = min(1.0, s)
+    ic = 1j * _root_c(q, alpha)
+    return w, 2.0 * math.log(s / h) + np.log(h * (w - ic)) + np.log(h * (w + ic))
 
 
 def _psi_un(q: float, alpha: complex, x):
     """Vectorised value of the unnormalised state, without derivatives."""
-    return _psi_un_lanes(q, alpha, x)[0]
+    x = np.asarray(x, dtype=float)
+    alpha = complex(alpha)
+    if q == 1.0:
+        return np.exp(-0.5 * _quad_poly(alpha, x))
+    return np.exp((1.0 / (1.0 - q)) * _log_b(q, alpha, x)[1])
 
 
 def _psi_un_arrays(q: float, alpha: complex, x):
@@ -222,38 +214,35 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     d1 = -(x - sqrt2 alpha) B^(-p-1) and
     d2 = B^(-p-2) [q (x - sqrt2 alpha)^2 - B], with p = 1/(q-1);
     at the q = 1 sentinel these collapse to the Gaussian derivatives.
-    Products are associated so the decaying power absorbs the shift
-    factors first: the quadrature tails probe |x| up to ~1e250, where a
-    bare shift^2 would overflow against an underflowing power.
+    Every power of B is exp(e log B), so a huge bracket underflows to 0,
+    and the decaying power absorbs each shift factor before a bare
+    shift^2 could overflow (|x| > 1e154).
     """
+    x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
-    val, x, big, log_b = _psi_un_lanes(q, alpha, x)
-    shift = x - SQRT2 * alpha
-    if log_b is None:
-        d1 = -shift * val
-        d2 = shift * (shift * val) - val
-    else:
-        expo = 1.0 / (1.0 - q)
-        power = np.exp((expo - 1.0) * log_b)  # B^(-p-1)
-        d1 = -shift * power
-        half_piece = shift * np.exp((0.5 * (expo - 2.0)) * log_b)
-        d2 = q * half_piece * half_piece - power
-    if big is not None:
-        d1 = np.where(big, 0.0, d1)
-        d2 = np.where(big, 0.0, d2)
-    return val, d1, d2
+    if q == 1.0:
+        val = np.exp(-0.5 * _quad_poly(alpha, x))
+        shift = x - SQRT2 * alpha
+        return val, -shift * val, shift * (shift * val) - val
+    shift, log_b = _log_b(q, alpha, x)
+    expo = 1.0 / (1.0 - q)
+    val = np.exp(expo * log_b)
+    power = np.exp((expo - 1.0) * log_b)  # B^(-p-1)
+    half_piece = shift * np.exp((0.5 * (expo - 2.0)) * log_b)
+    return val, -shift * power, q * half_piece * half_piece - power
+
+
+def _finite_x(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    return x
 
 
 def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
-    """Unnormalised state sample at one point, with derivatives.
-
-    The bracket has real part >= 1 for q > 1 and real x, so PoleHit can
-    only trigger on exotic (non-real-line) use.
-    """
+    """Unnormalised state sample at one finite point, with derivatives."""
     require_window(q, Q_NORMALIZABLE_MAX, "state evaluation")
-    if q != 1.0 and complex(_bracket(q, complex(alpha), float(x))) == 0.0:
-        raise PoleHit(f"state bracket vanishes at x={x}")
-    v, d1, d2 = _psi_un_arrays(q, alpha, np.asarray([float(x)]))
+    v, d1, d2 = _psi_un_arrays(q, alpha, _finite_x([float(x)]))
     return WaveFunctionSample(float(x), complex(v[0]), complex(d1[0]), complex(d2[0]))
 
 
@@ -328,11 +317,12 @@ class StateLabel:
             )
 
     def psi(self, x):
-        """Normalised wavefunction, vectorised over x."""
+        """Normalised wavefunction, vectorised over finite x."""
+        xs = _finite_x(x)
         if self.q == 1.0:
-            return coherent_psi(self.alpha, x)
-        out = self.norm_constant * _psi_un(self.q, self.alpha, x)
-        return out if np.ndim(x) else complex(out[0] if np.ndim(out) else out)
+            return coherent_psi(self.alpha, xs)
+        out = self.norm_constant * _psi_un(self.q, self.alpha, xs)
+        return out if np.ndim(x) else complex(out)
 
 
 def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
@@ -360,7 +350,7 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
         raise ValueError(f"unknown method {method!r}")
     from . import closedforms
 
-    raw = closedforms.overlap_closed(q, a.alpha, b.alpha, tol=min(tol, 1e-10))
+    raw = closedforms.overlap_closed(q, a.alpha, b.alpha, tol=tol)
     val = a.norm_constant * b.norm_constant * raw
     ref = overlap(a, b, method="oracle", tol=tol)
     scale = max(abs(ref), 1e-12)

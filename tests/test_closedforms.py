@@ -164,6 +164,25 @@ def test_overlap_closed_against_cross_density_quadrature():
     assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_closed_pass_refuses_a_tolerance_that_is_not_positive(tol):
+    # min(tol, 1e-10) keeps nan and negative targets, which the Euler pass
+    # refuses up front instead of spending its evaluation budget
+    with pytest.raises(ValueError, match="tol"):
+        norm_squared_closed(1.5, 0.3 + 0.1j, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        overlap_closed(1.5, 0.3 + 0.1j, 0.5 + 0.1j, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        closedforms._closed_moments(1.5, 0.3 + 0.1j, tol)
+
+
+def test_overlap_closed_applies_the_norm_accuracy_floor():
+    # overlap_closed(tol) equals overlap_closed(min(tol, 1e-10)), bit for bit
+    for tol in (1e-6, 1e-9):
+        assert (overlap_closed(1.5, 0.3 + 0.1j, 0.5, tol=tol)
+                == overlap_closed(1.5, 0.3 + 0.1j, 0.5, tol=1e-10))
+
+
 def test_exact_real_alpha_norm_holds_its_digits_as_q_approaches_one():
     # Gamma(2p - 1/2)/Gamma(2p) at p = 1/(q-1) up to 1000: a loggamma
     # difference lost 4.8e-13 relative at q = 1.001

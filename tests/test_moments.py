@@ -216,6 +216,15 @@ def test_closed_moments_match_exact_real_alpha_anchors(q):
             assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
 
 
+@pytest.mark.parametrize("q, bound", [(2.3, 1e-13), (2.31, 1e-10)])
+def test_oracle_product_meets_the_exact_real_alpha_anchor(q, bound):
+    # Delta x Delta p = sqrt((5-q) / (2 (7-3q) (q+1))) for real alpha; the
+    # x^2 |psi|^2 tail decays like |x|^(-4/(q-1) + 2), which only the whole
+    # line's evaluation reaches at q = 2.31
+    want = math.sqrt((5.0 - q) / (2.0 * (7.0 - 3.0 * q) * (q + 1.0)))
+    assert abs(moments_oracle(q, 0.3, tol=1e-10).product / want - 1.0) <= bound
+
+
 @pytest.mark.parametrize("q, alpha", [(2.3333, 0.3), (7.0 / 3.0 - 1e-6, -1.2)])
 def test_closed_moments_refuse_past_the_grading_cap(q, alpha):
     # <x^2>'s Euler exponent 4/(q-1) - 3 vanishes as q -> 7/3; once its

@@ -156,15 +156,6 @@ def test_pd_runs_no_fourier_quadrature(monkeypatch):
     assert abs(dist.parseval_total - 1.0) < 1e-6
 
 
-def _masked_tail_at_k0(q, alpha):
-    # states._psi_un zeroes |x| > 1e150, where psi ~ A ((q-1)/2 x^2)^(-p);
-    # at k = 0 the oracle misses that mass, which is ~1e-7 as q -> 3
-    p = 1.0 / (q - 1.0)
-    a_const = normalization_constant(q, alpha).real
-    return (a_const * (2.0 * math.pi) ** -0.5 * 2.0 * ((q - 1.0) / 2.0) ** -p
-            * 1e150 ** (1.0 - 2.0 * p) / (2.0 * p - 1.0))
-
-
 @pytest.mark.parametrize("q", [1.05, 1.3, 1.5, 2.0, 2.5, 2.9])
 @pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.1j, -1.2 + 0.7j, 1.5j])
 def test_bessel_matches_oracle(q, alpha):
@@ -173,8 +164,6 @@ def test_bessel_matches_oracle(q, alpha):
     got = momentum_amplitude_bessel(q, alpha, ks, tol=1e-11)
     for k, amp in zip(ks, got):
         want = momentum_amplitude_oracle(q, alpha, float(k), tol=1e-11)
-        if k == 0.0:
-            want += _masked_tail_at_k0(q, alpha)
         assert abs(amp - want) <= 1e-10 * max(1.0, abs(want)), (k, amp, want)
         assert amp == pytest.approx(momentum_amplitude_bessel(q, alpha, float(k), tol=1e-11),
                                     rel=1e-14)

@@ -141,6 +141,17 @@ def test_kummer_phi_trivial_points():
     assert kummer_phi(1.0, 2.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-13)
 
 
+_BAD_TOLS = [math.nan, -1.0, 0.0, math.inf]
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_kummer_phi_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    # both the series branch and the Euler integral branch
+    for z in (2.0, 40j):
+        with pytest.raises(ValueError, match="tol"):
+            kummer_phi(0.5, 1.5, z, tol=tol)
+
+
 def test_kummer_phi_pole_parameter():
     with pytest.raises(ParameterPole):
         kummer_phi(1.2, 0.0, 0.5)
@@ -242,6 +253,22 @@ def test_fd_series_degenerate_to_one():
         LauricellaArgs(1.3, (0.5, 0.5, 0.5, 0.5), 2.0, (0, 0, 0, 0)), tol=1e-12
     )
     assert r.value == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_fd_series_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    args = LauricellaArgs(1.3, (0.5, 0.5, 0.5, 0.5), 2.0, (0.4, 0.1, -0.3, 0.2))
+    with pytest.raises(ValueError, match="tol"):
+        lauricella_fd_series(args, tol=tol)
+
+
+@pytest.mark.parametrize("tol", _BAD_TOLS)
+def test_euler_pass_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    args = LauricellaArgs(1.4, (0.5, 0.5, 0.5, 0.5), 2.9, (0.95, -0.2, 0.1, 0.25))
+    with pytest.raises(ValueError, match="tol"):
+        lauricella_fd_integral(args, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        specfun._euler_integral(lambda u: np.zeros((1, u.size)), [0.5], [1.5], tol, "test")
 
 
 def test_fd_series_divergent_outside_polydisc():

@@ -6,6 +6,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -198,34 +199,98 @@ def test_psi_unnormalized_parity_about_bracket_vertex():
         assert left == pytest.approx(right, rel=1e-12)
 
 
+def _factored_log_b(q, alpha, x):
+    # log B = 2 log(s/h) + log(h (w - ic)) + log(h (w + ic)), with
+    # s^2 = (q-1)/2, h = min(1, s), w = x - sqrt2 alpha and
+    # c^2 = |alpha|^2 - alpha^2 + 2/(q-1)
+    w = x - SQRT2 * alpha
+    s = math.sqrt(0.5 * (q - 1.0))
+    h = min(1.0, s)
+    ic = 1j * cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
+    return 2.0 * math.log(s / h) + np.log(h * (w - ic)) + np.log(h * (w + ic))
+
+
+_FAR_LANES = [1e30, -1e151, 1e250, -1e300, 1.7976931348623157e308]
+
+
 def test_psi_un_value_only_matches_full_evaluation_bitwise():
     from qcoherent.states import _psi_un, _psi_un_arrays
 
-    # lanes past |x| = 1e150 are masked to exact zeros
-    x = np.concatenate([np.linspace(-40.0, 40.0, 801), [1e30, -1e151, 1e250, -1e300]])
-    for q, alpha in [(1.0, 0.4 - 0.3j), (1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j),
-                     (4.2, 1.3j)]:
+    core = np.linspace(-40.0, 40.0, 801)
+    far = np.concatenate([core, _FAR_LANES])
+    for q, alpha, x in [(1.0, 0.4 - 0.3j, core), (1.5, 0.4 + 0.1j, far),
+                        (2.3, -0.7 + 0.2j, far), (4.2, 1.3j, far)]:
         v = _psi_un(q, alpha, x)
         assert v.tobytes() == _psi_un_arrays(q, alpha, x)[0].tobytes()
-        assert np.all(v[-3:] == 0.0)
+        if q != 1.0:
+            want = np.exp((1.0 / (1.0 - q)) * _factored_log_b(q, alpha, x))
+            assert v.tobytes() == want.tobytes()
 
 
 def test_psi_un_derivatives_match_the_bracket_powers_bitwise():
-    from qcoherent.states import _bracket, _psi_un_arrays
+    from qcoherent.states import _psi_un_arrays
 
     # d1 = -shift B^(expo-1), d2 = q (shift B^((expo-2)/2))^2 - B^(expo-1),
-    # each power taken as exp(e log B); the shared log B changes no bit
-    x = np.linspace(-60.0, 60.0, 1201)
+    # each power taken as exp(e log B) with log B from the factored form
+    x = np.concatenate([np.linspace(-60.0, 60.0, 1201), _FAR_LANES])
     for q, alpha in [(1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j), (4.2, 1.3j)]:
-        b = _bracket(q, alpha, x)
+        log_b = _factored_log_b(q, alpha, x)
         expo = 1.0 / (1.0 - q)
         shift = x - SQRT2 * alpha
-        half = shift * np.exp(0.5 * (expo - 2.0) * np.log(b))
-        want_d1 = -shift * np.exp((expo - 1.0) * np.log(b))
-        want_d2 = q * half * half - np.exp((expo - 1.0) * np.log(b))
+        half = shift * np.exp(0.5 * (expo - 2.0) * log_b)
+        want_d1 = -shift * np.exp((expo - 1.0) * log_b)
+        want_d2 = q * half * half - np.exp((expo - 1.0) * log_b)
         _, d1, d2 = _psi_un_arrays(q, alpha, x)
         assert d1.tobytes() == want_d1.tobytes()
         assert d2.tobytes() == want_d2.tobytes()
+
+
+@pytest.mark.parametrize("q", [4.2, 4.9])
+def test_psi_far_field_follows_the_power_law(q):
+    # |psi_un| -> ((q-1)/2)^(-p) |x|^(-2p): the tails the quadrature samples
+    # out to 1e250 are evaluated, not cut off
+    from qcoherent.states import _psi_un
+
+    p = 1.0 / (q - 1.0)
+    for alpha in (0.4 + 0.1j, 1.3j):
+        for x in (1e151, 1e250, 1e300):
+            want = ((q - 1.0) / 2.0) ** -p * x ** (-2.0 * p)
+            for got in _psi_un(q, alpha, np.array([x, -x])):
+                assert abs(abs(got) / want - 1.0) <= 1e-12, (alpha, x, got, want)
+            assert abs(abs(psi_unnormalized(q, alpha, x).value) / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1.0001, 1.5, 2.3, 4.9, 4.999])
+def test_psi_is_finite_without_warnings_at_the_largest_doubles(q):
+    from qcoherent.states import _psi_un, _psi_un_arrays
+
+    # finite and silent, and on the far-field law wherever that is a normal double
+    x = np.array([-1.7976931348623157e308, 1.7976931348623157e308])
+    p = 1.0 / (q - 1.0)
+    want = math.exp(-p * math.log(0.5 * (q - 1.0)) - 2.0 * p * math.log(x[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.4 + 0.1j, -1.2 + 0.7j, 1.5j):
+            v = _psi_un(q, alpha, x)
+            assert np.all(np.abs(np.abs(v) - want) <= 1e-12 * want), (alpha, v, want)
+            assert all(np.all(np.isfinite(part)) for part in _psi_un_arrays(q, alpha, x))
+            for xi in x:
+                s = psi_unnormalized(q, alpha, float(xi))
+                assert all(cmath.isfinite(z) for z in (s.value, s.d1, s.d2))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_psi_evaluators_refuse_non_finite_x(x):
+    with pytest.raises(ValueError, match="finite"):
+        psi_unnormalized(1.5, 0.4 + 0.1j, x)
+    with pytest.raises(ValueError, match="finite"):
+        pseudo_coherent_wavefunction(1.5, 0.4 + 0.1j)(x)
+    for q in (1.0, 1.5):
+        label = StateLabel(q, 0.4 + 0.1j)
+        with pytest.raises(ValueError, match="finite"):
+            label.psi(x)
+        with pytest.raises(ValueError, match="finite"):
+            label.psi(np.array([0.0, x]))
 
 
 def test_psi_underflows_to_zero_far_out():
@@ -308,6 +373,21 @@ def test_normalization_scale_homogeneity():
     a1 = dens(1.0) ** -0.5
     a2 = dens(2.0) ** -0.5
     assert a2 == pytest.approx(a1 / 2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("q, tol, bound", [(4.8, 1e-10, 1e-12), (1.0001, 1e-12, 1e-13),
+                                           (1.001, 1e-12, 1e-13), (1.01, 1e-12, 1e-13),
+                                           (1.05, 1e-12, 1e-13)])
+def test_norm_oracle_meets_the_exact_real_alpha_norm(q, tol, bound):
+    # int |psi_un|^2 dx = sqrt(2 pi / (q-1)) Gamma(2p - 1/2) / Gamma(2p) for
+    # real alpha; the slow |x|^(-4/(q-1)) tail must be integrated, not cut off
+    from qcoherent.states import _norm_integral
+
+    with mpmath.workdps(40):
+        p = 1 / (mpmath.mpf(q) - 1)
+        want = float(mpmath.sqrt(2 * mpmath.pi * p) * mpmath.gamma(2 * p - 0.5)
+                     / mpmath.gamma(2 * p))
+    assert abs(_norm_integral(q, 0.3, 0.0, tol) / want - 1.0) <= bound
 
 
 def test_normalization_sentinel_is_quarter_power_of_pi():
