@@ -216,13 +216,15 @@ _FAR_LANES = [1e30, -1e151, 1e250, -1e300, 1.7976931348623157e308]
 def test_psi_un_value_only_matches_full_evaluation_bitwise():
     from qcoherent.states import _psi_un, _psi_un_arrays
 
-    core = np.linspace(-40.0, 40.0, 801)
-    far = np.concatenate([core, _FAR_LANES])
-    for q, alpha, x in [(1.0, 0.4 - 0.3j, core), (1.5, 0.4 + 0.1j, far),
-                        (2.3, -0.7 + 0.2j, far), (4.2, 1.3j, far)]:
+    x = np.concatenate([np.linspace(-40.0, 40.0, 801), _FAR_LANES])
+    for q, alpha in [(1.0, 0.4 - 0.3j), (1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j),
+                     (4.2, 1.3j)]:
         v = _psi_un(q, alpha, x)
         assert v.tobytes() == _psi_un_arrays(q, alpha, x)[0].tobytes()
-        if q != 1.0:
+        if q == 1.0:
+            # the Gaussian is an exact 0 on every far lane
+            assert np.all(v[-len(_FAR_LANES):] == 0.0)
+        else:
             want = np.exp((1.0 / (1.0 - q)) * _factored_log_b(q, alpha, x))
             assert v.tobytes() == want.tobytes()
 
@@ -260,14 +262,18 @@ def test_psi_far_field_follows_the_power_law(q):
             assert abs(abs(psi_unnormalized(q, alpha, x).value) / want - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("q", [1.0001, 1.5, 2.3, 4.9, 4.999])
+@pytest.mark.parametrize("q", [1.0, 1.0001, 1.5, 2.3, 4.9, 4.999])
 def test_psi_is_finite_without_warnings_at_the_largest_doubles(q):
     from qcoherent.states import _psi_un, _psi_un_arrays
 
-    # finite and silent, and on the far-field law wherever that is a normal double
+    # finite and silent, and on the far-field law wherever that is a normal
+    # double; the q = 1 Gaussian is an exact 0 there
     x = np.array([-1.7976931348623157e308, 1.7976931348623157e308])
-    p = 1.0 / (q - 1.0)
-    want = math.exp(-p * math.log(0.5 * (q - 1.0)) - 2.0 * p * math.log(x[1]))
+    if q == 1.0:
+        want = 0.0
+    else:
+        p = 1.0 / (q - 1.0)
+        want = math.exp(-p * math.log(0.5 * (q - 1.0)) - 2.0 * p * math.log(x[1]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for alpha in (0.4 + 0.1j, -1.2 + 0.7j, 1.5j):
@@ -277,6 +283,8 @@ def test_psi_is_finite_without_warnings_at_the_largest_doubles(q):
             for xi in x:
                 s = psi_unnormalized(q, alpha, float(xi))
                 assert all(cmath.isfinite(z) for z in (s.value, s.d1, s.d2))
+            if q == 1.0:
+                assert np.all(StateLabel(q, alpha).psi(x) == 0.0)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
