@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log1p, loggamma
 
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
@@ -139,6 +138,8 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     if q == 1.0:
         out = _gaussian_amplitude(alpha, k)
     else:
+        from scipy.special import log1p
+
         p = 1.0 / (q - 1.0)
         c = _root_c(q, alpha)
         a_const = normalization_constant(q, alpha, tol=tol)
@@ -190,6 +191,8 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
         raise OutOfValidityWindow(
             f"closed momentum amplitude needs 1 < q < 3; got q={q:.6g}"
         )
+    from scipy.special import loggamma
+
     alpha = complex(alpha)
     p = 1.0 / (q - 1.0)
     rad = alpha * alpha - abs(alpha) ** 2 - 2.0 / (q - 1.0)

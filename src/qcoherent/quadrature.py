@@ -490,8 +490,12 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     generation; the tail substitution order comes from the slowest
     sampled decay exponent (``_decay_probe``, one more call), so algebraic
     tails as slow as |x|^(-1.01) stay fully resolvable.  Slower decay
-    raises SlowDecay; tails already below the double-precision noise floor
-    at the probe radii are dropped as exact zeros.
+    raises SlowDecay, and so does a tail whose mass past |x| = 1e250, which
+    no panel samples, is bounded (``_beyond_top_bound``) above the pass's
+    target 0.5*tol*max(1, |value|) for some component: the returned
+    err_estimate could not back the request.  Tails already below the
+    double-precision noise floor at the probe radii are dropped as exact
+    zeros.
     """
     _check_tol(tol)
     spec = _as_spec(f)
@@ -512,8 +516,12 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     pieces = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints)
     pieces += [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
     res = _adaptive(pieces, ev, 0.5 * tol, max_evals, "gk-line")
-    err = res.err_estimate + sum(_beyond_top_bound(p_hat, f_outer)
-                                 for _, p_hat, f_outer in sides)
+    beyond = sum(_beyond_top_bound(p_hat, f_outer) for _, p_hat, f_outer in sides)
+    target = 0.5 * tol * np.maximum(1.0, np.abs(res.value))
+    if np.any(beyond > target):
+        raise SlowDecay(f"tail mass beyond |x| = {_X_TOP:.0e} is bounded only by "
+                        f"{beyond:.3e}, above the target {np.min(target):.3e}")
+    err = res.err_estimate + beyond
     # the decay probe took 6 nodes a side
     return QuadratureResult(res.value, err, 12 + res.evaluations, "gk-line")
 

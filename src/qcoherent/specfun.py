@@ -43,9 +43,15 @@ least 5.  The closed forms of
 ``closedforms`` run all rows of a state through it at once; F_D and Kummer
 are its one-row callers and add the Gamma prefactor.
 
-Gamma ratios are taken in log space throughout (scipy's loggamma), so the
-large parameters that appear as the deformation approaches 1 do not
-overflow intermediate factors.
+Gamma ratios are taken in log space throughout (scipy's loggamma for
+complex arguments; ``_log_gamma_ratio_half``'s math.lgamma and ratio series
+for the real ratio), so the large parameters that appear as the
+deformation approaches 1 do not overflow intermediate factors.
+
+scipy.special is imported inside the functions that call it: the Bessel-K
+factor, Kummer's integral and asymptotic branches and the F_D integral.
+Importing this module, and every route that reaches none of them, never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -53,9 +59,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     BranchCrossing,
@@ -247,6 +253,8 @@ def _euler_value(log_f, a: complex, c: complex, tol: float, method: str) -> Quad
     """Gamma(c)/(Gamma(a)Gamma(c-a)) times the one-row Euler integral of f,
     the F_D and Kummer value; the prefactor joins log f, so no Gamma is
     ever formed outside log space."""
+    from scipy import special as _sp
+
     log_pref = _sp.loggamma(c) - _sp.loggamma(a) - _sp.loggamma(c - a)
     res = _euler_integral(lambda u: log_pref + log_f(u)[None, :], [a], [c], tol, method)
     return QuadratureResult(complex(res.value[0]), float(res.err_estimate[0]),
@@ -255,6 +263,8 @@ def _euler_value(log_f, a: complex, c: complex, tol: float, method: str) -> Quad
 
 def _phi_asymptotic(a: complex, b: complex, z: complex) -> complex:
     # large-|z| expansion; truncated at the smallest term
+    from scipy import special as _sp
+
     def watson(c1, c2, w, nmax=60):
         term = 1.0 + 0.0j
         total = term
@@ -333,6 +343,8 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
     g = 1 - Gamma(1-nu)/Gamma(1+nu) (z/2)^(2 nu) below, which still matters
     as nu -> 0.
     """
+    from scipy import special as _sp
+
     z = np.asarray(z, dtype=complex)
     if nu >= _DEBYE_MIN_ORDER:
         w2 = (z / nu) ** 2
@@ -361,14 +373,22 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
     return out
 
 
+# Bernoulli numbers B_2, B_4, ..., B_20 (DLMF Table 24.2.1); B_k = 0 for odd k > 1
+_BERNOULLI = dict(zip(range(2, 21, 2), map(Fraction, (
+    "1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6", "-3617/510",
+    "43867/798", "-174611/330"))))
+
+
 def _ratio_series_coefficients(n: int) -> np.ndarray:
-    """c_k, k = 2..n, of log Gamma(x - 1/2) - log Gamma(x) ~ -log(x)/2 +
-    sum_k c_k x^(1-k): the difference of DLMF 5.11.8 at h = -1/2 and h = 0,
-    the log form of the ratio series 5.11.13.  c_k = (-1)^k (B_k(-1/2) -
-    B_k) / (k (k-1)), with B_k(-1/2) = (2^(1-k) - 1) B_k - k (-1/2)^(k-1)."""
-    k = np.arange(2, n + 1)
-    bern = _sp.bernoulli(n)[2:]
-    return (-1.0) ** k * ((2.0 ** (1 - k) - 2.0) * bern - k * (-0.5) ** (k - 1)) / (k * (k - 1))
+    """c_k, k = 2..n (n <= 20), of log Gamma(x - 1/2) - log Gamma(x) ~
+    -log(x)/2 + sum_k c_k x^(1-k): the difference of DLMF 5.11.8 at h = -1/2
+    and h = 0, the log form of the ratio series 5.11.13.  c_k = (-1)^k
+    (B_k(-1/2) - B_k) / (k (k-1)), with B_k(-1/2) = (2^(1-k) - 1) B_k -
+    k (-1/2)^(k-1), each formed exactly and rounded once."""
+    half = Fraction(1, 2)
+    return np.array([float((-1) ** k * ((half ** (k - 1) - 2) * _BERNOULLI.get(k, 0)
+                                        - k * (-half) ** (k - 1)) / (k * (k - 1)))
+                     for k in range(2, n + 1)])
 
 
 _RATIO_SERIES = _ratio_series_coefficients(20)

@@ -389,7 +389,7 @@ def coherent_wavefunction(alpha: complex):
     def f(x: float) -> WaveFunctionSample:
         v = complex(coherent_psi(alpha, x))
         shift = x - SQRT2 * alpha
-        return WaveFunctionSample(x, v, -shift * v, (shift * shift - 1.0) * v)
+        return WaveFunctionSample(x, v, -shift * v, shift * (shift * v) - v)
 
     return f
 

@@ -1,5 +1,12 @@
 """The public API in ``qcoherent.__all__`` is part of the behaviour
-contract: a name leaves or joins it only on purpose."""
+contract: a name leaves or joins it only on purpose.  So is the set of
+routes that load scipy, which sets the cost of a fresh process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import qcoherent
 
@@ -27,3 +34,36 @@ PUBLIC_API = [
 def test_public_api_is_frozen():
     assert sorted(qcoherent.__all__) == PUBLIC_API
     assert all(hasattr(qcoherent, name) for name in PUBLIC_API)
+
+
+_SCIPY_BOUNDARY = """
+import contextlib, io, json, sys
+import qcoherent
+from qcoherent import cli, closedforms
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": loaded()}
+closedforms.calibrated_reflection()
+qcoherent.moments_oracle(1.5, 0.3 + 0.1j)
+qcoherent.moments_closed(1.5, 0.3 + 0.1j)
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["sweep_exit"] = cli.main(["sweep", "--q-steps", "2", "--q-max", "1.3"])
+seen["moments"] = loaded()
+qcoherent.momentum_pd(1.5, 0.3 + 0.1j)
+seen["momentum_pd"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_on_the_routes_that_need_it():
+    # importing the package, calibrating, both moment routes and the sweep
+    # CLI run on numpy alone; scipy.special loads on the Bessel-K route
+    src = str(Path(qcoherent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_BOUNDARY], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(out.stdout)
+    assert seen == {"import": [], "sweep_exit": 0, "moments": [], "momentum_pd": True}

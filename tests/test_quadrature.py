@@ -308,6 +308,18 @@ def test_line_rejects_nonintegrable_tail():
         integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), tol=1e-8)
 
 
+def test_line_refuses_a_tail_beyond_the_top_it_cannot_bound():
+    # (1+x^2)^(-0.52) decays like |x|^(-1.04): past |x| = 1e250, where no
+    # panel samples, its mass is ~5e-9, below the target at tol = 1e-8 and
+    # above it at tol = 1e-10, where an err_estimate could not back the value
+    s = 0.52
+    want = SQRT_PI * math.exp(math.lgamma(s - 0.5) - math.lgamma(s))
+    r = integrate_line(lambda x: np.hypot(1.0, x) ** (-2.0 * s), tol=1e-8)
+    assert abs(r.value.real - want) <= r.err_estimate <= 1e-8 * want
+    with pytest.raises(SlowDecay, match="beyond"):
+        integrate_line(lambda x: np.hypot(1.0, x) ** (-2.0 * s), tol=1e-10)
+
+
 def test_line_normalization_closure_q_state():
     # the normalization constant from the hypergeometric closed-form route
     # must square-integrate the raw state back to one

@@ -242,6 +242,16 @@ def test_log_gamma_ratio_half_matches_mpmath(x):
     assert abs(specfun._log_gamma_ratio_half(x) - want) <= 2e-15
 
 
+def test_ratio_series_is_exact_to_the_last_bit():
+    # the coefficients come from an exact Bernoulli table, rounded once;
+    # scipy.special.bernoulli's B_4 is 1.7e-12 and its B_6 6.1e-14 off, relative
+    with mpmath.workdps(50):
+        want = [float((-1) ** k * ((mpmath.mpf(2) ** (1 - k) - 2) * mpmath.bernoulli(k)
+                                   - k * mpmath.mpf(-0.5) ** (k - 1)) / (k * (k - 1)))
+                for k in range(2, 21)]
+    assert specfun._RATIO_SERIES.tolist() == want
+
+
 # ---------------------------------------------------------- Lauricella
 
 def test_fd_series_degenerate_to_one():

@@ -13,6 +13,7 @@ import pytest
 from qcoherent.errors import (
     OutOfValidityWindow,
     PoleHit,
+    SlowDecay,
     ZeroAmplitude,
 )
 from qcoherent.quadrature import integrate_line
@@ -287,6 +288,23 @@ def test_psi_is_finite_without_warnings_at_the_largest_doubles(q):
                 assert np.all(StateLabel(q, alpha).psi(x) == 0.0)
 
 
+def test_coherent_wavefunction_derivatives_are_finite_at_the_largest_doubles():
+    from qcoherent.states import coherent_wavefunction
+
+    # d2 = (x - sqrt2 alpha)^2 psi - psi must not square the shift: that
+    # overflows past |x| ~ 1.3e154, where psi is 0 and inf * 0 is nan
+    f = coherent_wavefunction(0.4 + 0.1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (-1.7976931348623157e308, -1e160, 1e160, 1.7976931348623157e308):
+            s = f(x)
+            assert (s.value, s.d1, s.d2) == (0.0, 0.0, 0.0), (x, s)
+        for x in (-3.0, 0.0, 2.5, 10.0):
+            s = f(x)
+            shift = x - SQRT2 * (0.4 + 0.1j)
+            assert s.d2 == pytest.approx((shift * shift - 1.0) * s.value, rel=1e-14)
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_psi_evaluators_refuse_non_finite_x(x):
     with pytest.raises(ValueError, match="finite"):
@@ -396,6 +414,15 @@ def test_norm_oracle_meets_the_exact_real_alpha_norm(q, tol, bound):
         want = float(mpmath.sqrt(2 * mpmath.pi * p) * mpmath.gamma(2 * p - 0.5)
                      / mpmath.gamma(2 * p))
     assert abs(_norm_integral(q, 0.3, 0.0, tol) / want - 1.0) <= bound
+
+
+@pytest.mark.parametrize("q", [4.9, 4.95])
+def test_norm_oracle_refuses_a_tail_it_cannot_bound(q):
+    # the |x|^(-4/(q-1)) tail's mass past 1e250, which no panel samples, is
+    # bounded by 2.6e-5 at q = 4.9 and 0.096 at 4.95, far above the 1e-10
+    # target; the integrals there are 3.8e-7 and 6.8e-4 off, relative
+    with pytest.raises(SlowDecay, match="beyond"):
+        normalization_constant(q, 0.3)
 
 
 def test_normalization_sentinel_is_quarter_power_of_pi():
