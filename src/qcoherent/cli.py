@@ -6,17 +6,26 @@ Three subcommands:
   vs-q curves.  CSV (default) or JSON, deterministic bytes for a fixed
   config.
 * ``verify``: evaluates every closed form against its quadrature oracle
-  over a parameter grid and emits a JSON report.  Closed forms that
-  reproduce known-discrepant printed expressions are recorded as
-  ``finding`` entries (documentation, not failure); the exit status
-  reflects only the mandatory invariant checks.
+  over a parameter grid and emits a JSON report.  Its entries are 16 per
+  grid point in a fixed order (the F_D norm and <x> with their half-line
+  variants, <x^2>, <p>, <p^2>, the overlap, then at k = 0.8, 2 and 0.01
+  the printed Kummer amplitude, its density away from k = 0, and the
+  Bessel-K amplitude), then 4 q-independent ones (the q-exponential
+  expansion, the Hermite identity, two F_D checks).  Its meta block holds
+  5 mandatory checks: normalisation closure, Parseval, Heisenberg, q -> 1
+  recovery and F_D consistency.  Closed forms that reproduce
+  known-discrepant printed expressions are recorded as ``finding``
+  entries (documentation, not failure); the exit status reflects only
+  the mandatory checks.
 * ``pd``:     momentum probability density on a k grid, CSV rows plus a
   Parseval trailer comment, or JSON.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure (or a
 mandatory verification check failing).  A q grid outside 1 < q_min <=
-q_max < 7/3, fewer than one q step and a ``--tol`` that is not a positive
-finite number are config errors: exit 2, never a traceback.
+q_max < 7/3, fewer than one q step, a ``--tol`` that is not a positive
+finite number, a q outside a validity window and any ``ValueError`` the
+library raises on malformed input (an alpha with no finite |alpha|^2, a
+non-finite k) are config errors: exit 2, never a traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from .errors import NumericsError, OutOfValidityWindow
 from .limits import limit_convergence_check
 from .moments import moments_closed, moments_oracle
 from .momentum import (
-    Q_MOMENTUM_MAX,
     default_k_grid,
     momentum_amplitude_bessel,
     momentum_amplitude_closed,
@@ -70,35 +78,40 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, command, config, meta, entries) -> None:
+    """Every command's JSON: a meta block (tool, command, schema, config,
+    then ``meta``) and the entries."""
+    payload = {
+        "meta": {"tool": "qcoherent", "command": command, "schema": SCHEMA_VERSION,
+                 "config": config, **meta},
+        "entries": entries,
+    }
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+
+
 def _emit_table(args, command, config_args, columns, rows, extra) -> None:
     """sweep's and pd's output; ``config_args`` names the arguments the
     config line records.  CSV: a schema and a config comment, the header,
     one line per row and one trailer comment per ``extra`` item.  JSON:
     ``extra`` joins the meta block, each row is an entry."""
     config = " ".join(f"{name}={_fmt(getattr(args, name))}" for name in config_args)
-    if args.format == "csv":
-        lines = [f"# qcoherent {command} schema={SCHEMA_VERSION}", f"# config {config}",
-                 ",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        lines += [f"# {key}={_fmt(value)}" for key, value in extra.items()]
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "meta": {"tool": "qcoherent", "command": command,
-                     "schema": SCHEMA_VERSION, "config": config, **extra},
-            "entries": [dict(zip(columns, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, args.out)
+    if args.format == "json":
+        _emit_json(args, command, config, extra, [dict(zip(columns, row)) for row in rows])
+        return
+    lines = [f"# qcoherent {command} schema={SCHEMA_VERSION}", f"# config {config}",
+             ",".join(columns)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [f"# {key}={_fmt(value)}" for key, value in extra.items()]
+    _emit("\n".join(lines) + "\n", args.out)
 
 
 def _check_q_grid(args, what: str, steps_rule: str = "q_steps must be >= 1") -> list[float]:
     """The q grid of sweep and verify, 1 < q_min <= q_max < 7/3 in q_steps >= 1
     points; ``what`` heads the range message, ``steps_rule`` is the step one."""
     if not (1.0 < args.q_min <= args.q_max < Q_MOMENT_SUITE_MAX):
-        raise _ConfigError(f"{what} 1 < q_min <= q_max < {Q_MOMENT_SUITE_MAX:.6g}")
+        raise ValueError(f"{what} 1 < q_min <= q_max < {Q_MOMENT_SUITE_MAX:.6g}")
     if args.q_steps < 1:
-        raise _ConfigError(steps_rule)
+        raise ValueError(steps_rule)
     return [float(q) for q in np.linspace(args.q_min, args.q_max, args.q_steps)]
 
 
@@ -126,7 +139,7 @@ def _sweep_rows(qs, alpha, tol, methods):
 def _run_sweep(args) -> int:
     qs = _check_q_grid(args, "moment sweeps need", _SWEEP_STEPS_RULE)
     if (args.q_steps == 1) != (args.q_min == args.q_max):
-        raise _ConfigError(_SWEEP_STEPS_RULE)
+        raise ValueError(_SWEEP_STEPS_RULE)
     alpha = complex(args.alpha_re, args.alpha_im)
     methods = ("oracle", "closed-form") if args.method == "both" else (args.method,)
     _emit_table(args, "sweep",
@@ -138,15 +151,13 @@ def _run_sweep(args) -> int:
 # ------------------------------------------------------------------- pd
 
 def _run_pd(args) -> int:
-    if not (1.0 <= args.q < Q_MOMENTUM_MAX):
-        raise _ConfigError(f"pd needs 1 <= q < {Q_MOMENTUM_MAX:.6g}")
     alpha = complex(args.alpha_re, args.alpha_im)
     # an end left out is the default grid's, and the config line records it
     ends = default_k_grid(alpha, 2)
     args.k_min = float(ends[0]) if args.k_min is None else args.k_min
     args.k_max = float(ends[-1]) if args.k_max is None else args.k_max
     if not (args.k_min < args.k_max and args.k_steps >= 2):
-        raise _ConfigError("pd needs k_min < k_max and k_steps >= 2")
+        raise ValueError("pd needs k_min < k_max and k_steps >= 2")
     grid = np.linspace(args.k_min, args.k_max, args.k_steps)
     dist = momentum_pd(args.q, alpha, grid, method=args.method, tol=args.tol)
     rows = [(s.k, s.pd, s.amplitude.real, s.amplitude.imag) for s in dist.samples]
@@ -196,95 +207,61 @@ _HALFLINE_NOTE = (
     "positive-half-line convention reproduced verbatim; the calibrated "
     "whole-line form adds the reflected term this variant omits"
 )
+_BESSEL_NOTE = (
+    "corrected counterpart of the printed Kummer amplitude: the exact "
+    "transform by Basset's integral, finite and non-zero as k -> 0"
+)
+_K_TO_ZERO_NOTE = (
+    "printed amplitude carries |k|^(2/(q-1)-1) and vanishes as k -> 0 for "
+    "q < 3; the oracle transform does not"
+)
 _K_NEAR_ZERO = 0.01
+_VERIFY_KS = (0.8, 2.0, _K_NEAR_ZERO)
 
 
-def _verify_closed_forms(qs, alpha, tol):
-    """One entry per (equation family, grid point), plus the worst
-    normalisation closure and the smallest oracle uncertainty product
-    over the grid, which the mandatory checks read."""
-    entries, closures, products = [], [], []
-    for q in qs:
-        point = _point(q, alpha)
-        oracle = moments_oracle(q, alpha, tol=tol)
-        products.append(oracle.product)
-        a_oracle = normalization_constant(q, alpha, tol=tol)
-        n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half) = (
-            closedforms._closed_moments(q, alpha, tol))
-        closures.append(abs(abs(a_oracle) ** 2 * n2 - 1.0))
-        for equation, closed, oracle_value, note in (
-            ("normalization_fd", n2 ** -0.5, a_oracle, None),
-            ("normalization_fd_halfline", n2_half ** -0.5, a_oracle, _HALFLINE_NOTE),
-            ("moment_x_fd", mean_x, oracle.mean_x, None),
-            ("moment_x_fd_halfline", mean_x_half, oracle.mean_x, _HALFLINE_NOTE),
-            ("moment_x2_fd", mean_x2, oracle.mean_x2, None),
-            ("moment_p_fd", mean_p, oracle.mean_p, None),
-            ("moment_p2_fd", mean_p2, oracle.mean_p2, None),
-        ):
-            entries.append(_entry(equation, point, closed, oracle_value, tol, note=note))
-        partner = alpha + 0.2
-        sa = StateLabel(q, alpha)
-        sb = StateLabel(q, partner)
-        ov_oracle = overlap(sa, sb, method="oracle", tol=tol)
-        ov_closed = (
-            sa.norm_constant * sb.norm_constant
-            * closedforms.overlap_closed(q, alpha, partner, tol=tol)
-        )
-        entries.append(
-            _entry(
-                "overlap_fd",
-                _point(q, alpha, partner_re=partner.real, partner_im=partner.imag),
-                ov_closed, ov_oracle, tol,
-            )
-        )
-        # the printed Kummer amplitude (and, away from k = 0, its density),
-        # then the Bessel-K amplitude, each against the oracle amplitude at k
-        for k in (0.8, 2.0, _K_NEAR_ZERO):
-            amp_o = momentum_amplitude_oracle(q, alpha, k, tol=tol)
-            amp_c = momentum_amplitude_closed(q, alpha, k)
-            if k == _K_NEAR_ZERO:
-                rows = [("momentum_amplitude_k_to_zero", amp_c, amp_o,
-                         "printed amplitude carries |k|^(2/(q-1)-1) and vanishes "
-                         "as k -> 0 for q < 3; the oracle transform does not")]
-            else:
-                rows = [("momentum_amplitude_kummer", amp_c, amp_o,
-                         "printed confluent-hypergeometric amplitude"),
-                        ("momentum_pd_kummer", abs(amp_c) ** 2, abs(amp_o) ** 2,
-                         "density from the printed amplitude")]
-            rows.append(("momentum_amplitude_bessel",
-                         momentum_amplitude_bessel(q, alpha, k, tol=tol), amp_o,
-                         "corrected counterpart of the printed Kummer amplitude: the "
-                         "exact transform by Basset's integral, finite and non-zero "
-                         "as k -> 0"))
-            for equation, closed, oracle_value, note in rows:
-                entries.append(_entry(equation, _point(q, alpha, k=k), closed, oracle_value,
-                                      tol, note=note))
-    # q-independent families
-    zq = 1.01
-    z = 0.7
-    closed = (1.0 - 0.5 * (zq - 1.0) * z * z) * np.exp(-1j * z)
-    entries.append(
-        _entry(
-            "qexp_phase_expansion", {"q": zq, "z": z},
-            closed, q_exponential(zq, -1j * z), tol,
-            threshold=10.0 * (zq - 1.0) ** 2,
-            note="first-order small-(q-1) expansion; agreement is O((q-1)^2)",
-        )
-    )
-    herm_dev = _hermite_projection_dev(0.7 + 0.3j, 10)
-    entries.append(
-        _entry(
-            "hermite_expansion_identity",
-            {"alpha_re": 0.7, "alpha_im": 0.3, "n_max": 10},
-            herm_dev, 0.0, 1.0, threshold=1e-8,
-            note="max |projection - alpha^n exp(-|alpha|^2/2)/sqrt(n!)| over n",
-        )
-    )
-    return entries, max(closures), min(products)
+def _grid_point_rows(q, alpha, tol):
+    """The 16 (equation, point, closed, oracle, note) rows of one grid point,
+    then its oracle uncertainty product and its normalisation closure
+    |A_oracle|^2 n2_closed - 1, which the mandatory checks read."""
+    point = _point(q, alpha)
+    oracle = moments_oracle(q, alpha, tol=tol)
+    a_oracle = normalization_constant(q, alpha, tol=tol)
+    n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half) = (
+        closedforms._closed_moments(q, alpha, tol))
+    partner = alpha + 0.2
+    sa, sb = StateLabel(q, alpha), StateLabel(q, partner)
+    ov_closed = (sa.norm_constant * sb.norm_constant
+                 * closedforms.overlap_closed(q, alpha, partner, tol=tol))
+    rows = [
+        ("normalization_fd", point, n2 ** -0.5, a_oracle, None),
+        ("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, _HALFLINE_NOTE),
+        ("moment_x_fd", point, mean_x, oracle.mean_x, None),
+        ("moment_x_fd_halfline", point, mean_x_half, oracle.mean_x, _HALFLINE_NOTE),
+        ("moment_x2_fd", point, mean_x2, oracle.mean_x2, None),
+        ("moment_p_fd", point, mean_p, oracle.mean_p, None),
+        ("moment_p2_fd", point, mean_p2, oracle.mean_p2, None),
+        ("overlap_fd", _point(q, alpha, partner_re=partner.real, partner_im=partner.imag),
+         ov_closed, overlap(sa, sb, method="oracle", tol=tol), None),
+    ]
+    # the printed Kummer amplitude (and, away from k = 0, its density),
+    # then the Bessel-K amplitude, each against the oracle amplitude at k
+    bessel = momentum_amplitude_bessel(q, alpha, np.array(_VERIFY_KS), tol=tol)
+    for k, amp_b in zip(_VERIFY_KS, bessel):
+        k_point = _point(q, alpha, k=k)
+        amp_o = momentum_amplitude_oracle(q, alpha, k, tol=tol)
+        amp_c = momentum_amplitude_closed(q, alpha, k)
+        if k == _K_NEAR_ZERO:
+            rows.append(("momentum_amplitude_k_to_zero", k_point, amp_c, amp_o, _K_TO_ZERO_NOTE))
+        else:
+            rows += [("momentum_amplitude_kummer", k_point, amp_c, amp_o,
+                      "printed confluent-hypergeometric amplitude"),
+                     ("momentum_pd_kummer", k_point, abs(amp_c) ** 2, abs(amp_o) ** 2,
+                      "density from the printed amplitude")]
+        rows.append(("momentum_amplitude_bessel", k_point, amp_b, amp_o, _BESSEL_NOTE))
+    return rows, oracle.product, abs(abs(a_oracle) ** 2 * n2 - 1.0)
 
 
 def _verify_fd_entries():
-    entries = []
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(5):
@@ -296,102 +273,78 @@ def _verify_fd_entries():
         s = specfun.lauricella_fd_series(args, tol=1e-13)
         i = specfun.lauricella_fd_integral(args, tol=1e-13)
         worst = max(worst, abs(s.value - i.value) / abs(i.value))
-    entries.append(
+    gauss = specfun.LauricellaArgs(1.1, (0.7, 0.0, 0.0, 0.0), 2.3, (0.35, 0.0, 0.0, 0.0))
+    return [
         _entry("fd_series_vs_integral", {"draws": 5, "seed": 20240817},
                worst, 0.0, 1.0, threshold=1e-8,
-               note="worst relative gap between the two representations")
-    )
-    args = specfun.LauricellaArgs(1.1, (0.7, 0.0, 0.0, 0.0), 2.3, (0.35, 0.0, 0.0, 0.0))
-    fd = specfun.lauricella_fd(args, tol=1e-13)
-    g = specfun._gauss_2f1(1.1, 0.7, 2.3, 0.35)
-    entries.append(
+               note="worst relative gap between the two representations"),
         _entry("fd_gauss_reduction", {"a": 1.1, "b": 0.7, "c": 2.3, "x": 0.35},
-               fd.value, g, 1e-13, threshold=1e-8,
-               note="single-variable degeneration against an independent 2F1")
-    )
-    return entries
-
-
-def _mandatory_checks(qs, alpha, tol, closure, min_product):
-    checks = {}
-
-    def record(name, ok, detail):
-        checks[name] = {"status": "pass" if ok else "fail", "detail": detail}
-
-    # |A_oracle|^2 * n2_closed: the quadrature and Lauricella norms close
-    record("normalization_closure", closure < 1e-8, closure)
-
-    # the two end points fix the default Parseval window; only the total is read
-    q_mid = float(qs[len(qs) // 2])
-    dist = momentum_pd(q_mid, alpha, default_k_grid(alpha, 2), tol=tol)
-    record("parseval", abs(dist.parseval_total - 1.0) < 1e-4,
-           abs(dist.parseval_total - 1.0))
-
-    record("heisenberg", min_product >= 0.5 - 1e-6, min_product)
-
-    # Second moments shrink like (q - 1); the sequence must reach 1.02 for
-    # their final gaps to clear the 1e-2 recovery tolerance.
-    limit = limit_convergence_check(
-        alpha, (1.2, 1.1, 1.05, 1.02), tol=1e-9, k_points=61
-    )
-    record("limit_recovery", limit.all_converged,
-           {n: v for n, v in limit.verdicts.items()})
-
-    fd_entries = _verify_fd_entries()
-    fd_ok = all(e["status"] == "pass" for e in fd_entries)
-    record("fd_consistency", fd_ok, max(e["rel_deviation"] for e in fd_entries))
-    return checks, fd_entries
+               specfun.lauricella_fd(gauss, tol=1e-13).value,
+               specfun._gauss_2f1(1.1, 0.7, 2.3, 0.35), 1e-13, threshold=1e-8,
+               note="single-variable degeneration against an independent 2F1"),
+    ]
 
 
 def _run_verify(args) -> int:
     qs = _check_q_grid(args, "verify grid needs")
     alpha = complex(args.alpha_re, args.alpha_im)
-    entries, closure, min_product = _verify_closed_forms(qs, alpha, args.tol)
-    checks, fd_entries = _mandatory_checks(qs, alpha, args.tol, closure, min_product)
+    entries, products, closures = [], [], []
+    for q in qs:
+        rows, product, closure = _grid_point_rows(q, alpha, args.tol)
+        entries += [_entry(equation, point, closed, oracle, args.tol, note=note)
+                    for equation, point, closed, oracle, note in rows]
+        products.append(product)
+        closures.append(closure)
+    # q-independent families
+    zq, z = 1.01, 0.7
+    entries.append(_entry(
+        "qexp_phase_expansion", {"q": zq, "z": z},
+        (1.0 - 0.5 * (zq - 1.0) * z * z) * np.exp(-1j * z), q_exponential(zq, -1j * z),
+        args.tol, threshold=10.0 * (zq - 1.0) ** 2,
+        note="first-order small-(q-1) expansion; agreement is O((q-1)^2)"))
+    entries.append(_entry(
+        "hermite_expansion_identity", {"alpha_re": 0.7, "alpha_im": 0.3, "n_max": 10},
+        _hermite_projection_dev(0.7 + 0.3j, 10), 0.0, 1.0, threshold=1e-8,
+        note="max |projection - alpha^n exp(-|alpha|^2/2)/sqrt(n!)| over n"))
+    # the two end points fix the default Parseval window; only the total is read
+    dist = momentum_pd(qs[len(qs) // 2], alpha, default_k_grid(alpha, 2), tol=args.tol)
+    parseval_gap = abs(dist.parseval_total - 1.0)
+    # Second moments shrink like (q - 1); the sequence must reach 1.02 for
+    # their final gaps to clear the 1e-2 recovery tolerance.
+    limit = limit_convergence_check(alpha, (1.2, 1.1, 1.05, 1.02), tol=1e-9, k_points=61)
+    fd_entries = _verify_fd_entries()
     entries += fd_entries
-    findings = sum(1 for e in entries if e["status"] == "finding")
-    failing = [n for n, c in checks.items() if c["status"] != "pass"]
-    payload = {
-        "meta": {
-            "tool": "qcoherent",
-            "command": "verify",
-            "schema": SCHEMA_VERSION,
-            "config": {
-                "q_grid": qs,
-                "alpha_re": alpha.real,
-                "alpha_im": alpha.imag,
-                "tol": args.tol,
-            },
-            "calibration": {
-                "anchor_q": closedforms.CALIBRATION_ANCHOR_Q,
-                "anchor_alpha_re": closedforms.CALIBRATION_ANCHOR_ALPHA.real,
-                "anchor_alpha_im": closedforms.CALIBRATION_ANCHOR_ALPHA.imag,
-                "reflection_term": closedforms.calibrated_reflection(),
-            },
-            "mandatory_checks": checks,
-            "finding_count": findings,
-            "entry_count": len(entries),
-        },
-        "entries": entries,
+    closure, min_product = max(closures), min(products)
+    checks = {name: {"status": "pass" if ok else "fail", "detail": detail}
+              for name, ok, detail in (
+                  # |A_oracle|^2 * n2_closed: the quadrature and Lauricella norms close
+                  ("normalization_closure", closure < 1e-8, closure),
+                  ("parseval", parseval_gap < 1e-4, parseval_gap),
+                  ("heisenberg", min_product >= 0.5 - 1e-6, min_product),
+                  ("limit_recovery", limit.all_converged, dict(limit.verdicts)),
+                  ("fd_consistency", all(e["status"] == "pass" for e in fd_entries),
+                   max(e["rel_deviation"] for e in fd_entries)),
+              )}
+    calibration = {
+        "anchor_q": closedforms.CALIBRATION_ANCHOR_Q,
+        "anchor_alpha_re": closedforms.CALIBRATION_ANCHOR_ALPHA.real,
+        "anchor_alpha_im": closedforms.CALIBRATION_ANCHOR_ALPHA.imag,
+        "reflection_term": closedforms.calibrated_reflection(),
     }
-    _emit(json.dumps(payload, indent=2, default=_json_default) + "\n", args.out)
+    _emit_json(args, "verify",
+               {"q_grid": qs, "alpha_re": alpha.real, "alpha_im": alpha.imag, "tol": args.tol},
+               {"calibration": calibration, "mandatory_checks": checks,
+                "finding_count": sum(e["status"] == "finding" for e in entries),
+                "entry_count": len(entries)},
+               entries)
+    failing = [name for name, check in checks.items() if check["status"] == "fail"]
     if failing:
         print(f"mandatory checks failed: {', '.join(failing)}", file=sys.stderr)
         return 3
     return 0
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 # ----------------------------------------------------------------- main
-
-class _ConfigError(Exception):
-    pass
-
 
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither nan nor infinite."""
@@ -485,7 +438,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (_ConfigError, OutOfValidityWindow) as exc:
+    except (ValueError, OutOfValidityWindow) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

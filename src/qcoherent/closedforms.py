@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ConventionMismatch, OutOfValidityWindow
 from .specfun import _euler_integral, _log_gamma_ratio_half
-from .states import Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots
+from .states import Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots, require_alpha
 
 __all__ = [
     "CALIBRATION_ANCHOR_Q",
@@ -163,7 +163,7 @@ def _closed_moments(q: float, alpha: complex, tol: float):
     its closed numerator over n2, still complex.  The last pair repeats n2
     and <x> from the plus halves alone (the half-line convention).
     """
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     norm, *numerators = _state_halves(q, alpha, alpha, list(_moment_terms(alpha).values()),
                                       min(tol, 1e-10))
     n2 = _whole(norm)
@@ -175,7 +175,7 @@ def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex
     """int |psi_un|^2 dx in closed form (q < 5), at min(tol, 1e-10): the
     norm divides every normalised quantity."""
     _window(q, Q_NORMALIZABLE_MAX, "closed-form norm")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     return _whole(_norm_halves(q, alpha, alpha, min(tol, 1e-10)))
 
 
@@ -184,7 +184,8 @@ def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
     """int conj(psi_un[alpha_a]) psi_un[alpha_b] dx in closed form (q < 5):
     the norm's row across two states, at the norm's min(tol, 1e-10)."""
     _window(q, Q_NORMALIZABLE_MAX, "closed-form overlap")
-    return _whole(_norm_halves(q, complex(alpha_a), complex(alpha_b), min(tol, 1e-10)))
+    alpha_a, alpha_b = require_alpha(alpha_a), require_alpha(alpha_b)
+    return _whole(_norm_halves(q, alpha_a, alpha_b, min(tol, 1e-10)))
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:

@@ -23,7 +23,7 @@ from .errors import RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
 from .momentum import momentum_amplitude_bessel
 from .quadrature import integrate_line
-from .states import SQRT2, Q_MOMENT_SUITE_MAX, _quad_poly
+from .states import SQRT2, Q_MOMENT_SUITE_MAX, _quad_poly, require_alpha
 
 __all__ = [
     "LimitReport",
@@ -48,7 +48,7 @@ def coherent_reference_moments(alpha: complex) -> MomentReport:
 def gaussian_momentum_pd(alpha: complex, k):
     """Limiting momentum density pi^(-1/2) exp(-(k - sqrt2 Im(alpha))^2)."""
     k = np.asarray(k, dtype=float)
-    p0 = SQRT2 * complex(alpha).imag
+    p0 = SQRT2 * require_alpha(alpha).imag
     out = math.pi ** -0.5 * np.exp(-((k - p0) ** 2))
     return out if out.ndim else float(out)
 
@@ -83,7 +83,7 @@ def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
             RegimeWarning,
             stacklevel=2,
         )
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     scale = _expansion_norm(q, alpha.real, alpha.imag)
     out = scale * _expansion_raw(q, alpha, x)
     return out if np.ndim(x) else complex(out)
@@ -130,7 +130,7 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     transform, ``momentum_amplitude_bessel``, in one vectorised call.  ``tol``
     is the moment suite's accuracy, and that of the density's normalisation.
     """
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     qs = tuple(float(q) for q in q_sequence)
     if not qs:
         raise ValueError("q_sequence must hold at least one q")

@@ -38,6 +38,7 @@ from .states import (
     SQRT2,
     _psi_un_arrays,
     normalization_constant,
+    require_alpha,
     require_window,
 )
 
@@ -106,7 +107,7 @@ def _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, method, deviations):
 
 def _coherent_exact(alpha: complex, method: str) -> MomentReport:
     """Gaussian-limit moments in closed form; the q = 1 sentinel target."""
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     mean_x = SQRT2 * alpha.real
     mean_p = SQRT2 * alpha.imag
     dx = math.sqrt(0.5)
@@ -142,7 +143,7 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     The quadrature pass is memoised per (q, alpha, tol); each call builds
     a fresh report from it and reruns every check."""
     require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     if q == 1.0:
         return _coherent_exact(alpha, "oracle")
     norm, mean_x, mean_x2, mean_p, p2_primary, p2_partner = _oracle_integrals(
@@ -170,7 +171,7 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     raise ConventionMismatch rather than return.
     """
     require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     if q == 1.0:
         return _coherent_exact(alpha, "closed-form")
     reference = moments_oracle(q, alpha, tol=tol)

@@ -39,7 +39,8 @@ import numpy as np
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
-from .states import SQRT2, _psi_un, _root_c, normalization_constant, require_window
+from .states import (SQRT2, _psi_un, _root_c, normalization_constant, require_alpha,
+                     require_window)
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -102,7 +103,7 @@ def default_k_grid(alpha: complex, n: int = 401) -> np.ndarray:
     large |Im alpha|) it still carries visible mass past the ends, which is
     why the Parseval total sizes its own window.
     """
-    half = 8.0 + 2.0 * abs(complex(alpha))
+    half = 8.0 + 2.0 * abs(require_alpha(alpha))
     return np.linspace(-half, half, n)
 
 
@@ -134,7 +135,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     if q == 1.0:
         out = _gaussian_amplitude(alpha, k)
     else:
@@ -159,7 +160,7 @@ def momentum_amplitude_oracle(q: float, alpha: complex, k: float,
     require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
     if not math.isfinite(k):
         raise ValueError(f"k must be finite; got {k}")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     if q == 1.0:
         return complex(_gaussian_amplitude(alpha, k))
     a_const = normalization_constant(q, alpha, tol=tol)
@@ -193,7 +194,7 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
         )
     from scipy.special import loggamma
 
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     p = 1.0 / (q - 1.0)
     rad = alpha * alpha - abs(alpha) ** 2 - 2.0 / (q - 1.0)
     srad = cmath.sqrt(rad)
@@ -243,12 +244,13 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     the total reads 4.6e27 at q = 1.5, alpha = 0.3i.
     """
     require_window(q, Q_MOMENTUM_MAX, "momentum distribution")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     grid = default_k_grid(alpha) if k_grid is None else np.asarray(k_grid, float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("k_grid must be a 1-d grid with at least two points")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("k_grid must be finite")
+    # the Parseval window [-half, half] covers the grid and needs a finite width
+    if not (np.abs(grid) <= 0.5 * np.finfo(float).max).all():
+        raise ValueError("k_grid must be finite, with |k| at most half the largest double")
     if method not in ("oracle", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
 

@@ -74,6 +74,23 @@ def require_window(q: float, upper: float, what: str) -> None:
         )
 
 
+def require_alpha(alpha) -> complex:
+    """complex(alpha); ValueError unless |alpha|^2 is a finite double.
+
+    Every public entry point that takes alpha starts here, the q = 1
+    Gaussian dispatch included: a nan or infinite alpha would come out as
+    nan, and from |alpha| ~ 1.3e154 the formulas' abs(alpha) ** 2 overflows.
+    """
+    alpha = complex(alpha)
+    try:
+        modsq = abs(alpha) ** 2
+    except OverflowError:
+        modsq = math.inf
+    if not math.isfinite(modsq):
+        raise ValueError(f"alpha must be finite, with a finite |alpha|^2; got {alpha}")
+    return alpha
+
+
 def q_exponential(q: float, z: complex) -> complex:
     """Deformed exponential e_q(z) = [1 + (1-q) z]^(1/(1-q)), principal branch.
 
@@ -96,10 +113,10 @@ def coherent_psi(alpha: complex, x) -> complex:
         psi_alpha(x) = pi^(-1/4) exp(-alpha^2/2) exp(-|alpha|^2/2)
                        exp(-x^2/2) exp(sqrt2 alpha x).
 
-    Vectorised over x; finite and silent up to |x| = 1.79e308.
+    Vectorised over finite x; finite and silent up to |x| = 1.79e308.
     """
-    alpha = complex(alpha)
-    x = np.clip(np.asarray(x, dtype=float), -_GAUSS_X, _GAUSS_X)
+    alpha = require_alpha(alpha)
+    x = np.clip(_finite_x(x), -_GAUSS_X, _GAUSS_X)
     pref = math.pi ** -0.25 * cmath.exp(-0.5 * alpha * alpha - 0.5 * abs(alpha) ** 2)
     val = pref * np.exp(-0.5 * x * x + SQRT2 * alpha * x)
     return val if val.ndim else complex(val)
@@ -113,7 +130,7 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     n = np.arange(n_max + 1)
     if alpha == 0.0:
         out = np.zeros(n_max + 1, dtype=complex)
@@ -153,9 +170,9 @@ def beta_roots(q: float, alpha: complex) -> BetaRoots:
     beta1 * beta2 = conj(alpha)^2 + |alpha|^2 + 2/(q-1), and the alpha
     pair likewise.  Needs q > 1 (at q = 1 the bracket is no quartic).
     """
-    if q <= 1.0:
+    if not q > 1.0:
         raise OutOfValidityWindow("beta roots exist for q > 1 only")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     modsq = abs(alpha) ** 2
     return BetaRoots(*_pair_roots(q, alpha.conjugate(), modsq),
                      *_pair_roots(q, alpha, modsq))
@@ -242,7 +259,7 @@ def _finite_x(x) -> np.ndarray:
 def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
     """Unnormalised state sample at one finite point, with derivatives."""
     require_window(q, Q_NORMALIZABLE_MAX, "state evaluation")
-    v, d1, d2 = _psi_un_arrays(q, alpha, _finite_x([float(x)]))
+    v, d1, d2 = _psi_un_arrays(q, require_alpha(alpha), _finite_x([float(x)]))
     return WaveFunctionSample(float(x), complex(v[0]), complex(d1[0]), complex(d2[0]))
 
 
@@ -272,9 +289,7 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
     min(tol, 1e-10) whatever the caller asks for.
     """
     require_window(q, Q_NORMALIZABLE_MAX, "normalization")
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite; got {alpha}")
+    alpha = require_alpha(alpha)
     tol = min(tol, 1e-10)
     a_oracle = (math.pi ** -0.25 if q == 1.0
                 else _norm_integral(q, alpha.real, alpha.imag, tol) ** -0.5)
@@ -310,7 +325,7 @@ class StateLabel:
 
     def __post_init__(self):
         require_window(self.q, Q_NORMALIZABLE_MAX, "StateLabel")
-        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "alpha", require_alpha(self.alpha))
         if self.norm_constant == 0.0:
             object.__setattr__(
                 self, "norm_constant", normalization_constant(self.q, self.alpha)
@@ -384,7 +399,7 @@ def apply_aq(q: float, f, x: float) -> complex:
 
 def coherent_wavefunction(alpha: complex):
     """Callable x -> WaveFunctionSample for the ordinary coherent state."""
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
 
     def f(x: float) -> WaveFunctionSample:
         v = complex(coherent_psi(alpha, x))
@@ -402,7 +417,7 @@ def pseudo_coherent_wavefunction(q: float, alpha: complex, normalized: bool = Fa
     default normalized=False.
     """
     require_window(q, Q_NORMALIZABLE_MAX, "state evaluation")
-    alpha = complex(alpha)
+    alpha = require_alpha(alpha)
     scale = normalization_constant(q, alpha) if normalized else 1.0
 
     def f(x: float) -> WaveFunctionSample:

@@ -298,6 +298,30 @@ def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
     assert [q for q, _ in calls] == [1.2, 1.5]
 
 
+def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
+    # one vectorised Bessel-K call per grid point, one Fourier-oracle and one
+    # printed Kummer amplitude per (grid point, k)
+    def count(name):
+        seen, real = [], getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+        return seen
+
+    bessel, oracle, closed = (count(f"momentum_amplitude_{route}")
+                              for route in ("bessel", "oracle", "closed"))
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.5", "--q-steps", "2",
+                   "--out", str(out)) == 0
+    assert [q for q, *_ in bessel] == [1.2, 1.5]
+    per_k = [(q, k) for q in (1.2, 1.5) for k in (0.8, 2.0, 0.01)]
+    assert [(q, k) for q, _, k in oracle] == per_k
+    assert [(q, k) for q, _, k in closed] == per_k
+
+
 # ------------------------------------------------------------------- pd
 
 def test_pd_csv_with_parseval_trailer(tmp_path):
@@ -329,6 +353,17 @@ def test_pd_stdout_when_no_out(capsys):
     text = capsys.readouterr().out
     assert "parseval_total" in text
     assert len([ln for ln in text.splitlines() if not ln.startswith("#")]) == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ("pd", "--q", "1.5", "--k-min", "1e300", "--k-max", "1.7e308"),
+    ("sweep", "--alpha-re", "1e200"),
+    ("pd", "--q", "1.5", "--alpha-re", "1e200"),
+])
+def test_library_value_error_is_a_config_error(argv, capsys):
+    # a k grid whose Parseval window overflows, an alpha whose |alpha|^2 does
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("config error")
 
 
 # ---------------------------------------------------------------- misc

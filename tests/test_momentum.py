@@ -169,6 +169,17 @@ def test_bessel_matches_oracle(q, alpha):
                                     rel=1e-14)
 
 
+@pytest.mark.parametrize("q", [1.2, 1.7, 2.2])
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.1j, -1.2 + 0.2j])
+def test_bessel_vector_call_is_the_scalar_calls_bitwise(q, alpha):
+    # verify takes its three Bessel entries from one vectorised call; its
+    # report bytes hold only if each element is the scalar call's value
+    ks = (0.8, 2.0, 0.01)
+    got = momentum_amplitude_bessel(q, alpha, np.array(ks), tol=1e-8)
+    want = np.array([momentum_amplitude_bessel(q, alpha, k, tol=1e-8) for k in ks])
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("q", [1.001, 1.005, 1.01, 1.02])
 def test_bessel_large_orders_are_finite(q):
     # K_{p-1/2} overflows scipy's kve here for small |k|; the amplitude does not

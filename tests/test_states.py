@@ -16,6 +16,10 @@ from qcoherent.errors import (
     SlowDecay,
     ZeroAmplitude,
 )
+from qcoherent.closedforms import norm_squared_closed
+from qcoherent.limits import limit_convergence_check
+from qcoherent.moments import moments_closed, moments_oracle, uncertainty_product
+from qcoherent.momentum import momentum_amplitude_bessel, momentum_amplitude_oracle, momentum_pd
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import (
     SQRT2,
@@ -24,6 +28,7 @@ from qcoherent.states import (
     beta_roots,
     coherent_coefficients,
     coherent_psi,
+    coherent_wavefunction,
     normalization_constant,
     overlap,
     pseudo_coherent_wavefunction,
@@ -303,6 +308,49 @@ def test_coherent_wavefunction_derivatives_are_finite_at_the_largest_doubles():
             s = f(x)
             shift = x - SQRT2 * (0.4 + 0.1j)
             assert s.d2 == pytest.approx((shift * shift - 1.0) * s.value, rel=1e-14)
+
+
+# every public entry point that takes alpha, at the q = 1 sentinel where
+# one has a Gaussian dispatch, and those that raised OverflowError at 1e200
+_ALPHA_ENTRY_POINTS = {
+    "moments_oracle_q1": lambda a: moments_oracle(1.0, a),
+    "moments_closed_q1": lambda a: moments_closed(1.0, a),
+    "uncertainty_product_q1": lambda a: uncertainty_product(1.0, a),
+    "momentum_amplitude_oracle_q1": lambda a: momentum_amplitude_oracle(1.0, a, 0.3),
+    "momentum_amplitude_bessel_q1": lambda a: momentum_amplitude_bessel(1.0, a, 0.3),
+    "psi_unnormalized_q1": lambda a: psi_unnormalized(1.0, a, 0.2),
+    "psi_unnormalized": lambda a: psi_unnormalized(1.5, a, 0.2),
+    "pseudo_coherent_wavefunction": lambda a: pseudo_coherent_wavefunction(1.5, a)(0.2),
+    "beta_roots": lambda a: beta_roots(1.5, a),
+    "coherent_psi": lambda a: coherent_psi(a, 0.0),
+    "coherent_coefficients": lambda a: coherent_coefficients(a, 3),
+    "normalization_constant": lambda a: normalization_constant(1.5, a),
+    "moments_oracle": lambda a: moments_oracle(1.5, a),
+    "momentum_pd": lambda a: momentum_pd(1.5, a),
+    "norm_squared_closed": lambda a: norm_squared_closed(1.5, a),
+    "limit_convergence_check": lambda a: limit_convergence_check(a),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1j * math.inf, 1e200],
+                         ids=["inf", "nan", "1j*inf", "1e200"])
+@pytest.mark.parametrize("entry", sorted(_ALPHA_ENTRY_POINTS))
+def test_entry_points_refuse_alpha_without_finite_modulus_squared(entry, alpha):
+    # nan and infinite alphas came out as nan (or as a report with
+    # product 0.5); from |alpha| ~ 1.3e154 abs(alpha) ** 2 overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            _ALPHA_ENTRY_POINTS[entry](alpha)
+
+
+def test_non_finite_q_and_x_are_refused():
+    with pytest.raises(OutOfValidityWindow):
+        beta_roots(math.nan, 0.3)
+    with pytest.raises(ValueError, match="x must be finite"):
+        coherent_psi(0.3, math.nan)
+    with pytest.raises(ValueError, match="x must be finite"):
+        coherent_wavefunction(0.3)(math.nan)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
