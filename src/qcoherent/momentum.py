@@ -39,8 +39,8 @@ import numpy as np
 from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
-from .states import (SQRT2, _psi_un, _root_c, normalization_constant, require_alpha,
-                     require_window)
+from .states import (SQRT2, _bracket_sr, _psi_un, _root_c, normalization_constant,
+                     require_alpha, require_window)
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -127,7 +127,8 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     which is Basset's integral A (2 pi)^(-1/2) ((q-1)/2)^(-p) 2 sqrt(pi)/Gamma(p)
     (|k|/2c)^nu K_nu(c|k|) e^(-i sqrt2 alpha k) rewritten so that k = 0 is
     an ordinary point.  Everything but A is one exponent, so no factor
-    overflows on its own at large |k| |Im alpha| or as q -> 1.  ``tol``
+    overflows on its own at large |k| |Im alpha| or as q -> 1; where the
+    decay takes phi below the doubles it is 0, for every finite k.  ``tol``
     is the accuracy of the normalisation constant A, the one quadrature.
     Returns a complex for scalar k, an ndarray otherwise.
     """
@@ -149,8 +150,15 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
             + _log_gamma_ratio_half(p) + cmath.log(c)
             - p * log1p((q - 1.0) * (alpha.imag ** 2 - 1j * alpha.real * alpha.imag))
         )
-        out = np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
-                     - 1j * SQRT2 * alpha * k)
+        # |phi| falls like exp(-r|k|) with r = Re c - sqrt2 |Im alpha| >=
+        # |c| p / (3|alpha|^2 + 2p), so where that bound times |k| passes 1e30
+        # phi is 0 in doubles.  Sampling those k at 0 instead keeps c|k| and
+        # sqrt2 alpha k finite for every alpha the normalisation accepts
+        # (|alpha| below ~1e24).
+        live = np.abs(k) <= 1e30 * (3.0 * abs(alpha) ** 2 + 2.0 * p) / (abs(c) * p)
+        k = np.where(live, k, 0.0)
+        out = np.where(live, np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
+                                    - 1j * SQRT2 * alpha * k), 0.0)
     return out if out.ndim else complex(out)
 
 
@@ -196,8 +204,7 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
 
     alpha = require_alpha(alpha)
     p = 1.0 / (q - 1.0)
-    rad = alpha * alpha - abs(alpha) ** 2 - 2.0 / (q - 1.0)
-    srad = cmath.sqrt(rad)
+    srad = _bracket_sr(q, alpha, abs(alpha) ** 2)
     sgn = math.copysign(1.0, k)
     a_const = normalization_constant(q, alpha)
     log_pref = (

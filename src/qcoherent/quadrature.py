@@ -21,9 +21,9 @@ of that sit
   tails stay smooth,
 * ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx:
   an adaptive core, then both tails as one stream of half-period pi/|k|
-  panels (successive panels alternate in sign), 16 per side per batch,
-  summed with iterated averaging (Longman's method); a stream that
-  reaches its 4096-panel cap raises NotConverged.
+  panels (successive panels alternate in sign), 16 per side, doubling
+  each round, summed from scratch with iterated averaging (Longman's
+  method); a stream that reaches its 4096-panel cap raises NotConverged.
 
 Evaluators map a float ndarray of n nodes to an ndarray (complex is fine)
 of shape (n,), or (m, n) for m integrands on shared nodes that one pass
@@ -526,48 +526,26 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     return QuadratureResult(res.value, err, 12 + res.evaluations, "gk-line")
 
 
-class _AveragedLimit:
-    """Iterated-averaging (Euler) limits of growing series, one per row.
+def _averaged_limit(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Iterated-averaging (Euler) limits of the (rows, n) partial ``sums``;
+    returns (limits, remainders), one per row.
 
     Pass 0 holds a row's partial sums; each entry of pass j is the mean of
     two neighbouring entries of pass j-1.  Each row's limit is the last
     entry of its deepest pass with the least spread |last - second last|,
     and that spread is the remainder.  For alternating tails with a smooth
     envelope each pass gains roughly one factor of the envelope ratio.
-
-    Appending m terms appends m entries to every pass, and each new entry
-    needs only the new entries and the last old entry of the pass before.
-    So only each pass's last entry is kept: every entry is still the same
-    floating-point operation on the same inputs as in a recomputation from
-    scratch, at O(m * passes) work per call instead of O(passes^2).
     """
-
-    def __init__(self, rows: int):
-        self.last = np.empty((0, rows), dtype=complex)  # last entry of each pass
-
-    def extend(self, terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append the (rows, m) ``terms``; return (limits, remainders)."""
-        n_old = len(self.last)
-        if n_old:
-            seg = np.cumsum(np.concatenate([self.last[0][:, None], terms], axis=1),
-                            axis=1)[:, 1:]
-        else:
-            seg = np.cumsum(terms, axis=1)
-        n, m = n_old + terms.shape[1], terms.shape[1]
-        # band[j, 0] is pass j's last old entry and band[j, 1:] its new
-        # entries, right-aligned: a pass with no old entry is shorter, and
-        # the cells left of it hold finite values that no kept cell reads
-        band = np.zeros((n, m + 1) + self.last.shape[1:], dtype=complex)
-        band[:n_old, 0] = self.last
-        band[0, 1:] = seg.T
-        for j in range(n - 1):
-            band[j + 1, 1:] = 0.5 * (band[j, 1:] + band[j, :-1])
-        self.last = band[:, -1]
-        ends = np.moveaxis(band[:-1, -2:], 1, -1)
-        spread = np.abs(ends[..., 1] - ends[..., 0])
-        deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)  # ties go deeper
-        rows = np.arange(ends.shape[1])
-        return ends[deepest, rows, 1], spread[deepest, rows]
+    row = sums
+    ends = [row[:, -2:]]
+    while row.shape[1] > 2:
+        row = 0.5 * (row[:, 1:] + row[:, :-1])
+        ends.append(row[:, -2:])
+    ends = np.array(ends)
+    spread = np.abs(ends[..., 1] - ends[..., 0])
+    deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)  # ties go deeper
+    rows = np.arange(ends.shape[1])
+    return ends[deepest, rows, 1], spread[deepest, rows]
 
 
 def fourier_transform_line(f, k: float, tol: float = 1e-10,
@@ -580,11 +558,11 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     alternate in sign (exp(-i*k*(x+pi/|k|)) = -exp(-i*k*x)), and each
     tail's panel series is summed with iterated averaging, which converges
     even when f only decays algebraically (conditional convergence of the
-    transform).  Both tails are one stream: each round adds 16 panels per
-    side in one batch until both averaged remainders are within
-    0.25*tol*max(1, |core|) or the last panels underflow; NotConverged at
-    4096 panels per side or ``max_evals``; ValueError for a k that is not
-    finite.  Scalar integrands only: no caller transforms several at once.
+    transform).  Both tails are one stream: one batch per round, 16 panels
+    per side and then as many again, until both averaged remainders are
+    within 0.25*tol*max(1, |core|) or the last panels underflow; NotConverged
+    at 4096 panels per side (round 9) or ``max_evals``; ValueError for a k
+    that is not finite.  Scalar integrands only: no caller transforms several.
     """
     _check_tol(tol)
     if not math.isfinite(k):
@@ -618,23 +596,22 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     sides = np.array([[1.0], [-1.0]])
     target = 0.25 * tol * max(1.0, abs(core.value))
     qerr = np.zeros(2)
-    averages = _AveragedLimit(2)
-    tails, owner = (_plain(()),), np.zeros(32, dtype=int)  # 16 panels a side, one piece
-    halfs, n_panels = np.full(32, 0.5 * half_period), 0
+    tails, terms = (_plain(()),), np.empty((2, 0), dtype=complex)  # one piece, no panels
     while True:
-        idx = np.arange(n_panels, n_panels + 16)
+        n_panels = terms.shape[1]
+        idx = np.arange(n_panels, 2 * n_panels or 16)  # 16 panels a side, then doubling
         mids = (sides * (X + (idx + 0.5) * half_period)).ravel()
-        vals, errs, _ = _pieces_batch(g, tails, owner, mids, halfs)
+        vals, errs, _ = _pieces_batch(g, tails, np.zeros(mids.size, dtype=int), mids,
+                                      np.full(mids.size, 0.5 * half_period))
         evals += 15 * mids.size
-        n_panels += 16
-        vals = vals.reshape(2, -1)
+        terms = np.concatenate([terms, vals.reshape(2, -1)], axis=1)
         qerr += np.sum(errs.reshape(2, -1), axis=1)
-        best, rem = averages.extend(vals)
-        if ((rem <= target) | (np.abs(vals[:, -1]) < 1e-305)).all():
+        best, rem = _averaged_limit(np.cumsum(terms, axis=1))
+        if ((rem <= target) | (np.abs(terms[:, -1]) < 1e-305)).all():
             break
-        if n_panels >= 4096 or evals >= max_evals:
+        if terms.shape[1] >= 4096 or evals >= max_evals:
             raise NotConverged(
-                f"fourier tails not converged after {n_panels} panels per side "
+                f"fourier tails not converged after {terms.shape[1]} panels per side "
                 f"({evals} evaluations): remainder {np.max(rem):.3e} (target {target:.3e})"
             )
 

@@ -423,8 +423,11 @@ class LauricellaArgs:
             raise ParameterPole(f"lower parameter c={self.c} is a non-positive integer")
 
 
+_QUIET_SHELLS = 3  # consecutive shells below tol that end the F_D series
+
+
 def lauricella_fd_series(args: LauricellaArgs, tol: float = 1e-10,
-                         max_degree: int = 400, quiet_shells: int = 3) -> QuadratureResult:
+                         max_degree: int = 400) -> QuadratureResult:
     """Sum the F_D series by total degree.
 
     The shell sum S_N = sum_{|m|=N} prod (b_i)_{m_i} x_i^{m_i} / m_i! is the
@@ -433,7 +436,7 @@ def lauricella_fd_series(args: LauricellaArgs, tol: float = 1e-10,
     (1 - x_j t) it satisfies
         (N+1) S_{N+1} = -sum_{j=1..4} p_j (N+1-j) S_{N+1-j}
                         + sum_{j=0..3} q_j S_{N-j},
-    and F_D = sum_N [(a)_N / (c)_N] S_N.  Stops once ``quiet_shells``
+    and F_D = sum_N [(a)_N / (c)_N] S_N.  Stops once ``_QUIET_SHELLS``
     consecutive shells fall below tol relative to the running sum.
     """
     _check_tol(tol)
@@ -477,8 +480,8 @@ def lauricella_fd_series(args: LauricellaArgs, tol: float = 1e-10,
         tail.append(abs(term))
         if abs(term) <= tol * max(abs(total), 1e-300):
             quiet += 1
-            if quiet >= quiet_shells:
-                rem = sum(tail[-quiet_shells:]) * (1.0 / max(1.0 - xm, 1e-3))
+            if quiet >= _QUIET_SHELLS:
+                rem = sum(tail[-_QUIET_SHELLS:]) * (1.0 / max(1.0 - xm, 1e-3))
                 return QuadratureResult(total, rem, n + 2, "fd-series")
         else:
             quiet = 0

@@ -156,10 +156,15 @@ class BetaRoots:
         return (self.beta1, self.beta2, self.beta3, self.beta4)
 
 
+def _bracket_sr(q: float, gamma: complex, modsq: float) -> complex:
+    # the square root in the roots of x^2 - 2 sqrt2 gamma x + modsq + gamma^2
+    # + 2/(q-1); the bra bracket of a state is gamma = conj(alpha), its ket
+    # bracket gamma = alpha, and modsq = |alpha|^2 in both
+    return cmath.sqrt(gamma * gamma - modsq - 2.0 / (q - 1.0))
+
+
 def _pair_roots(q: float, gamma: complex, modsq: float) -> tuple[complex, complex]:
-    # roots of x^2 - 2 sqrt2 gamma x + modsq + gamma^2 + 2/(q-1); the bra
-    # bracket of a state is gamma = conj(alpha), its ket bracket gamma = alpha
-    sr = cmath.sqrt(gamma * gamma - modsq - 2.0 / (q - 1.0))
+    sr = _bracket_sr(q, gamma, modsq)
     return (SQRT2 * gamma + sr, SQRT2 * gamma - sr)
 
 
@@ -194,8 +199,14 @@ def _quad_poly(alpha: complex, x):
 
 
 def _root_c(q: float, alpha: complex) -> complex:
-    """c with c^2 = |alpha|^2 - alpha^2 + 2/(q-1) and Re c > sqrt2 |Im alpha|."""
-    return cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
+    """c with c^2 = |alpha|^2 - alpha^2 + 2/(q-1) and Re c > sqrt2 |Im alpha|:
+    the ket's ``_bracket_sr`` turned by -i, or by +i where that leaves
+    Re c <= 0.  This is the principal root of c^2 bit for bit; the factor is
+    complex(0.0, -1.0), not -1j = complex(-0.0, -1.0), whose signed zero
+    would flip the sign of Im c = 0 at real alpha."""
+    sr = _bracket_sr(q, alpha, abs(alpha) ** 2)
+    c = complex(0.0, -1.0) * sr
+    return c if c.real > 0.0 else complex(0.0, 1.0) * sr
 
 
 def _log_b(q: float, alpha: complex, x):

@@ -229,6 +229,18 @@ def test_bessel_large_k_decays_without_warnings():
     assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1e-250)
 
 
+@pytest.mark.parametrize("q", [1.02, 1.5, 2.9])
+def test_bessel_is_zero_and_silent_at_huge_finite_k(q):
+    # c|k| and sqrt2 alpha k overflow near the largest doubles, and 8 c|k| in
+    # the Hankel branch before them; the amplitude there is 0 to any precision
+    ks = [1e8, 1e300, 1e307, 1.7e308, -1.7e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = momentum_amplitude_bessel(q, 0.5 + 0.2j, np.array(ks))
+        scalars = [momentum_amplitude_bessel(q, 0.5 + 0.2j, k) for k in ks]
+    assert np.all(got == 0.0) and all(v == 0.0 for v in scalars)
+
+
 @pytest.mark.parametrize("q, alpha", [(2.3, 1.5j), (2.15, 1.5j), (2.99, 0.5)])
 def test_parseval_window_follows_the_decay_rate(q, alpha):
     # |phi|^2 ~ exp(-2 (Re c - sqrt2 |Im alpha|) |k|) decays slowly at these

@@ -422,25 +422,31 @@ def test_fourier_tails_are_one_stream():
     assert all(x.min() < -X and x.max() > X for x in tails)
 
 
-def test_averaged_limit_extends_bit_identically():
-    # appending terms must give exactly what averaging every partial sum
-    # from scratch gives, limits and remainders alike
-    rng = np.random.default_rng(7)
-    terms = (rng.standard_normal((2, 80)) + 1j * rng.standard_normal((2, 80)))
-    terms *= (-0.9) ** np.arange(80)
-    averages = quadrature._AveragedLimit(2)
-    for n in range(16, 81, 16):
-        got = averages.extend(terms[:, n - 16:n])
-        row = np.cumsum(terms[:, :n], axis=1)
-        ends = [row[:, -2:]]
-        while row.shape[1] > 2:
-            row = 0.5 * (row[:, 1:] + row[:, :-1])
-            ends.append(row[:, -2:])
-        ends = np.array(ends)
-        spread = np.abs(ends[..., 1] - ends[..., 0])
-        deepest = len(ends) - 1 - np.argmin(spread[::-1], axis=0)
-        want = ends[deepest, [0, 1], 1], spread[deepest, [0, 1]]
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+def test_averaged_limit_of_an_alternating_series():
+    # partial sums of sum_n (-1)^n / (n+1) -> ln 2; the second row is the
+    # same series times 1j, which must be averaged on its own
+    terms = (-1.0) ** np.arange(32) / np.arange(1, 33)
+    sums = np.cumsum(np.array([terms, 1j * terms]), axis=1)
+    limits, remainders = quadrature._averaged_limit(sums)
+    errors = np.abs(limits - np.array([1.0, 1j]) * math.log(2.0))
+    assert np.all(errors <= 1e-12)
+    assert np.all(errors <= remainders)
+
+
+def test_fourier_tail_rounds_double_up_to_the_cap():
+    # past the core end X every evaluator call is one round over both tails,
+    # 15 nodes a panel: 16 panels a side, then as many again each round
+    X = math.ceil(16.0 / math.pi) * math.pi  # core end at core_halfwidth 16
+    panels = []
+
+    def f(x):
+        if np.min(np.abs(x)) > X:
+            panels.append(x.size // 30)
+        return np.exp(1j * x) / (1.0 + x * x) ** 0.3
+
+    with pytest.raises(NotConverged, match=r"4096 panels per side \(123180 evaluations\)"):
+        fourier_transform_line(f, 1.0, tol=1e-9)
+    assert panels == [16, 16, 32, 64, 128, 256, 512, 1024, 2048]
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])

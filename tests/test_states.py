@@ -129,6 +129,28 @@ def test_beta_roots_alpha_zero():
     assert {r.beta3, r.beta4} == {2.0j, -2.0j}
 
 
+def _pinned_alphas():
+    rng = np.random.default_rng(16)
+    scale = 10.0 ** rng.integers(-3, 4, size=(2000, 1))
+    alphas = [complex(a, b) for a, b in rng.standard_normal((2000, 2)) * scale]
+    alphas += [complex(v, 0.0) for v in rng.standard_normal(200) * 3.0]
+    alphas += [complex(0.0, v) for v in rng.standard_normal(200) * 3.0]
+    parts = (0.0, -0.0, 0.7, -0.7, 1e-300, -1e-300, 1e150, -1e150)
+    return alphas + [complex(a, b) for a in parts for b in parts]
+
+
+def test_root_c_is_the_principal_root_bit_for_bit():
+    # c is the ket's bracket root turned by -i (or +i); it must equal the
+    # principal square root of |alpha|^2 - alpha^2 + 2/(q-1) by repr, signed
+    # zeros included
+    from qcoherent.states import _root_c
+
+    for q in (1.0001, 1.02, 1.5, 2.0, 2.9, 4.5):
+        for alpha in _pinned_alphas():
+            want = cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
+            assert repr(_root_c(q, alpha)) == repr(want), (q, alpha)
+
+
 def test_beta_roots_vieta():
     q, alpha = 1.3, 0.4 + 0.1j
     r = beta_roots(q, alpha)
