@@ -223,16 +223,24 @@ _PARSEVAL_TOL = 1e-6  # comfortably inside the 1e-4 closure contract
 def _parseval_total(density, alpha: complex, grid: np.ndarray, rate: float) -> float:
     """Adaptive integral of the vectorised ``density`` over a symmetric window.
 
-    The window covers the requested grid and the default one, and reaches
-    40/rate for a density that decays like exp(-rate |k|), so that ~e^(-40)
-    of its mass lies outside.  The k = 0 singularity hint grades both sides
-    of the density's |k|^(2p-1) kink in the one adaptive pass, so the
-    estimate holds its accuracy at every q in the momentum window,
-    independent of the caller's output grid.
+    The density's own window is [-own, own], own = max(8 + 2|alpha|, 40/rate):
+    it covers the default grid and reaches 40/rate for a density that
+    decays like exp(-rate |k|), so that ~e^(-40) of its mass lies outside.
+    The k = 0 singularity hint grades both sides of the density's
+    |k|^(2p-1) kink in one adaptive pass, so the estimate holds its
+    accuracy at every q in the momentum window.  A grid that reaches past
+    own widens the window to it; that stretch, both sides folded onto
+    [own, half], is a second pass, so a wide grid never spreads the first
+    pass's panels too thin to see the peak near k = 0.
     """
-    half = max(8.0 + 2.0 * abs(alpha), abs(float(grid[0])), abs(float(grid[-1])), 40.0 / rate)
+    own = max(8.0 + 2.0 * abs(alpha), 40.0 / rate)
+    half = max(own, abs(float(grid[0])), abs(float(grid[-1])))
     spec = IntegrandSpec(density, singularities=(0.0,))
-    return float(integrate_interval(spec, -half, half, tol=_PARSEVAL_TOL).value.real)
+    total = float(integrate_interval(spec, -own, own, tol=_PARSEVAL_TOL).value.real)
+    if half > own:
+        total += float(integrate_interval(lambda ks: density(ks) + density(-ks), own, half,
+                                          tol=_PARSEVAL_TOL).value.real)
+    return total
 
 
 def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",

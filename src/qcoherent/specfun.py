@@ -30,7 +30,7 @@ _log_bessel_g (private)
     g(z) = 2 (z/2)^nu K_nu(z) / Gamma(nu), vectorised over complex z: the
     factor of the exact momentum amplitude.  scipy's exponentially scaled
     kve below order 30, Debye's uniform expansion from 30 up, where kve
-    overflows near z = 0.
+    overflows near z = 0; finite at every finite z.
 
 Kummer's integral branch and F_D's share one Euler integral,
 ``_euler_integral``: graded halves u < 1/2 and u > 1/2 as the pieces of
@@ -325,6 +325,7 @@ def _debye_polynomials(n: int) -> np.ndarray:
 _DEBYE_U = _debye_polynomials(12)
 _DEBYE_MIN_ORDER = 30.0  # from here Debye's 12 terms hold g to ~1e-12
 _HANKEL_MIN_ABS = 1e8    # scipy's kve reads nan from about |z| = 1e12
+_HANKEL_LEAD_ABS = 1e300  # Hankel's corrections round away; his 8z overflows from ~1e307
 
 
 def _log_bessel_g(nu: float, z) -> np.ndarray:
@@ -337,39 +338,59 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
     of K_nu(nu w) divided by its own w -> 0 limit, in which the Gamma
     function and every large power cancel exactly.  Below order 30 it is
     scipy's exponentially scaled kve in log space, with Hankel's expansion
-    (DLMF 10.40.2) past |z| = 1e8.  Where kve would overflow (tiny or
-    subnormal |z|), the series of K_nu ends after its first term: g = 1 to
-    double precision from order 1 up (1 - g < 1e-19 there), and
+    (DLMF 10.40.2) past |z| = 1e8.  Where kve would overflow or refuse
+    (tiny or subnormal |z|), the series of K_nu ends after its first term:
+    g = 1 to double precision from order 1 up (1 - g < 1e-19 there), and
     g = 1 - Gamma(1-nu)/Gamma(1+nu) (z/2)^(2 nu) below, which still matters
-    as nu -> 0.
+    as nu -> 0.  Where either form would overflow (Debye's w^2 from
+    |z| ~ 1e154 nu, Hankel's terms from |z| ~ 1e307), Hankel's corrections
+    are below 1e-138 and his leading term alone is exact in doubles: it
+    takes the lanes that Debye's form leaves non-finite and, below order 30,
+    every lane past |z| = 1e300.  So every finite z gives a finite value.
     """
     from scipy import special as _sp
 
     z = np.asarray(z, dtype=complex)
+
+    def prefactor(w):  # log(g / kve(nu, w)) = log(2 (w/2)^nu e^(-w) / Gamma(nu))
+        return math.log(2.0) - _sp.gammaln(nu) + nu * np.log(0.5 * w) - w
+
     if nu >= _DEBYE_MIN_ORDER:
-        w2 = (z / nu) ** 2
-        s = np.sqrt(1.0 + w2)
-        d = w2 / (1.0 + s)  # s - 1 without cancellation
         coef = (-1.0 / nu) ** np.arange(len(_DEBYE_U)) @ _DEBYE_U
-        series = np.polynomial.polynomial.polyval(1.0 / s, coef)
-        return (nu * (_sp.log1p(0.5 * d) - d) - 0.25 * _sp.log1p(w2)
-                + np.log(series / np.sum(coef)))
-    out = np.zeros(z.shape, dtype=complex)
-    r = np.abs(z)
-    tiny = max(2.0 * math.exp((_sp.gammaln(nu) - 700.0) / nu), np.finfo(float).tiny)
-    mid = (r >= tiny) & (r <= _HANKEL_MIN_ABS)
-    big = r > _HANKEL_MIN_ABS
-    small = (r > 0.0) & (r < tiny)
-    if nu < 1.0:  # K_nu's series (DLMF 10.27.4, 10.25.2) to its first z^(2 nu) term
-        out[small] = _sp.log1p(-math.exp(_sp.gammaln(1.0 - nu) - _sp.gammaln(1.0 + nu))
-                               * np.exp(2.0 * nu * (np.log(z[small]) - math.log(2.0))))
-    out[mid] = np.log(_sp.kve(nu, z[mid]))
-    zb, mu = z[big], 4.0 * nu * nu
-    out[big] = 0.5 * np.log(0.5 * math.pi / zb) + np.log(
-        1.0 + (mu - 1.0) / (8.0 * zb) * (1.0 + (mu - 9.0) / (16.0 * zb)
-                                         * (1.0 + (mu - 25.0) / (24.0 * zb))))
-    on = mid | big
-    out[on] += math.log(2.0) - _sp.gammaln(nu) + nu * np.log(0.5 * z[on]) - z[on]
+        with np.errstate(over="ignore", invalid="ignore"):  # the far lanes, replaced below
+            w2 = (z / nu) ** 2
+            s = np.sqrt(1.0 + w2)
+            d = w2 / (1.0 + s)  # s - 1 without cancellation
+            series = np.polynomial.polynomial.polyval(1.0 / s, coef)
+            out = np.asarray(nu * (_sp.log1p(0.5 * d) - d) - 0.25 * _sp.log1p(w2)
+                             + np.log(series / np.sum(coef)))
+        far = ~np.isfinite(out)
+    else:
+        out = np.zeros(z.shape, dtype=complex)
+        r = np.abs(z)  # inf past the largest double: a far lane
+        tiny = max(2.0 * math.exp((_sp.gammaln(nu) - 700.0) / nu), np.finfo(float).tiny)
+        mid = (r >= tiny) & (r <= _HANKEL_MIN_ABS)
+        small = (r > 0.0) & (r < tiny)
+        out[mid] = np.log(_sp.kve(nu, z[mid]))
+        refused = ~np.isfinite(out)  # kve (AMOS) reads inf or nan below |z| ~ 2.2e-305
+        if refused.any():
+            out[refused] = 0.0
+            small |= refused
+            mid &= ~refused
+        if nu < 1.0:  # K_nu's series (DLMF 10.27.4, 10.25.2) to its first z^(2 nu) term
+            out[small] = _sp.log1p(-math.exp(_sp.gammaln(1.0 - nu) - _sp.gammaln(1.0 + nu))
+                                   * np.exp(2.0 * nu * (np.log(z[small]) - math.log(2.0))))
+        far = r > _HANKEL_LEAD_ABS
+        big = (r > _HANKEL_MIN_ABS) & ~far
+        zb, mu = z[big], 4.0 * nu * nu
+        out[big] = 0.5 * np.log(0.5 * math.pi / zb) + np.log(
+            1.0 + (mu - 1.0) / (8.0 * zb) * (1.0 + (mu - 9.0) / (16.0 * zb)
+                                             * (1.0 + (mu - 25.0) / (24.0 * zb))))
+        on = mid | big
+        out[on] += prefactor(z[on])
+    if far.any():  # Hankel's leading term sqrt(pi/2z)
+        zf = z[far]
+        out[far] = -0.5 * np.log(zf / (0.5 * math.pi)) + prefactor(zf)
     return out
 
 

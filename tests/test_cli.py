@@ -5,11 +5,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from qcoherent import cli
+import qcoherent
+from qcoherent import cli, closedforms, specfun
 from qcoherent.errors import NotConverged
 
 
@@ -320,6 +326,47 @@ def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
     per_k = [(q, k) for q in (1.2, 1.5) for k in (0.8, 2.0, 0.01)]
     assert [(q, k) for q, _, k in oracle] == per_k
     assert [(q, k) for q, _, k in closed] == per_k
+
+
+def _verify_in_a_fresh_process(out, *argv):
+    src = str(Path(qcoherent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "qcoherent.cli", "verify", *argv,
+                           "--out", str(out)], env=env, timeout=120).returncode
+
+
+def test_verify_repeats_in_process_write_a_fresh_process_bytes(tmp_path):
+    # the argument-independent checks run once per process and are kept; a
+    # later call at another alpha must still write what a fresh process writes
+    grid = ("--q-min", "1.3", "--q-max", "1.3", "--q-steps", "1")
+    for i, alpha in enumerate((("--alpha-re", "0.3", "--alpha-im", "0.1"),
+                               ("--alpha-re", "-1.2", "--alpha-im", "0.2"))):
+        here, fresh = tmp_path / f"here{i}.json", tmp_path / f"fresh{i}.json"
+        assert run_cli("verify", *grid, *alpha, "--out", str(here)) == 0
+        assert _verify_in_a_fresh_process(fresh, *grid, *alpha) == 0
+        assert here.read_bytes() == fresh.read_bytes()
+
+
+def test_verify_runs_its_fixed_checks_once_per_process(monkeypatch, tmp_path):
+    # the five F_D draws, the Gauss reduction and the Hermite projection do
+    # not depend on the arguments; each grid point's closed pass does
+    counts = Counter()
+    for module, name in ((specfun, "lauricella_fd_series"), (specfun, "lauricella_fd_integral"),
+                         (cli, "_hermite_projection_dev"), (closedforms, "_closed_moments")):
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    cli._fixed_checks.cache_clear()
+    grid = ("--q-min", "1.3", "--q-max", "1.5", "--q-steps", "2")
+    assert run_cli("verify", *grid, "--out", str(tmp_path / "a.json")) == 0
+    assert counts == {"lauricella_fd_series": 6, "lauricella_fd_integral": 5,
+                      "_hermite_projection_dev": 1, "_closed_moments": 2}
+    counts.clear()
+    assert run_cli("verify", *grid, "--alpha-re", "-0.4", "--out", str(tmp_path / "b.json")) == 0
+    assert counts == {"_closed_moments": 2}
 
 
 # ------------------------------------------------------------------- pd

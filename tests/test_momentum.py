@@ -241,6 +241,15 @@ def test_bessel_is_zero_and_silent_at_huge_finite_k(q):
     assert np.all(got == 0.0) and all(v == 0.0 for v in scalars)
 
 
+def test_bessel_amplitude_is_finite_below_kves_range():
+    # phi(k) at k ~ 1e-305 read inf or nan below order 1 (q > 5/3)
+    q, alpha = 2.5, 0.3 + 0.2j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = momentum_amplitude_bessel(q, alpha, np.array([1e-300, 1e-305, 1e-307, 5e-324]))
+    np.testing.assert_allclose(got, momentum_amplitude_bessel(q, alpha, 0.0), rtol=1e-15)
+
+
 @pytest.mark.parametrize("q, alpha", [(2.3, 1.5j), (2.15, 1.5j), (2.99, 0.5)])
 def test_parseval_window_follows_the_decay_rate(q, alpha):
     # |phi|^2 ~ exp(-2 (Re c - sqrt2 |Im alpha|) |k|) decays slowly at these
@@ -248,6 +257,17 @@ def test_parseval_window_follows_the_decay_rate(q, alpha):
     dist = momentum_pd(q, alpha)
     assert dist.k_values[-1] == 8.0 + 2.0 * abs(alpha)
     assert abs(dist.parseval_total - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("half", [1e6, 1e12, 8.98e307])
+def test_parseval_total_closes_on_a_wide_grid(half):
+    # a window stretched over the grid spread the one pass's panels too thin
+    # to see the peak near k = 0: +-1e12 read 8.0e-12, with no error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1.05, 1.5, 2.9):
+            dist = momentum_pd(q, 0.5 + 0.2j, k_grid=[-half, 0.0, half])
+            assert abs(dist.parseval_total - 1.0) < 1e-4, q
 
 
 def test_pd_even_for_alpha_zero():

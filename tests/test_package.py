@@ -67,3 +67,16 @@ def test_scipy_loads_only_on_the_routes_that_need_it():
                          capture_output=True, text=True, timeout=120, check=True)
     seen = json.loads(out.stdout)
     assert seen == {"import": [], "sweep_exit": 0, "moments": [], "momentum_pd": True}
+
+
+def test_import_computes_no_fixed_check():
+    # verify's argument-independent checks and the CLI parser are built on
+    # first use, never at import
+    src = str(Path(qcoherent.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import qcoherent\nfrom qcoherent import cli\n"
+            "print(cli._fixed_checks.cache_info().currsize, cli._build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["0", "0"]

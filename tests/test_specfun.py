@@ -6,6 +6,7 @@ orthonormality, and the in-package private 2F1 for reduction identities.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -230,6 +231,26 @@ def test_log_bessel_g_is_finite_from_zero_to_huge_arguments(nu):
     # g falls from 1 on the real axis; near kve's overflow edge log g sums
     # terms of size ~700, so it carries ~1e-13 of rounding
     assert np.all(np.diff(out.real[:8]) <= 1e-12)
+
+
+@pytest.mark.parametrize("nu, z", [
+    (40.5, 1e200 + 0j),       # Debye's w^2 = (z/nu)^2 overflowed: nan+nanj
+    (40.5, 1.7e308 + 1e307j),
+    (1.5, 1e307),             # Hankel's 8z, 16z and 24z overflowed
+    (1.5, 1.7e308 + 1.6e308j),
+    (0.6, 1e-306),            # kve refuses |z| below ~2.2e-305: inf
+    (0.6, 2.1e-305 + 7.3e-306j),
+    (7.5, 1e-306),
+])
+def test_log_bessel_g_is_finite_and_silent_at_the_ends_of_the_doubles(nu, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = specfun._log_bessel_g(nu, np.array([z]))
+    assert np.all(np.isfinite(got))
+    if z.real > 1.0:  # log g ~ -z there, to the last digit
+        assert got[0].real == pytest.approx(-z.real, rel=1e-15)
+    else:  # g = 1 - O(z^(2 nu))
+        assert abs(got[0]) < 1e-300
 
 
 @pytest.mark.parametrize("x", [0.6, 2.0, 5.99, 6.0, 30.0, 1000.0, 2000.0, 1e6])
