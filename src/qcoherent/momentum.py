@@ -115,6 +115,37 @@ def _gaussian_amplitude(alpha: complex, k):
     )
 
 
+def _bessel_amplitudes(q: float, alpha: complex, tol: float):
+    """ks -> ``momentum_amplitude_bessel``(q, alpha, ks), with its factors that
+    do not depend on k (A, c, log phi(0)) formed once, here, for every call."""
+    if q == 1.0:
+        return lambda k: _gaussian_amplitude(alpha, k)
+    from scipy.special import log1p
+
+    p = 1.0 / (q - 1.0)
+    c = _root_c(q, alpha)
+    a_const = normalization_constant(q, alpha, tol=tol)
+    log_phi0 = (
+        math.log(abs(complex(a_const))) - 0.5 * math.log(2.0)
+        + _log_gamma_ratio_half(p) + cmath.log(c)
+        - p * log1p((q - 1.0) * (alpha.imag ** 2 - 1j * alpha.real * alpha.imag))
+    )
+    # |phi| falls like exp(-r|k|) with r = Re c - sqrt2 |Im alpha| >=
+    # |c| p / (3|alpha|^2 + 2p), so where that bound times |k| passes 1e30
+    # phi is 0 in doubles.  Sampling those k at 0 instead keeps c|k| and
+    # sqrt2 alpha k finite for every alpha the normalisation accepts
+    # (|alpha| below ~1e24).
+    k_live = 1e30 * (3.0 * abs(alpha) ** 2 + 2.0 * p) / (abs(c) * p)
+
+    def amplitudes(k):
+        live = np.abs(k) <= k_live
+        k = np.where(live, k, 0.0)
+        return np.where(live, np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
+                                     - 1j * SQRT2 * alpha * k), 0.0)
+
+    return amplitudes
+
+
 def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     """Normalised momentum amplitude in closed form, vectorised over k.
 
@@ -136,29 +167,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
-    alpha = require_alpha(alpha)
-    if q == 1.0:
-        out = _gaussian_amplitude(alpha, k)
-    else:
-        from scipy.special import log1p
-
-        p = 1.0 / (q - 1.0)
-        c = _root_c(q, alpha)
-        a_const = normalization_constant(q, alpha, tol=tol)
-        log_phi0 = (
-            math.log(abs(complex(a_const))) - 0.5 * math.log(2.0)
-            + _log_gamma_ratio_half(p) + cmath.log(c)
-            - p * log1p((q - 1.0) * (alpha.imag ** 2 - 1j * alpha.real * alpha.imag))
-        )
-        # |phi| falls like exp(-r|k|) with r = Re c - sqrt2 |Im alpha| >=
-        # |c| p / (3|alpha|^2 + 2p), so where that bound times |k| passes 1e30
-        # phi is 0 in doubles.  Sampling those k at 0 instead keeps c|k| and
-        # sqrt2 alpha k finite for every alpha the normalisation accepts
-        # (|alpha| below ~1e24).
-        live = np.abs(k) <= 1e30 * (3.0 * abs(alpha) ** 2 + 2.0 * p) / (abs(c) * p)
-        k = np.where(live, k, 0.0)
-        out = np.where(live, np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
-                                    - 1j * SQRT2 * alpha * k), 0.0)
+    out = _bessel_amplitudes(q, require_alpha(alpha), tol)(k)
     return out if out.ndim else complex(out)
 
 
@@ -269,11 +278,12 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     if method not in ("oracle", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
 
-    def amplitudes(ks: np.ndarray) -> np.ndarray:
-        if method == "oracle" or q == 1.0:
-            return momentum_amplitude_bessel(q, alpha, ks, tol=tol)
-        return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
-                         else 0.0 + 0.0j for k in ks])
+    if method == "oracle" or q == 1.0:
+        amplitudes = _bessel_amplitudes(q, alpha, tol)  # A, c and phi(0) once per pd
+    else:
+        def amplitudes(ks: np.ndarray) -> np.ndarray:
+            return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
+                             else 0.0 + 0.0j for k in ks])
 
     samples = tuple(MomentumSample(k, z, abs(z) ** 2, method)
                     for k, z in zip(grid.tolist(), amplitudes(grid).tolist()))

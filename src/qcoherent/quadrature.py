@@ -11,7 +11,12 @@ wrap the integrand: it maps its own nodes to the points where the
 integrand is sampled and finishes the values there with its Jacobian, so
 each generation of the pass (one round of panel splitting) costs one
 evaluator call and one G7/K15 reduction however many pieces it spans.
-The rule's constants are QUADPACK's qk15 values to full precision.  On top
+The seed rule: every pass starts at the resolution it reaches anyway, four
+panels on each unit piece (graded hint sides, substituted tails, Euler
+halves) and two edges per octave on the line's core.  A generation's fixed
+numpy work costs as much as fifteen to twenty-five panels, so coarser
+seeds only buy extra generations that split a few panels each.  The
+rule's constants are QUADPACK's qk15 values to full precision.  On top
 of that sit
 
 * ``integrate_interval`` -- finite interval, optional singularity hints,
@@ -237,9 +242,13 @@ def _adaptive(pieces, ev, tol, max_evals, method):
     (``_Piece``), whose integrals sum to the result.
 
     Each generation costs one call of the shared evaluator ``ev`` on every
-    new panel's points and one G7/K15 reduction.  It splits every panel
-    whose score (worst component error over its target) is within a factor
-    two of the current worst, then re-checks the targets; this batches well
+    new panel's points and one G7/K15 reduction.  Its fixed numpy work
+    outweighs that of the panels it adds (on a 2-vCPU VM, some 150-250 us
+    against 7-10 us a panel), which is why the pieces' seed edges are
+    already as fine as a pass gets anyway (``_UNIT_EDGES``,
+    ``_seed_edges``).  A generation splits every panel whose score (worst
+    component error over its target) is within a factor two of the
+    current worst, then re-checks the targets; this batches well
     and keeps the refinement sequence independent of tol: tightening tol
     extends it, up to the floored stop below.
 
@@ -314,7 +323,11 @@ def _adaptive(pieces, ev, tol, max_evals, method):
 # |u - hint|**s into v**(4s+3), smooth for s >= -3/4 and far better
 # conditioned for any integrable s > -1.
 _HINT_GAMMA = 4.0
-_UNIT_EDGES = (0.0, 0.5, 1.0)
+# Seed edges of every piece over v in (0, 1): graded hint sides, substituted
+# tails and both Euler halves in specfun.  Four panels, not two: a pass seeded
+# coarser spends its first generations splitting a few panels at a time, and
+# each generation costs far more than the panels it adds.
+_UNIT_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _graded(hint: float, w: float) -> _Piece:
@@ -429,11 +442,16 @@ _X_TOP = 1e250        # beyond this the tail is bounded analytically, not sample
 
 
 def _seed_edges(top: float) -> set[float]:
-    """0 and +-1.5 * 2^j up to top: fine panels where states sit, wide ones out."""
-    edges, e = {0.0}, 1.5
-    while e <= top:
-        edges |= {e, -e}
-        e *= 2.0
+    """0 and +-0.75 * 2^j, +-1.125 * 2^j up to top: two edges per octave,
+    fine panels where states sit, wide ones out (30 core panels on the
+    line).  One edge per octave left line passes several generations of
+    splitting a few panels each, and each generation costs more than the
+    panels it adds; four per octave add nodes and save no generation."""
+    edges = {0.0}
+    for e in (0.75, 1.125):
+        while e <= top:
+            edges |= {e, -e}
+            e *= 2.0
     return edges
 
 
@@ -562,11 +580,15 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     per side and then as many again, until both averaged remainders are
     within 0.25*tol*max(1, |core|) or the last panels underflow; NotConverged
     at 4096 panels per side (round 9) or ``max_evals``; ValueError for a k
-    that is not finite.  Scalar integrands only: no caller transforms several.
+    that is not finite or a ``core_halfwidth`` that is not positive and
+    finite.  Scalar integrands only: no caller transforms several.
     """
     _check_tol(tol)
     if not math.isfinite(k):
         raise ValueError(f"k must be finite; got {k!r}")
+    if not (core_halfwidth > 0.0 and math.isfinite(core_halfwidth)):
+        raise ValueError(f"core_halfwidth must be a positive finite number; "
+                         f"got {core_halfwidth!r}")
     spec = _as_spec(f)
     ev = spec.evaluator
     norm = 1.0 / math.sqrt(2.0 * math.pi)

@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 _PI4 = math.pi ** -0.25
+_LOG_MAX = math.log(np.finfo(float).max)  # exp overflows past it
 _KUMMER_SERIES_RADIUS = 30.0  # crossover to integral/asymptotic evaluation
 
 
@@ -210,8 +211,10 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     integrand is formed in log space, with log t = log(1/2) + g log v, so
     u^(a-1) never underflows to 0.  Each row is divided by exp of its
     largest probe log-magnitude (33 nodes a half, both halves in one log_f
-    call), which is restored only on the result; a result that overflows
-    raises NotConverged.
+    call), which is restored only on the result; a result that overflows,
+    or a scaled node value that would (a peak between the probe nodes),
+    raises NotConverged.  Each half starts from ``_UNIT_EDGES``' four
+    panels.
     """
     _check_tol(tol)
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
@@ -237,8 +240,14 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     log_fu = log_f(np.concatenate([to_u(*h)(probe) for h in halves]))
     log_scale = np.max([log_rows(probe, lf, *h).real.max(axis=1)
                         for lf, h in zip(np.split(log_fu, 2, axis=-1), halves)], axis=0)
-    pieces = [_Piece(_UNIT_EDGES, to_u(*h),
-                     lambda v, lf, h=h: np.exp(log_rows(v, lf, *h) - log_scale[:, None]))
+
+    def finish(v, log_fu, h):
+        log_rel = log_rows(v, log_fu, *h) - log_scale[:, None]
+        if log_rel.real.max() > _LOG_MAX:  # a peak the probe missed, past the doubles
+            raise NotConverged(f"Euler integral overflows double precision ({method})")
+        return np.exp(log_rel)
+
+    pieces = [_Piece(_UNIT_EDGES, to_u(*h), lambda v, lf, h=h: finish(v, lf, h))
               for h in halves]
     res = _adaptive(pieces, log_f, 0.5 * tol, 1_000_000, method)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     ConventionMismatch,
+    NotConverged,
     OutOfValidityWindow,
     PoleHit,
     ZeroAmplitude,
@@ -95,16 +96,26 @@ def q_exponential(q: float, z: complex) -> complex:
     """Deformed exponential e_q(z) = [1 + (1-q) z]^(1/(1-q)), principal branch.
 
     Continuous limit e_1(z) = exp(z); PoleHit when the base vanishes while
-    the exponent is negative (q > 1).
+    the exponent is negative (q > 1); ValueError for a q or z that is not
+    finite; NotConverged where the value overflows double precision.
     """
-    if q == 1.0:
-        return cmath.exp(z)
-    base = 1.0 + (1.0 - q) * complex(z)
-    if base == 0.0:
+    z = complex(z)
+    if not (math.isfinite(q) and cmath.isfinite(z)):
+        raise ValueError(f"q and z must be finite; got q={q!r}, z={z!r}")
+    base = 1.0 + (1.0 - q) * z
+    if base == 0.0:  # never at q = 1, where the base is 1
         if 1.0 / (1.0 - q) < 0.0:
             raise PoleHit(f"e_q pole: 1 + (1-q) z = 0 at z={z}")
         return 0.0 + 0.0j
-    return base ** (1.0 / (1.0 - q))
+    try:
+        if q == 1.0:
+            return cmath.exp(z)
+        value = base ** (1.0 / (1.0 - q))
+        if not cmath.isfinite(value):  # an integer power formed |base|^n on the way
+            value = cmath.exp(cmath.log(base) / (1.0 - q))
+    except OverflowError:
+        raise NotConverged(f"e_q(z) at q={q!r}, z={z!r} overflows double precision") from None
+    return value
 
 
 def coherent_psi(alpha: complex, x) -> complex:

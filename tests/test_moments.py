@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcoherent import closedforms, moments, momentum, specfun
-from qcoherent.errors import ConventionMismatch, NotConverged, OutOfValidityWindow
+from qcoherent.errors import ConventionMismatch, NotConverged, OutOfValidityWindow, SlowDecay
 from qcoherent.moments import (
     MomentReport,
     moments_closed,
@@ -79,9 +79,9 @@ def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):
 
 def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     # q = 1.6, alpha = 0.4+0.1i: the decay probe of both sides is one call,
-    # then one call per adaptive generation.  The evaluations are those of
-    # one call per piece and per probe radius (8 and 10 calls), so the
-    # refinement itself did not change.
+    # then one call per adaptive generation.  Seeded with 30 core panels and
+    # four on each tail, both passes meet their target in one generation
+    # (12 probe nodes plus 38 panels of 15 nodes).
     from qcoherent import states
 
     norm_log = _evaluator_log(monkeypatch, states)
@@ -89,8 +89,8 @@ def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     states._norm_integral.cache_clear()
     moments._oracle_integrals.cache_clear()
     moments_oracle(1.6, 0.4 + 0.1j)
-    assert norm_log == [[3, 372, 372]]  # the norm integral at tol 1e-10
-    assert moment_log == [[5, 402, 402]]  # the 6-row moment pass at tol 1e-9
+    assert norm_log == [[2, 582, 582]]  # the norm integral at tol 1e-10
+    assert moment_log == [[2, 582, 582]]  # the 6-row moment pass at tol 1e-9
 
 
 def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
@@ -106,9 +106,9 @@ def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
     closedforms._closed_moments(1.6, 0.4 + 0.1j, 1e-9)
     momentum.momentum_amplitude_oracle(1.9, -1.2 + 0.7j, 0.3)
     momentum.momentum_pd(1.9, -1.2 + 0.7j)
-    assert euler_log == [[4, 150, 150]]
+    assert euler_log == [[2, 150, 150]]  # 8 seed panels, then one split
     assert fourier_log == [[11, 810, 810]]
-    assert parseval_log == [[3, 210, 210]]
+    assert parseval_log == [[1, 180, 180]]  # 12 seed panels meet 1e-6 at once
 
 
 def test_closed_reuses_the_oracle_pass_of_the_same_label(monkeypatch):
@@ -223,6 +223,36 @@ def test_oracle_product_meets_the_exact_real_alpha_anchor(q, bound):
     # line's evaluation reaches at q = 2.31
     want = math.sqrt((5.0 - q) / (2.0 * (7.0 - 3.0 * q) * (q + 1.0)))
     assert abs(moments_oracle(q, 0.3, tol=1e-10).product / want - 1.0) <= bound
+
+
+def _oracle_anchor_gap(q, alpha):
+    # largest gap of the oracle to the exact real-alpha anchors: <x> and <p>,
+    # both variances (DLMF 5.12.3) and the norm integral, each relative to
+    # max(1, |anchor|)
+    m = moments_oracle(q, alpha, tol=1e-10)
+    norm = abs(moments.normalization_constant(q, alpha, tol=1e-10)) ** -2
+    got = (m.mean_x, m.mean_p, m.var_x, m.var_p, norm)
+    want = (math.sqrt(2.0) * alpha, 0.0, 2.0 / (7.0 - 3.0 * q),
+            (5.0 - q) / (4.0 * (q + 1.0)), closedforms.real_alpha_norm_squared_exact(q))
+    return max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("q", [1.001, 1.01, 1.05, 1.2, 1.5, 1.8, 2.0, 2.2, 2.3])
+def test_oracle_meets_the_exact_real_alpha_anchors_over_the_window(q):
+    for alpha in (0.0, 0.3, -1.2):
+        assert _oracle_anchor_gap(q, alpha) <= 1e-12, alpha
+
+
+def test_oracle_next_to_seven_thirds_is_exact_or_refused():
+    # x^2 |psi|^2 decays like |x|^(-4/(q-1) + 2): at q = 2.31 the line pass
+    # may still return, at 2.32 its tail bound must refuse
+    for alpha in (0.0, 0.3, -1.2):
+        try:
+            assert _oracle_anchor_gap(2.31, alpha) <= 1e-10, alpha
+        except SlowDecay:
+            pass
+        with pytest.raises(SlowDecay):
+            moments_oracle(2.32, alpha, tol=1e-10)
 
 
 @pytest.mark.parametrize("q, alpha", [(2.3333, 0.3), (7.0 / 3.0 - 1e-6, -1.2)])

@@ -156,6 +156,25 @@ def test_pd_runs_no_fourier_quadrature(monkeypatch):
     assert abs(dist.parseval_total - 1.0) < 1e-6
 
 
+def test_pd_takes_the_normalisation_once(monkeypatch):
+    # A and the other k-independent factors of the Bessel form are taken
+    # once per distribution, not once per Parseval generation; the samples
+    # and the total keep their bits
+    from qcoherent import momentum
+
+    q, alpha = 1.9, -1.2 + 0.7j
+    want = momentum_pd(q, alpha)
+    calls = []
+    real = momentum.normalization_constant
+    monkeypatch.setattr(momentum, "normalization_constant",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    dist = momentum_pd(q, alpha)
+    assert len(calls) == 1
+    assert dist == want
+    assert np.array_equal(dist.amplitude_values,
+                          momentum_amplitude_bessel(q, alpha, dist.k_values, tol=1e-9))
+
+
 @pytest.mark.parametrize("q", [1.05, 1.3, 1.5, 2.0, 2.5, 2.9])
 @pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.1j, -1.2 + 0.7j, 1.5j])
 def test_bessel_matches_oracle(q, alpha):

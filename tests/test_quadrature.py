@@ -235,11 +235,14 @@ def test_each_generation_makes_one_evaluator_call(monkeypatch):
     reduce = quadrature._gk_reduce
     monkeypatch.setattr(quadrature, "_gk_reduce",
                         lambda *a: reductions.append(a[0].shape) or reduce(*a))
-    f, log = _counting(lambda x: np.abs(x - 0.3) ** -0.5 + 1.0 / (1.0 + x * x))
+    # (the peak of width 0.1 at x = 0 takes the pass past its seed panels)
+    f, log = _counting(lambda x: np.abs(x - 0.3) ** -0.5 + 1.0 / (0.01 + x * x))
     r = integrate_interval(IntegrandSpec(f, singularities=(0.3,)), -1.0, 2.0, tol=1e-10)
     assert log == [len(reductions), r.evaluations]
-    # two graded sides and two plain stretches, two panels each
-    assert len(reductions) > 1 and reductions[0] == (8, 15)
+    # two graded sides of four panels and two plain stretches of two
+    assert len(reductions) > 1 and reductions[0] == (12, 15)
+    want = 2.0 * (math.sqrt(1.3) + math.sqrt(1.7)) + 10.0 * (math.atan(20.0) + math.atan(10.0))
+    assert abs(r.value - want) <= 1e-10 * want
 
 
 def test_decay_probe_samples_both_sides_in_one_call():
@@ -467,6 +470,14 @@ def test_integrators_reject_a_tol_that_is_not_positive_and_finite(tol):
 def test_fourier_rejects_a_non_finite_k(k):
     with pytest.raises(ValueError, match="k must be finite"):
         fourier_transform_line(lambda x: np.exp(-x * x), k)
+
+
+@pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -16.0])
+def test_fourier_rejects_a_core_halfwidth_that_is_not_positive_and_finite(width):
+    # inf overflowed math.ceil, nan failed inside it and a negative width
+    # was taken as given
+    with pytest.raises(ValueError, match="core_halfwidth must be a positive finite number"):
+        fourier_transform_line(lambda x: np.exp(-x * x), 1.0, core_halfwidth=width)
 
 
 def test_fourier_divergent_tail_raises():

@@ -198,6 +198,16 @@ def test_kummer_phi_integral_branch_refuses_exponents_below_the_grading_cap():
         kummer_phi(1.0, 1.001, 40.0j)
 
 
+@pytest.mark.parametrize("z", [720.0, 1e4, 1e6, 1e300])
+def test_kummer_phi_integral_branch_refuses_an_overflow_without_a_warning(z):
+    # phi(1/2, 3/2; z) ~ e^z / (2z): past the doubles either the value or,
+    # from z ~ 1e6, a node value between the scaling probes overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged, match="overflows double precision"):
+            kummer_phi(0.5, 1.5, z)
+
+
 def test_kummer_phi_derivative_recurrence():
     # d/dz phi(a,b;z) = (a/b) phi(a+1,b+1;z), probed with a central difference
     for a, b, z in [(0.9, 1.7, 0.4), (1.3, 2.2, -0.8), (0.6, 1.1, 0.25 + 0.3j)]:

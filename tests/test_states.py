@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qcoherent.errors import (
+    NotConverged,
     OutOfValidityWindow,
     PoleHit,
     SlowDecay,
@@ -65,6 +66,27 @@ def test_q_exponential_pole():
     # base 1 + (1-q) z = 0 with a negative power diverges
     with pytest.raises(PoleHit):
         q_exponential(1.5, 2.0)
+
+
+@pytest.mark.parametrize("q, z", [(math.nan, 1.0), (1.5, math.nan), (1.5, math.inf),
+                                  (math.inf, 1.0), (1.5, complex(0.0, math.nan))])
+def test_q_exponential_refuses_a_q_or_z_that_is_not_finite(q, z):
+    with pytest.raises(ValueError, match="must be finite"):
+        q_exponential(q, z)
+
+
+@pytest.mark.parametrize("q, z", [(0.9999, 1e6), (0.5, 1e300), (0.5, -1e300), (1.0, 1e3)])
+def test_q_exponential_refuses_an_overflow(q, z):
+    with pytest.raises(NotConverged, match="overflows double precision"):
+        q_exponential(q, z)
+
+
+def test_q_exponential_underflows_to_zero():
+    # (1 + (1-q) z)^(-2) at q = 1.5: the integer power squares the base on
+    # the way, which overflowed to a nan
+    for z in (1e300, -1e300):
+        assert q_exponential(1.5, z) == 0.0
+    assert q_exponential(1.5, 1e150) == pytest.approx(4e-300, rel=1e-14)
 
 
 def test_window_guard():
