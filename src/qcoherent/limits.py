@@ -23,7 +23,7 @@ from .errors import RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
 from .momentum import momentum_amplitude_bessel
 from .quadrature import integrate_line
-from .states import SQRT2, Q_MOMENT_SUITE_MAX, _quad_poly, require_alpha
+from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, _quad_poly, require_alpha
 
 __all__ = [
     "LimitReport",
@@ -64,8 +64,13 @@ def _expansion_norm(q: float, are: float, aim: float) -> float:
     return integrate_line(dens, tol=1e-12).value.real ** -0.5
 
 
+# the expansion is 0 in doubles past it (for |alpha| below ~1e75), while its
+# W^2 stays finite there; W^2 overflows from |x| ~ 1e77
+_EXPANSION_X = 1e76
+
+
 def _expansion_raw(q: float, alpha: complex, x):
-    w = _quad_poly(alpha, np.asarray(x, dtype=float))
+    w = _quad_poly(alpha, np.clip(x, -_EXPANSION_X, _EXPANSION_X))
     return (1.0 + (q - 1.0) / 8.0 * w * w) * np.exp(-0.5 * w)
 
 
@@ -76,6 +81,7 @@ def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
     [1 + (q-1)/8 * W^2] exp(-W/2) with W the state's quadratic form, then
     normalising numerically.  Emits RegimeWarning outside |q-1| <= regime;
     the formula still evaluates, it just stops being a good approximation.
+    x must be finite (ValueError otherwise); far out the state is 0.
     """
     if abs(q - 1.0) > regime + 1e-12:
         warnings.warn(
@@ -84,8 +90,9 @@ def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
             stacklevel=2,
         )
     alpha = require_alpha(alpha)
+    xs = _finite_x(x)
     scale = _expansion_norm(q, alpha.real, alpha.imag)
-    out = scale * _expansion_raw(q, alpha, x)
+    out = scale * _expansion_raw(q, alpha, xs)
     return out if np.ndim(x) else complex(out)
 
 
@@ -129,8 +136,16 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     k_points-point grid over [-k_halfwidth, k_halfwidth] from the exact
     transform, ``momentum_amplitude_bessel``, in one vectorised call.  ``tol``
     is the moment suite's accuracy, and that of the density's normalisation.
+    ValueError, before any q is run, for k_points < 1, a k_halfwidth or a
+    final_tol that is not positive and finite, or a malformed q_sequence.
     """
     alpha = require_alpha(alpha)
+    if k_points < 1:
+        raise ValueError(f"k_points must be at least 1; got {k_points!r}")
+    if not (k_halfwidth > 0.0 and math.isfinite(k_halfwidth)):
+        raise ValueError(f"k_halfwidth must be a positive finite number; got {k_halfwidth!r}")
+    if not (final_tol > 0.0 and math.isfinite(final_tol)):
+        raise ValueError(f"final_tol must be a positive finite number; got {final_tol!r}")
     qs = tuple(float(q) for q in q_sequence)
     if not qs:
         raise ValueError("q_sequence must hold at least one q")

@@ -23,9 +23,12 @@ Probability density is always pd(k) = |amplitude(k)|^2; every distribution
 carries a Parseval total as a closure diagnostic.  The total is integrated
 adaptively (not summed over the sample grid): the position tail |x|^(-2p)
 puts a |k|^(2p-1) kink at k = 0, which silently degrades a uniform
-trapezoid sum to O(h^2) once q reaches 2, while grading both sides of the
-kink keeps the diagnostic at its requested accuracy for the whole momentum
-window.  The window is sized from the density's exponential decay rate.
+trapezoid sum to O(h^2) once q reaches 2, while grading the kink keeps the
+diagnostic at its requested accuracy for the whole momentum window.  The
+window is symmetric and sized from the density's exponential decay rate,
+so the pass folds it onto k >= 0: it integrates pd(k) + pd(-k), taking
+the amplitudes at k and -k in one call, with one graded side at k = 0,
+half the pieces and nodes of the unfolded window.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +62,15 @@ __all__ = [
 Q_MOMENTUM_MAX = 3.0  # |psi| ~ |x|^(-2/(q-1)) is L1 iff q < 3
 
 
-@dataclass(frozen=True)
-class MomentumSample:
+class MomentumSample(NamedTuple):
+    """One grid point of a distribution: k, the amplitude there, its
+    pd = abs(amplitude) ** 2 and the method that gave it.
+
+    A tuple: it unpacks as (k, amplitude, pd, method) and its fields
+    cannot be assigned; ``_replace`` returns a changed copy
+    (``dataclasses.replace`` does not apply).
+    """
+
     k: float
     amplitude: complex
     pd: float
@@ -229,26 +241,31 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
 _PARSEVAL_TOL = 1e-6  # comfortably inside the 1e-4 closure contract
 
 
-def _parseval_total(density, alpha: complex, grid: np.ndarray, rate: float) -> float:
-    """Adaptive integral of the vectorised ``density`` over a symmetric window.
+def _parseval_total(amplitudes, alpha: complex, grid: np.ndarray, rate: float) -> float:
+    """Adaptive integral of |amplitudes(k)|^2 over a symmetric window,
+    folded onto k >= 0: the integrand is d(k) + d(-k), with the amplitudes
+    at k and -k taken in one call.
 
     The density's own window is [-own, own], own = max(8 + 2|alpha|, 40/rate):
     it covers the default grid and reaches 40/rate for a density that
     decays like exp(-rate |k|), so that ~e^(-40) of its mass lies outside.
-    The k = 0 singularity hint grades both sides of the density's
-    |k|^(2p-1) kink in one adaptive pass, so the estimate holds its
-    accuracy at every q in the momentum window.  A grid that reaches past
-    own widens the window to it; that stretch, both sides folded onto
-    [own, half], is a second pass, so a wide grid never spreads the first
-    pass's panels too thin to see the peak near k = 0.
+    The k = 0 singularity hint grades the folded density's |k|^(2p-1) kink
+    at the start of [0, own], so the estimate holds its accuracy at every q
+    in the momentum window.  A grid that reaches past own widens the
+    window to it; [own, half] is a second pass of the same integrand, so a
+    wide grid never spreads the first pass's panels too thin to see the
+    peak near k = 0.
     """
+    def folded(ks):
+        d = np.abs(amplitudes(np.concatenate([ks, -ks]))) ** 2
+        return d[:ks.size] + d[ks.size:]
+
     own = max(8.0 + 2.0 * abs(alpha), 40.0 / rate)
     half = max(own, abs(float(grid[0])), abs(float(grid[-1])))
-    spec = IntegrandSpec(density, singularities=(0.0,))
-    total = float(integrate_interval(spec, -own, own, tol=_PARSEVAL_TOL).value.real)
+    spec = IntegrandSpec(folded, singularities=(0.0,))
+    total = float(integrate_interval(spec, 0.0, own, tol=_PARSEVAL_TOL).value.real)
     if half > own:
-        total += float(integrate_interval(lambda ks: density(ks) + density(-ks), own, half,
-                                          tol=_PARSEVAL_TOL).value.real)
+        total += float(integrate_interval(folded, own, half, tol=_PARSEVAL_TOL).value.real)
     return total
 
 
@@ -285,14 +302,16 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
             return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
                              else 0.0 + 0.0j for k in ks])
 
-    samples = tuple(MomentumSample(k, z, abs(z) ** 2, method)
-                    for k, z in zip(grid.tolist(), amplitudes(grid).tolist()))
+    # Python's abs, not np.abs, which differs in the last bit on some values
+    zs = amplitudes(grid).tolist()
+    samples = tuple(map(MomentumSample, grid.tolist(), zs, [abs(z) ** 2 for z in zs],
+                        repeat(method)))
     # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
     # the printed form's density does not decay, and keeps the fixed window
     rate = math.inf
     if method == "oracle" and q != 1.0:
         rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
-    total = _parseval_total(lambda ks: np.abs(amplitudes(ks)) ** 2, alpha, grid, rate)
+    total = _parseval_total(amplitudes, alpha, grid, rate)
     return MomentumDistribution(q, alpha, samples, total, method)
 
 

@@ -579,7 +579,9 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     transform).  Both tails are one stream: one batch per round, 16 panels
     per side and then as many again, until both averaged remainders are
     within 0.25*tol*max(1, |core|) or the last panels underflow; NotConverged
-    at 4096 panels per side (round 9) or ``max_evals``; ValueError for a k
+    at 4096 panels per side (round 9) or ``max_evals``, and at once, before
+    anything is allocated, when the core's seed panels alone (about
+    2X|k|/pi of them) would take more than ``max_evals``; ValueError for a k
     that is not finite or a ``core_halfwidth`` that is not positive and
     finite.  Scalar integrands only: no caller transforms several.
     """
@@ -602,7 +604,13 @@ def fourier_transform_line(f, k: float, tol: float = 1e-10,
     def g(x):
         return ev(x) * np.exp(-1j * k * x)
 
-    n_half = max(2, math.ceil(core_halfwidth / half_period))
+    # the core's 2*n_half half-period panels cost 15 nodes each: a k whose
+    # core alone overruns max_evals is refused before any edge is built
+    span = core_halfwidth / half_period  # inf once X|k| passes the doubles
+    n_half = max(2, math.ceil(min(span, max_evals)))
+    if 30 * n_half > max_evals:
+        raise NotConverged(f"fourier core at k={k!r} needs {2.0 * span:.4g} half-period "
+                           f"panels of 15 nodes, more than max_evals={max_evals}")
     X = n_half * half_period
     bounds = set(np.linspace(-X, X, 2 * n_half + 1).tolist())
     if half_period > core_halfwidth:

@@ -90,6 +90,22 @@ def test_q_expansion_state_warns_outside_regime():
         q_expansion_state(1.1, 0.3, 0.0)   # boundary value stays quiet
 
 
+@pytest.mark.parametrize("x", [1e77, 1e160, -1e300, 1.7e308])
+def test_q_expansion_state_is_zero_and_silent_at_huge_finite_x(x):
+    # W^2 overflowed from |x| ~ 1e77, and inf * exp(-inf) read nan+nanj
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q_expansion_state(1.05, 0.3 + 0.1j, x) == 0.0
+        got = q_expansion_state(1.05, 0.3 + 0.1j, np.array([0.5, x]))
+    assert got[0] == q_expansion_state(1.05, 0.3 + 0.1j, 0.5) and got[1] == 0.0
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, [0.0, math.nan]])
+def test_q_expansion_state_refuses_a_non_finite_x(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        q_expansion_state(1.05, 0.3, x)
+
+
 def test_limit_convergence_headline_run():
     rep = limit_convergence_check(0.5)
     assert isinstance(rep, LimitReport)
@@ -112,6 +128,24 @@ def test_limit_convergence_strictness():
 def test_limit_convergence_rejects_an_empty_sequence():
     with pytest.raises(ValueError, match="at least one q"):
         limit_convergence_check(0.5, q_sequence=())
+
+
+@pytest.mark.parametrize("bad", [
+    {"final_tol": math.nan},   # read every quantity "converged": gaps[-1] >= nan is False
+    {"final_tol": math.inf},
+    {"final_tol": 0.0},
+    {"k_points": 0},           # failed in numpy's max over an empty grid
+    {"k_halfwidth": math.inf},  # warned, then failed inside the Bessel form
+    {"k_halfwidth": math.nan},
+    {"k_halfwidth": 0.0},
+])
+def test_limit_convergence_refuses_malformed_settings_up_front(monkeypatch, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a q was run before the settings were checked")
+
+    monkeypatch.setattr(limits, "moments_oracle", refuse)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        limit_convergence_check(0.3, **bad)
 
 
 def test_limit_convergence_samples_each_k_once_per_q(monkeypatch):

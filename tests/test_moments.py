@@ -108,7 +108,9 @@ def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
     momentum.momentum_pd(1.9, -1.2 + 0.7j)
     assert euler_log == [[2, 150, 150]]  # 8 seed panels, then one split
     assert fourier_log == [[11, 810, 810]]
-    assert parseval_log == [[1, 180, 180]]  # 12 seed panels meet 1e-6 at once
+    # the folded window's 6 seed panels meet 1e-6 at once: 90 nodes, each
+    # taking the amplitudes at k and -k (12 panels, 180 nodes unfolded)
+    assert parseval_log == [[1, 90, 90]]
 
 
 def test_closed_reuses_the_oracle_pass_of_the_same_label(monkeypatch):

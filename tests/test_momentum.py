@@ -15,9 +15,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcoherent.errors import NumericsError, OutOfValidityWindow
+from qcoherent.errors import NotConverged, NumericsError, OutOfValidityWindow
 from qcoherent.momentum import (
     MomentumDistribution,
+    MomentumSample,
     default_k_grid,
     grid_momentum_moments,
     momentum_amplitude_bessel,
@@ -25,6 +26,7 @@ from qcoherent.momentum import (
     momentum_amplitude_oracle,
     momentum_pd,
 )
+from qcoherent.quadrature import IntegrandSpec, integrate_interval
 from qcoherent.states import normalization_constant
 
 SQRT2 = math.sqrt(2.0)
@@ -78,6 +80,12 @@ def test_oracle_continuous_down_to_tiny_k(q, alpha):
             assert abs(got - a0) <= 20.0 * k * abs(a0) + 1e-8
 
 
+def test_oracle_refuses_a_huge_k_before_allocating():
+    # the Fourier core's half-period panels overran numpy's array size
+    with pytest.raises(NotConverged, match="more than max_evals"):
+        momentum_amplitude_oracle(1.5, 0.3 + 0.1j, 1e300)
+
+
 def test_closed_form_k_symmetry_real_alpha():
     for k in (0.3, 0.9, 1.7):
         plus = momentum_amplitude_closed(1.5, 0.3, k)
@@ -124,12 +132,19 @@ def test_pd_sentinel_gaussian():
 
 
 def test_pd_parseval_and_samples():
+    # each sample is an immutable (k, amplitude, pd, method) with pd the
+    # Python abs of the amplitude squared, bit for bit (np.abs differs in
+    # the last bit on about a third of these amplitudes)
     dist = momentum_pd(1.4, 0.3, tol=1e-9)
     assert isinstance(dist, MomentumDistribution)
     assert abs(dist.parseval_total - 1.0) < 1e-4
-    for s in dist.samples[:: 40]:
-        assert s.pd == pytest.approx(abs(s.amplitude) ** 2, abs=1e-12)
-        assert s.method == "oracle"
+    assert MomentumSample._fields == ("k", "amplitude", "pd", "method")
+    for sample, want_k in zip(dist.samples, default_k_grid(0.3).tolist(), strict=True):
+        k, amplitude, pd, method = sample
+        assert (k, method) == (want_k, "oracle") and type(amplitude) is complex
+        assert pd == abs(amplitude) ** 2
+    with pytest.raises(AttributeError):
+        dist.samples[0].pd = 0.0
 
 
 def test_pd_centre_sample_matches_k_zero():
@@ -289,6 +304,21 @@ def test_parseval_total_closes_on_a_wide_grid(half):
             assert abs(dist.parseval_total - 1.0) < 1e-4, q
 
 
+@pytest.mark.parametrize("q, alpha", [(1.05, 0.3 + 0.1j), (1.9, -1.2 + 0.7j), (2.5, 1.5j),
+                                      (2.97, 0.4)])
+def test_folded_parseval_total_is_the_unfolded_integral(q, alpha):
+    # the pass integrates pd(k) + pd(-k) over [0, own]; its reference is the
+    # unfolded integral over [-own, own] with both sides of k = 0 graded
+    from qcoherent import momentum
+
+    amplitudes = momentum._bessel_amplitudes(q, alpha, 1e-9)
+    rate = 2.0 * (momentum._root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
+    own = max(8.0 + 2.0 * abs(alpha), 40.0 / rate)
+    spec = IntegrandSpec(lambda ks: np.abs(amplitudes(ks)) ** 2, singularities=(0.0,))
+    want = integrate_interval(spec, -own, own, tol=1e-12).value.real
+    assert abs(momentum_pd(q, alpha).parseval_total - want) < 1e-9
+
+
 def test_pd_even_for_alpha_zero():
     ks = np.linspace(-4.0, 4.0, 33)
     dist = momentum_pd(1.5, 0.0, ks, tol=1e-9)
@@ -320,7 +350,8 @@ def test_pd_closed_method_is_labelled_and_quarantined():
     dist = momentum_pd(1.5, 0.0, ks, method="closed-form")
     assert all(s.method == "closed-form" for s in dist.samples)
     # the printed form's own k -> 0 limit: zero amplitude at the origin
-    assert dist.samples[1].amplitude == 0.0 + 0.0j
+    zero = dist.samples[1]
+    assert zero == (0.0, 0j, 0.0, "closed-form") and type(zero.amplitude) is complex
 
 
 def test_pd_window():

@@ -480,6 +480,23 @@ def test_fourier_rejects_a_core_halfwidth_that_is_not_positive_and_finite(width)
         fourier_transform_line(lambda x: np.exp(-x * x), 1.0, core_halfwidth=width)
 
 
+@pytest.mark.parametrize("k, max_evals", [(1e6, 2_000_000), (1e300, 2_000_000),
+                                          (1.7e308, 2_000_000), (-100.0, 10_000)])
+def test_fourier_refuses_a_core_past_its_budget_before_building_it(k, max_evals):
+    # the core's half-period panels grow with |k|: it built 2X|k|/pi edges
+    # and their set before checking the budget (1e300 overran numpy's array
+    # size), so the refusal now comes before the evaluator is ever called
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(-x * x)
+
+    with pytest.raises(NotConverged, match="half-period panels of 15 nodes, more than max_evals"):
+        fourier_transform_line(f, k, max_evals=max_evals)
+    assert calls == []
+
+
 def test_fourier_divergent_tail_raises():
     # exp(i x) cancels the kernel at k = 1: the tails are non-oscillating
     # |x|^-0.6, the integral diverges, and the panel cap must say so
