@@ -19,11 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import RegimeWarning
+from .errors import NotConverged, RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
 from .momentum import momentum_amplitude_bessel
 from .quadrature import integrate_line
-from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, _quad_poly, require_alpha
+from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, require_alpha
 
 __all__ = [
     "LimitReport",
@@ -55,23 +55,38 @@ def gaussian_momentum_pd(alpha: complex, k):
 
 @lru_cache(maxsize=256)
 def _expansion_norm(q: float, are: float, aim: float) -> float:
-    alpha = complex(are, aim)
-
-    def dens(x):
-        v = _expansion_raw(q, alpha, x)
-        return (v * np.conj(v)).real
+    """1/sqrt of the expansion's norm integral, taken in y = x - sqrt2 Re alpha,
+    where the state sits at y = 0 whatever alpha, inside the line's core.
+    NotConverged where its density overflows double precision."""
+    def dens(y):
+        v = _expansion_raw(q, are, aim, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (v * np.conj(v)).real
+        if not np.isfinite(d).all():
+            raise NotConverged(f"q-expansion density at alpha={complex(are, aim)} "
+                               "overflows double precision")
+        return d
 
     return integrate_line(dens, tol=1e-12).value.real ** -0.5
 
 
-# the expansion is 0 in doubles past it (for |alpha| below ~1e75), while its
-# W^2 stays finite there; W^2 overflows from |x| ~ 1e77
-_EXPANSION_X = 1e76
+# |exp(-W/2)| = exp(-y^2/2) is 0 in doubles past it: clipping y there leaves
+# every value as it is, and W^2 never overflows at a far-off y alone
+_EXPANSION_Y = 40.0
 
 
-def _expansion_raw(q: float, alpha: complex, x):
-    w = _quad_poly(alpha, np.clip(x, -_EXPANSION_X, _EXPANSION_X))
-    return (1.0 + (q - 1.0) / 8.0 * w * w) * np.exp(-0.5 * w)
+def _expansion_raw(q: float, are: float, aim: float, y):
+    """The unnormalised expansion at x = y + sqrt2 Re alpha, through
+    W = y^2 - 2i Im alpha (sqrt2 y + Re alpha), the state's quadratic form
+    there; NotConverged where W^2 overflows."""
+    y = np.clip(y, -_EXPANSION_Y, _EXPANSION_Y)
+    w = y * y - 2j * aim * (SQRT2 * y + are)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = w * w
+    if not np.isfinite(w2).all():
+        raise NotConverged(f"q-expansion W^2 at alpha={complex(are, aim)} "
+                           "overflows double precision")
+    return (1.0 + (q - 1.0) / 8.0 * w2) * np.exp(-0.5 * w)
 
 
 def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
@@ -81,7 +96,10 @@ def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
     [1 + (q-1)/8 * W^2] exp(-W/2) with W the state's quadratic form, then
     normalising numerically.  Emits RegimeWarning outside |q-1| <= regime;
     the formula still evaluates, it just stops being a good approximation.
-    x must be finite (ValueError otherwise); far out the state is 0.
+    x must be finite (ValueError otherwise); far out the state is 0.  W and
+    the norm are taken relative to the centre sqrt2 Re alpha, so a state
+    centred far out is normalised like one at 0; NotConverged where W^2 or
+    the norm's density overflows double precision.
     """
     if abs(q - 1.0) > regime + 1e-12:
         warnings.warn(
@@ -92,7 +110,7 @@ def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
     alpha = require_alpha(alpha)
     xs = _finite_x(x)
     scale = _expansion_norm(q, alpha.real, alpha.imag)
-    out = scale * _expansion_raw(q, alpha, xs)
+    out = scale * _expansion_raw(q, alpha.real, alpha.imag, xs - SQRT2 * alpha.real)
     return out if np.ndim(x) else complex(out)
 
 

@@ -26,9 +26,10 @@ puts a |k|^(2p-1) kink at k = 0, which silently degrades a uniform
 trapezoid sum to O(h^2) once q reaches 2, while grading the kink keeps the
 diagnostic at its requested accuracy for the whole momentum window.  The
 window is symmetric and sized from the density's exponential decay rate,
-so the pass folds it onto k >= 0: it integrates pd(k) + pd(-k), taking
-the amplitudes at k and -k in one call, with one graded side at k = 0,
-half the pieces and nodes of the unfolded window.
+so the pass folds it onto k >= 0: it integrates pd(k) + pd(-k), with one
+graded side at k = 0, half the pieces and nodes of the unfolded window.
+The Bessel amplitude is exp(log_mod -+ i sqrt2 alpha k) at +-k with the same
+log_mod, so each node takes the Bessel factor g(c|k|) once for both signs.
 """
 
 from __future__ import annotations
@@ -127,11 +128,25 @@ def _gaussian_amplitude(alpha: complex, k):
     )
 
 
+def _mirrored(amplitudes):
+    """ks -> (amplitudes(ks), amplitudes(-ks))."""
+    return lambda ks: (amplitudes(ks), amplitudes(-ks))
+
+
 def _bessel_amplitudes(q: float, alpha: complex, tol: float):
-    """ks -> ``momentum_amplitude_bessel``(q, alpha, ks), with its factors that
-    do not depend on k (A, c, log phi(0)) formed once, here, for every call."""
+    """(amplitudes, mirrored): ks -> ``momentum_amplitude_bessel``(q, alpha, ks)
+    and ks -> (phi(ks), phi(-ks)), with the factors that do not depend on k
+    (A, c, log phi(0)) formed once, here, for every call of either.
+
+    phi(k) = exp(log_mod - i sqrt2 alpha k), and log_mod = log phi(0) +
+    log g(c|k|) is the same at k and -k, so ``mirrored`` takes g once per
+    |k| and forms both amplitudes from it, bit for bit as two calls would.
+    """
     if q == 1.0:
-        return lambda k: _gaussian_amplitude(alpha, k)
+        def gaussian(k):
+            return _gaussian_amplitude(alpha, k)
+
+        return gaussian, _mirrored(gaussian)
     from scipy.special import log1p
 
     p = 1.0 / (q - 1.0)
@@ -149,13 +164,21 @@ def _bessel_amplitudes(q: float, alpha: complex, tol: float):
     # (|alpha| below ~1e24).
     k_live = 1e30 * (3.0 * abs(alpha) ** 2 + 2.0 * p) / (abs(c) * p)
 
-    def amplitudes(k):
+    def log_parts(k):  # (live lanes, log_mod, i sqrt2 alpha k), dead lanes taken at k = 0
         live = np.abs(k) <= k_live
         k = np.where(live, k, 0.0)
-        return np.where(live, np.exp(log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k))
-                                     - 1j * SQRT2 * alpha * k), 0.0)
+        return live, log_phi0 + _log_bessel_g(p - 0.5, c * np.abs(k)), 1j * SQRT2 * alpha * k
 
-    return amplitudes
+    def amplitudes(k):
+        live, log_mod, turn = log_parts(k)
+        return np.where(live, np.exp(log_mod - turn), 0.0)
+
+    def mirrored(k):
+        live, log_mod, turn = log_parts(k)
+        return (np.where(live, np.exp(log_mod - turn), 0.0),
+                np.where(live, np.exp(log_mod + turn), 0.0))
+
+    return amplitudes, mirrored
 
 
 def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
@@ -179,7 +202,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
-    out = _bessel_amplitudes(q, require_alpha(alpha), tol)(k)
+    out = _bessel_amplitudes(q, require_alpha(alpha), tol)[0](k)
     return out if out.ndim else complex(out)
 
 
@@ -241,10 +264,10 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
 _PARSEVAL_TOL = 1e-6  # comfortably inside the 1e-4 closure contract
 
 
-def _parseval_total(amplitudes, alpha: complex, grid: np.ndarray, rate: float) -> float:
-    """Adaptive integral of |amplitudes(k)|^2 over a symmetric window,
-    folded onto k >= 0: the integrand is d(k) + d(-k), with the amplitudes
-    at k and -k taken in one call.
+def _parseval_total(mirrored, alpha: complex, grid: np.ndarray, rate: float) -> float:
+    """Adaptive integral of |phi(k)|^2 over a symmetric window, folded onto
+    k >= 0: the integrand is d(k) + d(-k), with the amplitudes at k and -k
+    from one ``mirrored`` call, ks -> (phi(ks), phi(-ks)).
 
     The density's own window is [-own, own], own = max(8 + 2|alpha|, 40/rate):
     it covers the default grid and reaches 40/rate for a density that
@@ -257,8 +280,8 @@ def _parseval_total(amplitudes, alpha: complex, grid: np.ndarray, rate: float) -
     peak near k = 0.
     """
     def folded(ks):
-        d = np.abs(amplitudes(np.concatenate([ks, -ks]))) ** 2
-        return d[:ks.size] + d[ks.size:]
+        plus, minus = mirrored(ks)
+        return np.abs(plus) ** 2 + np.abs(minus) ** 2
 
     own = max(8.0 + 2.0 * abs(alpha), 40.0 / rate)
     half = max(own, abs(float(grid[0])), abs(float(grid[-1])))
@@ -296,22 +319,25 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
         raise ValueError(f"unknown method {method!r}")
 
     if method == "oracle" or q == 1.0:
-        amplitudes = _bessel_amplitudes(q, alpha, tol)  # A, c and phi(0) once per pd
+        amplitudes, mirrored = _bessel_amplitudes(q, alpha, tol)  # A, c, phi(0) once per pd
     else:
         def amplitudes(ks: np.ndarray) -> np.ndarray:
             return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
                              else 0.0 + 0.0j for k in ks])
+        mirrored = _mirrored(amplitudes)
 
-    # Python's abs, not np.abs, which differs in the last bit on some values
+    # Python's abs, not np.abs, which differs in the last bit on some values;
+    # tuple.__new__ builds each MomentumSample in C, from its fields
     zs = amplitudes(grid).tolist()
-    samples = tuple(map(MomentumSample, grid.tolist(), zs, [abs(z) ** 2 for z in zs],
-                        repeat(method)))
+    samples = tuple(map(tuple.__new__, repeat(MomentumSample),
+                        zip(grid.tolist(), zs, map(pow, map(abs, zs), repeat(2)),
+                            repeat(method))))
     # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
     # the printed form's density does not decay, and keeps the fixed window
     rate = math.inf
     if method == "oracle" and q != 1.0:
         rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
-    total = _parseval_total(amplitudes, alpha, grid, rate)
+    total = _parseval_total(mirrored, alpha, grid, rate)
     return MomentumDistribution(q, alpha, samples, total, method)
 
 

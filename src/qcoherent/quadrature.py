@@ -11,6 +11,10 @@ wrap the integrand: it maps its own nodes to the points where the
 integrand is sampled and finishes the values there with its Jacobian, so
 each generation of the pass (one round of panel splitting) costs one
 evaluator call and one G7/K15 reduction however many pieces it spans.
+A batch over several pieces is taken as one contiguous run of panels per
+piece and scattered back into panel order for the reduction, and a pass
+whose seed panels never change (the hint-free line, the Euler halves)
+takes its seed layout from a table built once at import.
 The seed rule: every pass starts at the resolution it reaches anyway, four
 panels on each unit piece (graded hint sides, substituted tails, Euler
 halves) and two edges per octave on the line's core.  A generation's fixed
@@ -198,34 +202,39 @@ def _pieces_batch(ev, pieces, owner, mids, halfs):
     """The G7/K15 pair on a batch of panels, panel i belonging to
     pieces[owner[i]]: one ev call on the points of every piece's nodes,
     each piece's finish on its share of the values, one reduction.  A
+    batch that spans several pieces is taken as contiguous runs, one per
+    piece: a stable sort by owner, a slice per run, and one inverse
+    scatter that puts the values back in panel order before the
+    reduction, so each panel gets the same values as piece by piece.  A
     non-finite value is reported at its point of ev, not at its v."""
     v = mids[:, None] + halfs[:, None] * _XK[None, :]
     first = owner[0]
-    if (owner == first).all():  # one piece: no masks, no scatter
+    if (owner == first).all():  # one piece: one run, nothing to sort
         piece, nodes = pieces[first], v.ravel()
         at = piece.points(nodes)
         fx = np.asarray(ev(at))
         out = np.asarray(piece.finish(nodes, fx), dtype=complex)
         return _gk_reduce(out.reshape(fx.shape[:-1] + v.shape), halfs,
                           lambda: at.reshape(v.shape))
-    parts, stop = [], 0
-    for i, piece in enumerate(pieces):
-        sel = owner == i
-        if sel.any():
-            nodes = v[sel].ravel()
-            parts.append((piece, sel, nodes, slice(stop, stop + nodes.size)))
-            stop += nodes.size
-    at = np.concatenate([piece.points(nodes) for piece, _, nodes, _ in parts])
+    order = np.argsort(owner, kind="stable")
+    v = v[order]
+    runs, start = [], 0
+    for piece, stop in zip(pieces, np.bincount(owner, minlength=len(pieces)).cumsum().tolist()):
+        if stop > start:
+            runs.append((piece, v[start:stop].ravel()))
+        start = stop
+    at = np.concatenate([piece.points(nodes) for piece, nodes in runs])
     fx = np.asarray(ev(at))
+    parts, start = [], 0
+    for piece, nodes in runs:
+        parts.append(piece.finish(nodes, fx[..., start:start + nodes.size]))
+        start += nodes.size
     out = np.empty(fx.shape[:-1] + v.shape, dtype=complex)
-    for piece, sel, nodes, span in parts:
-        out[..., sel, :] = np.reshape(piece.finish(nodes, fx[..., span]),
-                                      fx.shape[:-1] + (-1, v.shape[1]))
+    out[..., order, :] = np.concatenate(parts, axis=-1).reshape(out.shape)
 
     def where():
         points = np.empty(v.shape)
-        for _, sel, _, span in parts:
-            points[sel] = at[span].reshape(-1, v.shape[1])
+        points[order] = at.reshape(v.shape)
         return points
 
     return _gk_reduce(out, halfs, where)
@@ -237,15 +246,35 @@ def _splittable(mids, halfs):
     return halfs > 8.0 * _EPS * np.maximum(1.0, np.abs(mids) + halfs)
 
 
-def _adaptive(pieces, ev, tol, max_evals, method):
+def _seed_layout(edges):
+    """The seed panels of pieces with these edges (one sequence a piece):
+    their mids, half-widths, owning piece indices and ``_splittable``
+    flags.  The arrays are read-only, so a layout built once can seed every
+    pass over pieces with the same edges."""
+    edges = [np.asarray(e, dtype=float) for e in edges]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    owner = np.concatenate([np.full(len(e) - 1, i) for i, e in enumerate(edges)])
+    mids = 0.5 * (lo + hi)
+    halfs = 0.5 * (hi - lo)
+    layout = mids, halfs, owner, _splittable(mids, halfs)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _adaptive(pieces, ev, tol, max_evals, method, layout=None):
     """Globally adaptive bisection over the panels of all ``pieces``
     (``_Piece``), whose integrals sum to the result.
 
-    Each generation costs one call of the shared evaluator ``ev`` on every
-    new panel's points and one G7/K15 reduction.  Its fixed numpy work
-    outweighs that of the panels it adds (on a 2-vCPU VM, some 150-250 us
-    against 7-10 us a panel), which is why the pieces' seed edges are
-    already as fine as a pass gets anyway (``_UNIT_EDGES``,
+    ``layout`` is the ``_seed_layout`` of the pieces' edges; a caller whose
+    passes all start from the same edges (the hint-free line, the Euler
+    halves) builds it once and passes it in, and any other pass builds its
+    own here.  Each generation costs one call of the shared evaluator
+    ``ev`` on every new panel's points and one G7/K15 reduction.  Its fixed
+    numpy work outweighs that of the panels it adds (on a 2-vCPU VM, some
+    140-160 us against 7-10 us a panel), which is why the pieces' seed
+    edges are already as fine as a pass gets anyway (``_UNIT_EDGES``,
     ``_seed_edges``).  A generation splits every panel whose score (worst
     component error over its target) is within a factor two of the
     current worst, then re-checks the targets; this batches well
@@ -265,14 +294,8 @@ def _adaptive(pieces, ev, tol, max_evals, method):
     (QUADPACK-style round-off return) and refuses otherwise, without
     spending its budget.
     """
-    edges = [np.asarray(p.edges, dtype=float) for p in pieces]
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    owner = np.concatenate([np.full(len(e) - 1, i) for i, e in enumerate(edges)])
-    mids = 0.5 * (lo + hi)
-    halfs = 0.5 * (hi - lo)
+    mids, halfs, owner, splittable = layout or _seed_layout([p.edges for p in pieces])
     vals, errs, floors = _pieces_batch(ev, pieces, owner, mids, halfs)
-    splittable = _splittable(mids, halfs)
     evals = 15 * len(mids)
 
     while True:
@@ -481,6 +504,12 @@ def _tail_piece(side: float, p_hat: float) -> _Piece:
     return _Piece(_UNIT_EDGES, points, finish)
 
 
+# The hint-free line's core pieces, and its seed layouts with 0, 1 and 2 tails
+_LINE_PIECES = _pieces(sorted(_seed_edges(_LINE_CORE)), set())
+_LINE_LAYOUTS = [_seed_layout([p.edges for p in _LINE_PIECES] + [_UNIT_EDGES] * n)
+                 for n in range(3)]
+
+
 def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
     """Upper bound on the tail mass past _X_TOP for an |x|^(-p) tail,
 
@@ -531,9 +560,13 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
         sides.append((side, p_hat, f_outer))
 
     hints = {float(s) for s in spec.singularities if -_LINE_CORE < s < _LINE_CORE}
-    pieces = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints)
-    pieces += [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
-    res = _adaptive(pieces, ev, 0.5 * tol, max_evals, "gk-line")
+    tails = [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
+    if hints:
+        pieces = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints) + tails
+        res = _adaptive(pieces, ev, 0.5 * tol, max_evals, "gk-line")
+    else:  # the core and the seed layout are the same on every hint-free line
+        res = _adaptive(_LINE_PIECES + tails, ev, 0.5 * tol, max_evals, "gk-line",
+                        _LINE_LAYOUTS[len(tails)])
     beyond = sum(_beyond_top_bound(p_hat, f_outer) for _, p_hat, f_outer in sides)
     target = 0.5 * tol * np.maximum(1.0, np.abs(res.value))
     if np.any(beyond > target):

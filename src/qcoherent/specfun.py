@@ -69,7 +69,8 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import _UNIT_EDGES, QuadratureResult, _adaptive, _check_tol, _Piece
+from .quadrature import (_UNIT_EDGES, QuadratureResult, _adaptive, _check_tol, _Piece,
+                         _seed_layout)
 
 __all__ = [
     "LauricellaArgs",
@@ -192,6 +193,10 @@ def _grade(e: np.ndarray, size: float, side: str, method: str) -> int:
     return g
 
 
+# Both halves start from _UNIT_EDGES, so every Euler pass has the same seed layout
+_EULER_LAYOUT = _seed_layout([_UNIT_EDGES] * 2)
+
+
 def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     """int_0^1 u^(a_j-1) (1-u)^(c_j-a_j-1) f_j(u) du for each row j, in one
     adaptive pass; value and err_estimate are length-k arrays.
@@ -249,7 +254,7 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
 
     pieces = [_Piece(_UNIT_EDGES, to_u(*h), lambda v, lf, h=h: finish(v, lf, h))
               for h in halves]
-    res = _adaptive(pieces, log_f, 0.5 * tol, 1_000_000, method)
+    res = _adaptive(pieces, log_f, 0.5 * tol, 1_000_000, method, _EULER_LAYOUT)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)
         value, err = scale * res.value, scale * res.err_estimate
@@ -346,9 +351,12 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
     the whole range is one formula: Debye's uniform expansion (DLMF 10.41.4)
     of K_nu(nu w) divided by its own w -> 0 limit, in which the Gamma
     function and every large power cancel exactly.  Below order 30 it is
-    scipy's exponentially scaled kve in log space, with Hankel's expansion
-    (DLMF 10.40.2) past |z| = 1e8.  Where kve would overflow or refuse
-    (tiny or subnormal |z|), the series of K_nu ends after its first term:
+    scipy's exponentially scaled kve in log space, one pass over every lane
+    (lanes outside kve's range take z = 1 there), and only when some lane
+    is outside that range, or refused by kve, are those lanes patched: with
+    Hankel's expansion (DLMF 10.40.2) past |z| = 1e8, and where kve would
+    overflow or refuse (z = 0, tiny or subnormal |z|), with the series of
+    K_nu ended after its first term:
     g = 1 to double precision from order 1 up (1 - g < 1e-19 there), and
     g = 1 - Gamma(1-nu)/Gamma(1+nu) (z/2)^(2 nu) below, which still matters
     as nu -> 0.  Where either form would overflow (Debye's w^2 from
@@ -375,18 +383,23 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
                              + np.log(series / np.sum(coef)))
         far = ~np.isfinite(out)
     else:
-        out = np.zeros(z.shape, dtype=complex)
         r = np.abs(z)  # inf past the largest double: a far lane
         tiny = max(2.0 * math.exp((_sp.gammaln(nu) - 700.0) / nu), np.finfo(float).tiny)
-        mid = (r >= tiny) & (r <= _HANKEL_MIN_ABS)
-        small = (r > 0.0) & (r < tiny)
-        out[mid] = np.log(_sp.kve(nu, z[mid]))
+        patch = (r < tiny) | (r > _HANKEL_MIN_ABS)
+        odd = patch.any()
+        safe = np.where(patch, 1.0, z) if odd else z  # every lane in one kve pass
+        out = np.asarray(np.log(_sp.kve(nu, safe)))
         refused = ~np.isfinite(out)  # kve (AMOS) reads inf or nan below |z| ~ 2.2e-305
         if refused.any():
-            out[refused] = 0.0
-            small |= refused
-            mid &= ~refused
+            patch |= refused
+            odd = True
+        out += prefactor(safe)
+        if not odd:
+            return out
+        low = patch & (r <= _HANKEL_MIN_ABS)  # z = 0, below kve's range or refused by it
+        out[low] = 0.0
         if nu < 1.0:  # K_nu's series (DLMF 10.27.4, 10.25.2) to its first z^(2 nu) term
+            small = low & (r > 0.0)
             out[small] = _sp.log1p(-math.exp(_sp.gammaln(1.0 - nu) - _sp.gammaln(1.0 + nu))
                                    * np.exp(2.0 * nu * (np.log(z[small]) - math.log(2.0))))
         far = r > _HANKEL_LEAD_ABS
@@ -394,9 +407,7 @@ def _log_bessel_g(nu: float, z) -> np.ndarray:
         zb, mu = z[big], 4.0 * nu * nu
         out[big] = 0.5 * np.log(0.5 * math.pi / zb) + np.log(
             1.0 + (mu - 1.0) / (8.0 * zb) * (1.0 + (mu - 9.0) / (16.0 * zb)
-                                             * (1.0 + (mu - 25.0) / (24.0 * zb))))
-        on = mid | big
-        out[on] += prefactor(z[on])
+                                             * (1.0 + (mu - 25.0) / (24.0 * zb)))) + prefactor(zb)
     if far.any():  # Hankel's leading term sqrt(pi/2z)
         zf = z[far]
         out[far] = -0.5 * np.log(zf / (0.5 * math.pi)) + prefactor(zf)

@@ -106,6 +106,44 @@ def test_q_expansion_state_refuses_a_non_finite_x(x):
         q_expansion_state(1.05, 0.3, x)
 
 
+@pytest.mark.parametrize("alpha, x", [(100.0, 141.4), (1e30, 0.0), (1e30, SQRT2 * 1e30)])
+def test_q_expansion_state_centred_far_out_is_the_state_at_zero(alpha, x):
+    # the norm is taken about the state's centre: it read 0 there and
+    # 0 ** -0.5 raised a bare ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert limits._expansion_norm(1.05, alpha, 0.0) == limits._expansion_norm(1.05, 0.0, 0.0)
+        got = q_expansion_state(1.05, alpha, x)
+        want = q_expansion_state(1.05, 0.0, x - SQRT2 * alpha)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("alpha", [1e80 + 1e80j, 1e40 + 1e40j, 1e78j])
+def test_q_expansion_state_refuses_an_overflowing_expansion_quietly(alpha):
+    # W^2 (at 1e80 + 1e80i) or the norm's density overflows double
+    # precision; 1e80 + 1e80i warned of an overflow and went on
+    from qcoherent.errors import NotConverged
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged, match="overflows double precision"):
+            q_expansion_state(1.05, alpha, 0.0)
+
+
+def test_q_expansion_state_forms_w_about_the_centre():
+    # W = y^2 - 2i Im alpha (sqrt2 y + Re alpha) at y = x - sqrt2 Re alpha is
+    # the state's quadratic form; far from x = 0 it keeps its digits
+    import mpmath
+
+    q, alpha, x = 1.05, 60.0 + 0.2j, 84.9
+    with mpmath.workdps(40):
+        a, xm = mpmath.mpc(alpha), mpmath.mpf(x)
+        w = xm ** 2 - 2 * mpmath.sqrt(2) * a * xm + abs(a) ** 2 + a ** 2
+        raw = complex((1 + mpmath.mpf(q - 1) / 8 * w ** 2) * mpmath.exp(-w / 2))
+    got = q_expansion_state(q, alpha, x) / limits._expansion_norm(q, alpha.real, alpha.imag)
+    assert abs(got - raw) <= 1e-13 * abs(raw)
+
+
 def test_limit_convergence_headline_run():
     rep = limit_convergence_check(0.5)
     assert isinstance(rep, LimitReport)

@@ -245,6 +245,44 @@ def test_each_generation_makes_one_evaluator_call(monkeypatch):
     assert abs(r.value - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_a_batch_over_several_pieces_is_each_panel_on_its_own(monkeypatch, rows):
+    # a refinement batch of the line's core and both tails, owners out of
+    # order: its runs must give every panel the values its own piece gives
+    # it alone, in panel order, and the reduction of those values
+    pieces = quadrature._LINE_PIECES + [quadrature._tail_piece(1.0, 3.0),
+                                        quadrature._tail_piece(-1.0, 1.7)]
+    owner = np.array([2, 0, 1, 0, 2, 1, 0, 2])
+    mids = np.array([0.3, -40.0, 0.875, 2.5, 0.0625, 0.125, 90.0, 0.6])
+    halfs = np.array([0.05, 8.0, 0.125, 0.5, 0.0625, 0.125, 6.0, 0.1])
+
+    def ev(x):
+        f = np.exp(0.1j * x) / (1.0 + x * x) ** 0.9
+        return np.array([f, f * x / (3.0 + x * x)]) if rows == 2 else f
+
+    seen = []
+    reduce = quadrature._gk_reduce
+    monkeypatch.setattr(quadrature, "_gk_reduce", lambda fx, *a: seen.append(fx) or reduce(fx, *a))
+    got = quadrature._pieces_batch(ev, pieces, owner, mids, halfs)
+    want = []
+    for i, m, h in zip(owner, mids, halfs):
+        v = m + h * quadrature._XK
+        want.append(pieces[i].finish(v, ev(pieces[i].points(v))))
+    want = np.stack(want, axis=-2).astype(complex)
+    assert seen[0].tobytes() == want.tobytes()
+    for a, b in zip(got, reduce(want, halfs, None)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_the_hint_free_line_shares_one_seed_layout():
+    # built once, read-only, and the layout the pass's own pieces would have
+    for n, layout in enumerate(quadrature._LINE_LAYOUTS):
+        edges = [p.edges for p in quadrature._LINE_PIECES] + [quadrature._UNIT_EDGES] * n
+        for a, b in zip(layout, quadrature._seed_layout(edges)):
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+    assert len(quadrature._LINE_LAYOUTS[2][0]) == 30 + 8
+
+
 def test_decay_probe_samples_both_sides_in_one_call():
     f, log = _counting(lambda x: 1.0 / (1.0 + x ** 4))
     probes = quadrature._decay_probe(f)

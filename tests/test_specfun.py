@@ -243,6 +243,26 @@ def test_log_bessel_g_is_finite_from_zero_to_huge_arguments(nu):
     assert np.all(np.diff(out.real[:8]) <= 1e-12)
 
 
+@pytest.mark.parametrize("nu", [0.3, 5.0, 40.0])
+def test_log_bessel_g_in_one_pass_is_each_lane_on_its_own(nu):
+    # below order 30 one kve pass takes every lane and the odd ones are
+    # patched after it: z = 0, subnormal, below kve's range, past 1e8 and
+    # past 1e300 must read what each reads alone, bit for bit
+    rng = np.random.default_rng(20)
+    odd = [0.0, 5e-324, 1e-310, 3e-306 + 1e-306j, 1e-200, 2e8, 3e12 - 1e12j, 5e300, 1.7e308]
+    mid = rng.uniform(1e-3, 60.0, 24) * np.exp(0.7j * rng.uniform(-1.0, 1.0, 24))
+    zs = rng.permutation(np.concatenate([odd, mid]).astype(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = specfun._log_bessel_g(nu, zs)
+        want = np.concatenate([specfun._log_bessel_g(nu, zs[i:i + 1]) for i in range(zs.size)])
+        assert got.tobytes() == want.tobytes() and np.isfinite(got).all()
+        # a batch of kve's own range takes the unpatched pass and still agrees
+        fast = specfun._log_bessel_g(nu, mid)
+    assert fast.tobytes() == np.concatenate(
+        [specfun._log_bessel_g(nu, mid[i:i + 1]) for i in range(mid.size)]).tobytes()
+
+
 @pytest.mark.parametrize("nu, z", [
     (40.5, 1e200 + 0j),       # Debye's w^2 = (z/nu)^2 overflowed: nan+nanj
     (40.5, 1.7e308 + 1e307j),
