@@ -40,8 +40,11 @@ root pair, so a product of brackets with exponent sum S carries that
 scale.  Its rows, one per (bracket family, half, power m), are the rows
 of a single log-space ``specfun._euler_integral`` pass; the scale and
 the branch phase join each row's log, so no value over- or underflows on
-the way.  Three views read it: ``norm_squared_closed`` and
-``overlap_closed`` take the norm's row (``_norm_halves``, which the
+the way.  A row's log takes log(1 - x_i u) at the eight bracket
+arguments x_i; when bra and ket are one state, the bra's x_i are the
+ket's conjugates, so only the ket's four logs are taken per node and
+conjugated (``_bracket_logs``).  Three views read it:
+``norm_squared_closed`` and ``overlap_closed`` take the norm's row (``_norm_halves``, which the
 calibration reads too), and ``_closed_moments`` takes all five moment
 terms of a state from one call (``moments_closed`` and ``verify`` read
 it).
@@ -71,6 +74,31 @@ CALIBRATION_ANCHOR_Q = 1.2
 CALIBRATION_ANCHOR_ALPHA = 0.3 + 0.0j
 
 
+def _bracket_logs(xs: np.ndarray):
+    """u -> log(1 - x_i u), shape (8, n), for the eight bracket arguments
+    x = 1 + beta (plus half), then x = 1 - beta (reflected half), each over
+    the bra's root pair and then the ket's.
+
+    For real u, log(1 - conj(x) u) = conj(log(1 - x u)).  So when the bra's
+    x are the exact conjugates of the ket's, byte for byte (bra and ket one
+    state: every norm, moment and calibration pass), only the ket's four
+    logs are taken and the bra's are their conjugates.  Otherwise (an
+    overlap of two states) all eight are taken.
+    """
+    pairs = xs.reshape(2, 2, 2)  # (half, bra or ket, root)
+    if pairs[:, 0].tobytes() != pairs[:, 1].conj().tobytes():
+        return lambda u: np.log(1.0 - xs[:, None] * u)
+    ket = pairs[:, 1, :, None]
+
+    def logs(u):
+        out = np.empty((2, 2, 2, u.size), dtype=complex)
+        np.log(1.0 - ket * u, out=out[:, 1])
+        np.conjugate(out[:, 1], out=out[:, 0])
+        return out.reshape(8, u.size)
+
+    return logs
+
+
 def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
                   tol: float) -> np.ndarray:
     """(len(terms), 2) array: each (bra_shift, ket_shift, coeffs) term's
@@ -79,7 +107,10 @@ def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
 
     conj(psi_un[alpha_bra]) contributes its root pair with b = p + bra_shift,
     psi_un[alpha_ket] its pair with b = p + ket_shift (p = 1/(q-1); a shift
-    of one per derivative taken); ``coeffs`` maps each power m to c_m.
+    of one per derivative taken); ``coeffs`` maps each power m to c_m.  The
+    row logs come from ``_bracket_logs``: four complex logs a node when bra
+    and ket are one state, eight for an overlap.  Each term's halves add
+    its rows' c_m-weighted values in row order.
     """
     p = 1.0 / (q - 1.0)
     betas = np.array(_pair_roots(q, alpha_bra.conjugate(), abs(alpha_bra) ** 2)
@@ -87,21 +118,28 @@ def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
     owner, bra, ket, m, c_m = map(np.array, zip(*[(t, bra, ket, m, c_m)
                                                   for t, (bra, ket, coeffs) in enumerate(terms)
                                                   for m, c_m in coeffs.items()]))
-    b = np.stack([p + bra, p + bra, p + ket, p + ket], axis=1).astype(complex)
-    log_scale = (-(2.0 * p + bra + ket) * math.log(0.5 * (q - 1.0))).astype(complex)
+    k = len(m)
+    b = np.empty((k, 4), dtype=complex)
+    b[:, :2], b[:, 2:] = (p + bra)[:, None], (p + ket)[:, None]
+    log_scale = -(2.0 * p + bra + ket) * math.log(0.5 * (q - 1.0))
     big_s = b.sum(axis=1)
-    zero = np.zeros_like(b)
-    weights = np.block([[b, zero], [zero, b]])
-    offsets = np.concatenate([log_scale,
-                              log_scale + 1j * math.pi * (b @ np.sign(betas.imag))])
-    xs = np.concatenate([1.0 + betas, 1.0 - betas])
-    res = _euler_integral(lambda u: offsets[:, None] - weights @ np.log(1.0 - xs[:, None] * u),
-                          np.tile(big_s - m - 1.0, 2), np.tile(big_s, 2), tol, "closed-form")
-    plus, minus = np.split(res.value, 2)
-    out = np.zeros((len(terms), 2), dtype=complex)
-    np.add.at(out[:, 0], owner, c_m * plus)
-    np.add.at(out[:, 1], owner, c_m * (-1.0) ** m * minus)
-    return out
+    weights = np.zeros((2 * k, 8), dtype=complex)
+    weights[:k, :4] = weights[k:, 4:] = b
+    offsets = np.empty((2 * k, 1), dtype=complex)
+    offsets[:k, 0] = log_scale
+    offsets[k:, 0] = log_scale + 1j * math.pi * (b @ np.sign(betas.imag))
+    a, c = np.empty(2 * k, dtype=complex), np.empty(2 * k, dtype=complex)
+    a[:k] = a[k:] = big_s - m - 1.0
+    c[:k] = c[k:] = big_s
+    logs = _bracket_logs(np.concatenate([1.0 + betas, 1.0 - betas]))
+    res = _euler_integral(lambda u: offsets - weights @ logs(u), a, c, tol, "closed-form")
+    rows = zip(owner.tolist(), (c_m * res.value[:k]).tolist(),
+               (c_m * (-1.0) ** m * res.value[k:]).tolist())
+    out = [[0j, 0j] for _ in terms]
+    for t, plus, minus in rows:
+        out[t][0] += plus
+        out[t][1] += minus
+    return np.array(out)
 
 
 def _norm_halves(q: float, alpha_bra: complex, alpha_ket: complex, tol: float) -> np.ndarray:

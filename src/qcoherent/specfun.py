@@ -39,7 +39,9 @@ in log space, and any number of rows, each with its own exponents a and
 c, on shared nodes.  Each half is graded to a smooth endpoint power
 (``_grade``): not at all where every row's exponent on that side is a
 positive integer, else by the power that lifts the smallest exponent to at
-least 5.  The closed forms of
+least 5.  Each half maps a generation's nodes once (``_EulerHalf``): the
+points handed to log f and the row factors of the finish share one node
+map.  The closed forms of
 ``closedforms`` run all rows of a state through it at once; F_D and Kummer
 are its one-row callers and add the Gamma prefactor.
 
@@ -183,9 +185,9 @@ def _grade(e: np.ndarray, size: float, side: str, method: str) -> int:
     than integrated: that is min Re e < 0.0015.
     """
     whole = np.round(e.real)
-    if np.all((whole >= 1.0) & (np.abs(e - whole) <= 1e-12 * size)):
+    if (whole >= 1.0).all() and (np.abs(e - whole) <= 1e-12 * size).all():
         return 1
-    low = float(np.min(e.real))
+    low = float(e.real.min())
     g = min(math.ceil(5.0 / low), 1000) if low > 0.0 else 1000
     if not g * low >= 1.5:
         raise NotConverged(f"Euler exponent Re {side} = {low:.3g} needs grading power "
@@ -193,8 +195,11 @@ def _grade(e: np.ndarray, size: float, side: str, method: str) -> int:
     return g
 
 
-# Both halves start from _UNIT_EDGES, so every Euler pass has the same seed layout
+# Both halves start from _UNIT_EDGES, so every Euler pass has the same seed
+# layout, and every pass probes the same 33 nodes a half
 _EULER_LAYOUT = _seed_layout([_UNIT_EDGES] * 2)
+_EULER_PROBE = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
+_EULER_PROBE.flags.writeable = False
 
 
 def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
@@ -214,46 +219,37 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     roughest end factor v^(g*e-1) is v^4 (down to v^0.5 at the cap
     g = 1000), and an exponent below 0.0015 raises NotConverged.  The
     integrand is formed in log space, with log t = log(1/2) + g log v, so
-    u^(a-1) never underflows to 0.  Each row is divided by exp of its
-    largest probe log-magnitude (33 nodes a half, both halves in one log_f
-    call), which is restored only on the result; a result that overflows,
-    or a scaled node value that would (a peak between the probe nodes),
-    raises NotConverged.  Each half starts from ``_UNIT_EDGES``' four
-    panels.
+    u^(a-1) never underflows to 0.  Each half maps a generation's nodes
+    once (``_EulerHalf``): its points and its finish take the same node
+    array from ``_pieces_batch`` and share log v, t and log1p(-t).  Each
+    row is divided by exp of its largest probe log-magnitude (33 nodes a
+    half, both halves in one log_f call), which is restored only on the
+    result; a result that overflows, or a scaled node value that would (a
+    peak between the probe nodes), raises NotConverged.  Each half starts
+    from ``_UNIT_EDGES``' four panels.
     """
     _check_tol(tol)
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     ca = c - a
-    size = max(1.0, float(np.max(np.abs(np.concatenate([a, c])))))
-    g0, g1 = _grade(a, size, "a", method), _grade(ca, size, "c-a", method)
+    size = max(1.0, float(np.abs(np.concatenate([a, c])).max()))
+    exponents = a[:, None] - 1.0, ca[:, None] - 1.0
+    halves = (_EulerHalf(_grade(a, size, "a", method), False, *exponents),
+              _EulerHalf(_grade(ca, size, "c-a", method), True, *exponents))
+    n = _EULER_PROBE.size
+    log_fu = log_f(np.concatenate([h.points(_EULER_PROBE) for h in halves]))
+    log_scale = np.maximum(halves[0].log_rows(_EULER_PROBE, log_fu[:, :n]).real.max(axis=1),
+                           halves[1].log_rows(_EULER_PROBE, log_fu[:, n:]).real.max(axis=1))
 
-    def to_u(g, right):
-        def points(v):
-            t = np.exp(math.log(0.5) + g * np.log(v))
-            return 1.0 - t if right else t
-        return points
+    def finish(half):
+        def rows(v, log_fu):
+            log_rel = half.log_rows(v, log_fu)
+            log_rel -= log_scale[:, None]
+            if log_rel.real.max() > _LOG_MAX:  # a peak the probe missed, past the doubles
+                raise NotConverged(f"Euler integral overflows double precision ({method})")
+            return np.exp(log_rel, out=log_rel)
+        return rows
 
-    def log_rows(v, log_fu, g, right):
-        log_t = math.log(0.5) + g * np.log(v)
-        t = np.exp(log_t)
-        log_u, log_1mu = (np.log1p(-t), log_t) if right else (log_t, np.log1p(-t))
-        return ((a[:, None] - 1.0) * log_u + (ca[:, None] - 1.0) * log_1mu
-                + log_fu + math.log(0.5 * g) + (g - 1) * np.log(v))
-
-    halves = ((g0, False), (g1, True))
-    probe = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
-    log_fu = log_f(np.concatenate([to_u(*h)(probe) for h in halves]))
-    log_scale = np.max([log_rows(probe, lf, *h).real.max(axis=1)
-                        for lf, h in zip(np.split(log_fu, 2, axis=-1), halves)], axis=0)
-
-    def finish(v, log_fu, h):
-        log_rel = log_rows(v, log_fu, *h) - log_scale[:, None]
-        if log_rel.real.max() > _LOG_MAX:  # a peak the probe missed, past the doubles
-            raise NotConverged(f"Euler integral overflows double precision ({method})")
-        return np.exp(log_rel)
-
-    pieces = [_Piece(_UNIT_EDGES, to_u(*h), lambda v, lf, h=h: finish(v, lf, h))
-              for h in halves]
+    pieces = [_Piece(_UNIT_EDGES, h.points, finish(h)) for h in halves]
     res = _adaptive(pieces, log_f, 0.5 * tol, 1_000_000, method, _EULER_LAYOUT)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)
@@ -261,6 +257,50 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(err))):
         raise NotConverged(f"Euler integral overflows double precision ({method})")
     return QuadratureResult(value, err, res.evaluations, method)
+
+
+class _EulerHalf:
+    """One half of an Euler pass: u = v^g/2 (left) or 1 - v^g/2 (right).
+
+    ``points`` and ``log_rows`` take the same node array from
+    ``_pieces_batch`` in one generation, so the node map (u, log u,
+    log(1-u) and (g-1) log v, from log v, t = v^g/2 and log1p(-t)) is kept
+    for the last node array and taken once per generation.  am1 and cam1
+    are the rows' exponent columns a-1 and c-a-1.
+    """
+
+    def __init__(self, g: int, right: bool, am1, cam1):
+        self.g, self.right, self.am1, self.cam1 = g, right, am1, cam1
+        self.log_half_g = math.log(0.5 * g)
+        self.nodes = None
+
+    def _map(self, v):
+        if v is self.nodes:
+            return
+        log_v = np.log(v)
+        log_t = math.log(0.5) + self.g * log_v
+        t = np.exp(log_t)
+        if self.right:
+            self.u, self.log_u, self.log_1mu = 1.0 - t, np.log1p(-t), log_t
+        else:
+            self.u, self.log_u, self.log_1mu = t, log_t, np.log1p(-t)
+        self.log_v_power = (self.g - 1) * log_v
+        self.nodes = v
+
+    def points(self, v):
+        self._map(v)
+        return self.u
+
+    def log_rows(self, v, log_fu):
+        """Each row's log integrand at v: the end factors, log f and the
+        Jacobian log(g/2) + (g-1) log v, summed in this order."""
+        self._map(v)
+        out = self.am1 * self.log_u
+        out += self.cam1 * self.log_1mu
+        out += log_fu
+        out += self.log_half_g
+        out += self.log_v_power
+        return out
 
 
 def _euler_value(log_f, a: complex, c: complex, tol: float, method: str) -> QuadratureResult:

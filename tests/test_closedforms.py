@@ -5,6 +5,7 @@ the same integrand: two genuinely different code paths (Euler/series
 hypergeometrics vs panel subdivision) meeting at the same number.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -254,3 +255,121 @@ def test_closed_pass_leaves_integer_exponents_ungraded(monkeypatch, q):
     # p = 1/(q-1) is an integer, so every row's exponents are: the end
     # factors are polynomials and no grading can cheapen the pass
     assert _closed_pass_evaluations(monkeypatch, q) == [120]
+
+
+def _sha256(*values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.asarray(v, dtype=complex).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the closed route's outputs, pinned when the Euler pass was
+# last made faster with every output kept to its bit.  A change that moves
+# them must re-pin them and say so.  At q = 2.33 the left half's grading
+# power is 667, so its nodes next to v = 0 underflow to u = 0 exactly.
+MOMENTS_SHA256 = {
+    (1.4, 0.3 + 0.1j): "361da816a523567e2f36e86a1e0c004c6c3c22898a0650c315f9947ddb826010",
+    (1.77, -1.2 + 0.4j): "482dd1540429e63a17c2508b966b4c82cc2c7ad4fb2277058f82525f520a07cb",
+    (2.33, 0.3 + 0.2j): "d1920664efce45944b90ed35d516c60749b4ade119e7d3d2d37886f2d6d68780",
+}
+
+
+@pytest.mark.parametrize("q, alpha", list(MOMENTS_SHA256))
+def test_closed_moments_keep_their_frozen_bits(q, alpha):
+    n2, quotients, halves = closedforms._closed_moments(q, alpha, 1e-9)
+    assert _sha256(n2, quotients, halves) == MOMENTS_SHA256[q, alpha]
+
+
+def test_closed_norm_overlap_fd_and_kummer_keep_their_frozen_bits():
+    assert (_sha256(overlap_closed(1.7, 0.3 + 0.1j, 0.5 + 0.1j))
+            == "09179a3dc74b8f4160ace2ae55ead91654f442e5baad4d2b2eabb7c0616788eb")
+    assert (_sha256(norm_squared_closed(4.9, 0.3 + 0.2j))
+            == "fe51064a09e79d5ef024ac1d7a70365eb365c905aef5c07b1ff0d9fec598aa07")
+    fd = specfun.lauricella_fd_integral(specfun.LauricellaArgs(
+        1.2 + 0.3j, (0.5, -0.7 + 0.2j, 1.1, 0.3j), 2.9 - 0.1j,
+        (0.95 + 0.4j, -2.5 - 0.3j, 1.5 + 0.7j, 3.0 - 1.2j)), tol=1e-10)
+    assert (_sha256(fd.value, fd.err_estimate, fd.evaluations)
+            == "cf5122027cd4d0b8996ffbb41ee270358ef680f0fca31859aa32c4220c842a4d")
+    # |z| = 40 > 30 with Re b > Re a > 0: Kummer's integral branch
+    assert (_sha256(specfun.kummer_phi(1.5, 3.0, 40j))
+            == "3ccd2415aefd6bab0bb60e060c1604030fa869b8fca73bae86f83c434d714189")
+
+
+class _Captured(Exception):
+    pass
+
+
+def _state_log_f(monkeypatch, q, alpha_bra, alpha_ket, eight_logs=False):
+    """The log_f that ``_state_halves`` hands to its Euler pass for the
+    five moment terms (16 rows); with eight_logs, the reference form that
+    takes all eight logs log(1 - x_i u) directly."""
+    alpha_bra, alpha_ket = complex(alpha_bra), complex(alpha_ket)
+    captured = []
+
+    def capture(log_f, *args):
+        captured.append(log_f)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(closedforms, "_euler_integral", capture)
+        if eight_logs:
+            m.setattr(closedforms, "_bracket_logs",
+                      lambda xs: lambda u: np.log(1.0 - xs[:, None] * u))
+        with pytest.raises(_Captured):
+            closedforms._state_halves(q, alpha_bra, alpha_ket,
+                                      list(closedforms._moment_terms(alpha_ket).values()), 1e-10)
+    return captured[0]
+
+
+def _euler_nodes():
+    # u of both Euler halves at the gradings the closed passes use, from
+    # v^1000/2 (which underflows to 0 or a subnormal next to v = 0) to 1
+    v = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 61), [0.25, 0.4, 0.49, 0.5]])
+    u = [np.exp(math.log(0.5) + g * np.log(v)) for g in (1, 7, 667, 1000)]
+    edge = [0.0, 5e-324, 1e-310, 1e-300, 1e-160, 1e-16, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    return np.concatenate(u + [1.0 - t for t in u] + [edge])
+
+
+SIGNED_ZERO_ALPHAS = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+LOG_ALPHAS = SIGNED_ZERO_ALPHAS + [1e-300, complex(1e-300, -1e-300), 0.3 + 0.1j, -1.2 + 0.4j,
+                                   0.5j, -0.7 - 2.0j, 1e3, -1e3j, 700.0 + 700.0j]
+
+
+@pytest.mark.parametrize("q", [1.0001, 1.014, 1.5, 2.33, 3.7, 4.9, 4.999])
+def test_same_state_log_f_takes_mirrored_logs_bit_for_bit(monkeypatch, q):
+    # compared as bytes: == would pass a zero of the other sign, and where
+    # x*u underflows the mirrored logs differ from the direct ones in the
+    # sign of a zero imaginary part, which log_f must not pass on
+    u = _euler_nodes()
+    assert (u == 0.0).any() and (u[u > 0.0] < 1e-307).any()
+    for alpha in LOG_ALPHAS:
+        mirrored = _state_log_f(monkeypatch, q, alpha, alpha)(u)
+        direct = _state_log_f(monkeypatch, q, alpha, alpha, eight_logs=True)(u)
+        assert mirrored.tobytes() == direct.tobytes(), (q, alpha)
+
+
+def _log_count(monkeypatch, log_f, u):
+    # complex logs taken per node by one log_f call
+    count, log = [], np.log
+
+    def counted(z, *args, **kwargs):
+        count.append(np.size(z))
+        return log(z, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "log", counted)
+        log_f(u)
+    return sum(count) / u.size
+
+
+def test_only_one_state_takes_four_logs_a_node(monkeypatch):
+    u = _euler_nodes()
+    for q, alpha in ((1.5, 0.3 + 0.1j), (4.9, complex(-0.0, 0.0)), (2.2, 1e3)):
+        assert _log_count(monkeypatch, _state_log_f(monkeypatch, q, alpha, alpha), u) == 4
+    for q, bra, ket in ((1.7, 0.3 + 0.1j, 0.5 + 0.1j), (1.4, 0.3, -0.2 + 0.1j),
+                        (2.2, 0.3 + 0.1j, 0.3 - 0.1j), (4.9, 0.0, 0.2j)):
+        log_f = _state_log_f(monkeypatch, q, bra, ket)
+        assert _log_count(monkeypatch, log_f, u) == 8
+        direct = _state_log_f(monkeypatch, q, bra, ket, eight_logs=True)
+        assert log_f(u).tobytes() == direct(u).tobytes()
