@@ -250,10 +250,11 @@ def _grid_point_rows(q, alpha, tol):
     ]
     # the printed Kummer amplitude (and, away from k = 0, its density),
     # then the Bessel-K amplitude, each against the oracle amplitude at k
-    bessel = momentum_amplitude_bessel(q, alpha, np.array(_VERIFY_KS), tol=tol)
-    for k, amp_b in zip(_VERIFY_KS, bessel):
+    ks = np.array(_VERIFY_KS)
+    bessel = momentum_amplitude_bessel(q, alpha, ks, tol=tol)
+    fourier = momentum_amplitude_oracle(q, alpha, ks, tol=tol)
+    for k, amp_b, amp_o in zip(_VERIFY_KS, bessel, fourier.tolist()):
         k_point = _point(q, alpha, k=k)
-        amp_o = momentum_amplitude_oracle(q, alpha, k, tol=tol)
         amp_c = momentum_amplitude_closed(q, alpha, k)
         if k == _K_NEAR_ZERO:
             rows.append(("momentum_amplitude_k_to_zero", k_point, amp_c, amp_o, _K_TO_ZERO_NOTE))

@@ -52,6 +52,7 @@ it).
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -152,6 +153,19 @@ def _whole(halves) -> complex:
     return complex(halves[0] + halves[1] if calibrated_reflection() else halves[0])
 
 
+def _whole_norm(halves, q: float, alpha: complex) -> complex:
+    """The closed n2 of one state from its (plus, minus) pair.  A pass that
+    underflows reads 0j, so a norm that is zero, not finite or has
+    Re n2 <= 0 raises ConventionMismatch, as the oracle norm does when it
+    is not positive."""
+    n2 = _whole(halves)
+    if not (cmath.isfinite(n2) and n2.real > 0.0):
+        raise ConventionMismatch(
+            f"closed norm came out zero, non-finite or non-positive at q={q!r}, "
+            f"alpha={alpha!r}: {n2!r}")
+    return n2
+
+
 @lru_cache(maxsize=1)
 def calibrated_reflection() -> bool:
     """Pick the half-line vs with-reflection convention against the oracle.
@@ -204,7 +218,7 @@ def _closed_moments(q: float, alpha: complex, tol: float):
     alpha = require_alpha(alpha)
     norm, *numerators = _state_halves(q, alpha, alpha, list(_moment_terms(alpha).values()),
                                       min(tol, 1e-10))
-    n2 = _whole(norm)
+    n2 = _whole_norm(norm, q, alpha)
     return (n2, tuple(_whole(h) / n2 for h in numerators),
             (norm[0], numerators[0][0] / norm[0]))
 
@@ -214,7 +228,7 @@ def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex
     norm divides every normalised quantity."""
     _window(q, Q_NORMALIZABLE_MAX, "closed-form norm")
     alpha = require_alpha(alpha)
-    return _whole(_norm_halves(q, alpha, alpha, min(tol, 1e-10)))
+    return _whole_norm(_norm_halves(q, alpha, alpha, min(tol, 1e-10)), q, alpha)
 
 
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,

@@ -11,8 +11,10 @@ all with the exact Gaussian dispatch at the q = 1 sentinel and defined for
   shifts back to the real w axis and Basset's integral (DLMF 10.32.11)
   gives a Bessel-K expression in k, vectorised over any k array.
 * ``momentum_amplitude_oracle``: numerical Fourier quadrature with the
-  oscillatory-tail machinery in ``quadrature``, one k at a time.  It is the
-  independent check of the Bessel form in the tests and in ``verify``.
+  oscillatory-tail machinery in ``quadrature``, vectorised over k: the
+  transforms at several k share one adaptive pass over x and one tail
+  stream.  It is the independent check of the Bessel form in the tests and
+  in ``verify``.
 * ``momentum_amplitude_closed``: a confluent-hypergeometric (Kummer phi)
   expression *exactly as printed in its source*, k != 0.  It is kept in
   quarantine: its k -> 0 limit vanishes for q < 3 while the transform's
@@ -206,20 +208,23 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     return out if out.ndim else complex(out)
 
 
-def momentum_amplitude_oracle(q: float, alpha: complex, k: float,
-                              tol: float = 1e-9) -> complex:
-    """Normalised momentum amplitude by direct Fourier quadrature."""
+def momentum_amplitude_oracle(q: float, alpha: complex, k, tol: float = 1e-9):
+    """Normalised momentum amplitude by direct Fourier quadrature,
+    vectorised over k: one ``fourier_transform_line`` pass for all of them.
+    Returns a complex for scalar k, an ndarray otherwise."""
     require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
-    if not math.isfinite(k):
+    k = np.asarray(k, dtype=float)
+    if not np.isfinite(k).all():
         raise ValueError(f"k must be finite; got {k}")
     alpha = require_alpha(alpha)
     if q == 1.0:
-        return complex(_gaussian_amplitude(alpha, k))
+        out = _gaussian_amplitude(alpha, k)
+        return out if out.ndim else complex(out)
     a_const = normalization_constant(q, alpha, tol=tol)
 
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
-    res = fourier_transform_line(lambda x: _psi_un(q, alpha, x), float(k), tol=tol,
-                                 core_halfwidth=core)
+    res = fourier_transform_line(lambda x: _psi_un(q, alpha, x), k if k.ndim else float(k),
+                                 tol=tol, core_halfwidth=core)
     return complex(a_const) * res.value
 
 

@@ -28,11 +28,13 @@ of that sit
   power-substituted tails x = 96/v^gamma chosen from a decay exponent
   sampled on both sides in one call, so even barely-integrable algebraic
   tails stay smooth,
-* ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx:
-  an adaptive core, then both tails as one stream of half-period pi/|k|
-  panels (successive panels alternate in sign), 16 per side, doubling
-  each round, summed from scratch with iterated averaging (Longman's
-  method); a stream that reaches its 4096-panel cap raises NotConverged.
+* ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx
+  for one k or a 1-d array of k, sharing f's values among them: one
+  adaptive pass over every k's core, then the tails of every k as one
+  stream of half-period pi/|k| panels (successive panels alternate in
+  sign), 16 per side, doubling each round, summed from scratch with
+  iterated averaging (Longman's method); a stream that reaches its
+  4096-panel cap raises NotConverged.
 
 Evaluators map a float ndarray of n nodes to an ndarray (complex is fine)
 of shape (n,), or (m, n) for m integrands on shared nodes that one pass
@@ -94,6 +96,10 @@ _WK = np.concatenate([_WK_RIGHT, [_WK_MID], _WK_RIGHT[::-1]])
 # Gauss-7 sub-rule uses every other Kronrod node.
 _GIDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate([_WG_RIGHT, [_WG_MID], _WG_RIGHT[::-1]])
+# complex copies for the two complex matmuls of _gk_reduce, so no call casts
+# the weights anew; the same values, so the same bits
+_WK_C = _WK.astype(complex)
+_WG_C = _WG.astype(complex)
 
 _EPS = np.finfo(float).eps
 
@@ -120,7 +126,8 @@ class IntegrandSpec:
 @dataclass(frozen=True)
 class QuadratureResult:
     """value with an error estimate and the evaluation count; for an (m, n)
-    evaluator, length-m arrays with each component held to its own target.
+    evaluator, length-m arrays with each component held to its own target,
+    and for ``fourier_transform_line`` over a k array, arrays shaped like k.
 
     err_estimate is conservative in practice (true error is normally far
     below it); evaluations counts integrand samples actually taken.
@@ -160,8 +167,8 @@ def _gk_reduce(fx, halfs, where):
         if not finite.all():
             raise NotConverged(f"integrand returned non-finite values near "
                                f"x={where()[~finite][:3]}")
-    resk = halfs * (fx @ _WK)
-    resg = halfs * (fx[..., _GIDX] @ _WG)
+    resk = halfs * (fx @ _WK_C)
+    resg = halfs * (fx[..., _GIDX] @ _WG_C)
     mean = resk / (2.0 * halfs)
     resasc = halfs * (np.abs(fx - mean[..., None]) @ _WK)
     raw = np.abs(resk - resg)
@@ -599,85 +606,153 @@ def _averaged_limit(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ends[deepest, rows, 1], spread[deepest, rows]
 
 
-def fourier_transform_line(f, k: float, tol: float = 1e-10,
+class _Wave(NamedTuple):
+    """One distinct k != 0 of a transform: its half-period pi/|k| and its
+    core |x| <= X, n_half half-periods a side."""
+
+    k: float
+    half_period: float
+    n_half: int
+    X: float
+
+
+def _phased(k: float) -> _Piece:
+    """The half-period panels of one k's tails, in x itself: their finish
+    turns the shared values f(x) into f(x) e^(-ikx)."""
+    return _Piece((), lambda v: v, lambda v, fx: fx * np.exp(-1j * k * v))
+
+
+def fourier_transform_line(f, k, tol: float = 1e-10,
                            max_evals: int = 2_000_000,
                            core_halfwidth: float = 16.0) -> QuadratureResult:
-    """(2*pi)^(-1/2) * int_{-inf}^{inf} exp(-i*k*x) f(x) dx.
+    """(2*pi)^(-1/2) * int_{-inf}^{inf} exp(-i*k*x) f(x) dx, for a number k
+    or for each entry of a 1-d array of k.
 
-    The core |x| <= X is integrated adaptively with panels no wider than
-    the half-period pi/|k|; beyond it, consecutive half-period panels
+    Each k's core |x| <= X_k (X_k about ``core_halfwidth``, a whole number
+    of half-periods pi/|k|) is integrated adaptively with panels no wider
+    than its half-period; beyond it, consecutive half-period panels
     alternate in sign (exp(-i*k*(x+pi/|k|)) = -exp(-i*k*x)), and each
     tail's panel series is summed with iterated averaging, which converges
     even when f only decays algebraically (conditional convergence of the
-    transform).  Both tails are one stream: one batch per round, 16 panels
-    per side and then as many again, until both averaged remainders are
-    within 0.25*tol*max(1, |core|) or the last panels underflow; NotConverged
-    at 4096 panels per side (round 9) or ``max_evals``, and at once, before
-    anything is allocated, when the core's seed panels alone (about
-    2X|k|/pi of them) would take more than ``max_evals``; ValueError for a k
-    that is not finite or a ``core_halfwidth`` that is not positive and
-    finite.  Scalar integrands only: no caller transforms several.
+    transform).  All the k share one pass and one evaluator call a
+    generation: the cores are one adaptive pass whose components are
+    f e^(-ikx) inside their own core and 0 outside, on the union of every
+    k's edges, and the tails are one stream, one batch a round, 16
+    panels per side and k and then as many again, in which a k stops once
+    both its averaged remainders are within 0.25*tol*max(1, |core_k|) or
+    its last panels underflow.  Entries with k = 0 are plain
+    ``integrate_line`` integrals, and a repeated k is transformed once.
+    NotConverged at 4096 panels per side (round 9) or ``max_evals``, and at
+    once, before anything is allocated, when the cores' seed panels alone
+    (about 2 X_k |k|/pi of them for each |k|) would take more than
+    ``max_evals``; ValueError for a k that is not finite or not a number
+    or 1-d array, or a ``core_halfwidth`` that is not positive and finite.
+    Scalar integrands only: f maps n nodes to n values.  value and
+    err_estimate are a complex and a float for a number k, arrays shaped
+    like k otherwise; the method is "fourier-k0" when every k is 0 and
+    "fourier-osc" otherwise.
     """
     _check_tol(tol)
-    if not math.isfinite(k):
+    ks = np.asarray(k, dtype=float)
+    if ks.ndim > 1:
+        raise ValueError(f"k must be a number or a 1-d array; got shape {ks.shape}")
+    if not np.isfinite(ks).all():
         raise ValueError(f"k must be finite; got {k!r}")
     if not (core_halfwidth > 0.0 and math.isfinite(core_halfwidth)):
         raise ValueError(f"core_halfwidth must be a positive finite number; "
                          f"got {core_halfwidth!r}")
-    spec = _as_spec(f)
-    ev = spec.evaluator
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-    if k == 0.0:
-        res = integrate_line(spec, tol=tol, max_evals=max_evals)
-        return QuadratureResult(norm * res.value, norm * res.err_estimate,
-                                res.evaluations, "fourier-k0")
+    zero = ks == 0.0
+    waves, where_k = np.unique(ks[~zero], return_inverse=True)
 
-    half_period = math.pi / abs(k)
-
-    def g(x):
-        return ev(x) * np.exp(-1j * k * x)
-
-    # the core's 2*n_half half-period panels cost 15 nodes each: a k whose
-    # core alone overruns max_evals is refused before any edge is built
-    span = core_halfwidth / half_period  # inf once X|k| passes the doubles
-    n_half = max(2, math.ceil(min(span, max_evals)))
-    if 30 * n_half > max_evals:
-        raise NotConverged(f"fourier core at k={k!r} needs {2.0 * span:.4g} half-period "
+    # each core's 2*n_half half-period panels cost 15 nodes each, and k and
+    # -k share one core: k whose cores alone overrun max_evals are refused
+    # before any edge is built
+    cores = []
+    for kk in waves.tolist():
+        half_period = math.pi / abs(kk)
+        span = core_halfwidth / half_period  # inf once X|k| passes the doubles
+        n_half = max(2, math.ceil(min(span, max_evals)))
+        cores.append(_Wave(kk, half_period, n_half, n_half * half_period))
+    seeds = {c.half_period: c.n_half for c in cores}
+    if 30 * sum(seeds.values()) > max_evals:
+        spans = sum(core_halfwidth / half_period for half_period in seeds)
+        raise NotConverged(f"fourier core at k={k!r} needs {2.0 * spans:.4g} half-period "
                            f"panels of 15 nodes, more than max_evals={max_evals}")
-    X = n_half * half_period
-    bounds = set(np.linspace(-X, X, 2 * n_half + 1).tolist())
-    if half_period > core_halfwidth:
-        # a state narrower than pi/|k| could sit between the GK nodes of the
-        # half-period panels and read as zero: seed geometric edges out to X
-        bounds |= {s for s in _seed_edges(X) if -X < s < X}
-    hints = {float(s) for s in spec.singularities if -X < s < X}
+
+    spec = _as_spec(f)
+    norm = 1.0 / math.sqrt(2.0 * math.pi)
+    value, err = np.zeros(ks.shape, dtype=complex), np.zeros(ks.shape)
+    evals = 0
+    if zero.any():
+        res = integrate_line(spec, tol=tol, max_evals=max_evals)
+        value[zero], err[zero], evals = norm * res.value, norm * res.err_estimate, res.evaluations
+    if cores:
+        wave, wave_err, wave_evals = _fourier_waves(spec, cores, core_halfwidth, tol,
+                                                    max_evals - evals)
+        value[~zero], err[~zero] = norm * wave[where_k], norm * wave_err[where_k]
+        evals += wave_evals
+    if ks.ndim == 0:
+        value, err = complex(value), float(err)
+    return QuadratureResult(value, err, evals, "fourier-osc" if cores else "fourier-k0")
+
+
+def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
+    """The unnormalised transforms of ``fourier_transform_line`` at the
+    distinct k != 0 of ``cores`` (``_Wave``): their values, error estimates
+    and evaluation count."""
+    ev = spec.evaluator
+    kcol = np.array([[c.k] for c in cores])
+    reach = np.array([[c.X] for c in cores])
+    top = float(reach.max())
+
+    def g(x):  # each k's component, zero past its own core
+        return np.where(np.abs(x) <= reach, ev(x) * np.exp(-1j * kcol * x), 0.0)
+
+    bounds = set()
+    for _, half_period, n_half, X in cores:
+        bounds |= set(np.linspace(-X, X, 2 * n_half + 1).tolist())
+        if half_period > core_halfwidth:
+            # a state narrower than pi/|k| could sit between the GK nodes of
+            # the half-period panels and read as zero: seed geometric edges
+            bounds |= {s for s in _seed_edges(X) if -X < s < X}
+    hints = {float(s) for s in spec.singularities if -top < s < top}
     core = _adaptive(_pieces(sorted(bounds | hints), hints), g, 0.25 * tol, max_evals,
                      "fourier-core")
     evals = core.evaluations
 
-    # rows: the +inf and -inf tails; columns: half-period panels outward from X
+    # rows: the +inf and -inf tails of each k still summing, two a k;
+    # columns: half-period panels outward from its X, as many in every row
+    pieces = [_phased(c.k) for c in cores]
+    targets = np.array([0.25 * tol * max(1.0, abs(v)) for v in core.value.tolist()])
     sides = np.array([[1.0], [-1.0]])
-    target = 0.25 * tol * max(1.0, abs(core.value))
-    qerr = np.zeros(2)
-    tails, terms = (_plain(()),), np.empty((2, 0), dtype=complex)  # one piece, no panels
+    tail, tail_err = np.empty(len(cores), dtype=complex), np.empty(len(cores))
+    live = np.arange(len(cores))  # the k still summing
+    terms, qerr = np.empty((2 * live.size, 0), dtype=complex), np.zeros(2 * live.size)
     while True:
         n_panels = terms.shape[1]
         idx = np.arange(n_panels, 2 * n_panels or 16)  # 16 panels a side, then doubling
-        mids = (sides * (X + (idx + 0.5) * half_period)).ravel()
-        vals, errs, _ = _pieces_batch(g, tails, np.zeros(mids.size, dtype=int), mids,
-                                      np.full(mids.size, 0.5 * half_period))
+        waves = [cores[i] for i in live.tolist()]
+        mids = np.concatenate([(sides * (c.X + (idx + 0.5) * c.half_period)).ravel()
+                               for c in waves])
+        halfs = np.repeat([0.5 * c.half_period for c in waves], 2 * idx.size)
+        vals, errs, _ = _pieces_batch(ev, pieces, np.repeat(live, 2 * idx.size), mids, halfs)
         evals += 15 * mids.size
-        terms = np.concatenate([terms, vals.reshape(2, -1)], axis=1)
-        qerr += np.sum(errs.reshape(2, -1), axis=1)
+        terms = np.concatenate([terms, vals.reshape(len(terms), -1)], axis=1)
+        qerr += np.sum(errs.reshape(len(terms), -1), axis=1)
         best, rem = _averaged_limit(np.cumsum(terms, axis=1))
-        if ((rem <= target) | (np.abs(terms[:, -1]) < 1e-305)).all():
-            break
+        target = np.repeat(targets[live], 2)
+        met = ((rem <= target) | (np.abs(terms[:, -1]) < 1e-305)).reshape(-1, 2).all(axis=1)
+        if met.any():  # a k stops once both its tails do
+            tail[live[met]] = best.reshape(-1, 2)[met].sum(axis=1)
+            tail_err[live[met]] = (qerr + rem).reshape(-1, 2)[met].sum(axis=1)
+            rows = ~np.repeat(met, 2)
+            live, terms, qerr = live[~met], terms[rows], qerr[rows]
+            rem, target = rem[rows], target[rows]
+            if not live.size:
+                return core.value + tail, core.err_estimate + tail_err, evals
         if terms.shape[1] >= 4096 or evals >= max_evals:
+            worst = np.argmax(rem / target)
             raise NotConverged(
                 f"fourier tails not converged after {terms.shape[1]} panels per side "
-                f"({evals} evaluations): remainder {np.max(rem):.3e} (target {target:.3e})"
+                f"({evals} evaluations): remainder {rem[worst]:.3e} (target {target[worst]:.3e})"
             )
-
-    value = norm * (core.value + complex(best[0] + best[1]))
-    err = norm * (core.err_estimate + float(np.sum(qerr + rem)))
-    return QuadratureResult(value, err, evals, "fourier-osc")

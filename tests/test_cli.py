@@ -305,8 +305,8 @@ def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
 
 
 def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
-    # one vectorised Bessel-K call per grid point, one Fourier-oracle and one
-    # printed Kummer amplitude per (grid point, k)
+    # one vectorised Bessel-K and one vectorised Fourier-oracle call per grid
+    # point, and one printed Kummer amplitude per (grid point, k)
     def count(name):
         seen, real = [], getattr(cli, name)
 
@@ -323,8 +323,9 @@ def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
     assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.5", "--q-steps", "2",
                    "--out", str(out)) == 0
     assert [q for q, *_ in bessel] == [1.2, 1.5]
+    assert [(q, list(k)) for q, _, k in oracle] == [(1.2, [0.8, 2.0, 0.01]),
+                                                   (1.5, [0.8, 2.0, 0.01])]
     per_k = [(q, k) for q in (1.2, 1.5) for k in (0.8, 2.0, 0.01)]
-    assert [(q, k) for q, _, k in oracle] == per_k
     assert [(q, k) for q, _, k in closed] == per_k
 
 

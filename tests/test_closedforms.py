@@ -19,7 +19,7 @@ from qcoherent.closedforms import (
     overlap_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import NotConverged
+from qcoherent.errors import NotConverged, NumericsError
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import CONVENTION_TOL, SQRT2, StateLabel, beta_roots, normalization_constant
 
@@ -112,6 +112,31 @@ def test_closed_route_is_warning_free_at_the_window_edges():
     for q in (4.9, 4.95):
         exact = real_alpha_norm_squared_exact(q)
         assert abs(norm_squared_closed(q, 0.3) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [700 + 700j, 300 + 3j, 100 + 700j])
+def test_closed_norm_that_underflows_is_refused(alpha):
+    # the closed pass read 0j here, and _closed_moments then divided by it
+    # (a bare ZeroDivisionError)
+    with pytest.raises(NumericsError, match="closed norm came out zero"):
+        norm_squared_closed(1.014, alpha)
+    with pytest.raises(NumericsError, match="closed norm came out zero"):
+        closedforms._closed_moments(1.014, alpha, 1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="the closed pass misses a narrow state far from x = 0 "
+                   "at q = 1.014 and reads 1.06e-8 with no error (ROADMAP item 3)")
+def test_closed_norm_of_a_narrow_state_far_out_real_alpha():
+    exact = real_alpha_norm_squared_exact(1.014)
+    assert abs(norm_squared_closed(1.014, 30.0) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.xfail(strict=True, reason="the closed pass misses a narrow state far from x = 0 "
+                   "at q = 1.014 and reads 8.5e-9 with no error (ROADMAP item 3)")
+def test_closed_norm_of_a_narrow_state_far_out_complex_alpha():
+    oracle = abs(normalization_constant(1.014, 30.0 + 0.2j, tol=1e-12)) ** -2.0
+    assert abs(norm_squared_closed(1.014, 30.0 + 0.2j) - oracle) <= 1e-10 * oracle
 
 
 def test_position_moments_against_density_quadrature():

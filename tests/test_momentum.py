@@ -81,6 +81,77 @@ def test_oracle_continuous_down_to_tiny_k(q, alpha):
             assert abs(got - a0) <= 20.0 * k * abs(a0) + 1e-8
 
 
+# SHA-256 of scalar oracle amplitudes, pinned when the oracle was
+# vectorised over k: a number k keeps the one-k-at-a-time transform's bits
+ORACLE_SHA256 = {
+    (1.5, 0.3 + 0.1j, 0.8, 1e-9):
+        "16793b6567a2e38eed8b100fdfedcdddba38ed4a7c7b855d5e8e53b200bdda1f",
+    (2.2, -1.2 + 0.2j, 2.0, 1e-9):
+        "91c53151d0462cdd542714272a5dd6fe880a77c57f85d33c8546dcfea6c9b972",
+    (1.1, 0.5 - 0.1j, 0.01, 1e-10):
+        "1a52d1ffa27973f2186bb9c1faed7f74752c5e4f7c28ea117cec902e574d70ce",
+}
+
+
+@pytest.mark.parametrize("q, alpha, k, tol", list(ORACLE_SHA256))
+def test_scalar_oracle_keeps_its_frozen_bits(q, alpha, k, tol):
+    got = momentum_amplitude_oracle(q, alpha, k, tol=tol)
+    assert type(got) is complex
+    assert hashlib.sha256(np.complex128(got).tobytes()).hexdigest() == ORACLE_SHA256[
+        q, alpha, k, tol]
+
+
+def _seeded_labels(n):
+    # q in (1.05, 2.3), |alpha| <= 1.5, the window of the moments cross-check
+    rng = np.random.default_rng(20261019)
+    labels = []
+    while len(labels) < n:
+        alpha = complex(*(3.0 * rng.random(2) - 1.5))
+        if abs(alpha) <= 1.5:
+            labels.append((1.05 + 1.25 * rng.random(), alpha))
+    return labels
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_oracle_vector_route_matches_the_scalar_route_and_bessel(tol):
+    # verify's three k take one vector call per grid point.  The shared pass
+    # refines on the union of the k's panels, so trailing digits move: by
+    # about 5e-16 at most over these labels, far below tol
+    ks = np.array([0.8, 2.0, 0.01])
+    for q, alpha in _seeded_labels(100):
+        vector = momentum_amplitude_oracle(q, alpha, ks, tol=tol)
+        scalar = np.array([momentum_amplitude_oracle(q, alpha, k, tol=tol)
+                           for k in ks.tolist()])
+        bessel = momentum_amplitude_bessel(q, alpha, ks, tol=tol)
+        assert np.all(np.abs(vector - scalar) <= 1e-14 * np.maximum(1.0, np.abs(scalar)))
+        for route in (vector, scalar):
+            assert np.all(np.abs(route - bessel) <= 10.0 * tol * np.maximum(1.0, np.abs(bessel)))
+
+
+def test_oracle_k_array_with_zeros_and_a_repeat_is_the_scalar_calls():
+    # one distinct k != 0: the vector call keeps the scalar calls' bits
+    q, alpha = 1.6, 0.4 - 0.2j
+    got = momentum_amplitude_oracle(q, alpha, [0.0, 0.8, -0.0, 0.8])
+    zero, wave = (momentum_amplitude_oracle(q, alpha, k) for k in (0.0, 0.8))
+    assert got.tobytes() == np.array([zero, wave, zero, wave]).tobytes()
+
+
+def test_oracle_returns_a_complex_for_a_number_and_an_array_otherwise():
+    for q in (1.0, 1.5):
+        one = momentum_amplitude_oracle(q, 0.3 + 0.1j, 0.8)
+        many = momentum_amplitude_oracle(q, 0.3 + 0.1j, np.array([0.8, -1.3]))
+        assert type(one) is complex
+        assert isinstance(many, np.ndarray) and many.shape == (2,)
+        assert many[0] == pytest.approx(one, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [[0.8, math.nan], np.array([math.inf, 2.0])])
+def test_oracle_rejects_a_non_finite_k_in_an_array(k):
+    for q in (1.0, 1.5):
+        with pytest.raises(ValueError, match="k must be finite"):
+            momentum_amplitude_oracle(q, 0.3, k)
+
+
 def test_oracle_refuses_a_huge_k_before_allocating():
     # the Fourier core's half-period panels overran numpy's array size
     with pytest.raises(NotConverged, match="more than max_evals"):

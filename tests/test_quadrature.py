@@ -8,6 +8,7 @@ transform) evaluated through the standard library, never from the package's
 own physics layer.
 """
 
+import hashlib
 import math
 import re
 
@@ -431,19 +432,66 @@ def test_fourier_gaussian_k_zero():
 
 
 def test_fourier_gaussian_self_transform():
-    for k in (0.4, 1.0, 2.7, -1.3):
+    ks = (0.4, 1.0, 2.7, -1.3, 0.01)
+    for k in ks:
         r = fourier_transform_line(lambda x: np.exp(-0.5 * x * x), k, tol=1e-11)
         assert r.value == pytest.approx(math.exp(-0.5 * k * k), rel=1e-9, abs=1e-12)
+    # all at once: one pass whose cores end at different X_k
+    r = fourier_transform_line(lambda x: np.exp(-0.5 * x * x), np.array(ks), tol=1e-11)
+    np.testing.assert_allclose(r.value, np.exp(-0.5 * np.square(ks)), rtol=1e-9, atol=1e-12)
 
 
 def test_fourier_lorentzian_known_transform():
     # algebraic decay + oscillation: transform of 1/(1+x^2) is
     # sqrt(pi/2) e^{-|k|}
-    for k in (0.5, 2.0):
+    for k in (0.5, 2.0, np.array([0.5, -2.0, 0.03, 5.0])):
         r = fourier_transform_line(lambda x: 1.0 / (1.0 + x * x), k, tol=1e-9)
-        want = math.sqrt(math.pi / 2.0) * math.exp(-abs(k))
-        assert r.value.real == pytest.approx(want, rel=1e-7)
-        assert abs(r.value.imag) < 1e-9
+        want = math.sqrt(math.pi / 2.0) * np.exp(-np.abs(k))
+        np.testing.assert_allclose(r.value.real, want, rtol=1e-7)
+        assert np.all(np.abs(r.value.imag) < 1e-9)
+
+
+def _sha256(*values):
+    h = hashlib.sha256()
+    for v in values:
+        h.update(np.asarray(v, dtype=complex).tobytes())
+    return h.hexdigest()
+
+
+def test_scalar_fourier_keeps_its_frozen_bits():
+    # a number k runs through the one-k case of the vector pass; these are
+    # the (value, err_estimate, evaluations) of the one-k-at-a-time transform
+    r = fourier_transform_line(lambda x: np.exp(-0.5 * x * x), -1.3, tol=1e-11)
+    assert (_sha256(r.value, r.err_estimate, r.evaluations)
+            == "e940804b0bc94cbf34f7817cef8308307cf0b1b166f37edeeab72773f8ef4eeb")
+    r = fourier_transform_line(lambda x: 1.0 / (1.0 + x * x), 2.0, tol=1e-9)
+    assert (_sha256(r.value, r.err_estimate, r.evaluations)
+            == "c13eda0c6b41ab06eaa8e0f51503943eaf38b43918b136bed62683a6da998e1c")
+
+
+def test_fourier_k_array_with_zeros_and_a_repeat_is_the_scalar_calls():
+    # k = 0 entries are one line integral, and a repeated k one transform:
+    # with a single distinct k != 0 both keep the scalar calls' bits
+    def f(x):
+        return 1.0 / (1.0 + x * x)
+
+    zero, wave = (fourier_transform_line(f, k, tol=1e-9) for k in (0.0, 1.5))
+    got = fourier_transform_line(f, np.array([0.0, 1.5, 1.5, -0.0]), tol=1e-9)
+    assert got.value.tobytes() == np.array([zero.value, wave.value, wave.value,
+                                            zero.value]).tobytes()
+    assert got.err_estimate.tobytes() == np.array([zero.err_estimate, wave.err_estimate,
+                                                   wave.err_estimate,
+                                                   zero.err_estimate]).tobytes()
+    assert got.evaluations == zero.evaluations + wave.evaluations
+    assert (got.method, zero.method, wave.method) == ("fourier-osc", "fourier-k0", "fourier-osc")
+
+
+@pytest.mark.parametrize("k", [0.0, 0.7, [0.0, 0.0], [0.7, -2.0, 0.0], []])
+def test_fourier_evaluations_stay_an_int(k):
+    # the benchmark's tracer reads evaluations only when it is an int
+    r = fourier_transform_line(lambda x: np.exp(-x * x), k)
+    assert type(r.evaluations) is int
+    assert np.shape(r.value) == np.shape(r.err_estimate) == np.shape(k)
 
 
 def test_fourier_tails_are_one_stream():
@@ -504,10 +552,16 @@ def test_integrators_reject_a_tol_that_is_not_positive_and_finite(tol):
             call()
 
 
-@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, np.array([0.5, math.nan]),
+                               np.array([math.inf, 0.0, 1.0])])
 def test_fourier_rejects_a_non_finite_k(k):
     with pytest.raises(ValueError, match="k must be finite"):
         fourier_transform_line(lambda x: np.exp(-x * x), k)
+
+
+def test_fourier_rejects_a_k_array_of_two_dimensions():
+    with pytest.raises(ValueError, match="k must be a number or a 1-d array"):
+        fourier_transform_line(lambda x: np.exp(-x * x), np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("width", [math.inf, math.nan, 0.0, -16.0])
@@ -533,6 +587,24 @@ def test_fourier_refuses_a_core_past_its_budget_before_building_it(k, max_evals)
     with pytest.raises(NotConverged, match="half-period panels of 15 nodes, more than max_evals"):
         fourier_transform_line(f, k, max_evals=max_evals)
     assert calls == []
+
+
+def test_fourier_refuses_cores_that_overrun_the_budget_together():
+    # alone, each core's seed panels fit in 10_000 evaluations (7650 and
+    # 9180 nodes); the two together do not, and no evaluator call is made
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(-x * x)
+
+    with pytest.raises(NotConverged, match="half-period panels of 15 nodes, more than max_evals"):
+        fourier_transform_line(f, np.array([50.0, 0.0, 60.0]), max_evals=10_000)
+    assert calls == []
+    # k and -k share one core, which fits
+    r = fourier_transform_line(lambda x: np.exp(-x * x), np.array([50.0, -50.0]),
+                               max_evals=10_000)
+    assert r.value[0] == pytest.approx(r.value[1].conjugate(), abs=1e-12)
 
 
 def test_fourier_divergent_tail_raises():
