@@ -58,9 +58,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConventionMismatch, OutOfValidityWindow
+from .errors import ConventionMismatch
 from .specfun import _euler_integral, _log_gamma_ratio_half
-from .states import Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots, require_alpha
+from .states import (Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots,
+                     _require_open_window, require_alpha)
 
 __all__ = [
     "CALIBRATION_ANCHOR_Q",
@@ -187,11 +188,6 @@ def calibrated_reflection() -> bool:
     return winner
 
 
-def _window(q: float, upper: float, what: str) -> None:
-    if not (1.0 < q < upper):
-        raise OutOfValidityWindow(f"{what} needs 1 < q < {upper:.6g}; got q={q:.6g}")
-
-
 def _moment_terms(alpha: complex) -> dict:
     """The (bra_shift, ket_shift, coeffs) terms of the numerators of n2,
     <x>, <x^2>, <p> and <p^2>, keyed "n2", "x", "x2", "p", "p2".
@@ -226,7 +222,7 @@ def _closed_moments(q: float, alpha: complex, tol: float):
 def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:
     """int |psi_un|^2 dx in closed form (q < 5), at min(tol, 1e-10): the
     norm divides every normalised quantity."""
-    _window(q, Q_NORMALIZABLE_MAX, "closed-form norm")
+    _require_open_window(q, Q_NORMALIZABLE_MAX, "closed-form norm")
     alpha = require_alpha(alpha)
     return _whole_norm(_norm_halves(q, alpha, alpha, min(tol, 1e-10)), q, alpha)
 
@@ -235,7 +231,7 @@ def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
                    tol: float = 1e-10) -> complex:
     """int conj(psi_un[alpha_a]) psi_un[alpha_b] dx in closed form (q < 5):
     the norm's row across two states, at the norm's min(tol, 1e-10)."""
-    _window(q, Q_NORMALIZABLE_MAX, "closed-form overlap")
+    _require_open_window(q, Q_NORMALIZABLE_MAX, "closed-form overlap")
     alpha_a, alpha_b = require_alpha(alpha_a), require_alpha(alpha_b)
     return _whole(_norm_halves(q, alpha_a, alpha_b, min(tol, 1e-10)))
 
@@ -249,6 +245,6 @@ def real_alpha_norm_squared_exact(q: float) -> float:
     independent of alpha (the shift x -> x + sqrt2 alpha removes it).
     Pins the Lauricella route against something derived with no shared code.
     """
-    _window(q, Q_NORMALIZABLE_MAX, "real-alpha exact norm")
+    _require_open_window(q, Q_NORMALIZABLE_MAX, "real-alpha exact norm")
     p = 1.0 / (q - 1.0)
     return math.sqrt(2.0 * math.pi / (q - 1.0)) * math.exp(_log_gamma_ratio_half(2.0 * p))

@@ -44,11 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfValidityWindow
 from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
-from .states import (SQRT2, _bracket_sr, _psi_un, _root_c, normalization_constant,
-                     require_alpha, require_window)
+from .states import (SQRT2, _bracket_sr, _psi_un, _require_open_window, _root_c,
+                     normalization_constant, require_alpha, require_window)
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -245,10 +244,7 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
     """
     if k == 0.0 or not math.isfinite(k):
         raise ValueError("the printed closed form is defined for finite k != 0 only")
-    if not (1.0 < q < Q_MOMENTUM_MAX):
-        raise OutOfValidityWindow(
-            f"closed momentum amplitude needs 1 < q < 3; got q={q:.6g}"
-        )
+    _require_open_window(q, Q_MOMENTUM_MAX, "closed momentum amplitude")
     from scipy.special import loggamma
 
     alpha = require_alpha(alpha)

@@ -7,10 +7,11 @@ scaling, global adaptive bisection, and batched (vectorised) panel
 evaluation.  Each integral is one adaptive pass: its pieces (plain
 stretches, graded sides of singularity hints, substituted tails) share one
 error target, one evaluation budget and one evaluator.  A piece does not
-wrap the integrand: it maps its own nodes to the points where the
-integrand is sampled and finishes the values there with its Jacobian, so
-each generation of the pass (one round of panel splitting) costs one
-evaluator call and one G7/K15 reduction however many pieces it spans.
+wrap the integrand: it maps a run of its own nodes once, to the points
+where the integrand is sampled and to a finish that turns the values there
+into the piece's integrand (its Jacobian), so each generation of the pass
+(one round of panel splitting) costs one evaluator call and one G7/K15
+reduction however many pieces it spans, and one map per piece it touches.
 A batch over several pieces is taken as one contiguous run of panels per
 piece and scattered back into panel order for the reduction, and a pass
 whose seed panels never change (the hint-free line, the Euler halves)
@@ -189,38 +190,37 @@ class _Piece(NamedTuple):
     """One piece of an adaptive pass, in its own variable v.
 
     edges   the initial panel edges in v
-    points  maps nodes v to the points where the pass's shared evaluator
-            is sampled
-    finish  (v, values there) -> the piece's integrand at v: the Jacobian
-            of the map, and zeros for lanes the piece leaves out
+    sample  maps a run of nodes v once: v -> (points, finish), the points
+            where the pass's shared evaluator is sampled, and finish, which
+            turns the values there into the piece's integrand at v (the
+            Jacobian of the map, and zeros for lanes the piece leaves out)
     """
 
     edges: Sequence[float]
-    points: Callable[[np.ndarray], np.ndarray]
-    finish: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    sample: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
 def _plain(edges) -> _Piece:
     """A stretch integrated in x itself."""
-    return _Piece(edges, lambda v: v, lambda v, fx: fx)
+    return _Piece(edges, lambda v: (v, lambda fx: fx))
 
 
 def _pieces_batch(ev, pieces, owner, mids, halfs):
     """The G7/K15 pair on a batch of panels, panel i belonging to
-    pieces[owner[i]]: one ev call on the points of every piece's nodes,
-    each piece's finish on its share of the values, one reduction.  A
-    batch that spans several pieces is taken as contiguous runs, one per
-    piece: a stable sort by owner, a slice per run, and one inverse
-    scatter that puts the values back in panel order before the
-    reduction, so each panel gets the same values as piece by piece.  A
-    non-finite value is reported at its point of ev, not at its v."""
+    pieces[owner[i]]: one ``sample`` call per piece on the run of its
+    nodes, one ev call on the points of every run, each run's finish on
+    its share of the values, one reduction.  A batch that spans several
+    pieces is taken as contiguous runs, one per piece: a stable sort by
+    owner, a slice per run, and one inverse scatter that puts the values
+    back in panel order before the reduction, so each panel gets the same
+    values as piece by piece.  A non-finite value is reported at its point
+    of ev, not at its v."""
     v = mids[:, None] + halfs[:, None] * _XK[None, :]
     first = owner[0]
     if (owner == first).all():  # one piece: one run, nothing to sort
-        piece, nodes = pieces[first], v.ravel()
-        at = piece.points(nodes)
+        at, finish = pieces[first].sample(v.ravel())
         fx = np.asarray(ev(at))
-        out = np.asarray(piece.finish(nodes, fx), dtype=complex)
+        out = np.asarray(finish(fx), dtype=complex)
         return _gk_reduce(out.reshape(fx.shape[:-1] + v.shape), halfs,
                           lambda: at.reshape(v.shape))
     order = np.argsort(owner, kind="stable")
@@ -228,14 +228,14 @@ def _pieces_batch(ev, pieces, owner, mids, halfs):
     runs, start = [], 0
     for piece, stop in zip(pieces, np.bincount(owner, minlength=len(pieces)).cumsum().tolist()):
         if stop > start:
-            runs.append((piece, v[start:stop].ravel()))
+            runs.append(piece.sample(v[start:stop].ravel()))
         start = stop
-    at = np.concatenate([piece.points(nodes) for piece, nodes in runs])
+    at = np.concatenate([points for points, _ in runs])
     fx = np.asarray(ev(at))
     parts, start = [], 0
-    for piece, nodes in runs:
-        parts.append(piece.finish(nodes, fx[..., start:start + nodes.size]))
-        start += nodes.size
+    for points, finish in runs:
+        parts.append(finish(fx[..., start:start + points.size]))
+        start += points.size
     out = np.empty(fx.shape[:-1] + v.shape, dtype=complex)
     out[..., order, :] = np.concatenate(parts, axis=-1).reshape(out.shape)
 
@@ -331,8 +331,6 @@ def _adaptive(pieces, ev, tol, max_evals, method, layout=None):
             )
         score = (errs * weight[..., None]).reshape(-1, len(halfs)).max(axis=0)
         pick = splittable & (score >= 0.5 * score[splittable].max())
-        if not pick.any():  # pragma: no cover - pick always holds the max
-            pick = splittable
         keep = ~pick
         picked, quarter = mids[pick], 0.5 * halfs[pick]
         new_mids = np.concatenate([picked - quarter, picked + quarter])
@@ -366,17 +364,19 @@ def _graded(hint: float, w: float) -> _Piece:
     by the Jacobian 4|w| v**3."""
     g = _HINT_GAMMA
 
-    def points(v):
-        return hint + w * v ** g
+    def sample(v):
+        u = hint + w * v ** g
 
-    def finish(v, fu):
-        if not np.isfinite(fu).all():
-            finite = np.isfinite(np.reshape(fu, (-1, v.size))).all(axis=0)
-            raise NotConverged(f"integrand returned non-finite values near "
-                               f"u={points(v)[~finite][:3]} (graded towards the hint {hint})")
-        return fu * (g * abs(w) * v ** (g - 1.0))
+        def finish(fu):
+            if not np.isfinite(fu).all():
+                finite = np.isfinite(np.reshape(fu, (-1, v.size))).all(axis=0)
+                raise NotConverged(f"integrand returned non-finite values near "
+                                   f"u={u[~finite][:3]} (graded towards the hint {hint})")
+            return fu * (g * abs(w) * v ** (g - 1.0))
 
-    return _Piece(_UNIT_EDGES, points, finish)
+        return u, finish
+
+    return _Piece(_UNIT_EDGES, sample)
 
 
 def _pieces(bounds, hints) -> list[_Piece]:
@@ -500,15 +500,16 @@ def _tail_piece(side: float, p_hat: float) -> _Piece:
     gamma = max(1, math.ceil(2.5 / (p_hat - 1.0)))
     v_floor = (_LINE_CORE / _X_TOP) ** (1.0 / gamma)
 
-    def points(v):
-        return side * _LINE_CORE * np.where(v > v_floor, v, 1.0) ** (-float(gamma))
-
-    def finish(v, fx):
+    def sample(v):
         safe = v > v_floor
-        jac = gamma * _LINE_CORE * np.where(safe, v, 1.0) ** (-float(gamma) - 1.0)
-        return np.where(safe, fx * jac, 0.0)
+        at = np.where(safe, v, 1.0)
 
-    return _Piece(_UNIT_EDGES, points, finish)
+        def finish(fx):
+            return np.where(safe, fx * (gamma * _LINE_CORE * at ** (-float(gamma) - 1.0)), 0.0)
+
+        return side * _LINE_CORE * at ** (-float(gamma)), finish
+
+    return _Piece(_UNIT_EDGES, sample)
 
 
 # The hint-free line's core pieces, and its seed layouts with 0, 1 and 2 tails
@@ -568,12 +569,11 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
 
     hints = {float(s) for s in spec.singularities if -_LINE_CORE < s < _LINE_CORE}
     tails = [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
+    # the core and the seed layout are the same on every hint-free line
+    core, layout = _LINE_PIECES, _LINE_LAYOUTS[len(tails)]
     if hints:
-        pieces = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints) + tails
-        res = _adaptive(pieces, ev, 0.5 * tol, max_evals, "gk-line")
-    else:  # the core and the seed layout are the same on every hint-free line
-        res = _adaptive(_LINE_PIECES + tails, ev, 0.5 * tol, max_evals, "gk-line",
-                        _LINE_LAYOUTS[len(tails)])
+        core, layout = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints), None
+    res = _adaptive(core + tails, ev, 0.5 * tol, max_evals, "gk-line", layout)
     beyond = sum(_beyond_top_bound(p_hat, f_outer) for _, p_hat, f_outer in sides)
     target = 0.5 * tol * np.maximum(1.0, np.abs(res.value))
     if np.any(beyond > target):
@@ -619,7 +619,7 @@ class _Wave(NamedTuple):
 def _phased(k: float) -> _Piece:
     """The half-period panels of one k's tails, in x itself: their finish
     turns the shared values f(x) into f(x) e^(-ikx)."""
-    return _Piece((), lambda v: v, lambda v, fx: fx * np.exp(-1j * k * v))
+    return _Piece((), lambda v: (v, lambda fx: fx * np.exp(-1j * k * v)))
 
 
 def fourier_transform_line(f, k, tol: float = 1e-10,

@@ -39,9 +39,9 @@ in log space, and any number of rows, each with its own exponents a and
 c, on shared nodes.  Each half is graded to a smooth endpoint power
 (``_grade``): not at all where every row's exponent on that side is a
 positive integer, else by the power that lifts the smallest exponent to at
-least 5.  Each half maps a generation's nodes once (``_EulerHalf``): the
-points handed to log f and the row factors of the finish share one node
-map.  The closed forms of
+least 5.  Each half is a node map (``_euler_half``) that a piece of the
+pass takes once per run of nodes: the points handed to log f and the row
+factors of the finish come from that one map.  The closed forms of
 ``closedforms`` run all rows of a state through it at once; F_D and Kummer
 are its one-row callers and add the Gamma prefactor.
 
@@ -219,38 +219,45 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     roughest end factor v^(g*e-1) is v^4 (down to v^0.5 at the cap
     g = 1000), and an exponent below 0.0015 raises NotConverged.  The
     integrand is formed in log space, with log t = log(1/2) + g log v, so
-    u^(a-1) never underflows to 0.  Each half maps a generation's nodes
-    once (``_EulerHalf``): its points and its finish take the same node
-    array from ``_pieces_batch`` and share log v, t and log1p(-t).  Each
-    row is divided by exp of its largest probe log-magnitude (33 nodes a
-    half, both halves in one log_f call), which is restored only on the
-    result; a result that overflows, or a scaled node value that would (a
-    peak between the probe nodes), raises NotConverged.  Each half starts
-    from ``_UNIT_EDGES``' four panels.
+    u^(a-1) never underflows to 0.  Each half maps a run of nodes once
+    (``_euler_half``): its points and its finish share log v, t and
+    log1p(-t), and nothing is kept between runs.  Each row is divided by
+    exp of its largest probe log-magnitude (33 nodes a half, both halves
+    in one log_f call), which is restored only on the result; a result
+    that overflows, or a scaled node value that would (a peak between the
+    probe nodes), raises NotConverged.  Each half starts from
+    ``_UNIT_EDGES``' four panels.
     """
     _check_tol(tol)
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     ca = c - a
     size = max(1.0, float(np.abs(np.concatenate([a, c])).max()))
     exponents = a[:, None] - 1.0, ca[:, None] - 1.0
-    halves = (_EulerHalf(_grade(a, size, "a", method), False, *exponents),
-              _EulerHalf(_grade(ca, size, "c-a", method), True, *exponents))
+    halves = (_euler_half(_grade(a, size, "a", method), False, *exponents),
+              _euler_half(_grade(ca, size, "c-a", method), True, *exponents))
     n = _EULER_PROBE.size
-    log_fu = log_f(np.concatenate([h.points(_EULER_PROBE) for h in halves]))
-    log_scale = np.maximum(halves[0].log_rows(_EULER_PROBE, log_fu[:, :n]).real.max(axis=1),
-                           halves[1].log_rows(_EULER_PROBE, log_fu[:, n:]).real.max(axis=1))
+    (u_left, rows_left), (u_right, rows_right) = (h(_EULER_PROBE) for h in halves)
+    log_fu = log_f(np.concatenate([u_left, u_right]))
+    log_scale = np.maximum(rows_left(log_fu[:, :n]).real.max(axis=1),
+                           rows_right(log_fu[:, n:]).real.max(axis=1))
 
-    def finish(half):
-        def rows(v, log_fu):
-            log_rel = half.log_rows(v, log_fu)
-            log_rel -= log_scale[:, None]
-            if log_rel.real.max() > _LOG_MAX:  # a peak the probe missed, past the doubles
-                raise NotConverged(f"Euler integral overflows double precision ({method})")
-            return np.exp(log_rel, out=log_rel)
-        return rows
+    def piece(half):  # each row's integrand over its probe peak exp(log_scale)
+        def sample(v):
+            u, log_rows = half(v)
 
-    pieces = [_Piece(_UNIT_EDGES, h.points, finish(h)) for h in halves]
-    res = _adaptive(pieces, log_f, 0.5 * tol, 1_000_000, method, _EULER_LAYOUT)
+            def finish(log_fu):
+                log_rel = log_rows(log_fu)
+                log_rel -= log_scale[:, None]
+                if log_rel.real.max() > _LOG_MAX:  # a peak the probe missed, past the doubles
+                    raise NotConverged(f"Euler integral overflows double precision ({method})")
+                return np.exp(log_rel, out=log_rel)
+
+            return u, finish
+
+        return _Piece(_UNIT_EDGES, sample)
+
+    res = _adaptive([piece(h) for h in halves], log_f, 0.5 * tol, 1_000_000, method,
+                    _EULER_LAYOUT)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)
         value, err = scale * res.value, scale * res.err_estimate
@@ -259,48 +266,38 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     return QuadratureResult(value, err, res.evaluations, method)
 
 
-class _EulerHalf:
-    """One half of an Euler pass: u = v^g/2 (left) or 1 - v^g/2 (right).
+def _euler_half(g: int, right: bool, am1, cam1):
+    """One half of an Euler pass, u = v^g/2 (left) or 1 - v^g/2 (right),
+    as a node map v -> (u, log_rows).
 
-    ``points`` and ``log_rows`` take the same node array from
-    ``_pieces_batch`` in one generation, so the node map (u, log u,
-    log(1-u) and (g-1) log v, from log v, t = v^g/2 and log1p(-t)) is kept
-    for the last node array and taken once per generation.  am1 and cam1
-    are the rows' exponent columns a-1 and c-a-1.
+    The map takes log v, t = v^g/2 and log1p(-t) once; log_rows(log_fu)
+    turns log f at u into each row's log integrand at v: the end factors
+    (a-1) log u and (c-a-1) log(1-u), log f and the Jacobian
+    log(g/2) + (g-1) log v, summed in this order.  am1 and cam1 are the
+    rows' exponent columns a-1 and c-a-1.
     """
+    log_half_g = math.log(0.5 * g)
 
-    def __init__(self, g: int, right: bool, am1, cam1):
-        self.g, self.right, self.am1, self.cam1 = g, right, am1, cam1
-        self.log_half_g = math.log(0.5 * g)
-        self.nodes = None
-
-    def _map(self, v):
-        if v is self.nodes:
-            return
+    def sample(v):
         log_v = np.log(v)
-        log_t = math.log(0.5) + self.g * log_v
+        log_t = math.log(0.5) + g * log_v
         t = np.exp(log_t)
-        if self.right:
-            self.u, self.log_u, self.log_1mu = 1.0 - t, np.log1p(-t), log_t
+        if right:
+            u, log_u, log_1mu = 1.0 - t, np.log1p(-t), log_t
         else:
-            self.u, self.log_u, self.log_1mu = t, log_t, np.log1p(-t)
-        self.log_v_power = (self.g - 1) * log_v
-        self.nodes = v
+            u, log_u, log_1mu = t, log_t, np.log1p(-t)
 
-    def points(self, v):
-        self._map(v)
-        return self.u
+        def log_rows(log_fu):
+            out = am1 * log_u
+            out += cam1 * log_1mu
+            out += log_fu
+            out += log_half_g
+            out += (g - 1) * log_v
+            return out
 
-    def log_rows(self, v, log_fu):
-        """Each row's log integrand at v: the end factors, log f and the
-        Jacobian log(g/2) + (g-1) log v, summed in this order."""
-        self._map(v)
-        out = self.am1 * self.log_u
-        out += self.cam1 * self.log_1mu
-        out += log_fu
-        out += self.log_half_g
-        out += self.log_v_power
-        return out
+        return u, log_rows
+
+    return sample
 
 
 def _euler_value(log_f, a: complex, c: complex, tol: float, method: str) -> QuadratureResult:

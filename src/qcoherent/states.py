@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +73,13 @@ def require_window(q: float, upper: float, what: str) -> None:
         raise OutOfValidityWindow(
             f"{what} requires 1 <= q < {upper:.6g}; got q={q:.6g}"
         )
+
+
+def _require_open_window(q: float, upper: float, what: str) -> None:
+    """Raise OutOfValidityWindow unless 1 < q < upper: the closed forms,
+    which have no q = 1 sentinel."""
+    if not (1.0 < q < upper):
+        raise OutOfValidityWindow(f"{what} needs 1 < q < {upper:.6g}; got q={q:.6g}")
 
 
 def require_alpha(alpha) -> complex:
@@ -338,20 +345,19 @@ class StateLabel:
     """Immutable (q, alpha) label with its normalisation precomputed.
 
     The constant is evaluated eagerly so instances are cheap to share
-    across threads; ``psi`` evaluates the normalised wavefunction.
+    across threads; ``psi`` evaluates the normalised wavefunction.  It is
+    not an argument: every label, ``dataclasses.replace`` copies included,
+    computes its own from its q and alpha.
     """
 
     q: float
     alpha: complex
-    norm_constant: complex = 0.0 + 0.0j
+    norm_constant: complex = field(init=False)
 
     def __post_init__(self):
         require_window(self.q, Q_NORMALIZABLE_MAX, "StateLabel")
         object.__setattr__(self, "alpha", require_alpha(self.alpha))
-        if self.norm_constant == 0.0:
-            object.__setattr__(
-                self, "norm_constant", normalization_constant(self.q, self.alpha)
-            )
+        object.__setattr__(self, "norm_constant", normalization_constant(self.q, self.alpha))
 
     def psi(self, x):
         """Normalised wavefunction, vectorised over finite x."""
@@ -390,10 +396,11 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
     raw = closedforms.overlap_closed(q, a.alpha, b.alpha, tol=tol)
     val = a.norm_constant * b.norm_constant * raw
     ref = overlap(a, b, method="oracle", tol=tol)
-    scale = max(abs(ref), 1e-12)
-    if abs(val - ref) / scale > CONVENTION_TOL:
+    dev = abs(val - ref) / max(abs(ref), 1e-12)
+    if dev > CONVENTION_TOL:
         raise ConventionMismatch(
-            f"closed-form overlap deviates by {abs(val - ref) / scale:.3e}"
+            f"closed-form overlap deviates from oracle by {dev:.3e} at q={q}, "
+            f"alpha_a={a.alpha}, alpha_b={b.alpha}"
         )
     return val
 

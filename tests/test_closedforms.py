@@ -19,7 +19,7 @@ from qcoherent.closedforms import (
     overlap_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import NotConverged, NumericsError
+from qcoherent.errors import ConventionMismatch, NotConverged, NumericsError
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import CONVENTION_TOL, SQRT2, StateLabel, beta_roots, normalization_constant
 
@@ -70,6 +70,36 @@ def test_calibration_selects_reflection_term():
     # single-anchor decision: the whole-line convention (with the
     # reflected hypergeometric term) is what matches the oracle
     assert calibrated_reflection() is True
+
+
+@pytest.fixture
+def fresh_calibration():
+    # the calibration is cached for the process: run it afresh, and leave
+    # no result of a patched run behind
+    calibrated_reflection.cache_clear()
+    yield
+    calibrated_reflection.cache_clear()
+
+
+@pytest.mark.parametrize("dev, refused", [(0.9, False), (1.1, True)])
+def test_calibration_refuses_an_anchor_gap_past_1e_8(monkeypatch, fresh_calibration,
+                                                      dev, refused):
+    # both anchor halves scaled so the reflected convention, the winner, is
+    # off the oracle by dev * 1e-8
+    q, alpha = closedforms.CALIBRATION_ANCHOR_Q, closedforms.CALIBRATION_ANCHOR_ALPHA
+    oracle = closedforms._norm_integral(q, alpha.real, alpha.imag, 1e-12)
+    halves = closedforms._norm_halves
+
+    def off(*args):
+        plus_minus = halves(*args)
+        return plus_minus * (oracle * (1.0 + dev * 1e-8) / plus_minus.sum())
+
+    monkeypatch.setattr(closedforms, "_norm_halves", off)
+    if refused:
+        with pytest.raises(ConventionMismatch, match="neither closed-form convention"):
+            calibrated_reflection()
+    else:
+        assert calibrated_reflection() is True
 
 
 def test_halfline_variant_disagrees_at_anchor():

@@ -9,12 +9,14 @@ import pytest
 from qcoherent import closedforms, moments, momentum, specfun
 from qcoherent.errors import ConventionMismatch, NotConverged, OutOfValidityWindow, SlowDecay
 from qcoherent.moments import (
+    IMAG_TOL,
     MomentReport,
     moments_closed,
     moments_oracle,
     uncertainty_product,
 )
 from qcoherent.quadrature import IntegrandSpec
+from qcoherent.states import CONVENTION_TOL
 
 # frozen oracle outputs at (q, alpha) = (1.3, 0.3), quadrature tol 1e-11;
 # mean_x is exactly sqrt(2)*alpha by the density's reflection symmetry
@@ -280,6 +282,86 @@ def test_closed_moments_take_one_euler_pass(monkeypatch):
     monkeypatch.setattr(specfun, "_adaptive", counted)
     moments_closed(1.5, 0.4 + 0.1j)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dev, refused", [(0.9, False), (1.1, True)])
+def test_closed_moments_gate_refuses_just_past_convention_tol(monkeypatch, dev, refused):
+    # a closed <x^2> off the oracle's by dev * CONVENTION_TOL (relative to
+    # max(1, |<x^2>|)); every other gap stays at its own small size
+    q, alpha = 1.5, 0.4 + 0.1j
+    want = moments_oracle(q, alpha).mean_x2
+    shifted = want + dev * CONVENTION_TOL * max(1.0, abs(want))
+    closed = closedforms._closed_moments
+
+    def off(*args):
+        n2, (x, _, p, p2), halves = closed(*args)
+        return n2, (x, complex(shifted), p, p2), halves
+
+    monkeypatch.setattr(closedforms, "_closed_moments", off)
+    if refused:
+        with pytest.raises(ConventionMismatch,
+                           match=r"mean_x2 deviates .* at q=1\.5, alpha=\(0\.4\+0\.1j\)"):
+            moments_closed(q, alpha)
+    else:
+        gap = moments_closed(q, alpha).deviations["mean_x2"]
+        assert gap == pytest.approx(dev * CONVENTION_TOL, rel=1e-6)
+
+
+def _oracle_changed(monkeypatch, change):
+    """moments_oracle at (1.5, 0.4+0.1i) on its six integrals (norm, <x>,
+    <x^2>, <p>, <p^2> and its partner) after change(list of them)."""
+    integrals = moments._oracle_integrals
+
+    def changed(*args):
+        values = list(integrals(*args))
+        change(values)
+        return tuple(values)
+
+    monkeypatch.setattr(moments, "_oracle_integrals", changed)
+    return lambda: moments_oracle(1.5, 0.4 + 0.1j)
+
+
+@pytest.mark.parametrize("size, refused", [(0.9, False), (1.1, True)])
+def test_oracle_refuses_an_imaginary_part_past_imag_tol(monkeypatch, size, refused):
+    def change(v):  # <x^2> gets an imaginary part of size * IMAG_TOL * (1 + |Re|)
+        v[2] = complex(v[2].real, size * IMAG_TOL * (1.0 + abs(v[2].real)))
+
+    run = _oracle_changed(monkeypatch, change)
+    if refused:
+        with pytest.raises(NotConverged, match="mean_x2 should be real"):
+            run()
+    else:
+        assert run().deviations["mean_x2_imag"] > 0.5 * IMAG_TOL
+
+
+@pytest.mark.parametrize("gap, refused", [(0.9e-6, False), (1.1e-6, True)])
+def test_oracle_refuses_a_p2_partner_gap_past_1e_6(monkeypatch, gap, refused):
+    def change(v):  # the partner int -conj(psi) psi'' off int |psi'|^2 by gap
+        v[5] = v[4] * (1.0 + gap)
+
+    run = _oracle_changed(monkeypatch, change)
+    if refused:
+        with pytest.raises(NotConverged, match="two <p\\^2> quadrature routes disagree"):
+            run()
+    else:
+        assert run().deviations["mean_p2_partner_gap"] == pytest.approx(gap, rel=1e-6)
+
+
+@pytest.mark.parametrize("var, refused", [(-1e-9, True), (0.0, True), (1e-9, False)])
+@pytest.mark.parametrize("which", ["x", "p"])
+def test_oracle_refuses_a_non_positive_variance(monkeypatch, which, var, refused):
+    def change(v):  # the second moment set to the first one squared, plus var
+        if which == "x":
+            v[2] = v[1].real * v[1].real + var
+        else:  # both <p^2> routes, so the partner gap stays 0
+            v[4] = v[5] = v[3].real * v[3].real + var
+
+    run = _oracle_changed(monkeypatch, change)
+    if refused:
+        with pytest.raises(NotConverged, match="non-positive variance"):
+            run()
+    else:
+        assert getattr(run(), f"var_{which}") > 0.0
 
 
 def test_uncertainty_product_sentinel_exact():

@@ -15,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from qcoherent import quadrature
+from qcoherent import quadrature, specfun
 from qcoherent.errors import NotConverged, SlowDecay
 from qcoherent.quadrature import (
     IntegrandSpec,
@@ -267,12 +267,53 @@ def test_a_batch_over_several_pieces_is_each_panel_on_its_own(monkeypatch, rows)
     got = quadrature._pieces_batch(ev, pieces, owner, mids, halfs)
     want = []
     for i, m, h in zip(owner, mids, halfs):
-        v = m + h * quadrature._XK
-        want.append(pieces[i].finish(v, ev(pieces[i].points(v))))
+        at, finish = pieces[i].sample(m + h * quadrature._XK)
+        want.append(finish(ev(at)))
     want = np.stack(want, axis=-2).astype(complex)
     assert seen[0].tobytes() == want.tobytes()
     for a, b in zip(got, reduce(want, halfs, None)):
         assert a.tobytes() == b.tobytes()
+
+
+def _sample_log(monkeypatch, module):
+    """Log, for the one adaptive pass that ``module._adaptive`` runs, the
+    number of its pieces, every ``sample`` call by piece index, and the
+    pieces of every batch in run order (sorted by index)."""
+    pieces_seen, samples, runs = [], [], []
+    adaptive, batch = module._adaptive, quadrature._pieces_batch
+
+    def logged(piece, i):
+        return piece._replace(sample=lambda v: samples.append(i) or piece.sample(v))
+
+    def counted_adaptive(pieces, *args, **kwargs):
+        pieces_seen.append(len(pieces))
+        return adaptive([logged(p, i) for i, p in enumerate(pieces)], *args, **kwargs)
+
+    def counted_batch(ev, pieces, owner, *args):
+        runs.append(sorted(set(owner.tolist())))
+        return batch(ev, pieces, owner, *args)
+
+    monkeypatch.setattr(module, "_adaptive", counted_adaptive)
+    monkeypatch.setattr(quadrature, "_pieces_batch", counted_batch)
+    return pieces_seen, samples, runs
+
+
+@pytest.mark.parametrize("route", ["line", "euler"])
+def test_a_piece_maps_each_run_of_its_nodes_once(monkeypatch, route):
+    # one sample call per piece in each generation's batch, and no other:
+    # the points and the finish of a run share that one map
+    if route == "line":  # the core's pieces and both power-substituted tails
+        pieces_seen, samples, runs = _sample_log(monkeypatch, quadrature)
+        # |x|^-1.2 tails: refinement batches split both tails at once
+        integrate_line(lambda x: 1.0 / (1.0 + (x - 0.5) ** 2) ** 0.6, tol=1e-12)
+        assert pieces_seen == [len(quadrature._LINE_PIECES) + 2]
+    else:  # the two graded halves of an F_D integral
+        pieces_seen, samples, runs = _sample_log(monkeypatch, specfun)
+        specfun.lauricella_fd_integral(specfun.LauricellaArgs(
+            0.4, (0.4, 0.3, 0.2, 0.1), 1.2, (0.3, -0.2, 0.1, 0.25)), tol=1e-13)
+        assert pieces_seen == [2]
+    assert runs[0] == list(range(pieces_seen[0])) and len(runs) > 2
+    assert samples == [i for run in runs for i in run]
 
 
 def test_the_hint_free_line_shares_one_seed_layout():

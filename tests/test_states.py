@@ -5,12 +5,15 @@ roots, normalization, overlaps, and the lowering-operator eigenproperty.
 import cmath
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 
+from qcoherent import closedforms
 from qcoherent.errors import (
+    ConventionMismatch,
     NotConverged,
     OutOfValidityWindow,
     PoleHit,
@@ -23,6 +26,7 @@ from qcoherent.moments import moments_closed, moments_oracle, uncertainty_produc
 from qcoherent.momentum import momentum_amplitude_bessel, momentum_amplitude_oracle, momentum_pd
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import (
+    CONVENTION_TOL,
     SQRT2,
     StateLabel,
     apply_aq,
@@ -561,6 +565,50 @@ def test_state_label_caches_unit_norm():
         return (v * np.conj(v)).real
 
     assert integrate_line(dens, tol=1e-9).value.real == pytest.approx(1.0, abs=1e-7)
+
+
+def test_state_label_computes_its_norm_whatever_it_was_copied_from():
+    # the constant is no argument, so a replaced label cannot carry the
+    # old label's constant
+    s = StateLabel(1.5, 0.3 + 0.4j)
+    moved, deformed = replace(s, alpha=2 + 1.5j), replace(s, q=2.2)
+    assert moved.norm_constant == StateLabel(1.5, 2 + 1.5j).norm_constant
+    assert deformed.norm_constant == StateLabel(2.2, 0.3 + 0.4j).norm_constant
+    assert moved.norm_constant.real == pytest.approx(1.4414, abs=1e-4)
+    assert deformed.norm_constant.real == pytest.approx(0.6803, abs=1e-4)
+    with pytest.raises(TypeError):
+        StateLabel(1.5, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("dev, refused", [(0.9, False), (1.1, True)])
+def test_closed_norm_gate_refuses_just_past_convention_tol(monkeypatch, dev, refused):
+    # a closed n2 whose A is off the oracle's by dev * CONVENTION_TOL
+    q, alpha = 1.5, 0.4 + 0.1j
+    a_oracle = normalization_constant(q, alpha).real
+    monkeypatch.setattr(closedforms, "norm_squared_closed",
+                        lambda *args, **kw: (a_oracle * (1.0 + dev * CONVENTION_TOL)) ** -2)
+    if refused:
+        with pytest.raises(ConventionMismatch, match=r"at q=1\.5, alpha=\(0\.4\+0\.1j\)"):
+            normalization_constant(q, alpha, method="closed-form")
+    else:
+        a_closed = normalization_constant(q, alpha, method="closed-form")
+        assert abs(a_closed / a_oracle - 1.0) == pytest.approx(dev * CONVENTION_TOL, rel=1e-6)
+
+
+@pytest.mark.parametrize("dev, refused", [(0.9, False), (1.1, True)])
+def test_closed_overlap_gate_refuses_just_past_convention_tol(monkeypatch, dev, refused):
+    # a closed overlap off the oracle's by dev * CONVENTION_TOL
+    a, b = StateLabel(1.5, 0.4 + 0.1j), StateLabel(1.5, -0.3 + 0.2j)
+    ref = overlap(a, b)
+    raw = ref / (a.norm_constant * b.norm_constant) * (1.0 + dev * CONVENTION_TOL)
+    monkeypatch.setattr(closedforms, "overlap_closed", lambda *args, **kw: raw)
+    if refused:
+        with pytest.raises(ConventionMismatch,
+                           match=r"at q=1\.5, alpha_a=\(0\.4\+0\.1j\), alpha_b=\(-0\.3\+0\.2j\)"):
+            overlap(a, b, method="closed-form")
+    else:
+        got = overlap(a, b, method="closed-form")
+        assert abs(got / ref - 1.0) == pytest.approx(dev * CONVENTION_TOL, rel=1e-6)
 
 
 # -------------------------------------------------------------- overlap
