@@ -14,15 +14,18 @@ into the piece's integrand (its Jacobian), so each generation of the pass
 reduction however many pieces it spans, and one map per piece it touches.
 A batch over several pieces is taken as one contiguous run of panels per
 piece and scattered back into panel order for the reduction, and a pass
-whose seed panels never change (the hint-free line, the Euler halves)
-takes its seed layout from a table built once at import.
+whose seed panels recur (the hint-free line, the Euler halves, a Fourier
+core's wave set) takes its seed layout from a table built once.
 The seed rule: every pass starts at the resolution it reaches anyway, four
 panels on each unit piece (graded hint sides, substituted tails, Euler
-halves) and two edges per octave on the line's core.  A generation's fixed
-numpy work costs as much as fifteen to twenty-five panels, so coarser
-seeds only buy extra generations that split a few panels each.  The
-rule's constants are QUADPACK's qk15 values to full precision.  On top
-of that sit
+halves), a ladder of edges 1 - 2^-j down to the end layer of a graded
+Euler half, and two edges per octave on the line's core.  A generation's
+fixed numpy work costs as much as fifteen to twenty-five panels, so
+coarser seeds only buy extra generations that split a few panels each.
+The end rule: every power-substituted end (tails, Euler halves) is mapped
+to v^4 or smoother (``_END_EXPONENT``); at a rougher end the pass halves
+the end panel one generation at a time.  The rule's constants are
+QUADPACK's qk15 values to full precision.  On top of that sit
 
 * ``integrate_interval`` -- finite interval, optional singularity hints,
 * ``integrate_line``     -- whole real line: adaptive core [-96, 96] plus
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -275,10 +279,10 @@ def _adaptive(pieces, ev, tol, max_evals, method, layout=None):
     (``_Piece``), whose integrals sum to the result.
 
     ``layout`` is the ``_seed_layout`` of the pieces' edges; a caller whose
-    passes all start from the same edges (the hint-free line, the Euler
-    halves) builds it once and passes it in, and any other pass builds its
-    own here.  Each generation costs one call of the shared evaluator
-    ``ev`` on every new panel's points and one G7/K15 reduction.  Its fixed
+    passes start from recurring edges (the hint-free line, the Euler
+    halves, a Fourier core) builds it once and passes it in, and any other
+    pass builds its own here.  Each generation costs one call of the shared
+    evaluator ``ev`` on every new panel's points and one G7/K15 reduction.  Its fixed
     numpy work outweighs that of the panels it adds (on a 2-vCPU VM, some
     140-160 us against 7-10 us a panel), which is why the pieces' seed
     edges are already as fine as a pass gets anyway (``_UNIT_EDGES``,
@@ -351,10 +355,18 @@ def _adaptive(pieces, ev, tol, max_evals, method, layout=None):
 # |u - hint|**s into v**(4s+3), smooth for s >= -3/4 and far better
 # conditioned for any integrable s > -1.
 _HINT_GAMMA = 4.0
+# The end rule of every power-substituted end (the line's tails here, both
+# Euler halves in specfun): an end where the integrand behaves like
+# s^(e-1) ds is mapped by s ~ v^g with g*e >= _END_EXPONENT, so it becomes
+# v^(g*e-1), v^4 or smoother.  At a rougher end (v^0.5, v^1.5) the G7/K15
+# estimate of the end panel shrinks so slowly that the pass halves toward
+# the end one panel pair per generation.
+_END_EXPONENT = 5.0
 # Seed edges of every piece over v in (0, 1): graded hint sides, substituted
-# tails and both Euler halves in specfun.  Four panels, not two: a pass seeded
-# coarser spends its first generations splitting a few panels at a time, and
-# each generation costs far more than the panels it adds.
+# tails and the Euler halves in specfun (which add a ladder toward v = 1 when
+# graded).  Four panels, not two: a pass seeded coarser spends its first
+# generations splitting a few panels at a time, and each generation costs
+# far more than the panels it adds.
 _UNIT_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -489,15 +501,17 @@ def _tail_piece(side: float, p_hat: float) -> _Piece:
     """Piece over v in (0, 1) whose integral is that of f over
     side*[X, X_TOP], via the power substitution x = side*X/v^gamma.
 
-    gamma is chosen from the sampled decay exponent so the transformed
-    integrand behaves like v^(gamma*(p-1)-1) with exponent >= 1.5 at
-    v = 0, smooth enough for plain bisection regardless of how slowly
-    the original tail decays (p > 1).  The orientation works out so no
-    sign flip is needed on either side.  Nodes below v_floor, which map
-    past X_TOP, are sampled at x = side*X instead and read zero in the
-    finish.
+    An |x|^(-p) tail becomes v^(gamma*(p-1)-1) at v = 0.  gamma follows
+    the end rule (``_END_EXPONENT``) at the sampled decay exponent:
+    gamma*(p_hat-1) >= 5, so that end is v^4 or smoother, however slowly
+    the tail decays; at a rougher end, such as v^1.5, the pass halves the
+    panel next to v = 0 one generation at a time.  The orientation works
+    out so no sign flip is needed on either side.  Nodes below v_floor,
+    which map past X_TOP, are sampled at x = side*X instead and read zero
+    in the finish; the mass they leave out is what ``integrate_line``
+    bounds and, for slow tails, refuses.
     """
-    gamma = max(1, math.ceil(2.5 / (p_hat - 1.0)))
+    gamma = max(1, math.ceil(_END_EXPONENT / (p_hat - 1.0)))
     v_floor = (_LINE_CORE / _X_TOP) ** (1.0 / gamma)
 
     def sample(v):
@@ -543,14 +557,21 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     ``_pieces``) and one power-substituted tail piece per side (see
     ``_tail_piece``), all sampled through one evaluator call per
     generation; the tail substitution order comes from the slowest
-    sampled decay exponent (``_decay_probe``, one more call), so algebraic
-    tails as slow as |x|^(-1.01) stay fully resolvable.  Slower decay
-    raises SlowDecay, and so does a tail whose mass past |x| = 1e250, which
-    no panel samples, is bounded (``_beyond_top_bound``) above the pass's
-    target 0.5*tol*max(1, |value|) for some component: the returned
-    err_estimate could not back the request.  Tails already below the
-    double-precision noise floor at the probe radii are dropped as exact
-    zeros.
+    sampled decay exponent (``_decay_probe``, one more call).  A sampled
+    exponent at or below 1.01 raises SlowDecay at once.  So does a tail
+    whose mass past |x| = 1e250, which no panel samples, is bounded
+    (``_beyond_top_bound``) above the pass's target 0.5*tol*max(1, |value|)
+    for some component: the returned err_estimate could not back the
+    request.  That mass is about 10^(-250(p-1))/(p-1) for an |x|^(-p)
+    tail, so the slowest algebraic tails resolved decay like |x|^(-1.035)
+    at tol 1e-8 and |x|^(-1.05) at tol 1e-12; |x|^(-1.02) is refused at
+    both.  An oscillating tail, such as e^(ikx) |x|^(-p), is not resolved:
+    the substitution packs ever more periods into each panel toward
+    v = 0, and the pass spends ``max_evals`` and raises NotConverged.  Its
+    integral is sqrt(2*pi) times ``fourier_transform_line`` of the
+    envelope at -k, which sums the tails from half-period panels.  Tails
+    already below the double-precision noise floor at the probe radii are
+    dropped as exact zeros.
     """
     _check_tol(tol)
     spec = _as_spec(f)
@@ -696,6 +717,24 @@ def fourier_transform_line(f, k, tol: float = 1e-10,
     return QuadratureResult(value, err, evals, "fourier-osc" if cores else "fourier-k0")
 
 
+@lru_cache(maxsize=16)  # a few wave sets recur: verify's k = (0.8, 2, 0.01) at every point
+def _fourier_core(cores, core_halfwidth, hints):
+    """The pieces of the cores' adaptive pass of ``_fourier_waves`` and the
+    read-only seed layout of their edges, built once per distinct wave set
+    (``_Wave`` tuple), ``core_halfwidth`` and hint set: each k's
+    half-period edges over its core, and the geometric ones where a
+    half-period is wider than ``core_halfwidth``."""
+    bounds = set()
+    for _, half_period, n_half, X in cores:
+        bounds |= set(np.linspace(-X, X, 2 * n_half + 1).tolist())
+        if half_period > core_halfwidth:
+            # a state narrower than pi/|k| could sit between the GK nodes of
+            # the half-period panels and read as zero: seed geometric edges
+            bounds |= {s for s in _seed_edges(X) if -X < s < X}
+    pieces = _pieces(sorted(bounds | hints), hints)
+    return pieces, _seed_layout([p.edges for p in pieces])
+
+
 def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
     """The unnormalised transforms of ``fourier_transform_line`` at the
     distinct k != 0 of ``cores`` (``_Wave``): their values, error estimates
@@ -708,16 +747,9 @@ def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
     def g(x):  # each k's component, zero past its own core
         return np.where(np.abs(x) <= reach, ev(x) * np.exp(-1j * kcol * x), 0.0)
 
-    bounds = set()
-    for _, half_period, n_half, X in cores:
-        bounds |= set(np.linspace(-X, X, 2 * n_half + 1).tolist())
-        if half_period > core_halfwidth:
-            # a state narrower than pi/|k| could sit between the GK nodes of
-            # the half-period panels and read as zero: seed geometric edges
-            bounds |= {s for s in _seed_edges(X) if -X < s < X}
-    hints = {float(s) for s in spec.singularities if -top < s < top}
-    core = _adaptive(_pieces(sorted(bounds | hints), hints), g, 0.25 * tol, max_evals,
-                     "fourier-core")
+    hints = frozenset(float(s) for s in spec.singularities if -top < s < top)
+    core_pieces, layout = _fourier_core(tuple(cores), core_halfwidth, hints)
+    core = _adaptive(core_pieces, g, 0.25 * tol, max_evals, "fourier-core", layout)
     evals = core.evaluations
 
     # rows: the +inf and -inf tails of each k still summing, two a k;

@@ -39,9 +39,10 @@ in log space, and any number of rows, each with its own exponents a and
 c, on shared nodes.  Each half is graded to a smooth endpoint power
 (``_grade``): not at all where every row's exponent on that side is a
 positive integer, else by the power that lifts the smallest exponent to at
-least 5.  Each half is a node map (``_euler_half``) that a piece of the
-pass takes once per run of nodes: the points handed to log f and the row
-factors of the finish come from that one map.  The closed forms of
+least 5, and a graded half is seeded down to its end layer at v = 1
+(``_layer_depth``).  Each half is a node map (``_euler_half``) that a
+piece of the pass takes once per run of nodes: the points handed to log f
+and the row factors of the finish come from that one map.  The closed forms of
 ``closedforms`` run all rows of a state through it at once; F_D and Kummer
 are its one-row callers and add the Gamma prefactor.
 
@@ -61,6 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -71,8 +73,8 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import (_UNIT_EDGES, QuadratureResult, _adaptive, _check_tol, _Piece,
-                         _seed_layout)
+from .quadrature import (_END_EXPONENT, _UNIT_EDGES, QuadratureResult, _adaptive, _check_tol,
+                         _Piece, _seed_layout)
 
 __all__ = [
     "LauricellaArgs",
@@ -170,34 +172,68 @@ def _grade(e: np.ndarray, size: float, side: str, method: str) -> int:
 
     If every e is a positive integer to rounding (within 1e-12 times
     ``size``, the largest parameter magnitude the exponents come from),
-    g = 1: the end factor is then a polynomial.  Otherwise
+    g = 1: the end factor is then a polynomial.  Otherwise g follows the
+    end rule that the line's tails follow too (``quadrature._END_EXPONENT``):
     g = ceil(5 / min Re e), which makes every end factor v^(g*e-1) with
     g*e >= 5 for min Re e >= 0.005, where g reaches its cap of 1000.  With a
     rougher factor, such as v^0.5 or v^1.12, the G7/K15 estimate of the end
     panel shrinks so slowly that the adaptive pass halves toward the end
     some 20 times at a 5e-14 target, one generation per halving.
 
-    The map also squeezes everything at u of order one into a layer of
-    width ~1/g at v = 1 (and a row with a larger exponent e' into
-    v^(g*e'-1)), which the nodes stop resolving near g = 10^4: the norm at
-    q = 4.9996 (g = 15000) read 6e-5 off.  So g stops at 1000, and an
-    exponent that g = 1000 leaves singular, g*e < 1.5, is refused rather
-    than integrated: that is min Re e < 0.0015.
+    The map also squeezes everything at u of order one into a layer at
+    v = 1, of width ~1/(g*e') for a row with exponent e' (its factor
+    v^(g*e'-1)); the half's seed ladder reaches down to it
+    (``_layer_depth``).  The nodes stop resolving that layer near g = 10^4:
+    the norm at q = 4.9996 (g = 15000) read 6e-5 off.  So g stops at 1000,
+    and an exponent that g = 1000 leaves singular, g*e < 1.5, is refused
+    rather than integrated: that is min Re e < 0.0015.
     """
     whole = np.round(e.real)
     if (whole >= 1.0).all() and (np.abs(e - whole) <= 1e-12 * size).all():
         return 1
     low = float(e.real.min())
-    g = min(math.ceil(5.0 / low), 1000) if low > 0.0 else 1000
+    g = min(math.ceil(_END_EXPONENT / low), 1000) if low > 0.0 else 1000
     if not g * low >= 1.5:
         raise NotConverged(f"Euler exponent Re {side} = {low:.3g} needs grading power "
                            f"above the cap of 1000 ({method})")
     return g
 
 
-# Both halves start from _UNIT_EDGES, so every Euler pass has the same seed
-# layout, and every pass probes the same 33 nodes a half
-_EULER_LAYOUT = _seed_layout([_UNIT_EDGES] * 2)
+# The deepest seed ladder of an Euler half: its end panel [1 - 2^-47, 1] is
+# the narrowest that ``quadrature._splittable`` still splits at v = 1, so a
+# deeper rung could not be refined at all.  An F_D draw's exponents, and so
+# the depth its layer asks for, are not bounded.
+_LADDER_MAX = 47
+
+
+def _layer_depth(g: int, e: np.ndarray) -> int:
+    """The depth J of a half's seed ladder (``_euler_ladder``): 2^-J is the
+    first power of two at or below 1/(g * max Re e), the width of the layer
+    at v = 1 of the half's steepest row, v^(g*e-1).  J = 2, no ladder, for
+    an ungraded half (g = 1) or a layer no narrower than a seed quarter;
+    at most ``_LADDER_MAX``."""
+    steep = g * float(e.real.max())
+    if g == 1 or steep <= 4.0:
+        return 2
+    return min(math.ceil(math.log2(steep)), _LADDER_MAX)
+
+
+def _euler_ladder(depth: int) -> tuple[float, ...]:
+    """``_UNIT_EDGES`` plus the edges 1 - 2^-j, j = 3 .. depth: the seed of
+    an Euler half down to its end layer.  A seed that stops short of the
+    layer leaves the pass halving toward v = 1 one panel pair per
+    generation."""
+    return _UNIT_EDGES[:-1] + tuple(1.0 - 2.0 ** -j for j in range(3, depth + 1)) + (1.0,)
+
+
+@lru_cache(maxsize=None)  # at most one layout per pair of depths up to _LADDER_MAX
+def _euler_layout(left: int, right: int):
+    """The read-only seed layout of an Euler pass whose halves have these
+    ladder depths, built once per pair."""
+    return _seed_layout([_euler_ladder(left), _euler_ladder(right)])
+
+
+# every pass probes the same 33 nodes a half
 _EULER_PROBE = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
 _EULER_PROBE.flags.writeable = False
 
@@ -226,22 +262,26 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     in one log_f call), which is restored only on the result; a result
     that overflows, or a scaled node value that would (a peak between the
     probe nodes), raises NotConverged.  Each half starts from
-    ``_UNIT_EDGES``' four panels.
+    ``_UNIT_EDGES``' four panels, and a graded half (g > 1) adds the ladder
+    1 - 2^-j down to the width of its steepest row's layer at v = 1
+    (``_layer_depth``), where the pass would otherwise spend a generation
+    per halving.
     """
     _check_tol(tol)
     a, c = np.asarray(a, dtype=complex), np.asarray(c, dtype=complex)
     ca = c - a
     size = max(1.0, float(np.abs(np.concatenate([a, c])).max()))
     exponents = a[:, None] - 1.0, ca[:, None] - 1.0
-    halves = (_euler_half(_grade(a, size, "a", method), False, *exponents),
-              _euler_half(_grade(ca, size, "c-a", method), True, *exponents))
+    g_left, g_right = _grade(a, size, "a", method), _grade(ca, size, "c-a", method)
+    depths = _layer_depth(g_left, a), _layer_depth(g_right, ca)
+    halves = (_euler_half(g_left, False, *exponents), _euler_half(g_right, True, *exponents))
     n = _EULER_PROBE.size
     (u_left, rows_left), (u_right, rows_right) = (h(_EULER_PROBE) for h in halves)
     log_fu = log_f(np.concatenate([u_left, u_right]))
     log_scale = np.maximum(rows_left(log_fu[:, :n]).real.max(axis=1),
                            rows_right(log_fu[:, n:]).real.max(axis=1))
 
-    def piece(half):  # each row's integrand over its probe peak exp(log_scale)
+    def piece(half, depth):  # each row's integrand over its probe peak exp(log_scale)
         def sample(v):
             u, log_rows = half(v)
 
@@ -254,10 +294,10 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
 
             return u, finish
 
-        return _Piece(_UNIT_EDGES, sample)
+        return _Piece(_euler_ladder(depth), sample)
 
-    res = _adaptive([piece(h) for h in halves], log_f, 0.5 * tol, 1_000_000, method,
-                    _EULER_LAYOUT)
+    res = _adaptive([piece(h, d) for h, d in zip(halves, depths)], log_f, 0.5 * tol,
+                    1_000_000, method, _euler_layout(*depths))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)
         value, err = scale * res.value, scale * res.err_estimate

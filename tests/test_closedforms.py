@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qcoherent import closedforms, moments_closed, specfun
+from qcoherent import closedforms, moments_closed, quadrature, specfun
 from qcoherent.closedforms import (
     calibrated_reflection,
     norm_squared_closed,
@@ -312,6 +312,52 @@ def test_closed_pass_leaves_integer_exponents_ungraded(monkeypatch, q):
     assert _closed_pass_evaluations(monkeypatch, q) == [120]
 
 
+def test_graded_euler_halves_are_seeded_down_to_their_end_layer(monkeypatch):
+    # q = 2.2: a graded half (g > 1) maps its steepest row, v^(g*e-1), into
+    # a layer of width ~1/(g * max Re e) at v = 1, and its seed reaches it;
+    # an ungraded half keeps the four quarters.  The layout handed to the
+    # pass is the one its pieces' edges give.
+    calibrated_reflection()
+    grades, passes = [], []
+    grade, adaptive = specfun._grade, specfun._adaptive
+
+    def graded(e, *args):
+        g = grade(e, *args)
+        grades.append((g, float(e.real.max())))
+        return g
+
+    def seen(pieces, *args):
+        passes.append(([p.edges for p in pieces], args[-1]))
+        return adaptive(pieces, *args)
+
+    monkeypatch.setattr(specfun, "_grade", graded)
+    monkeypatch.setattr(specfun, "_adaptive", seen)
+    closedforms._closed_moments(2.2, 0.4 + 0.1j, 1e-9)
+    ((edges, layout),) = passes
+    assert [g > 1 for g, _ in grades] == [True, False]
+    for (g, steep), half in zip(grades, edges):
+        if g == 1:
+            assert tuple(half) == quadrature._UNIT_EDGES
+        else:
+            assert tuple(half[:4]) == quadrature._UNIT_EDGES[:4] and half[-1] == 1.0
+            assert 1.0 - half[-2] <= 1.0 / (g * steep) < 2.0 * (1.0 - half[-2])
+    for a, b in zip(layout, quadrature._seed_layout(edges)):
+        assert a.tobytes() == b.tobytes() and not a.flags.writeable
+
+
+def test_the_euler_ladder_stops_at_the_width_floor():
+    # the deepest rung's end panel is still split by the adaptive pass, one
+    # rung more would not be; a layer beyond it is capped there
+    def splittable(depth):
+        half = 0.5 * 2.0 ** -depth
+        return bool(quadrature._splittable(np.array([1.0 - half]), np.array([half]))[0])
+
+    assert splittable(specfun._LADDER_MAX) and not splittable(specfun._LADDER_MAX + 1)
+    assert specfun._layer_depth(1000, np.array([1e300 + 0j])) == specfun._LADDER_MAX
+    assert specfun._layer_depth(1, np.array([40.0 + 0j])) == 2
+    assert specfun._euler_ladder(2) == quadrature._UNIT_EDGES
+
+
 def _sha256(*values):
     h = hashlib.sha256()
     for v in values:
@@ -319,14 +365,15 @@ def _sha256(*values):
     return h.hexdigest()
 
 
-# SHA-256 of the closed route's outputs, pinned when the Euler pass was
-# last made faster with every output kept to its bit.  A change that moves
-# them must re-pin them and say so.  At q = 2.33 the left half's grading
-# power is 667, so its nodes next to v = 0 underflow to u = 0 exactly.
+# SHA-256 of the closed route's outputs, re-pinned when the graded Euler
+# halves were seeded down to their end layer (the values moved by at most
+# 4.8e-15 relative).  A change that moves them must re-pin them and say so.
+# At q = 2.33 the left half's grading power is 667, so its nodes next to
+# v = 0 underflow to u = 0 exactly.
 MOMENTS_SHA256 = {
     (1.4, 0.3 + 0.1j): "361da816a523567e2f36e86a1e0c004c6c3c22898a0650c315f9947ddb826010",
-    (1.77, -1.2 + 0.4j): "482dd1540429e63a17c2508b966b4c82cc2c7ad4fb2277058f82525f520a07cb",
-    (2.33, 0.3 + 0.2j): "d1920664efce45944b90ed35d516c60749b4ade119e7d3d2d37886f2d6d68780",
+    (1.77, -1.2 + 0.4j): "6d05b00537da805025d2a7a2fac2aea887886543e8df4a70e16a13c08c87f9fe",
+    (2.33, 0.3 + 0.2j): "d75d42bc75b76f1508d9f6783fc2b8e75561c0b3f77d5d951d97127e6dda8dda",
 }
 
 
@@ -338,14 +385,14 @@ def test_closed_moments_keep_their_frozen_bits(q, alpha):
 
 def test_closed_norm_overlap_fd_and_kummer_keep_their_frozen_bits():
     assert (_sha256(overlap_closed(1.7, 0.3 + 0.1j, 0.5 + 0.1j))
-            == "09179a3dc74b8f4160ace2ae55ead91654f442e5baad4d2b2eabb7c0616788eb")
+            == "2cff417d43467ddb8cf69388e6df2d85a1d439fb96e87a7d640ed3b4ab9b3876")
     assert (_sha256(norm_squared_closed(4.9, 0.3 + 0.2j))
-            == "fe51064a09e79d5ef024ac1d7a70365eb365c905aef5c07b1ff0d9fec598aa07")
+            == "28de7e9eb1afa9421f12f18502614379e1f1aa3ac80492835ebb97eec0730aea")
     fd = specfun.lauricella_fd_integral(specfun.LauricellaArgs(
         1.2 + 0.3j, (0.5, -0.7 + 0.2j, 1.1, 0.3j), 2.9 - 0.1j,
         (0.95 + 0.4j, -2.5 - 0.3j, 1.5 + 0.7j, 3.0 - 1.2j)), tol=1e-10)
     assert (_sha256(fd.value, fd.err_estimate, fd.evaluations)
-            == "cf5122027cd4d0b8996ffbb41ee270358ef680f0fca31859aa32c4220c842a4d")
+            == "94eeb283d980839cdd70014f769137979782851e5256527948520d8fccd371fe")
     # |z| = 40 > 30 with Re b > Re a > 0: Kummer's integral branch
     assert (_sha256(specfun.kummer_phi(1.5, 3.0, 40j))
             == "3ccd2415aefd6bab0bb60e060c1604030fa869b8fca73bae86f83c434d714189")

@@ -16,7 +16,7 @@ from qcoherent.moments import (
     uncertainty_product,
 )
 from qcoherent.quadrature import IntegrandSpec
-from qcoherent.states import CONVENTION_TOL
+from qcoherent.states import CONVENTION_TOL, normalization_constant
 
 # frozen oracle outputs at (q, alpha) = (1.3, 0.3), quadrature tol 1e-11;
 # mean_x is exactly sqrt(2)*alpha by the density's reflection symmetry
@@ -108,11 +108,31 @@ def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
     closedforms._closed_moments(1.6, 0.4 + 0.1j, 1e-9)
     momentum.momentum_amplitude_oracle(1.9, -1.2 + 0.7j, 0.3)
     momentum.momentum_pd(1.9, -1.2 + 0.7j)
-    assert euler_log == [[2, 150, 150]]  # 8 seed panels, then one split
+    # 11 seed panels (the graded left half's ladder adds three), met at once
+    assert euler_log == [[1, 165, 165]]
     assert fourier_log == [[11, 810, 810]]
     # the folded window's 6 seed panels meet 1e-6 at once: 90 nodes, each
     # taking the amplitudes at k and -k (12 panels, 180 nodes unfolded)
     assert parseval_log == [[1, 90, 90]]
+
+
+def test_a_high_q_label_takes_few_generations(monkeypatch):
+    # q = 2.25: the six-row pass's slowest tails decay like |x|^(-1.2),
+    # substituted with gamma = 25 (an end of v^4), and the closed pass's
+    # left half is graded by g = 25 for exponents 0.2 to 6.2, so its seed
+    # ladder reaches 2^-8 <= 1/(25 * 6.2).  The six-row pass takes 4
+    # generations and the Euler pass 1, against 5 and 5 with v^1.5 tails
+    # and quarter seeds: (evaluator calls, nodes, evaluations), the line's
+    # first call being its decay probe
+    closedforms.calibrated_reflection()
+    q, alpha = 2.25, 0.3 + 0.5j
+    normalization_constant(q, alpha)
+    moments._oracle_integrals.cache_clear()
+    moment_log = _evaluator_log(monkeypatch, moments)
+    euler_log = _evaluator_log(monkeypatch, specfun, "_adaptive", arg=1)
+    moments_closed(q, alpha)
+    assert moment_log == [[5, 702, 702]]
+    assert euler_log == [[1, 210, 210]]
 
 
 def test_closed_reuses_the_oracle_pass_of_the_same_label(monkeypatch):

@@ -304,8 +304,10 @@ def test_a_piece_maps_each_run_of_its_nodes_once(monkeypatch, route):
     # the points and the finish of a run share that one map
     if route == "line":  # the core's pieces and both power-substituted tails
         pieces_seen, samples, runs = _sample_log(monkeypatch, quadrature)
-        # |x|^-1.2 tails: refinement batches split both tails at once
-        integrate_line(lambda x: 1.0 / (1.0 + (x - 0.5) ** 2) ** 0.6, tol=1e-12)
+        # |x|^-1.2 tails with a bump at |x| = 500 on each side: refinement
+        # batches split both tails at once
+        integrate_line(lambda x: (1.0 + 20.0 / (1.0 + ((np.abs(x) - 500.0) / 30.0) ** 2))
+                       / (1.0 + (x - 0.5) ** 2) ** 0.6, tol=1e-12)
         assert pieces_seen == [len(quadrature._LINE_PIECES) + 2]
     else:  # the two graded halves of an F_D integral
         pieces_seen, samples, runs = _sample_log(monkeypatch, specfun)
@@ -323,6 +325,20 @@ def test_the_hint_free_line_shares_one_seed_layout():
         for a, b in zip(layout, quadrature._seed_layout(edges)):
             assert a.tobytes() == b.tobytes() and not a.flags.writeable
     assert len(quadrature._LINE_LAYOUTS[2][0]) == 30 + 8
+
+
+def test_tails_follow_the_end_rule():
+    # x = 96/v^gamma turns an |x|^(-p) tail into v^(gamma*(p-1)-1) at v = 0:
+    # v^4 or smoother, the end rule the Euler halves follow too (the v^1.5
+    # rule, gamma = ceil(2.5/(p-1)), left the passes halving toward v = 0),
+    # and gamma is the least power that meets it
+    for p_hat in np.geomspace(1.0101, 20.0, 61).tolist():
+        for side in (1.0, -1.0):
+            x, _ = quadrature._tail_piece(side, p_hat).sample(np.array([0.5]))
+            gamma = round(math.log2(side * x[0] / quadrature._LINE_CORE))
+            assert side * x[0] == quadrature._LINE_CORE * 2.0 ** gamma
+            assert gamma * (p_hat - 1.0) - 1.0 >= 4.0
+            assert gamma == 1 or (gamma - 1) * (p_hat - 1.0) < quadrature._END_EXPONENT
 
 
 def test_decay_probe_samples_both_sides_in_one_call():
@@ -401,6 +417,33 @@ def test_line_refuses_a_tail_beyond_the_top_it_cannot_bound():
     assert abs(r.value.real - want) <= r.err_estimate <= 1e-8 * want
     with pytest.raises(SlowDecay, match="beyond"):
         integrate_line(lambda x: np.hypot(1.0, x) ** (-2.0 * s), tol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+def test_line_refuses_a_tail_just_above_the_probe_cut(tol):
+    # (1+(x-1/2)^2)^(-0.51) decays like |x|^(-1.02), above the decay probe's
+    # cut at 1.01, but its mass past |x| = 1e250 is bounded only by ~1.3e-3,
+    # so no tol here can be backed
+    with pytest.raises(SlowDecay, match="beyond"):
+        integrate_line(lambda x: np.hypot(1.0, x - 0.5) ** -1.02, tol=tol)
+
+
+def test_line_leaves_an_oscillating_algebraic_tail_to_the_fourier_transform():
+    # e^(0.3ix) (1+x^2)^(-0.8) is absolutely integrable, but its power-
+    # substituted tails hold ever more periods per panel toward v = 0: the
+    # line pass spends its budget, while the transform of the envelope at
+    # k = -0.3 sums the same integral from half-period panels
+    from scipy.special import kv
+
+    s, k = 0.8, 0.3
+    with pytest.raises(NotConverged, match="budget"):
+        integrate_line(lambda x: np.exp(1j * k * x) * np.hypot(1.0, x) ** (-2.0 * s),
+                       tol=1e-8, max_evals=20_000)
+    r = fourier_transform_line(lambda x: np.hypot(1.0, x) ** (-2.0 * s), -k, tol=1e-10)
+    # int e^(ikx) (1+x^2)^(-s) dx = 2 sqrt(pi) (k/2)^(s-1/2) K_(s-1/2)(k) / Gamma(s)
+    want = 2.0 * SQRT_PI / math.gamma(s) * (k / 2.0) ** (s - 0.5) * kv(s - 0.5, k)
+    assert math.sqrt(2.0 * math.pi) * r.value == pytest.approx(want, rel=1e-9)
+    assert r.evaluations < 2_000
 
 
 def test_line_normalization_closure_q_state():
@@ -533,6 +576,29 @@ def test_fourier_evaluations_stay_an_int(k):
     r = fourier_transform_line(lambda x: np.exp(-x * x), k)
     assert type(r.evaluations) is int
     assert np.shape(r.value) == np.shape(r.err_estimate) == np.shape(k)
+
+
+def test_a_fourier_core_layout_is_built_once_per_wave_set(monkeypatch):
+    # a second transform over the same k, core and hints reuses the first
+    # one's pieces and read-only layout, which are the layout its own edges
+    # give; another wave set builds its own
+    quadrature._fourier_core.cache_clear()
+    layouts = []
+    adaptive = quadrature._adaptive
+
+    def seen(pieces, *args):
+        layouts.append((pieces, args[-1]))
+        return adaptive(pieces, *args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", seen)
+    ks = np.array([0.8, 2.0, 0.01])
+    first, again, other = (fourier_transform_line(lambda x: np.exp(-x * x), k, tol=1e-8)
+                           for k in (ks, ks, ks[:2]))
+    assert first.value.tobytes() == again.value.tobytes()
+    (pieces, layout), (pieces_again, layout_again), (_, layout_other) = layouts
+    assert pieces_again is pieces and layout_again is layout and layout_other is not layout
+    for a, b in zip(layout, quadrature._seed_layout([p.edges for p in pieces])):
+        assert a.tobytes() == b.tobytes() and not a.flags.writeable
 
 
 def test_fourier_tails_are_one_stream():
