@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotConverged, RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
 from .momentum import momentum_amplitude_bessel
-from .quadrature import integrate_line
+from .quadrature import _check_index, integrate_line
 from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, require_alpha
 
 __all__ = [
@@ -154,10 +154,12 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     k_points-point grid over [-k_halfwidth, k_halfwidth] from the exact
     transform, ``momentum_amplitude_bessel``, in one vectorised call.  ``tol``
     is the moment suite's accuracy, and that of the density's normalisation.
-    ValueError, before any q is run, for k_points < 1, a k_halfwidth or a
-    final_tol that is not positive and finite, or a malformed q_sequence.
+    ValueError, before any q is run, for a k_points that is not an integer
+    of at least 1, a k_halfwidth or a final_tol that is not positive and
+    finite, or a malformed q_sequence.
     """
     alpha = require_alpha(alpha)
+    k_points = _check_index(k_points, "k_points")
     if k_points < 1:
         raise ValueError(f"k_points must be at least 1; got {k_points!r}")
     if not (k_halfwidth > 0.0 and math.isfinite(k_halfwidth)):

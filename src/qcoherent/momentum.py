@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import IntegrandSpec, fourier_transform_line, integrate_interval
+from .quadrature import IntegrandSpec, _check_index, fourier_transform_line, integrate_interval
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
 from .states import (SQRT2, _bracket_sr, _psi_un, _require_open_window, _root_c,
                      normalization_constant, require_alpha, require_window)
@@ -111,12 +111,14 @@ class MomentumDistribution:
 
 
 def default_k_grid(alpha: complex, n: int = 401) -> np.ndarray:
-    """Uniform grid on [-(8 + 2|alpha|), 8 + 2|alpha|], 401 points.
+    """Uniform grid on [-(8 + 2|alpha|), 8 + 2|alpha|], n points (401 by
+    default); ValueError for an n that is not an integer.
 
     A sampling grid only: where the density decays slowly (q near 3, or a
     large |Im alpha|) it still carries visible mass past the ends, which is
     why the Parseval total sizes its own window.
     """
+    n = _check_index(n, "n")
     half = 8.0 + 2.0 * abs(require_alpha(alpha))
     return np.linspace(-half, half, n)
 

@@ -13,9 +13,10 @@ into the piece's integrand (its Jacobian), so each generation of the pass
 (one round of panel splitting) costs one evaluator call and one G7/K15
 reduction however many pieces it spans, and one map per piece it touches.
 A batch over several pieces is taken as one contiguous run of panels per
-piece and scattered back into panel order for the reduction, and a pass
-whose seed panels recur (the hint-free line, the Euler halves, a Fourier
-core's wave set) takes its seed layout from a table built once.
+piece and scattered back into panel order for the reduction.  Every pass
+takes its seed panels from one memo keyed on its pieces' edges
+(``_seed_layout``), so a pass whose edges recur (the hint-free line, the
+Euler halves, a Fourier core's wave set) reuses the layout built first.
 The seed rule: every pass starts at the resolution it reaches anyway, four
 panels on each unit piece (graded hint sides, substituted tails, Euler
 halves), a ladder of edges 1 - 2^-j down to the end layer of a graded
@@ -59,9 +60,10 @@ estimate if that is within 1e3 times the target and raises NotConverged
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,6 +151,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a positive finite number; got {tol!r}")
 
 
+def _check_index(n, name: str) -> int:
+    """n as an int (``operator.index``: Python and numpy integers pass);
+    ValueError for anything else, a float 2.5 or 2.0 included."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer; got {n!r}") from None
+
+
 def _as_spec(f) -> IntegrandSpec:
     if isinstance(f, IntegrandSpec):
         return f
@@ -193,14 +204,15 @@ def _gk_reduce(fx, halfs, where):
 class _Piece(NamedTuple):
     """One piece of an adaptive pass, in its own variable v.
 
-    edges   the initial panel edges in v
+    edges   the initial panel edges in v, a tuple (the key of the pass's
+            seed layout, ``_seed_layout``)
     sample  maps a run of nodes v once: v -> (points, finish), the points
             where the pass's shared evaluator is sampled, and finish, which
             turns the values there into the piece's integrand at v (the
             Jacobian of the map, and zeros for lanes the piece leaves out)
     """
 
-    edges: Sequence[float]
+    edges: tuple[float, ...]
     sample: Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]
 
 
@@ -257,11 +269,14 @@ def _splittable(mids, halfs):
     return halfs > 8.0 * _EPS * np.maximum(1.0, np.abs(mids) + halfs)
 
 
-def _seed_layout(edges):
-    """The seed panels of pieces with these edges (one sequence a piece):
+@lru_cache(maxsize=128)  # bounded: each new alpha gives the Parseval pass new edges
+def _seed_layout(edges: tuple[tuple[float, ...], ...]):
+    """The seed panels of pieces with these edges (one tuple a piece):
     their mids, half-widths, owning piece indices and ``_splittable``
-    flags.  The arrays are read-only, so a layout built once can seed every
-    pass over pieces with the same edges."""
+    flags, read-only.  The one seed-layout memo of the package: every
+    ``_adaptive`` pass looks its pieces' edges up here, so a pass whose
+    edges recur shares the arrays built first.  Keys compare by value,
+    and edges equal by value give the same arrays, bit for bit."""
     edges = [np.asarray(e, dtype=float) for e in edges]
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
@@ -274,14 +289,12 @@ def _seed_layout(edges):
     return layout
 
 
-def _adaptive(pieces, ev, tol, max_evals, method, layout=None):
+def _adaptive(pieces, ev, tol, max_evals, method):
     """Globally adaptive bisection over the panels of all ``pieces``
     (``_Piece``), whose integrals sum to the result.
 
-    ``layout`` is the ``_seed_layout`` of the pieces' edges; a caller whose
-    passes start from recurring edges (the hint-free line, the Euler
-    halves, a Fourier core) builds it once and passes it in, and any other
-    pass builds its own here.  Each generation costs one call of the shared
+    The seed panels are the ``_seed_layout`` of the pieces' edges, built
+    once per distinct edges.  Each generation costs one call of the shared
     evaluator ``ev`` on every new panel's points and one G7/K15 reduction.  Its fixed
     numpy work outweighs that of the panels it adds (on a 2-vCPU VM, some
     140-160 us against 7-10 us a panel), which is why the pieces' seed
@@ -305,7 +318,7 @@ def _adaptive(pieces, ev, tol, max_evals, method, layout=None):
     (QUADPACK-style round-off return) and refuses otherwise, without
     spending its budget.
     """
-    mids, halfs, owner, splittable = layout or _seed_layout([p.edges for p in pieces])
+    mids, halfs, owner, splittable = _seed_layout(tuple(p.edges for p in pieces))
     vals, errs, floors = _pieces_batch(ev, pieces, owner, mids, halfs)
     evals = 15 * len(mids)
 
@@ -418,7 +431,7 @@ def _pieces(bounds, hints) -> list[_Piece]:
     for edges in plain:
         if len(edges) == 2:
             edges.insert(1, 0.5 * (edges[0] + edges[1]))
-        pieces.append(_plain(edges))
+        pieces.append(_plain(tuple(edges)))
     return pieces
 
 
@@ -526,10 +539,8 @@ def _tail_piece(side: float, p_hat: float) -> _Piece:
     return _Piece(_UNIT_EDGES, sample)
 
 
-# The hint-free line's core pieces, and its seed layouts with 0, 1 and 2 tails
+# The core pieces of every hint-free line
 _LINE_PIECES = _pieces(sorted(_seed_edges(_LINE_CORE)), set())
-_LINE_LAYOUTS = [_seed_layout([p.edges for p in _LINE_PIECES] + [_UNIT_EDGES] * n)
-                 for n in range(3)]
 
 
 def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
@@ -589,12 +600,9 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
         sides.append((side, p_hat, f_outer))
 
     hints = {float(s) for s in spec.singularities if -_LINE_CORE < s < _LINE_CORE}
+    core = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints) if hints else _LINE_PIECES
     tails = [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
-    # the core and the seed layout are the same on every hint-free line
-    core, layout = _LINE_PIECES, _LINE_LAYOUTS[len(tails)]
-    if hints:
-        core, layout = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints), None
-    res = _adaptive(core + tails, ev, 0.5 * tol, max_evals, "gk-line", layout)
+    res = _adaptive(core + tails, ev, 0.5 * tol, max_evals, "gk-line")
     beyond = sum(_beyond_top_bound(p_hat, f_outer) for _, p_hat, f_outer in sides)
     target = 0.5 * tol * np.maximum(1.0, np.abs(res.value))
     if np.any(beyond > target):
@@ -719,9 +727,9 @@ def fourier_transform_line(f, k, tol: float = 1e-10,
 
 @lru_cache(maxsize=16)  # a few wave sets recur: verify's k = (0.8, 2, 0.01) at every point
 def _fourier_core(cores, core_halfwidth, hints):
-    """The pieces of the cores' adaptive pass of ``_fourier_waves`` and the
-    read-only seed layout of their edges, built once per distinct wave set
-    (``_Wave`` tuple), ``core_halfwidth`` and hint set: each k's
+    """The pieces of the cores' adaptive pass of ``_fourier_waves``, built
+    once per distinct wave set (``_Wave`` tuple), ``core_halfwidth`` and
+    hint set, since their bounds cost about 90 us to build: each k's
     half-period edges over its core, and the geometric ones where a
     half-period is wider than ``core_halfwidth``."""
     bounds = set()
@@ -731,8 +739,7 @@ def _fourier_core(cores, core_halfwidth, hints):
             # a state narrower than pi/|k| could sit between the GK nodes of
             # the half-period panels and read as zero: seed geometric edges
             bounds |= {s for s in _seed_edges(X) if -X < s < X}
-    pieces = _pieces(sorted(bounds | hints), hints)
-    return pieces, _seed_layout([p.edges for p in pieces])
+    return _pieces(sorted(bounds | hints), hints)
 
 
 def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
@@ -748,8 +755,8 @@ def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
         return np.where(np.abs(x) <= reach, ev(x) * np.exp(-1j * kcol * x), 0.0)
 
     hints = frozenset(float(s) for s in spec.singularities if -top < s < top)
-    core_pieces, layout = _fourier_core(tuple(cores), core_halfwidth, hints)
-    core = _adaptive(core_pieces, g, 0.25 * tol, max_evals, "fourier-core", layout)
+    core_pieces = _fourier_core(tuple(cores), core_halfwidth, hints)
+    core = _adaptive(core_pieces, g, 0.25 * tol, max_evals, "fourier-core")
     evals = core.evaluations
 
     # rows: the +inf and -inf tails of each k still summing, two a k;

@@ -62,7 +62,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -73,8 +72,8 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import (_END_EXPONENT, _UNIT_EDGES, QuadratureResult, _adaptive, _check_tol,
-                         _Piece, _seed_layout)
+from .quadrature import (_END_EXPONENT, _UNIT_EDGES, QuadratureResult, _adaptive, _check_index,
+                         _check_tol, _Piece)
 
 __all__ = [
     "LauricellaArgs",
@@ -100,6 +99,7 @@ def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
 
 def hermite_poly(n: int, x):
     """Physicists' Hermite polynomial H_n(x) via H_{k+1} = 2x H_k - 2k H_{k-1}."""
+    n = _check_index(n, "order")
     if n < 0:
         raise ValueError("order must be >= 0")
     x = np.asarray(x, dtype=float)
@@ -134,6 +134,7 @@ def hermite_function(n: int, x):
     seeded by psi_0 = pi^(-1/4) exp(-x^2/2); stable to n in the thousands
     because no factorial or 2^n is ever formed.
     """
+    n = _check_index(n, "order")
     if n < 0:
         raise ValueError("order must be >= 0")
     p = _hermite_functions(n, x)[-1]
@@ -142,6 +143,7 @@ def hermite_function(n: int, x):
 
 def pochhammer(a: complex, m: int) -> complex:
     """Rising factorial (a)_m = a (a+1) ... (a+m-1); (a)_0 = 1."""
+    m = _check_index(m, "m")
     if m < 0:
         raise ValueError("m must be >= 0")
     out = 1.0 + 0.0j
@@ -226,13 +228,6 @@ def _euler_ladder(depth: int) -> tuple[float, ...]:
     return _UNIT_EDGES[:-1] + tuple(1.0 - 2.0 ** -j for j in range(3, depth + 1)) + (1.0,)
 
 
-@lru_cache(maxsize=None)  # at most one layout per pair of depths up to _LADDER_MAX
-def _euler_layout(left: int, right: int):
-    """The read-only seed layout of an Euler pass whose halves have these
-    ladder depths, built once per pair."""
-    return _seed_layout([_euler_ladder(left), _euler_ladder(right)])
-
-
 # every pass probes the same 33 nodes a half
 _EULER_PROBE = np.linspace(1.0 / 64, 1.0 - 1.0 / 64, 33)
 _EULER_PROBE.flags.writeable = False
@@ -297,7 +292,7 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
         return _Piece(_euler_ladder(depth), sample)
 
     res = _adaptive([piece(h, d) for h, d in zip(halves, depths)], log_f, 0.5 * tol,
-                    1_000_000, method, _euler_layout(*depths))
+                    1_000_000, method)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)
         value, err = scale * res.value, scale * res.err_estimate
@@ -387,11 +382,14 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     representation when Re b > Re a > 0, else the asymptotic expansion.
     The integral branch raises NotConverged where Re a or Re(b-a) is below
     0.0015, the exponent its endpoint grading cannot smooth (``_grade``).
+    ValueError for an a, b or z that is not finite.
     """
     _check_tol(tol)
+    a, b, z = complex(a), complex(b), complex(z)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(z)):
+        raise ValueError(f"a, b and z must be finite; got a={a!r}, b={b!r}, z={z!r}")
     if _is_nonpositive_integer(b):
         raise ParameterPole(f"lower parameter b={b} is a non-positive integer")
-    a, b, z = complex(a), complex(b), complex(z)
     if abs(z) <= _KUMMER_SERIES_RADIUS:
         return _phi_series(a, b, z, tol)
     if b.real > a.real > 0.0:

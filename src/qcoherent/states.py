@@ -38,7 +38,7 @@ from .errors import (
     PoleHit,
     ZeroAmplitude,
 )
-from .quadrature import integrate_line
+from .quadrature import _check_index, integrate_line
 
 __all__ = [
     "SQRT2",
@@ -144,8 +144,10 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis coefficients a_n = alpha^n / sqrt(n!) * exp(-|alpha|^2/2).
 
     Computed through the log-Gamma form so large n never overflows;
-    sum |a_n|^2 -> 1 as n_max grows.
+    sum |a_n|^2 -> 1 as n_max grows.  ValueError for an n_max that is not
+    a non-negative integer.
     """
+    n_max = _check_index(n_max, "n_max")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     alpha = require_alpha(alpha)

@@ -315,8 +315,7 @@ def test_closed_pass_leaves_integer_exponents_ungraded(monkeypatch, q):
 def test_graded_euler_halves_are_seeded_down_to_their_end_layer(monkeypatch):
     # q = 2.2: a graded half (g > 1) maps its steepest row, v^(g*e-1), into
     # a layer of width ~1/(g * max Re e) at v = 1, and its seed reaches it;
-    # an ungraded half keeps the four quarters.  The layout handed to the
-    # pass is the one its pieces' edges give.
+    # an ungraded half keeps the four quarters
     calibrated_reflection()
     grades, passes = [], []
     grade, adaptive = specfun._grade, specfun._adaptive
@@ -327,13 +326,13 @@ def test_graded_euler_halves_are_seeded_down_to_their_end_layer(monkeypatch):
         return g
 
     def seen(pieces, *args):
-        passes.append(([p.edges for p in pieces], args[-1]))
+        passes.append([p.edges for p in pieces])
         return adaptive(pieces, *args)
 
     monkeypatch.setattr(specfun, "_grade", graded)
     monkeypatch.setattr(specfun, "_adaptive", seen)
     closedforms._closed_moments(2.2, 0.4 + 0.1j, 1e-9)
-    ((edges, layout),) = passes
+    (edges,) = passes
     assert [g > 1 for g, _ in grades] == [True, False]
     for (g, steep), half in zip(grades, edges):
         if g == 1:
@@ -341,8 +340,6 @@ def test_graded_euler_halves_are_seeded_down_to_their_end_layer(monkeypatch):
         else:
             assert tuple(half[:4]) == quadrature._UNIT_EDGES[:4] and half[-1] == 1.0
             assert 1.0 - half[-2] <= 1.0 / (g * steep) < 2.0 * (1.0 - half[-2])
-    for a, b in zip(layout, quadrature._seed_layout(edges)):
-        assert a.tobytes() == b.tobytes() and not a.flags.writeable
 
 
 def test_the_euler_ladder_stops_at_the_width_floor():

@@ -452,6 +452,14 @@ def test_pd_of_a_state_centred_far_out_closes():
     assert abs(momentum_pd(1.05, 300.0).parseval_total - 1.0) < 1e-4
 
 
+@pytest.mark.xfail(strict=True, reason="the oracle norm goes wrong just above q = 1: "
+                   "states._log_b rounds h and c apart, and p = 1/(q-1) scales the error")
+@pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 2.0 ** -52])
+def test_pd_just_above_q_one_closes(q):
+    # parseval_total read 1 + 8.9e-4 at q = 1 + 1e-12 and 54.6 at 1 + 2^-52
+    assert abs(momentum_pd(q, 0.3).parseval_total - 1.0) < 1e-4
+
+
 def test_pd_even_for_alpha_zero():
     ks = np.linspace(-4.0, 4.0, 33)
     dist = momentum_pd(1.5, 0.0, ks, tol=1e-9)

@@ -1,12 +1,16 @@
 """The public API in ``qcoherent.__all__`` is part of the behaviour
 contract: a name leaves or joins it only on purpose.  So is the set of
-routes that load scipy, which sets the cost of a fresh process."""
+routes that load scipy, which sets the cost of a fresh process.  Its
+entry points refuse a count or an order that is not an integer."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import qcoherent
 
@@ -80,3 +84,32 @@ def test_import_computes_no_fixed_check():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.split() == ["0", "0"]
+
+
+_INTEGER_ARGUMENTS = {
+    "hermite_poly": lambda n: qcoherent.hermite_poly(n, 0.3),
+    "hermite_function": lambda n: qcoherent.hermite_function(n, 0.3),
+    "pochhammer": lambda n: qcoherent.pochhammer(0.5 + 0.1j, n),
+    "default_k_grid": lambda n: qcoherent.default_k_grid(0.3 + 0.1j, n),
+    "limit_convergence_check": lambda n: qcoherent.limit_convergence_check(
+        0.3, q_sequence=(1.5,), k_points=n),
+    "coherent_coefficients": lambda n: qcoherent.coherent_coefficients(0.3 + 0.1j, n),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_non_integers(name):
+    # a count or an order goes through operator.index: a float is refused
+    # with ValueError (it was a bare TypeError, or, for coherent_coefficients,
+    # four coefficients for 2.5), and a numpy integer gives what an int gives
+    call = _INTEGER_ARGUMENTS[name]
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            call(bad)
+    want = call(3)
+    for n in (np.int64(3), np.int32(3)):
+        got = call(n)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want

@@ -318,13 +318,70 @@ def test_a_piece_maps_each_run_of_its_nodes_once(monkeypatch, route):
     assert samples == [i for run in runs for i in run]
 
 
-def test_the_hint_free_line_shares_one_seed_layout():
-    # built once, read-only, and the layout the pass's own pieces would have
-    for n, layout in enumerate(quadrature._LINE_LAYOUTS):
-        edges = [p.edges for p in quadrature._LINE_PIECES] + [quadrature._UNIT_EDGES] * n
-        for a, b in zip(layout, quadrature._seed_layout(edges)):
-            assert a.tobytes() == b.tobytes() and not a.flags.writeable
-    assert len(quadrature._LINE_LAYOUTS[2][0]) == 30 + 8
+def _gauss(x):
+    return np.exp(-x * x)
+
+
+def _lorentz(x):
+    return 1.0 / (1.0 + x * x)
+
+
+def _one_tail(x):  # algebraic toward +inf, gone toward -inf
+    return np.where(x > 0.0, _lorentz(x), _gauss(x))
+
+
+_SEEDED_PASSES = {
+    "line-0-tails": lambda: integrate_line(_gauss, tol=1e-10),
+    "line-1-tail": lambda: integrate_line(_one_tail, tol=1e-10),
+    "line-2-tails": lambda: integrate_line(_lorentz, tol=1e-10),
+    "fd-euler": lambda: specfun.lauricella_fd_integral(specfun.LauricellaArgs(
+        0.4, (0.4, 0.3, 0.2, 0.1), 1.2, (0.3, -0.2, 0.1, 0.25)), tol=1e-12),
+    "verify-waves": lambda: fourier_transform_line(_gauss, np.array([0.8, 2.0, 0.01]), tol=1e-8),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEEDED_PASSES))
+def test_a_recurring_pass_shares_its_seed_layout(monkeypatch, name):
+    # every adaptive pass looks its seed panels up in the one memo: a second
+    # pass over the same edges gets the very arrays of the first, read-only,
+    # and they are what a fresh build from the pieces' edges gives
+    seen, memo = [], quadrature._seed_layout
+
+    def lookup(edges):
+        layout = memo(edges)
+        seen.append((edges, layout))
+        return layout
+
+    monkeypatch.setattr(quadrature, "_seed_layout", lookup)
+    first = _SEEDED_PASSES[name]()
+    kept = quadrature._fourier_core.cache_info().hits
+    again = _SEEDED_PASSES[name]()
+    assert np.asarray(first.value).tobytes() == np.asarray(again.value).tobytes()
+    (edges, layout), (edges_again, layout_again) = seen
+    assert edges_again == edges and all(isinstance(e, tuple) for e in edges)
+    assert all(a is b for a, b in zip(layout, layout_again))
+    for a, b in zip(layout, memo.__wrapped__(edges)):
+        assert a.tobytes() == b.tobytes() and a.dtype == b.dtype and not a.flags.writeable
+    if name.startswith("line"):
+        tails = int(name.split("-")[1])
+        assert len(edges) == len(quadrature._LINE_PIECES) + tails
+        assert len(layout[0]) == 30 + 4 * tails
+    if name == "verify-waves":  # the wave set's pieces are kept as well
+        assert quadrature._fourier_core.cache_info().hits == kept + 1
+
+
+def test_the_seed_layout_memo_is_bounded():
+    # each new alpha gives the momentum op's Parseval pass new edges, so the
+    # memo must not grow with the op count; a line pass whose layout was
+    # evicted on the way gets it rebuilt, bit for bit
+    before = integrate_line(_lorentz, tol=1e-10)
+    for i in range(300):
+        integrate_interval(_gauss, 0.0, 1.0 + i / 512.0, tol=1e-8)
+    info = quadrature._seed_layout.cache_info()
+    assert info.maxsize == 128 and info.currsize <= 128
+    after = integrate_line(_lorentz, tol=1e-10)
+    assert np.asarray(after.value).tobytes() == np.asarray(before.value).tobytes()
+    assert (after.err_estimate, after.evaluations) == (before.err_estimate, before.evaluations)
 
 
 def test_tails_follow_the_end_rule():
@@ -576,29 +633,6 @@ def test_fourier_evaluations_stay_an_int(k):
     r = fourier_transform_line(lambda x: np.exp(-x * x), k)
     assert type(r.evaluations) is int
     assert np.shape(r.value) == np.shape(r.err_estimate) == np.shape(k)
-
-
-def test_a_fourier_core_layout_is_built_once_per_wave_set(monkeypatch):
-    # a second transform over the same k, core and hints reuses the first
-    # one's pieces and read-only layout, which are the layout its own edges
-    # give; another wave set builds its own
-    quadrature._fourier_core.cache_clear()
-    layouts = []
-    adaptive = quadrature._adaptive
-
-    def seen(pieces, *args):
-        layouts.append((pieces, args[-1]))
-        return adaptive(pieces, *args)
-
-    monkeypatch.setattr(quadrature, "_adaptive", seen)
-    ks = np.array([0.8, 2.0, 0.01])
-    first, again, other = (fourier_transform_line(lambda x: np.exp(-x * x), k, tol=1e-8)
-                           for k in (ks, ks, ks[:2]))
-    assert first.value.tobytes() == again.value.tobytes()
-    (pieces, layout), (pieces_again, layout_again), (_, layout_other) = layouts
-    assert pieces_again is pieces and layout_again is layout and layout_other is not layout
-    for a, b in zip(layout, quadrature._seed_layout([p.edges for p in pieces])):
-        assert a.tobytes() == b.tobytes() and not a.flags.writeable
 
 
 def test_fourier_tails_are_one_stream():

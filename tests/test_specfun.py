@@ -160,6 +160,21 @@ def test_kummer_phi_pole_parameter():
         kummer_phi(1.2, -3.0, 0.5)
 
 
+@pytest.mark.parametrize("a, b, z", [
+    (2.0, 1.5, math.inf),        # was a bare OverflowError in the asymptotic branch
+    (1.0, 2.0, math.inf),        # were NaN RuntimeWarnings, then NotConverged
+    (1.0, 2.0, -math.inf),
+    (math.nan, 2.0, 0.5),        # was "Kummer series stalled"
+    (1.0, math.nan, 0.5),
+    (1.0, math.inf, 0.5),
+    (1.0, 2.0, complex(0.5, math.nan)),
+])
+def test_kummer_phi_refuses_arguments_that_are_not_finite(a, b, z):
+    # at entry, as q_exponential does, under the suite's error::RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        kummer_phi(a, b, z)
+
+
 def test_kummer_phi_matches_mpmath_moderate_and_large():
     pts = [
         (0.8, 1.6, 0.3 + 0.4j),

@@ -475,6 +475,19 @@ def test_oracle_norm_of_a_state_centred_far_out(q):
     assert _norm_integral(q, 300.0, 0.0, 1e-10) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="_log_b forms h*(w -+ ic) with h = s and c rounded "
+                   "apart; at real alpha h*c should be exactly 1, and p = 1/(q-1) scales "
+                   "the rounding into the exponent")
+@pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 2.0 ** -52])
+def test_oracle_norm_just_above_q_one(q):
+    # read 4.4e-4 relative off at q = 1 + 1e-12 and a factor 7.4 at
+    # q = 1 + 2^-52 (4.4e-6 at 1 + 1e-10), silently
+    from qcoherent.closedforms import real_alpha_norm_squared_exact
+
+    want = real_alpha_norm_squared_exact(q) ** -0.5
+    assert normalization_constant(q, 0.3).real == pytest.approx(want, rel=1e-10)
+
+
 def test_normalization_constant_rejects_non_finite_alpha():
     for alpha in (math.nan, complex(0.3, math.inf)):
         for method in ("oracle", "closed-form"):
