@@ -3,10 +3,11 @@
 Two fully independent routes produce every number here:
 
 * ``moments_oracle``: one adaptive quadrature pass on the real line whose
-  six components share every node: the norm, <x>, <x^2>, <p>, and <p^2>
-  as int |psi'|^2 (manifestly positive) next to its integration-by-parts
-  partner -int conj(psi) psi'', whose relative gap is recorded as a
-  self-diagnostic.
+  six components share every node: the norm integral int |psi_un|^2 dx,
+  which normalises the other five and so is the oracle's only norm pass,
+  <x>, <x^2>, <p>, and <p^2> as int |psi'|^2 (manifestly positive) next to
+  its integration-by-parts partner -int conj(psi) psi'', whose relative
+  gap is recorded as a self-diagnostic.
 * ``moments_closed``: the Lauricella closed forms from ``closedforms``
   under the calibrated convention, cross-checked against the oracle on
   every call; disagreement beyond CONVENTION_TOL raises
@@ -37,7 +38,6 @@ from .states import (
     Q_MOMENT_SUITE_MAX,
     SQRT2,
     _psi_un_arrays,
-    normalization_constant,
     require_alpha,
     require_window,
 )
@@ -58,8 +58,8 @@ class MomentReport:
     """First/second moments of x and p plus the derived uncertainty data.
 
     ``deviations`` holds the self-diagnostics of whichever route built
-    the report (cross-route gaps, norm closure, discarded imaginary
-    parts); keys are short snake_case quantity names.
+    the report (cross-route gaps, the oracle's <p^2> partner gap,
+    discarded imaginary parts); keys are short snake_case quantity names.
     """
 
     q: float
@@ -77,15 +77,20 @@ class MomentReport:
     deviations: Mapping[str, float] = field(default_factory=dict)
 
 
-def _real_part(name: str, z: complex, deviations: dict) -> float:
-    z = complex(z)
-    if abs(z.imag) > IMAG_TOL * (1.0 + abs(z.real)):
-        raise NotConverged(
-            f"{name} should be real; got imaginary part {z.imag:.3e} "
-            f"against real part {z.real:.3e}"
-        )
-    deviations[f"{name}_imag"] = abs(z.imag)
-    return z.real
+def _real_means(values, deviations: dict) -> list[float]:
+    """<x>, <x^2>, <p>, <p^2> as reals, each discarded imaginary part
+    recorded in ``deviations``."""
+    means = []
+    for name, z in zip(("mean_x", "mean_x2", "mean_p", "mean_p2"), values):
+        z = complex(z)
+        if abs(z.imag) > IMAG_TOL * (1.0 + abs(z.real)):
+            raise NotConverged(
+                f"{name} should be real; got imaginary part {z.imag:.3e} "
+                f"against real part {z.real:.3e}"
+            )
+        deviations[f"{name}_imag"] = abs(z.imag)
+        means.append(z.real)
+    return means
 
 
 def _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, method, deviations):
@@ -122,11 +127,11 @@ def _coherent_exact(alpha: complex, method: str) -> MomentReport:
 
 @lru_cache(maxsize=512)
 def _oracle_integrals(q: float, are: float, aim: float, tol: float) -> tuple[complex, ...]:
-    """The six normalised integrals of ``moments_oracle`` at 1 < q, from one
-    line pass: the norm, <x>, <x^2>, <p>, and <p^2> by both routes, each
-    still complex and unchecked."""
+    """The six integrals of ``moments_oracle`` at 1 < q, from one line pass:
+    the norm integral n = int |psi_un|^2 dx (real, so A = n^(-1/2)), then
+    <x>, <x^2>, <p>, and <p^2> by both routes, each divided by n and still
+    complex and unchecked."""
     alpha = complex(are, aim)
-    a2 = abs(normalization_constant(q, alpha, tol=tol)) ** 2
 
     def weights(x):
         v, d1, d2 = _psi_un_arrays(q, alpha, x)
@@ -134,7 +139,11 @@ def _oracle_integrals(q: float, are: float, aim: float, tol: float) -> tuple[com
         return np.stack([(v * cv).real, (xv * cv).real, (xv * np.conj(xv)).real,
                          -1j * cv * d1, (d1 * np.conj(d1)).real, -cv * d2])
 
-    return tuple(a2 * z for z in integrate_line(weights, tol=tol).value.tolist())
+    values = integrate_line(weights, tol=tol).value.tolist()
+    norm = values[0].real
+    if norm <= 0.0:
+        raise ConventionMismatch(f"norm integral came out non-positive: {norm}")
+    return (norm, *(z / norm for z in values[1:]))
 
 
 def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
@@ -146,13 +155,10 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     alpha = require_alpha(alpha)
     if q == 1.0:
         return _coherent_exact(alpha, "oracle")
-    norm, mean_x, mean_x2, mean_p, p2_primary, p2_partner = _oracle_integrals(
-        q, alpha.real, alpha.imag, tol)
-    deviations: dict = {"norm_closure": abs(norm - 1.0)}
-    mean_x = _real_part("mean_x", mean_x, deviations)
-    mean_x2 = _real_part("mean_x2", mean_x2, deviations)
-    mean_p = _real_part("mean_p", mean_p, deviations)
-    mean_p2 = _real_part("mean_p2", p2_primary, deviations)
+    _, *means, p2_partner = _oracle_integrals(q, alpha.real, alpha.imag, tol)
+    deviations: dict = {}
+    mean_x, mean_x2, mean_p, mean_p2 = _real_means(means, deviations)
+    p2_primary = means[3]
     deviations["mean_p2_partner_gap"] = abs(p2_partner - p2_primary) / abs(p2_primary)
     if deviations["mean_p2_partner_gap"] > 1e-6:
         raise NotConverged(
@@ -167,8 +173,9 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
 
     The oracle report is computed alongside, or reused when already
     computed at the same (q, alpha, tol), and each quantity's gap is
-    recorded in ``deviations``; any gap beyond CONVENTION_TOL makes this
-    raise ConventionMismatch rather than return.
+    recorded in ``deviations``; the closed A is checked against the
+    oracle's n^(-1/2) from that same pass.  Any gap beyond CONVENTION_TOL
+    makes this raise ConventionMismatch rather than return.
     """
     require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
     alpha = require_alpha(alpha)
@@ -177,13 +184,10 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     reference = moments_oracle(q, alpha, tol=tol)
     deviations: dict = {}
     n2, quotients, _ = closedforms._closed_moments(q, alpha, tol)
-    mean_x, mean_x2, mean_p, mean_p2 = (
-        _real_part(name, z, deviations)
-        for name, z in zip(("mean_x", "mean_x2", "mean_p", "mean_p2"), quotients)
-    )
+    mean_x, mean_x2, mean_p, mean_p2 = _real_means(quotients, deviations)
     a_closed = complex(n2) ** -0.5
     # relative-to-oracle gaps, scale-guarded for near-zero quantities
-    a_oracle = normalization_constant(q, alpha, tol=tol)
+    a_oracle = _oracle_integrals(q, alpha.real, alpha.imag, tol)[0] ** -0.5
     gaps = {
         "norm_constant": abs(a_closed - a_oracle) / abs(a_oracle),
         "mean_x": abs(mean_x - reference.mean_x) / max(1.0, abs(reference.mean_x)),

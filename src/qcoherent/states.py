@@ -316,8 +316,9 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
     expression from ``closedforms`` under the calibrated reflection
     convention, checks it against the oracle, and raises
     ConventionMismatch beyond CONVENTION_TOL relative deviation.  A
-    divides every normalised quantity, so it is computed at
-    min(tol, 1e-10) whatever the caller asks for.
+    scales every normalised wavefunction, momentum amplitude and overlap,
+    so it is computed at min(tol, 1e-10) whatever the caller asks for;
+    the moment oracle normalises by the norm row of its own pass instead.
     """
     require_window(q, Q_NORMALIZABLE_MAX, "normalization")
     alpha = require_alpha(alpha)

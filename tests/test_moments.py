@@ -82,8 +82,9 @@ def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):
 def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     # q = 1.6, alpha = 0.4+0.1i: the decay probe of both sides is one call,
     # then one call per adaptive generation.  Seeded with 30 core panels and
-    # four on each tail, both passes meet their target in one generation
-    # (12 probe nodes plus 38 panels of 15 nodes).
+    # four on each tail, the six-row pass meets its target in one generation
+    # (12 probe nodes plus 38 panels of 15 nodes).  Its row 0 is the norm
+    # integral, so no separate norm pass runs.
     from qcoherent import states
 
     norm_log = _evaluator_log(monkeypatch, states)
@@ -91,8 +92,39 @@ def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     states._norm_integral.cache_clear()
     moments._oracle_integrals.cache_clear()
     moments_oracle(1.6, 0.4 + 0.1j)
-    assert norm_log == [[2, 582, 582]]  # the norm integral at tol 1e-10
+    assert norm_log == []  # no norm integral at tol 1e-10
     assert moment_log == [[2, 582, 582]]  # the 6-row moment pass at tol 1e-9
+
+
+def test_both_routes_take_no_separate_norm_pass():
+    # the oracle normalises by its own row 0, and moments_closed takes the
+    # oracle's A from the same memoised pass
+    from qcoherent import states
+
+    closedforms.calibrated_reflection()  # its anchor norm is a norm pass
+    misses = states._norm_integral.cache_info().misses
+    moments_oracle(1.37, -0.61 + 0.23j)
+    moments_closed(1.37, -0.61 + 0.23j)
+    assert states._norm_integral.cache_info().misses == misses
+
+
+def _moments_window_labels(count):
+    """Seeded labels of the moments window: q in (1.05, 2.3), |alpha| <= 1.5."""
+    rng = np.random.default_rng(26)
+    qs = rng.uniform(1.05, 2.3, count)
+    radii = 1.5 * np.sqrt(rng.uniform(0.0, 1.0, count))
+    angles = rng.uniform(0.0, 2.0 * math.pi, count)
+    return [(float(q), complex(r * math.cos(t), r * math.sin(t)))
+            for q, r, t in zip(qs, radii, angles)]
+
+
+def test_oracle_norm_row_closes_on_the_norm_pass():
+    # row 0 of the six-row pass (tol 1e-9) against the separate norm pass
+    # (tol 1e-10): the closure the oracle no longer pays for on every call
+    for q, alpha in _moments_window_labels(60):
+        norm = moments._oracle_integrals(q, alpha.real, alpha.imag, 1e-9)[0]
+        assert abs(norm * abs(normalization_constant(q, alpha)) ** 2 - 1.0) <= 1e-13, (q, alpha)
+        assert moments_closed(q, alpha).deviations["norm_constant"] <= 1e-12, (q, alpha)
 
 
 def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
@@ -254,7 +286,7 @@ def _oracle_anchor_gap(q, alpha):
     # both variances (DLMF 5.12.3) and the norm integral, each relative to
     # max(1, |anchor|)
     m = moments_oracle(q, alpha, tol=1e-10)
-    norm = abs(moments.normalization_constant(q, alpha, tol=1e-10)) ** -2
+    norm = abs(normalization_constant(q, alpha, tol=1e-10)) ** -2
     got = (m.mean_x, m.mean_p, m.var_x, m.var_p, norm)
     want = (math.sqrt(2.0) * alpha, 0.0, 2.0 / (7.0 - 3.0 * q),
             (5.0 - q) / (4.0 * (q + 1.0)), closedforms.real_alpha_norm_squared_exact(q))
@@ -382,6 +414,26 @@ def test_oracle_refuses_a_non_positive_variance(monkeypatch, which, var, refused
             run()
     else:
         assert getattr(run(), f"var_{which}") > 0.0
+
+
+@pytest.mark.parametrize("norm, refused", [(-1e-300, True), (0.0, True), (1e-300, False)])
+def test_oracle_refuses_a_non_positive_norm_row(monkeypatch, norm, refused):
+    # row 0 divides the other five, so a norm integral that is not positive
+    # must refuse, never divide by zero or flip every moment's sign
+    real = moments.integrate_line
+
+    def with_norm(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, value=np.concatenate([[norm], res.value[1:]]))
+
+    monkeypatch.setattr(moments, "integrate_line", with_norm)
+    moments._oracle_integrals.cache_clear()
+    if refused:
+        with pytest.raises(ConventionMismatch, match="norm integral came out non-positive"):
+            moments._oracle_integrals(1.5, 0.4, 0.1, 1e-9)
+    else:
+        assert moments._oracle_integrals(1.5, 0.4, 0.1, 1e-9)[0] == norm
+    moments._oracle_integrals.cache_clear()
 
 
 def test_uncertainty_product_sentinel_exact():
