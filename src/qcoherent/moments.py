@@ -37,7 +37,8 @@ from .states import (
     CONVENTION_TOL,
     Q_MOMENT_SUITE_MAX,
     SQRT2,
-    _psi_un_arrays,
+    _density,
+    _inverse_b,
     require_alpha,
     require_window,
 )
@@ -134,10 +135,13 @@ def _oracle_integrals(q: float, are: float, aim: float, tol: float) -> tuple[com
     alpha = complex(are, aim)
 
     def weights(x):
-        v, d1, d2 = _psi_un_arrays(q, alpha, x)
-        xv, cv = x * v, np.conj(v)  # (x*v) first: huge-|x| probes cannot overflow
-        return np.stack([(v * cv).real, (xv * cv).real, (xv * np.conj(xv)).real,
-                         -1j * cv * d1, (d1 * np.conj(d1)).real, -cv * d2])
+        dens, mod, ratio, inv_re = _density(q, alpha, x)
+        inv_b = _inverse_b(ratio, inv_re)
+        w_b = (x - SQRT2 * alpha) * inv_b
+        x_mod = x * mod  # (x r)^2, not x (x r^2): r^2 underflows first at huge |x|
+        return np.array([dens, x * dens, x_mod * x_mod, 1j * w_b * dens,
+                         (w_b.real * w_b.real + w_b.imag * w_b.imag) * dens,
+                         (inv_b - q * w_b * w_b) * dens])
 
     values = integrate_line(weights, tol=tol).value.tolist()
     norm = values[0].real

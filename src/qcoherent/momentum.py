@@ -6,8 +6,9 @@ all with the exact Gaussian dispatch at the q = 1 sentinel and defined for
 
 * ``momentum_amplitude_bessel``, the engine of ``momentum_pd``: the exact
   transform in closed form.  With w = x - sqrt2 alpha the state's bracket is
-  ((q-1)/2) (w^2 + c^2), c = ``states._root_c`` as in the state's own
-  evaluation, and Re c > sqrt2 |Im alpha| for every q > 1, so the contour
+  ((q-1)/2) (w^2 + c^2), c = ``states._root_c`` (the state itself is
+  evaluated as 1 + s^2 u, ``states._bracket``, the same bracket expanded),
+  and Re c > sqrt2 |Im alpha| for every q > 1, so the contour
   shifts back to the real w axis and Basset's integral (DLMF 10.32.11)
   gives a Bessel-K expression in k, vectorised over any k array.
 * ``momentum_amplitude_oracle``: numerical Fourier quadrature with the

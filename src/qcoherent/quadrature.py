@@ -20,7 +20,8 @@ Euler halves, a Fourier core's wave set) reuses the layout built first.
 The seed rule: every pass starts at the resolution it reaches anyway, four
 panels on each unit piece (graded hint sides, substituted tails, Euler
 halves), a ladder of edges 1 - 2^-j down to the end layer of a graded
-Euler half, and two edges per octave on the line's core.  A generation's
+Euler half, and two edges per octave on the line's core, with +-0.375
+inside the first octave, next to where states sit.  A generation's
 fixed numpy work costs as much as fifteen to twenty-five panels, so
 coarser seeds only buy extra generations that split a few panels each.
 The end rule: every power-substituted end (tails, Euler halves) is mapped
@@ -497,12 +498,14 @@ _X_TOP = 1e250        # beyond this the tail is bounded analytically, not sample
 
 
 def _seed_edges(top: float) -> set[float]:
-    """0 and +-0.75 * 2^j, +-1.125 * 2^j up to top: two edges per octave,
-    fine panels where states sit, wide ones out (30 core panels on the
-    line).  One edge per octave left line passes several generations of
-    splitting a few panels each, and each generation costs more than the
-    panels it adds; four per octave add nodes and save no generation."""
-    edges = {0.0}
+    """0, +-0.375 and +-0.75 * 2^j, +-1.125 * 2^j up to top: two edges per
+    octave, fine panels where states sit, wide ones out (32 core panels on
+    the line).  One edge per octave left line passes several generations
+    of splitting a few panels each, and each generation costs more than the
+    panels it adds; four per octave add nodes and save no generation.  The
+    moment pass split most of its panels at |x| < 0.75, next to a state's
+    centre, until +-0.375 seeded them."""
+    edges = {0.0, 0.375, -0.375}
     for e in (0.75, 1.125):
         while e <= top:
             edges |= {e, -e}

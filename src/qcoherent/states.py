@@ -17,9 +17,11 @@ The quartic |psi|^2 factors over four complex roots
     beta_{3,4} = sqrt2*alpha       +- sqrt(alpha^2      - |alpha|^2 - 2/(q-1))
 
 (principal square roots), which feed every Lauricella closed form in
-``closedforms``.  The state itself is evaluated at every finite x through
-the bracket's factored form (``_log_b``), which has no real root and no
-overflow; only ``quadrature`` decides where the sampled line ends.
+``closedforms``.  The state itself is evaluated at every finite x in real
+arithmetic, from B = 1 + s^2 u with s^2 = (q-1)/2 (``_bracket``): Re B >= 1,
+so B has no real root and its principal argument crosses no cut, and
+log|B| goes through log1p, exact as q -> 1 and finite out to the largest
+doubles; only ``quadrature`` decides where the sampled line ends.
 """
 
 from __future__ import annotations
@@ -229,23 +231,49 @@ def _root_c(q: float, alpha: complex) -> complex:
     return c if c.real > 0.0 else complex(0.0, 1.0) * sr
 
 
-def _log_b(q: float, alpha: complex, x):
-    """(w, log B) at real x for q > 1, B = s^2 (w - ic)(w + ic) the bracket,
-    s^2 = (q-1)/2, w = x - sqrt2 alpha and c = ``_root_c``:
+def _bracket(q: float, alpha: complex, x):
+    """(log|B|, Im B / Re B, 1 / Re B) at real x for q > 1, in real arithmetic.
 
-        log B = 2 log(s/h) + log(h (w - ic)) + log(h (w + ic)),  h = min(1, s).
+    With s^2 = (q-1)/2 and y = x - sqrt2 Re alpha the bracket is
+    B = 1 + s^2 (w^2 + |alpha|^2 - alpha^2), w = x - sqrt2 alpha, so
 
-    One root +-ic lies in each half-plane, so for real w neither factor
-    crosses the cut and the principal logs add up to that of B.  h <= 1
-    keeps every factor finite at any finite x.  For q <= 3 the first term
-    is exactly 0.  An error in log B is still scaled by p = 1/(q-1) in the
-    exponent (norm integral at alpha = 0.3, q = 1.01, tol 1e-12: 4.4e-14 off).
+        Re B = 1 + s^2 y^2 >= 1,   Im B = -2 s^2 Im alpha (sqrt2 x - Re alpha),
+
+    and arg B = arctan(Im B / Re B) is the principal argument on the whole
+    line.  log Re B is log1p(s^2 y^2), exact as s -> 0 where p = 1/(q-1)
+    scales its error; past |y| = 2^500, where y^2 would overflow, y is
+    scaled down by rho and 2 log rho added back (rho = 1, log rho = 0
+    everywhere else), so every part is finite and silent at any finite x.
     """
-    w = x - SQRT2 * alpha
-    s = math.sqrt(0.5 * (q - 1.0))
-    h = min(1.0, s)
-    ic = 1j * _root_c(q, alpha)
-    return w, 2.0 * math.log(s / h) + np.log(h * (w - ic)) + np.log(h * (w + ic))
+    s2 = 0.5 * (q - 1.0)
+    y = x - SQRT2 * alpha.real
+    rho = np.maximum(np.abs(y) * 2.0 ** -500, 1.0)
+    ys = y / rho
+    t = s2 * ys * ys  # Re B / rho^2 - 1
+    inv_re = 1.0 / (1.0 + t) / rho / rho
+    ratio = (-2.0 * SQRT2 * s2 * alpha.imag) * ((x - alpha.real / SQRT2) * inv_re)
+    log_mod = np.log1p(t) + 2.0 * np.log(rho) + 0.5 * np.log1p(ratio * ratio)
+    return log_mod, ratio, inv_re
+
+
+def _density(q: float, alpha: complex, x):
+    """(|psi_un|^2, |psi_un|, Im B / Re B, 1 / Re B) at real x for q > 1:
+    the density r^2 with r = |B|^(-p) = exp(-p log|B|), p = 1/(q-1), and
+    the bracket parts the moment rows reuse.  The norm pass integrates it,
+    and it is row 0 of the moment pass."""
+    log_mod, ratio, inv_re = _bracket(q, alpha, x)
+    mod = np.exp((1.0 / (1.0 - q)) * log_mod)
+    return mod * mod, mod, ratio, inv_re
+
+
+def _psi(q: float, log_mod, ratio):
+    # B^(-p) = exp(-p (log|B| + i arg B)), principal since Re B >= 1
+    return np.exp((1.0 / (1.0 - q)) * (log_mod + 1j * np.arctan(ratio)))
+
+
+def _inverse_b(ratio, inv_re):
+    # 1/B = (1 - i Im B/Re B) / (Re B (1 + (Im B/Re B)^2)), no part above 1
+    return (inv_re / (1.0 + ratio * ratio)) * (1.0 - 1j * ratio)
 
 
 def _psi_un(q: float, alpha: complex, x):
@@ -254,18 +282,18 @@ def _psi_un(q: float, alpha: complex, x):
     alpha = complex(alpha)
     if q == 1.0:
         return np.exp(-0.5 * _quad_poly(alpha, np.clip(x, -_GAUSS_X, _GAUSS_X)))
-    return np.exp((1.0 / (1.0 - q)) * _log_b(q, alpha, x)[1])
+    log_mod, ratio, _ = _bracket(q, alpha, x)
+    return _psi(q, log_mod, ratio)
 
 
 def _psi_un_arrays(q: float, alpha: complex, x):
     """Vectorised (value, d1, d2) of the unnormalised state.
 
-    d1 = -(x - sqrt2 alpha) B^(-p-1) and
-    d2 = B^(-p-2) [q (x - sqrt2 alpha)^2 - B], with p = 1/(q-1);
-    at the q = 1 sentinel these collapse to the Gaussian derivatives,
-    with the value from ``_psi_un``.  Every power of B is exp(e log B), so a huge bracket underflows to 0,
-    and the decaying power absorbs each shift factor before a bare
-    shift^2 could overflow (|x| > 1e154).
+    With p = 1/(q-1), w = x - sqrt2 alpha and the bracket B (``_bracket``):
+    value B^(-p), d1 = -(w/B) B^(-p) and d2 = (q (w/B)^2 - 1/B) B^(-p).
+    Each factor is formed on its own, 1/B and w/B small where |x| is huge,
+    so no part overflows at any finite x; at the q = 1 sentinel these
+    collapse to the Gaussian derivatives, with the value from ``_psi_un``.
     """
     x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
@@ -273,11 +301,11 @@ def _psi_un_arrays(q: float, alpha: complex, x):
         val = _psi_un(q, alpha, x)
         shift = x - SQRT2 * alpha
         return val, -shift * val, shift * (shift * val) - val
-    shift, log_b = _log_b(q, alpha, x)
-    expo = 1.0 / (1.0 - q)
-    power = np.exp((expo - 1.0) * log_b)  # B^(-p-1)
-    half_piece = shift * np.exp((0.5 * (expo - 2.0)) * log_b)
-    return np.exp(expo * log_b), -shift * power, q * half_piece * half_piece - power
+    log_mod, ratio, inv_re = _bracket(q, alpha, x)
+    val = _psi(q, log_mod, ratio)
+    inv_b = _inverse_b(ratio, inv_re)
+    w_b = (x - SQRT2 * alpha) * inv_b
+    return val, -w_b * val, (q * w_b * w_b - inv_b) * val
 
 
 def _finite_x(x) -> np.ndarray:
@@ -297,11 +325,8 @@ def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
 @lru_cache(maxsize=512)
 def _norm_integral(q: float, are: float, aim: float, tol: float) -> float:
     """int |psi_un|^2 dx by the quadrature oracle (q > 1), memoised."""
-    def density(x):
-        v = _psi_un(q, complex(are, aim), x)
-        return (v * np.conj(v)).real
-
-    nrm = integrate_line(density, tol=tol).value.real
+    alpha = complex(are, aim)
+    nrm = integrate_line(lambda x: _density(q, alpha, x)[0], tol=tol).value.real
     if nrm <= 0.0:
         raise ConventionMismatch(f"norm integral came out non-positive: {nrm}")
     return nrm

@@ -81,9 +81,9 @@ def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):
 
 def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     # q = 1.6, alpha = 0.4+0.1i: the decay probe of both sides is one call,
-    # then one call per adaptive generation.  Seeded with 30 core panels and
+    # then one call per adaptive generation.  Seeded with 32 core panels and
     # four on each tail, the six-row pass meets its target in one generation
-    # (12 probe nodes plus 38 panels of 15 nodes).  Its row 0 is the norm
+    # (12 probe nodes plus 40 panels of 15 nodes).  Its row 0 is the norm
     # integral, so no separate norm pass runs.
     from qcoherent import states
 
@@ -93,7 +93,7 @@ def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     moments._oracle_integrals.cache_clear()
     moments_oracle(1.6, 0.4 + 0.1j)
     assert norm_log == []  # no norm integral at tol 1e-10
-    assert moment_log == [[2, 582, 582]]  # the 6-row moment pass at tol 1e-9
+    assert moment_log == [[2, 612, 612]]  # the 6-row moment pass at tol 1e-9
 
 
 def test_both_routes_take_no_separate_norm_pass():
@@ -127,6 +127,52 @@ def test_oracle_norm_row_closes_on_the_norm_pass():
         assert moments_closed(q, alpha).deviations["norm_constant"] <= 1e-12, (q, alpha)
 
 
+def _mpmath_rows(q, alpha):
+    """The six integrals of the moment pass by mpmath (20 digits): the norm
+    n = int |B|^(-2p) dx and the five moment rows, each over n, from the
+    complex bracket B = 1 + s^2 (w^2 + |alpha|^2 - alpha^2).  The core is
+    |x - c| <= 64 about the centre c = sqrt2 Re alpha, and each tail is
+    mapped by x = c +- 64/t^4 to [0, 1]."""
+    import mpmath
+
+    with mpmath.workdps(20):
+        q, a = mpmath.mpf(q), mpmath.mpc(alpha)
+        p, r2, memo = 1 / (q - 1), mpmath.sqrt(2), {}
+
+        def rows(x):
+            if x not in memo:
+                w = x - r2 * a
+                b = 1 + (q - 1) / 2 * (w * w + abs(a) ** 2 - a * a)
+                d = abs(b) ** (-2 * p)
+                memo[x] = (d, x * d, x * x * d, 1j * w / b * d, abs(w / b) ** 2 * d,
+                           (1 / b - q * (w / b) ** 2) * d)
+            return memo[x]
+
+        c = r2 * a.real
+
+        def row(i):
+            tails = [mpmath.quad(lambda t: rows(c + side * 64 / t ** 4)[i] * 256 / t ** 5
+                                 if t else 0, [0, 1]) for side in (1, -1)]
+            return mpmath.quad(lambda x: rows(x)[i], [c - 64, c - 4, c, c + 4, c + 64]) + sum(tails)
+
+        n, *moment_rows = [row(i) for i in range(6)]
+        return [complex(n)] + [complex(m / n) for m in moment_rows]
+
+
+@pytest.mark.parametrize("q, alpha", [(1.01, 0.7 - 0.5j), (1.5, 0.4 + 0.1j), (2.2, 0.3 + 0.6j)])
+def test_norm_and_moment_rows_meet_mpmath(q, alpha):
+    # the state's real-arithmetic rows (states._bracket) against mpmath's
+    # complex bracket, both passes at tol 1e-12
+    from qcoherent import states
+
+    want = _mpmath_rows(q, alpha)
+    got = moments._oracle_integrals(q, alpha.real, alpha.imag, 1e-12)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert abs(g - w) <= 1e-14 * abs(w), (i, g, w)
+    norm = states._norm_integral(q, alpha.real, alpha.imag, 1e-12)
+    assert abs(norm - want[0]) <= 1e-14 * abs(want[0])
+
+
 def test_closed_fourier_and_parseval_passes_keep_their_refinement(monkeypatch):
     # (evaluator calls, nodes, evaluations) of three more kinds of pass, so
     # that no change to the adaptive driver's bookkeeping moves a refinement
@@ -152,10 +198,11 @@ def test_a_high_q_label_takes_few_generations(monkeypatch):
     # q = 2.25: the six-row pass's slowest tails decay like |x|^(-1.2),
     # substituted with gamma = 25 (an end of v^4), and the closed pass's
     # left half is graded by g = 25 for exponents 0.2 to 6.2, so its seed
-    # ladder reaches 2^-8 <= 1/(25 * 6.2).  The six-row pass takes 4
-    # generations and the Euler pass 1, against 5 and 5 with v^1.5 tails
-    # and quarter seeds: (evaluator calls, nodes, evaluations), the line's
-    # first call being its decay probe
+    # ladder reaches 2^-8 <= 1/(25 * 6.2).  The six-row pass takes 2
+    # generations (4 before its core seed had edges +-0.375) and the Euler
+    # pass 1, against 5 and 5 with v^1.5 tails and quarter seeds:
+    # (evaluator calls, nodes, evaluations), the line's first call being its
+    # decay probe
     closedforms.calibrated_reflection()
     q, alpha = 2.25, 0.3 + 0.5j
     normalization_constant(q, alpha)
@@ -163,7 +210,7 @@ def test_a_high_q_label_takes_few_generations(monkeypatch):
     moment_log = _evaluator_log(monkeypatch, moments)
     euler_log = _evaluator_log(monkeypatch, specfun, "_adaptive", arg=1)
     moments_closed(q, alpha)
-    assert moment_log == [[5, 702, 702]]
+    assert moment_log == [[3, 672, 672]]
     assert euler_log == [[1, 210, 210]]
 
 

@@ -82,14 +82,15 @@ def test_oracle_continuous_down_to_tiny_k(q, alpha):
 
 
 # SHA-256 of scalar oracle amplitudes, pinned when the oracle was
-# vectorised over k: a number k keeps the one-k-at-a-time transform's bits
+# vectorised over k (a number k keeps the one-k-at-a-time transform's bits)
+# and re-pinned when the state came to be evaluated as B = 1 + s^2 u
 ORACLE_SHA256 = {
     (1.5, 0.3 + 0.1j, 0.8, 1e-9):
-        "16793b6567a2e38eed8b100fdfedcdddba38ed4a7c7b855d5e8e53b200bdda1f",
+        "627b11b82488600641b0e7ce53b6925578eae9cd8992c26dc74883072b91999f",
     (2.2, -1.2 + 0.2j, 2.0, 1e-9):
-        "91c53151d0462cdd542714272a5dd6fe880a77c57f85d33c8546dcfea6c9b972",
+        "367cfc57e9a7aaf40c843618ed35beb41c28442169efcf17cf93afd4c6c16a8f",
     (1.1, 0.5 - 0.1j, 0.01, 1e-10):
-        "1a52d1ffa27973f2186bb9c1faed7f74752c5e4f7c28ea117cec902e574d70ce",
+        "b7984eb3be5f5989b793cdad4a73efebcaf53e1776017ccb594565ba7e15cc90",
 }
 
 
@@ -422,12 +423,14 @@ def _sha256(dist):
 
 # SHA-256 of the samples and the Parseval total of momentum_pd at three
 # labels, pinned when the Bessel pass, the samples and the Parseval fold
-# were last made faster with every output kept to its bit.  A change that
-# moves them must re-pin them and say so.  The grid centre of 2.250025i is
-# -1.8e-15, not 0, so its amplitudes take the unpatched Bessel pass.
+# were last made faster with every output kept to its bit, and re-pinned
+# when the state came to be evaluated as B = 1 + s^2 u, which moves the
+# oracle norm A.  A change that moves them must re-pin them and say so.
+# The grid centre of 2.250025i is -1.8e-15, not 0, so its amplitudes take
+# the unpatched Bessel pass.
 PD_SHA256 = {
-    (1.02, 0.7 + 0.3j): "672579d06f99a30bde5721c006e572b8f5acfff15abe37ec302dc5aecbb763b8",
-    (1.5, 2.250025j): "b371ea5a4772962ca99f467934985f1bfd2f166dd5d5bfeb9ae8b09079dada2c",
+    (1.02, 0.7 + 0.3j): "7449aa3673275f293f7b401b13fc7c0b1d529983704f29a58fc538b686a54b69",
+    (1.5, 2.250025j): "a041726da5c93ff9f7a8664508da6b1439d7aa21b5b0fba7487f67a4762876e0",
     (2.6, -0.8 + 0.4j): "c1cd4b738096dd088849d7d7965eb5f6870af604cf1d8ae87b17cd63ad55a2ae",
 }
 PD_CLI_SHA256 = "ac5ce2edbd6a1262aa0ff65bace673b2d210aff99f98626f78953e046cc9e425"
@@ -452,11 +455,10 @@ def test_pd_of_a_state_centred_far_out_closes():
     assert abs(momentum_pd(1.05, 300.0).parseval_total - 1.0) < 1e-4
 
 
-@pytest.mark.xfail(strict=True, reason="the oracle norm goes wrong just above q = 1: "
-                   "states._log_b rounds h and c apart, and p = 1/(q-1) scales the error")
 @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 2.0 ** -52])
 def test_pd_just_above_q_one_closes(q):
     # parseval_total read 1 + 8.9e-4 at q = 1 + 1e-12 and 54.6 at 1 + 2^-52
+    # while the oracle norm lost log B to rounding just above q = 1
     assert abs(momentum_pd(q, 0.3).parseval_total - 1.0) < 1e-4
 
 

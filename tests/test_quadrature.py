@@ -134,7 +134,7 @@ def test_round_off_floor_counts_only_resolved_panels():
                 - 10.0 * np.exp(-((x + 72.0) / 0.05) ** 2) + np.exp(-x * x))
 
     r = integrate_line(f, tol=1e-13)
-    assert r.evaluations == 1962
+    assert r.evaluations == 1992
     assert abs(r.value - SQRT_PI) <= 1e-13
 
 
@@ -365,7 +365,7 @@ def test_a_recurring_pass_shares_its_seed_layout(monkeypatch, name):
     if name.startswith("line"):
         tails = int(name.split("-")[1])
         assert len(edges) == len(quadrature._LINE_PIECES) + tails
-        assert len(layout[0]) == 30 + 4 * tails
+        assert len(layout[0]) == 32 + 4 * tails
     if name == "verify-waves":  # the wave set's pieces are kept as well
         assert quadrature._fourier_core.cache_info().hits == kept + 1
 

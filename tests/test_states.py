@@ -253,15 +253,11 @@ def test_psi_unnormalized_parity_about_bracket_vertex():
         assert left == pytest.approx(right, rel=1e-12)
 
 
-def _factored_log_b(q, alpha, x):
-    # log B = 2 log(s/h) + log(h (w - ic)) + log(h (w + ic)), with
-    # s^2 = (q-1)/2, h = min(1, s), w = x - sqrt2 alpha and
-    # c^2 = |alpha|^2 - alpha^2 + 2/(q-1)
+def _complex_bracket(q, alpha, x):
+    # B = 1 + s^2 (w^2 + |alpha|^2 - alpha^2) in plain complex arithmetic,
+    # s^2 = (q-1)/2 and w = x - sqrt2 alpha: a reference for moderate |x|
     w = x - SQRT2 * alpha
-    s = math.sqrt(0.5 * (q - 1.0))
-    h = min(1.0, s)
-    ic = 1j * cmath.sqrt(abs(alpha) ** 2 - alpha * alpha + 2.0 / (q - 1.0))
-    return 2.0 * math.log(s / h) + np.log(h * (w - ic)) + np.log(h * (w + ic))
+    return w, 1.0 + 0.5 * (q - 1.0) * (w * w + abs(alpha) ** 2 - alpha * alpha)
 
 
 _FAR_LANES = [1e30, -1e151, 1e250, -1e300, 1.7976931348623157e308]
@@ -279,26 +275,34 @@ def test_psi_un_value_only_matches_full_evaluation_bitwise():
             # the Gaussian is an exact 0 on every far lane
             assert np.all(v[-len(_FAR_LANES):] == 0.0)
         else:
-            want = np.exp((1.0 / (1.0 - q)) * _factored_log_b(q, alpha, x))
-            assert v.tobytes() == want.tobytes()
+            # B^(-p) with the principal log of the complex bracket, Re B >= 1
+            near = v[:-len(_FAR_LANES)]
+            want = np.exp((1.0 / (1.0 - q)) * np.log(_complex_bracket(q, alpha, x[:801])[1]))
+            assert np.all(np.abs(near - want) <= 1e-14 * np.abs(want))
 
 
 def test_psi_un_derivatives_match_the_bracket_powers_bitwise():
-    from qcoherent.states import _psi_un_arrays
+    from qcoherent.states import _bracket, _inverse_b, _psi_un_arrays
 
-    # d1 = -shift B^(expo-1), d2 = q (shift B^((expo-2)/2))^2 - B^(expo-1),
-    # each power taken as exp(e log B) with log B from the factored form
+    # d1 = -(w/B) psi and d2 = (q (w/B)^2 - 1/B) psi, bit for bit, with 1/B
+    # and w/B = (x - sqrt2 alpha) (1/B) from the bracket's real parts; on
+    # moderate |x| these are the powers -w B^(-p-1) and (q w^2 - B) B^(-p-2)
     x = np.concatenate([np.linspace(-60.0, 60.0, 1201), _FAR_LANES])
     for q, alpha in [(1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j), (4.2, 1.3j)]:
-        log_b = _factored_log_b(q, alpha, x)
+        v, d1, d2 = _psi_un_arrays(q, alpha, x)
+        _, ratio, inv_re = _bracket(q, alpha, x)
+        inv_b = _inverse_b(ratio, inv_re)
+        w_b = (x - SQRT2 * alpha) * inv_b
+        assert d1.tobytes() == (-w_b * v).tobytes()
+        assert d2.tobytes() == ((q * w_b * w_b - inv_b) * v).tobytes()
+        assert all(np.all(np.isfinite(part)) for part in (v, d1, d2))
+        w, b = _complex_bracket(q, alpha, x[:1201])
         expo = 1.0 / (1.0 - q)
-        shift = x - SQRT2 * alpha
-        half = shift * np.exp(0.5 * (expo - 2.0) * log_b)
-        want_d1 = -shift * np.exp((expo - 1.0) * log_b)
-        want_d2 = q * half * half - np.exp((expo - 1.0) * log_b)
-        _, d1, d2 = _psi_un_arrays(q, alpha, x)
-        assert d1.tobytes() == want_d1.tobytes()
-        assert d2.tobytes() == want_d2.tobytes()
+        log_b = np.log(b)
+        want_d1 = -w * np.exp((expo - 1.0) * log_b)
+        want_d2 = (q * w * w - b) * np.exp((expo - 2.0) * log_b)
+        assert np.all(np.abs(d1[:1201] - want_d1) <= 1e-13 * np.abs(want_d1))
+        assert np.all(np.abs(d2[:1201] - want_d2) <= 1e-13 * np.abs(want_d2))
 
 
 @pytest.mark.parametrize("q", [4.2, 4.9])
@@ -475,17 +479,28 @@ def test_oracle_norm_of_a_state_centred_far_out(q):
     assert _norm_integral(q, 300.0, 0.0, 1e-10) == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="_log_b forms h*(w -+ ic) with h = s and c rounded "
-                   "apart; at real alpha h*c should be exactly 1, and p = 1/(q-1) scales "
-                   "the rounding into the exponent")
 @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 2.0 ** -52])
 def test_oracle_norm_just_above_q_one(q):
     # read 4.4e-4 relative off at q = 1 + 1e-12 and a factor 7.4 at
-    # q = 1 + 2^-52 (4.4e-6 at 1 + 1e-10), silently
+    # q = 1 + 2^-52 (4.4e-6 at 1 + 1e-10), silently, while log B was formed
+    # from h = s and the root c rounded apart; log1p(s^2 y^2) keeps it exact
     from qcoherent.closedforms import real_alpha_norm_squared_exact
 
     want = real_alpha_norm_squared_exact(q) ** -0.5
     assert normalization_constant(q, 0.3).real == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("q", [1.0 + 2.0 ** -52, 1.0 + 1e-12, 1.0 + 1e-10, 1.001, 1.05, 1.5,
+                               2.32, 3.0, 4.5])
+def test_oracle_norm_meets_the_exact_norm_from_q_one_up(q):
+    # the bracket's real part 1 + s^2 y^2 goes through log1p, so the norm
+    # pass is as exact at q = 1 + 2^-52 as at q = 4.5
+    from qcoherent.closedforms import real_alpha_norm_squared_exact
+    from qcoherent.states import _norm_integral
+
+    want = real_alpha_norm_squared_exact(q)
+    for alpha in (0.0, 0.3, -1.2):
+        assert abs(_norm_integral(q, alpha, 0.0, 1e-10) / want - 1.0) <= 1e-14, alpha
 
 
 def test_normalization_constant_rejects_non_finite_alpha():
