@@ -227,16 +227,17 @@ _VERIFY_KS = (0.8, 2.0, _K_NEAR_ZERO)
 def _grid_point_rows(q, alpha, tol):
     """The 16 (equation, point, closed, oracle, note) rows of one grid point,
     then its oracle uncertainty product and its normalisation closure
-    |A_oracle|^2 n2_closed - 1, which the mandatory checks read."""
+    |A_oracle|^2 n2_closed - 1, which the mandatory checks read.  The closed
+    moments of alpha and its closed overlap with alpha + 0.2 come from one
+    Euler pass of 18 rows, four complex logs a node."""
     point = _point(q, alpha)
     oracle = moments_oracle(q, alpha, tol=tol)
     a_oracle = normalization_constant(q, alpha, tol=tol)
-    n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half) = (
-        closedforms._closed_moments(q, alpha, tol))
     partner = alpha + 0.2
+    n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half), ov_raw = (
+        closedforms._closed_moments(q, alpha, tol, partner))
     sa, sb = StateLabel(q, alpha), StateLabel(q, partner)
-    ov_closed = (sa.norm_constant * sb.norm_constant
-                 * closedforms.overlap_closed(q, alpha, partner, tol=tol))
+    ov_closed = sa.norm_constant * sb.norm_constant * ov_raw
     rows = [
         ("normalization_fd", point, n2 ** -0.5, a_oracle, None),
         ("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, _HALFLINE_NOTE),

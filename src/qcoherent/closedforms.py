@@ -32,22 +32,25 @@ Requirements inherited from the derivation: Re(S) > m + 1 for
 convergence at infinity (this is exactly the q-window arithmetic of the
 moment suite), and Im(beta_i) != 0 so no factor has a real-line cut.
 
-One private builder, ``_state_halves``, takes every (bra_shift,
-ket_shift, coefficient map) term of a state and returns each term's plus
+One private builder, ``_state_halves``, takes every (alpha_bra, alpha_ket,
+bra_shift, ket_shift, coefficient map) term and returns each term's plus
 and reflected half of ((q-1)/2)^(-S/2) * sum_m c_m I(m): each state
 bracket is (q-1)/2 times a monic quadratic in x, raised to -b over its
 root pair, so a product of brackets with exponent sum S carries that
-scale.  Its rows, one per (bracket family, half, power m), are the rows
-of a single log-space ``specfun._euler_integral`` pass; the scale and
-the branch phase join each row's log, so no value over- or underflows on
-the way.  A row's log takes log(1 - x_i u) at the eight bracket
-arguments x_i; when bra and ket are one state, the bra's x_i are the
-ket's conjugates, so only the ket's four logs are taken per node and
-conjugated (``_bracket_logs``).  Three views read it:
-``norm_squared_closed`` and ``overlap_closed`` take the norm's row (``_norm_halves``, which the
-calibration reads too), and ``_closed_moments`` takes all five moment
-terms of a state from one call (``moments_closed`` and ``verify`` read
-it).
+scale.  Its rows, one per (term, half, power m), are the rows of a single
+log-space ``specfun._euler_integral`` pass; the scale joins each row's
+log, so no value over- or underflows on the way.  Each bracket's roots
+straddle the real axis, so its branch phases cancel, and a row's log
+takes one complex log a node per distinct root pair and half,
+log((1 - x_1 u)(1 - x_2 u)) (``_bracket_logs``): a bra pair is the
+conjugate of its state's ket pair and reads the conjugate logs.  That is
+two logs a node for one state, four for two.  Three views read it:
+``norm_squared_closed`` and ``overlap_closed`` take the norm's row
+(``_norm_halves``, which the calibration reads too), and
+``_closed_moments`` takes all five moment terms of a state from one call
+(``moments_closed`` reads it), with the overlap of the state with each
+partner it is given in the same pass (``verify`` reads its moments and
+its overlap with alpha + 0.2 so).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConventionMismatch
+from .errors import BranchCrossing, ConventionMismatch, NotConverged
 from .specfun import _euler_integral, _log_gamma_ratio_half
 from .states import (Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots,
                      _require_open_window, require_alpha)
@@ -76,64 +79,72 @@ CALIBRATION_ANCHOR_Q = 1.2
 CALIBRATION_ANCHOR_ALPHA = 0.3 + 0.0j
 
 
-def _bracket_logs(xs: np.ndarray):
-    """u -> log(1 - x_i u), shape (8, n), for the eight bracket arguments
-    x = 1 + beta (plus half), then x = 1 - beta (reflected half), each over
-    the bra's root pair and then the ket's.
+def _bracket_logs(pairs: list):
+    """u -> the log table, shape (4 len(pairs), n): log((1 - x_1 u)(1 - x_2 u))
+    for each root pair (beta_1, beta_2) of ``pairs``, at x = 1 + beta (plus
+    half), then at x = 1 - beta (reflected half), then the conjugates of
+    those rows, which are the same logs for the conjugate pairs.
 
-    For real u, log(1 - conj(x) u) = conj(log(1 - x u)).  So when the bra's
-    x are the exact conjugates of the ket's, byte for byte (bra and ket one
-    state: every norm, moment and calibration pass), only the ket's four
-    logs are taken and the bra's are their conjugates.  Otherwise (an
-    overlap of two states) all eight are taken.
+    One complex log per pair, half and node stands in for log(1 - x_1 u) +
+    log(1 - x_2 u).  Re B >= 1 on the real line, so each bracket has one
+    root in each half plane; for u in (0, 1] the two factors' imaginary
+    parts then have opposite signs, their arguments sum to a value inside
+    (-pi, pi), and the principal log of the product is the sum of the
+    principal logs.  A pair that does not straddle the real axis raises
+    BranchCrossing, and one whose product can overflow (|1 - x u| <=
+    2 + |beta| on [0, 1]) NotConverged, before any log is taken.
     """
-    pairs = xs.reshape(2, 2, 2)  # (half, bra or ket, root)
-    if pairs[:, 0].tobytes() != pairs[:, 1].conj().tobytes():
-        return lambda u: np.log(1.0 - xs[:, None] * u)
-    ket = pairs[:, 1, :, None]
+    for beta_1, beta_2 in pairs:
+        if not min(beta_1.imag, beta_2.imag) < 0.0 < max(beta_1.imag, beta_2.imag):
+            raise BranchCrossing(f"bracket roots {beta_1}, {beta_2} do not straddle the real axis")
+        if not math.isfinite((2.0 + abs(beta_1)) * (2.0 + abs(beta_2))):
+            raise NotConverged(f"the product over bracket roots {beta_1}, {beta_2} "
+                               "overflows double precision")
+    x_1, x_2 = (np.concatenate([1.0 + r, 1.0 - r])[:, None] for r in np.array(pairs).T)
 
     def logs(u):
-        out = np.empty((2, 2, 2, u.size), dtype=complex)
-        np.log(1.0 - ket * u, out=out[:, 1])
-        np.conjugate(out[:, 1], out=out[:, 0])
-        return out.reshape(8, u.size)
+        log = np.log((1.0 - x_1 * u) * (1.0 - x_2 * u))
+        return np.concatenate([log, log.conj()])
 
     return logs
 
 
-def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
-                  tol: float) -> np.ndarray:
-    """(len(terms), 2) array: each (bra_shift, ket_shift, coeffs) term's
-    plus and reflected half of ((q-1)/2)^(-S/2) * sum_m c_m I(m), from one
-    Euler pass with a plus and a reflected row per (term, m), a = S-m-1, c = S.
+def _state_halves(q: float, terms, tol: float) -> np.ndarray:
+    """(len(terms), 2) array: each (alpha_bra, alpha_ket, bra_shift,
+    ket_shift, coeffs) term's plus and reflected half of
+    ((q-1)/2)^(-S/2) * sum_m c_m I(m), from one Euler pass with a plus and a
+    reflected row per (term, m), a = S-m-1, c = S.
 
     conj(psi_un[alpha_bra]) contributes its root pair with b = p + bra_shift,
     psi_un[alpha_ket] its pair with b = p + ket_shift (p = 1/(q-1); a shift
     of one per derivative taken); ``coeffs`` maps each power m to c_m.  The
-    row logs come from ``_bracket_logs``: four complex logs a node when bra
-    and ket are one state, eight for an overlap.  Each term's halves add
-    its rows' c_m-weighted values in row order.
+    row logs come from ``_bracket_logs``, with one root pair per distinct
+    state: the bra pair of a state is the exact conjugate of its ket pair,
+    so it reads the conjugate rows.  That is two complex logs a node for
+    one state and four for two.  Every pair straddles the real axis, so the
+    branch phases prod_i exp(i pi b_i sign(Im beta_i)) cancel within each
+    pair and the reflected rows take none.  Each term's halves add its
+    rows' c_m-weighted values in row order.
     """
     p = 1.0 / (q - 1.0)
-    betas = np.array(_pair_roots(q, alpha_bra.conjugate(), abs(alpha_bra) ** 2)
-                     + _pair_roots(q, alpha_ket, abs(alpha_ket) ** 2))
-    owner, bra, ket, m, c_m = map(np.array, zip(*[(t, bra, ket, m, c_m)
-                                                  for t, (bra, ket, coeffs) in enumerate(terms)
-                                                  for m, c_m in coeffs.items()]))
+    states = list(dict.fromkeys(alpha for bra, ket, *_ in terms for alpha in (bra, ket)))
+    n = len(states)
+    owner, bra_col, b_bra, ket_col, b_ket, shifts, m, c_m = map(np.array, zip(*[
+        (t, states.index(bra) + 2 * n, p + bra_shift, states.index(ket), p + ket_shift,
+         bra_shift + ket_shift, m, c_m)
+        for t, (bra, ket, bra_shift, ket_shift, coeffs) in enumerate(terms)
+        for m, c_m in coeffs.items()]))
     k = len(m)
-    b = np.empty((k, 4), dtype=complex)
-    b[:, :2], b[:, 2:] = (p + bra)[:, None], (p + ket)[:, None]
-    log_scale = -(2.0 * p + bra + ket) * math.log(0.5 * (q - 1.0))
-    big_s = b.sum(axis=1)
-    weights = np.zeros((2 * k, 8), dtype=complex)
-    weights[:k, :4] = weights[k:, 4:] = b
-    offsets = np.empty((2 * k, 1), dtype=complex)
-    offsets[:k, 0] = log_scale
-    offsets[k:, 0] = log_scale + 1j * math.pi * (b @ np.sign(betas.imag))
-    a, c = np.empty(2 * k, dtype=complex), np.empty(2 * k, dtype=complex)
-    a[:k] = a[k:] = big_s - m - 1.0
-    c[:k] = c[k:] = big_s
-    logs = _bracket_logs(np.concatenate([1.0 + betas, 1.0 - betas]))
+    r = np.arange(k)
+    weights = np.zeros((2 * k, 4 * n), dtype=complex)  # log table columns as in _bracket_logs
+    for half in (0, 1):
+        weights[r + half * k, bra_col + half * n] = b_bra
+        weights[r + half * k, ket_col + half * n] = b_ket
+    big_s = b_bra + b_bra + b_ket + b_ket
+    a, c = np.concatenate([big_s - m - 1.0] * 2), np.concatenate([big_s] * 2)
+    # ((q-1)/2)^(-S/2): each bracket is (q-1)/2 times a monic quadratic
+    offsets = np.concatenate([-(2.0 * p + shifts) * math.log(0.5 * (q - 1.0))] * 2)[:, None]
+    logs = _bracket_logs([_pair_roots(q, alpha, abs(alpha) ** 2) for alpha in states])
     res = _euler_integral(lambda u: offsets - weights @ logs(u), a, c, tol, "closed-form")
     rows = zip(owner.tolist(), (c_m * res.value[:k]).tolist(),
                (c_m * (-1.0) ** m * res.value[k:]).tolist())
@@ -146,7 +157,7 @@ def _state_halves(q: float, alpha_bra: complex, alpha_ket: complex, terms,
 
 def _norm_halves(q: float, alpha_bra: complex, alpha_ket: complex, tol: float) -> np.ndarray:
     """Plus and reflected half of int conj(psi_un[alpha_bra]) psi_un[alpha_ket] dx."""
-    return _state_halves(q, alpha_bra, alpha_ket, [(0, 0, {0: 1.0})], tol)[0]
+    return _state_halves(q, [(alpha_bra, alpha_ket, 0, 0, {0: 1.0})], tol)[0]
 
 
 def _whole(halves) -> complex:
@@ -188,35 +199,37 @@ def calibrated_reflection() -> bool:
     return winner
 
 
-def _moment_terms(alpha: complex) -> dict:
-    """The (bra_shift, ket_shift, coeffs) terms of the numerators of n2,
-    <x>, <x^2>, <p> and <p^2>, keyed "n2", "x", "x2", "p", "p2".
+def _moment_terms(alpha: complex) -> list:
+    """The (alpha, alpha, bra_shift, ket_shift, coeffs) terms of the
+    numerators of n2, <x>, <x^2>, <p> and <p^2>, in that order.
 
     psi_un' = -(x - sqrt2 alpha) * ket_bracket^(-p-1), so -i conj(psi_un)
     psi_un' is a degree-(0 or 1) moment over b = (p, p, p+1, p+1), and
     |psi_un'|^2 = (x - sqrt2 conj(alpha))(x - sqrt2 alpha) * prod (x -
     beta_i)^(-(p+1)) a quadratic over the uniform b = p+1 family.
     """
-    return {"n2": (0, 0, {0: 1.0}), "x": (0, 0, {1: 1.0}), "x2": (0, 0, {2: 1.0}),
-            "p": (0, 1, {1: 1j, 0: -1j * SQRT2 * alpha}),
-            "p2": (1, 1, {2: 1.0, 1: -SQRT2 * (alpha + alpha.conjugate()),
-                          0: 2.0 * abs(alpha) ** 2})}
+    return [(alpha, alpha, *term) for term in (
+        (0, 0, {0: 1.0}), (0, 0, {1: 1.0}), (0, 0, {2: 1.0}),
+        (0, 1, {1: 1j, 0: -1j * SQRT2 * alpha}),
+        (1, 1, {2: 1.0, 1: -SQRT2 * (alpha + alpha.conjugate()), 0: 2.0 * abs(alpha) ** 2}))]
 
 
-def _closed_moments(q: float, alpha: complex, tol: float):
+def _closed_moments(q: float, alpha: complex, tol: float, *partners):
     """(n2, (<x>, <x^2>, <p>, <p^2>), (n2_half, <x>_half)) of one state,
     from one closed pass at min(tol, 1e-10), the norm's accuracy; unchecked.
 
     n2 = int |psi_un|^2 dx under the calibrated convention; each moment is
-    its closed numerator over n2, still complex.  The last pair repeats n2
-    and <x> from the plus halves alone (the half-line convention).
+    its closed numerator over n2, still complex.  The third item repeats
+    n2 and <x> from the plus halves alone (the half-line convention).  Each
+    partner state adds one more item, the overlap_closed value of alpha
+    with it, from the same pass.
     """
     alpha = require_alpha(alpha)
-    norm, *numerators = _state_halves(q, alpha, alpha, list(_moment_terms(alpha).values()),
-                                      min(tol, 1e-10))
-    n2 = _whole_norm(norm, q, alpha)
-    return (n2, tuple(_whole(h) / n2 for h in numerators),
-            (norm[0], numerators[0][0] / norm[0]))
+    halves = _state_halves(q, _moment_terms(alpha) + [(alpha, require_alpha(b), 0, 0, {0: 1.0})
+                                                      for b in partners], min(tol, 1e-10))
+    n2 = _whole_norm(halves[0], q, alpha)
+    return (n2, tuple(_whole(h) / n2 for h in halves[1:5]),
+            (halves[0][0], halves[1][0] / halves[0][0]), *map(_whole, halves[5:]))
 
 
 def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex:

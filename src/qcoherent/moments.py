@@ -136,7 +136,7 @@ def _oracle_integrals(q: float, are: float, aim: float, tol: float) -> tuple[com
 
     def weights(x):
         dens, mod, ratio, inv_re = _density(q, alpha, x)
-        inv_b = _inverse_b(ratio, inv_re)
+        inv_b = _inverse_b(q, alpha, ratio, inv_re)
         w_b = (x - SQRT2 * alpha) * inv_b
         x_mod = x * mod  # (x r)^2, not x (x r^2): r^2 underflows first at huge |x|
         return np.array([dens, x * dens, x_mod * x_mod, 1j * w_b * dens,

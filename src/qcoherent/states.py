@@ -181,13 +181,35 @@ class BetaRoots:
 def _bracket_sr(q: float, gamma: complex, modsq: float) -> complex:
     # the square root in the roots of x^2 - 2 sqrt2 gamma x + modsq + gamma^2
     # + 2/(q-1); the bra bracket of a state is gamma = conj(alpha), its ket
-    # bracket gamma = alpha, and modsq = |alpha|^2 in both
-    return cmath.sqrt(gamma * gamma - modsq - 2.0 / (q - 1.0))
+    # bracket gamma = alpha, and modsq = |alpha|^2 in both.  From |alpha| ~
+    # 1e154 its radicand can overflow, and then it is refused
+    sr = cmath.sqrt(gamma * gamma - modsq - 2.0 / (q - 1.0))
+    if not cmath.isfinite(sr):
+        raise NotConverged(f"the bracket roots overflow double precision at q={q!r}, "
+                           f"gamma={gamma!r}")
+    return sr
 
 
 def _pair_roots(q: float, gamma: complex, modsq: float) -> tuple[complex, complex]:
+    """The roots sqrt2 gamma + sr, sqrt2 gamma - sr of a bracket, one on each
+    side of the real axis.
+
+    Their imaginary parts are sqrt2 Im gamma +- Im sr, and (Im sr)^2 -
+    2 (Im gamma)^2 = (Re sr)^2 + 2/(q-1) > 0, so exactly one is positive.
+    The one that cancels takes its size from that identity, d = |Im sr| +
+    sqrt2 |Im gamma| and Re sr (Re sr / d) + 2/(q-1)/d (|Re sr| < d, so
+    nothing overflows), and the pair straddles the axis in floating point
+    too: the plain difference reads the wrong sign from |Im alpha| ~
+    5e7 / sqrt(q-1) up.
+    """
     sr = _bracket_sr(q, gamma, modsq)
-    return (SQRT2 * gamma + sr, SQRT2 * gamma - sr)
+    pair = [SQRT2 * gamma + sr, SQRT2 * gamma - sr]
+    if gamma.imag != 0.0:
+        near = int((sr.imag > 0.0) == (gamma.imag > 0.0))
+        d = abs(sr.imag) + SQRT2 * abs(gamma.imag)
+        gap = sr.real * (sr.real / d) + 2.0 / (q - 1.0) / d
+        pair[near] = complex(pair[near].real, math.copysign(gap, -gamma.imag))
+    return tuple(pair)
 
 
 def beta_roots(q: float, alpha: complex) -> BetaRoots:
@@ -195,7 +217,10 @@ def beta_roots(q: float, alpha: complex) -> BetaRoots:
 
     beta1 + beta2 = 2 sqrt2 conj(alpha),
     beta1 * beta2 = conj(alpha)^2 + |alpha|^2 + 2/(q-1), and the alpha
-    pair likewise.  Needs q > 1 (at q = 1 the bracket is no quartic).
+    pair likewise.  Each pair has one root on each side of the real axis,
+    and the conj(alpha) pair is the conjugate of the alpha pair.  Needs
+    q > 1 (at q = 1 the bracket is no quartic); NotConverged where the
+    roots overflow double precision (|alpha| ~ 1.3e154).
     """
     if not q > 1.0:
         raise OutOfValidityWindow("beta roots exist for q > 1 only")
@@ -243,7 +268,9 @@ def _bracket(q: float, alpha: complex, x):
     line.  log Re B is log1p(s^2 y^2), exact as s -> 0 where p = 1/(q-1)
     scales its error; past |y| = 2^500, where y^2 would overflow, y is
     scaled down by rho and 2 log rho added back (rho = 1, log rho = 0
-    everywhere else), so every part is finite and silent at any finite x.
+    everywhere else).  The ratio Im B / Re B gets the same treatment
+    (``_scaled_ratio``) only where ``_wide_ratio`` says it can pass 2^500,
+    so every part is finite and silent at any finite x and alpha.
     """
     s2 = 0.5 * (q - 1.0)
     y = x - SQRT2 * alpha.real
@@ -252,8 +279,30 @@ def _bracket(q: float, alpha: complex, x):
     t = s2 * ys * ys  # Re B / rho^2 - 1
     inv_re = 1.0 / (1.0 + t) / rho / rho
     ratio = (-2.0 * SQRT2 * s2 * alpha.imag) * ((x - alpha.real / SQRT2) * inv_re)
-    log_mod = np.log1p(t) + 2.0 * np.log(rho) + 0.5 * np.log1p(ratio * ratio)
-    return log_mod, ratio, inv_re
+    log_mod = np.log1p(t) + 2.0 * np.log(rho)
+    if _wide_ratio(q, alpha):
+        sigma, rs = _scaled_ratio(ratio)
+        return log_mod + (0.5 * np.log1p(rs * rs) + np.log(sigma)), ratio, inv_re
+    return log_mod + 0.5 * np.log1p(ratio * ratio), ratio, inv_re
+
+
+def _wide_ratio(q: float, alpha: complex) -> bool:
+    """Whether |Im B / Re B| can pass 2^500 on the real line, where its
+    square nears the end of the doubles.  Its bound there,
+    sqrt2 s |Im alpha| + 2 s^2 |Im alpha| |Re alpha| (s^2 = (q-1)/2),
+    depends on (q, alpha) alone, so this one scalar test per call keeps the
+    plain arithmetic, and its bits, for every other state."""
+    s2 = 0.5 * (q - 1.0)
+    aim = abs(alpha.imag)
+    return SQRT2 * math.sqrt(s2) * aim + 2.0 * s2 * aim * abs(alpha.real) > 2.0 ** 500
+
+
+def _scaled_ratio(ratio):
+    """(sigma, ratio / sigma) with sigma = max(|ratio| 2^-500, 1): then
+    1 + ratio^2 = sigma^2 (1 + (ratio/sigma)^2) to 2^-1000 relative, and no
+    square overflows."""
+    sigma = np.maximum(np.abs(ratio) * 2.0 ** -500, 1.0)
+    return sigma, ratio / sigma
 
 
 def _density(q: float, alpha: complex, x):
@@ -271,8 +320,12 @@ def _psi(q: float, log_mod, ratio):
     return np.exp((1.0 / (1.0 - q)) * (log_mod + 1j * np.arctan(ratio)))
 
 
-def _inverse_b(ratio, inv_re):
-    # 1/B = (1 - i Im B/Re B) / (Re B (1 + (Im B/Re B)^2)), no part above 1
+def _inverse_b(q: float, alpha: complex, ratio, inv_re):
+    # 1/B = (1 - i Im B/Re B) / (Re B (1 + (Im B/Re B)^2)), no part above 1;
+    # where the ratio can pass 2^500 (``_wide_ratio``), from the scaled ratio
+    if _wide_ratio(q, alpha):
+        sigma, rs = _scaled_ratio(ratio)
+        return (inv_re / sigma) * ((1.0 / sigma - 1j * rs) / (1.0 + rs * rs))
     return (inv_re / (1.0 + ratio * ratio)) * (1.0 - 1j * ratio)
 
 
@@ -303,7 +356,7 @@ def _psi_un_arrays(q: float, alpha: complex, x):
         return val, -shift * val, shift * (shift * val) - val
     log_mod, ratio, inv_re = _bracket(q, alpha, x)
     val = _psi(q, log_mod, ratio)
-    inv_b = _inverse_b(ratio, inv_re)
+    inv_b = _inverse_b(q, alpha, ratio, inv_re)
     w_b = (x - SQRT2 * alpha) * inv_b
     return val, -w_b * val, (q * w_b * w_b - inv_b) * val
 

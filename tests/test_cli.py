@@ -370,6 +370,21 @@ def test_verify_runs_its_fixed_checks_once_per_process(monkeypatch, tmp_path):
     assert counts == {"_closed_moments": 2}
 
 
+def test_a_default_verify_takes_one_euler_pass_per_grid_point(monkeypatch, tmp_path):
+    # each grid point's closed moments of alpha and its closed overlap with
+    # alpha + 0.2 are the 18 rows of one pass; there were two passes a point
+    closedforms.calibrated_reflection()
+    passes, real = [], closedforms._euler_integral
+
+    def counted(log_f, a, *args):
+        passes.append(len(a))
+        return real(log_f, a, *args)
+
+    monkeypatch.setattr(closedforms, "_euler_integral", counted)
+    assert run_cli("verify", "--out", str(tmp_path / "v.json")) == 0
+    assert passes == [18, 18, 18]
+
+
 # ------------------------------------------------------------------- pd
 
 def test_pd_csv_with_parseval_trailer(tmp_path):

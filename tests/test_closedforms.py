@@ -5,6 +5,7 @@ the same integrand: two genuinely different code paths (Euler/series
 hypergeometrics vs panel subdivision) meeting at the same number.
 """
 
+import cmath
 import hashlib
 import math
 
@@ -19,9 +20,9 @@ from qcoherent.closedforms import (
     overlap_closed,
     real_alpha_norm_squared_exact,
 )
-from qcoherent.errors import ConventionMismatch, NotConverged, NumericsError
+from qcoherent.errors import BranchCrossing, ConventionMismatch, NotConverged, NumericsError
 from qcoherent.quadrature import integrate_line
-from qcoherent.states import CONVENTION_TOL, SQRT2, StateLabel, beta_roots, normalization_constant
+from qcoherent.states import CONVENTION_TOL, _pair_roots, beta_roots, normalization_constant
 
 
 def _quartic_integrand(m, bvec, betas):
@@ -40,13 +41,13 @@ def _root_config(q, alpha):
 
 
 def _generic_identity(q, alpha, m, shift):
-    # the builder's (shift, shift, {m: 1}) term with its bracket scale
+    # the builder's (alpha, alpha, shift, shift, {m: 1}) term with its bracket scale
     # ((q-1)/2)^(-S/2) taken off, S = 4 (p + shift), is the generic
     # int x^m prod (x - beta_i)^(-b_i) dx at the uniform b = p + shift;
     # returns it with the quadrature of that integrand
     p = 1.0 / (q - 1.0)
     alpha = complex(alpha)
-    halves = closedforms._state_halves(q, alpha, alpha, [(shift, shift, {m: 1.0})], 1e-12)[0]
+    halves = closedforms._state_halves(q, [(alpha, alpha, shift, shift, {m: 1.0})], 1e-12)[0]
     closed = closedforms._whole(halves) * (0.5 * (q - 1.0)) ** (2.0 * (p + shift))
     integrand = _quartic_integrand(m, (p + shift,) * 4, _root_config(q, alpha))
     return closed, integrate_line(integrand, tol=1e-11).value
@@ -119,6 +120,15 @@ def test_norm_squared_closed_vs_exact_real_alpha_identity():
         exact = real_alpha_norm_squared_exact(q)
         closed = norm_squared_closed(q, 0.3, tol=1e-12)
         assert closed == pytest.approx(exact, rel=1e-10)
+
+
+def test_closed_norm_meets_the_exact_real_alpha_norm_to_1e_14():
+    # the pair logs and the straddling roots hold the closed norm at the
+    # elementary value across the window (worst 4.5e-15 on 40 q values)
+    for q in np.linspace(1.05, 4.9, 12):
+        exact = real_alpha_norm_squared_exact(q)
+        for alpha in (0.0, 0.3, -1.2):
+            assert abs(norm_squared_closed(q, alpha) - exact) <= 1e-14 * exact, (q, alpha)
 
 
 def test_closed_norm_never_reads_an_underflowed_zero():
@@ -362,15 +372,16 @@ def _sha256(*values):
     return h.hexdigest()
 
 
-# SHA-256 of the closed route's outputs, re-pinned when the graded Euler
-# halves were seeded down to their end layer (the values moved by at most
-# 4.8e-15 relative).  A change that moves them must re-pin them and say so.
+# SHA-256 of the closed route's outputs, re-pinned when the Euler pass took
+# one log per bracket root pair and the root nearer the real axis its
+# imaginary part from the pair identity (the values moved by at most
+# 1.5e-15 relative).  A change that moves them must re-pin them and say so.
 # At q = 2.33 the left half's grading power is 667, so its nodes next to
 # v = 0 underflow to u = 0 exactly.
 MOMENTS_SHA256 = {
-    (1.4, 0.3 + 0.1j): "361da816a523567e2f36e86a1e0c004c6c3c22898a0650c315f9947ddb826010",
-    (1.77, -1.2 + 0.4j): "6d05b00537da805025d2a7a2fac2aea887886543e8df4a70e16a13c08c87f9fe",
-    (2.33, 0.3 + 0.2j): "d75d42bc75b76f1508d9f6783fc2b8e75561c0b3f77d5d951d97127e6dda8dda",
+    (1.4, 0.3 + 0.1j): "9c48bd960a73e50d4be83eac789e11c1ee20ace9736a84f5cd947185bae5fd69",
+    (1.77, -1.2 + 0.4j): "efb4c82b658f8ee3a75db32e643a0a2f1337e05b60e7534422d22f418387ef69",
+    (2.33, 0.3 + 0.2j): "941be51c7a0dc8c53e8887c6d7217cfe42a231bfd482ff6672229757ebd0c011",
 }
 
 
@@ -382,9 +393,9 @@ def test_closed_moments_keep_their_frozen_bits(q, alpha):
 
 def test_closed_norm_overlap_fd_and_kummer_keep_their_frozen_bits():
     assert (_sha256(overlap_closed(1.7, 0.3 + 0.1j, 0.5 + 0.1j))
-            == "2cff417d43467ddb8cf69388e6df2d85a1d439fb96e87a7d640ed3b4ab9b3876")
+            == "3f29bf2f423139b27fbf55fa73bb4dcd4d6cefffbae3872e6b5f220aeb53261f")
     assert (_sha256(norm_squared_closed(4.9, 0.3 + 0.2j))
-            == "28de7e9eb1afa9421f12f18502614379e1f1aa3ac80492835ebb97eec0730aea")
+            == "3b1dba66829a506a9b14a0be41d3f4c657871b8a0b27ed0727a4dd929fc93b1c")
     fd = specfun.lauricella_fd_integral(specfun.LauricellaArgs(
         1.2 + 0.3j, (0.5, -0.7 + 0.2j, 1.1, 0.3j), 2.9 - 0.1j,
         (0.95 + 0.4j, -2.5 - 0.3j, 1.5 + 0.7j, 3.0 - 1.2j)), tol=1e-10)
@@ -399,11 +410,8 @@ class _Captured(Exception):
     pass
 
 
-def _state_log_f(monkeypatch, q, alpha_bra, alpha_ket, eight_logs=False):
-    """The log_f that ``_state_halves`` hands to its Euler pass for the
-    five moment terms (16 rows); with eight_logs, the reference form that
-    takes all eight logs log(1 - x_i u) directly."""
-    alpha_bra, alpha_ket = complex(alpha_bra), complex(alpha_ket)
+def _captured_log_f(monkeypatch, q, terms):
+    """The log_f that ``_state_halves`` hands to its Euler pass for terms."""
     captured = []
 
     def capture(log_f, *args):
@@ -412,13 +420,29 @@ def _state_log_f(monkeypatch, q, alpha_bra, alpha_ket, eight_logs=False):
 
     with monkeypatch.context() as m:
         m.setattr(closedforms, "_euler_integral", capture)
-        if eight_logs:
-            m.setattr(closedforms, "_bracket_logs",
-                      lambda xs: lambda u: np.log(1.0 - xs[:, None] * u))
         with pytest.raises(_Captured):
-            closedforms._state_halves(q, alpha_bra, alpha_ket,
-                                      list(closedforms._moment_terms(alpha_ket).values()), 1e-10)
+            closedforms._state_halves(q, terms, 1e-10)
     return captured[0]
+
+
+def _eight_log_f(q, terms, u):
+    """The reference rows of ``_captured_log_f``: each row's log from the
+    eight logs log(1 - x_i u) at x = 1 +- beta, the bra roots taken from
+    conj(alpha_bra) on their own; with each row's sum of the absolute
+    values of its parts, the scale of its rounding."""
+    p = 1.0 / (q - 1.0)
+    rows, scales = [[], []], [[], []]
+    for bra, ket, bra_shift, ket_shift, coeffs in terms:
+        sides = ((p + bra_shift, _pair_roots(q, bra.conjugate(), abs(bra) ** 2)),
+                 (p + ket_shift, _pair_roots(q, ket, abs(ket) ** 2)))
+        log_scale = -(2.0 * p + bra_shift + ket_shift) * math.log(0.5 * (q - 1.0))
+        for _ in coeffs:
+            for half, sign in enumerate((1.0, -1.0)):
+                parts = [b * np.log(1.0 - (1.0 + sign * beta) * u)
+                         for b, pair in sides for beta in pair]
+                rows[half].append(log_scale - sum(parts))
+                scales[half].append(abs(log_scale) + sum(np.abs(part) for part in parts))
+    return np.array(rows[0] + rows[1]), np.array(scales[0] + scales[1])
 
 
 def _euler_nodes():
@@ -435,17 +459,31 @@ LOG_ALPHAS = SIGNED_ZERO_ALPHAS + [1e-300, complex(1e-300, -1e-300), 0.3 + 0.1j,
                                    0.5j, -0.7 - 2.0j, 1e3, -1e3j, 700.0 + 700.0j]
 
 
+def _log_f_terms(alpha):
+    # a state's five moment terms, then the same with verify's overlap term,
+    # then an overlap of two states alone
+    alpha = complex(alpha)
+    moments = closedforms._moment_terms(alpha)
+    return (moments, moments + [(alpha, alpha + 0.2, 0, 0, {0: 1.0})],
+            [(alpha, 0.3 - 0.1j, 0, 0, {0: 1.0})])
+
+
 @pytest.mark.parametrize("q", [1.0001, 1.014, 1.5, 2.33, 3.7, 4.9, 4.999])
-def test_same_state_log_f_takes_mirrored_logs_bit_for_bit(monkeypatch, q):
-    # compared as bytes: == would pass a zero of the other sign, and where
-    # x*u underflows the mirrored logs differ from the direct ones in the
-    # sign of a zero imaginary part, which log_f must not pass on
+def test_pair_log_f_meets_the_eight_log_reference(monkeypatch, q):
+    # one log of the product (1 - x_1 u)(1 - x_2 u) per root pair and half,
+    # against the sum of the two logs taken on their own, bra and ket apart:
+    # within 4 ulps of each row's scale (the sum of its parts' absolute
+    # values, plus 1), and finite at every node, the ends u = 0 and 1 and
+    # the underflowed nodes included; the largest gap seen is 1.7 ulps
     u = _euler_nodes()
     assert (u == 0.0).any() and (u[u > 0.0] < 1e-307).any()
+    eps = np.finfo(float).eps
     for alpha in LOG_ALPHAS:
-        mirrored = _state_log_f(monkeypatch, q, alpha, alpha)(u)
-        direct = _state_log_f(monkeypatch, q, alpha, alpha, eight_logs=True)(u)
-        assert mirrored.tobytes() == direct.tobytes(), (q, alpha)
+        for terms in _log_f_terms(alpha):
+            got = _captured_log_f(monkeypatch, q, terms)(u)
+            want, scale = _eight_log_f(q, terms, u)
+            assert np.isfinite(got).all(), (q, alpha)
+            assert np.all(np.abs(got - want) <= 4.0 * eps * (scale + 1.0)), (q, alpha, len(terms))
 
 
 def _log_count(monkeypatch, log_f, u):
@@ -462,13 +500,66 @@ def _log_count(monkeypatch, log_f, u):
     return sum(count) / u.size
 
 
-def test_only_one_state_takes_four_logs_a_node(monkeypatch):
+def test_a_state_takes_two_logs_a_node_and_two_states_four(monkeypatch):
     u = _euler_nodes()
     for q, alpha in ((1.5, 0.3 + 0.1j), (4.9, complex(-0.0, 0.0)), (2.2, 1e3)):
-        assert _log_count(monkeypatch, _state_log_f(monkeypatch, q, alpha, alpha), u) == 4
+        state, with_overlap, _ = _log_f_terms(alpha)
+        assert _log_count(monkeypatch, _captured_log_f(monkeypatch, q, state), u) == 2
+        assert _log_count(monkeypatch, _captured_log_f(monkeypatch, q, with_overlap), u) == 4
     for q, bra, ket in ((1.7, 0.3 + 0.1j, 0.5 + 0.1j), (1.4, 0.3, -0.2 + 0.1j),
                         (2.2, 0.3 + 0.1j, 0.3 - 0.1j), (4.9, 0.0, 0.2j)):
-        log_f = _state_log_f(monkeypatch, q, bra, ket)
-        assert _log_count(monkeypatch, log_f, u) == 8
-        direct = _state_log_f(monkeypatch, q, bra, ket, eight_logs=True)
-        assert log_f(u).tobytes() == direct(u).tobytes()
+        log_f = _captured_log_f(monkeypatch, q, [(bra, ket, 0, 0, {0: 1.0})])
+        assert _log_count(monkeypatch, log_f, u) == 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pair", [(1.0 + 1.0j, 2.0 + 0.5j), (1.0 - 1.0j, -2.0 - 0.5j),
+                                  (1.0 + 0.0j, 2.0 - 1.0j), (1.0 - 0.0j, 2.0 + 0.0j)])
+def test_a_pair_that_does_not_straddle_raises_branch_crossing(monkeypatch, pair):
+    # the pair log is the sum of the two logs only for a pair with one root
+    # on each side of the real axis; the check runs before any log is taken
+    with pytest.raises(BranchCrossing, match="do not straddle"):
+        closedforms._bracket_logs([pair])
+    monkeypatch.setattr(closedforms, "_pair_roots", lambda *args: pair)
+    with pytest.raises(BranchCrossing, match="do not straddle"):
+        norm_squared_closed(1.5, 0.3)
+
+
+EXTREME_ALPHAS = [1e154, 1.3e154j, 1e154 + 1e153j]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [1.014, 1.5, 2.33, 4.999])
+def test_closed_route_is_finite_or_refuses_at_every_accepted_alpha(q):
+    # each call returns finite numbers or raises a NumericsError, with no
+    # warning, out to the largest alpha whose |alpha|^2 is a double
+    def finite(value):
+        if isinstance(value, tuple):
+            return all(map(finite, value))
+        return cmath.isfinite(complex(value))
+
+    calls = (lambda a: norm_squared_closed(q, a), lambda a: overlap_closed(q, a, a + 0.2),
+             lambda a: closedforms._closed_moments(q, a, 1e-9),
+             lambda a: beta_roots(q, a).as_tuple())
+    for alpha in LOG_ALPHAS + EXTREME_ALPHAS:
+        for call in calls:
+            try:
+                value = call(alpha)
+            except NumericsError:
+                continue
+            assert finite(value), (q, alpha, value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [1.014, 1.5, 2.33, 2.99])
+def test_roots_that_overflow_are_refused(q):
+    # |alpha|^2 is a double at 1.3e154j, the bracket's radicand is not: its
+    # roots read +-inf j, and the closed pass warned and then failed; at
+    # 1e154 the roots are finite but their pair product is not
+    for call in (lambda: beta_roots(q, 1.3e154j), lambda: norm_squared_closed(q, 1.3e154j),
+                 lambda: overlap_closed(q, 1.3e154j, 0.3)):
+        with pytest.raises(NotConverged, match="bracket roots overflow"):
+            call()
+    assert all(map(cmath.isfinite, beta_roots(q, 1e154).as_tuple()))
+    with pytest.raises(NotConverged, match="overflows double precision"):
+        norm_squared_closed(q, 1e154)

@@ -177,6 +177,35 @@ def test_root_c_is_the_principal_root_bit_for_bit():
             assert repr(_root_c(q, alpha)) == repr(want), (q, alpha)
 
 
+def test_every_bracket_pair_straddles_the_real_axis():
+    # Re B >= 1 on the real line, so each bracket has one root in each half
+    # plane, and the closed pass takes one log per root pair on that ground;
+    # sqrt2 gamma - sr gave both roots one sign at |Im alpha| = 1e150.  The
+    # bra pair is the exact conjugate of the ket pair, which the pass reads
+    # as the conjugate rows of the ket's logs
+    rng = np.random.default_rng(28)
+    for q in [1.0 + 2.0 ** -52, 1.0001, 4.999] + list(1.0 + 4.0 * rng.random(5)):
+        for alpha in _pinned_alphas():
+            r = beta_roots(q, alpha).as_tuple()
+            for pair in (r[:2], r[2:]):
+                assert min(b.imag for b in pair) < 0.0 < max(b.imag for b in pair), (q, alpha)
+            assert r[:2] == tuple(b.conjugate() for b in r[2:]), (q, alpha)
+
+
+def test_the_root_nearer_the_axis_keeps_its_digits():
+    # its imaginary part comes from (Im sr)^2 - 2 (Im gamma)^2 = (Re sr)^2 +
+    # 2/(q-1), not from a difference of two near-equal numbers (which lost
+    # 2.8e-11 of it at 3 + 1e6i)
+    mpmath.mp.dps = 40
+    for q, alpha in ((1.5, 3.0 + 1e6j), (1.5, 0.3 + 0.1j), (1.014, 700.0 - 700.0j)):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        for got, gamma in ((beta_roots(q, alpha).as_tuple()[:2], mpmath.conj(a)),
+                           (beta_roots(q, alpha).as_tuple()[2:], a)):
+            sr = mpmath.sqrt(gamma * gamma - abs(a) ** 2 - 2 / mpmath.mpf(q - 1.0))
+            for root, want in zip(got, (mpmath.sqrt(2) * gamma + sr, mpmath.sqrt(2) * gamma - sr)):
+                assert abs(root - want) <= 1e-15 * abs(want), (q, alpha, root)
+
+
 def test_beta_roots_vieta():
     q, alpha = 1.3, 0.4 + 0.1j
     r = beta_roots(q, alpha)
@@ -291,7 +320,7 @@ def test_psi_un_derivatives_match_the_bracket_powers_bitwise():
     for q, alpha in [(1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j), (4.2, 1.3j)]:
         v, d1, d2 = _psi_un_arrays(q, alpha, x)
         _, ratio, inv_re = _bracket(q, alpha, x)
-        inv_b = _inverse_b(ratio, inv_re)
+        inv_b = _inverse_b(q, alpha, ratio, inv_re)
         w_b = (x - SQRT2 * alpha) * inv_b
         assert d1.tobytes() == (-w_b * v).tobytes()
         assert d2.tobytes() == ((q * w_b * w_b - inv_b) * v).tobytes()
@@ -343,6 +372,62 @@ def test_psi_is_finite_without_warnings_at_the_largest_doubles(q):
                 assert all(cmath.isfinite(z) for z in (s.value, s.d1, s.d2))
             if q == 1.0:
                 assert np.all(StateLabel(q, alpha).psi(x) == 0.0)
+
+
+def _mp_state(q, alpha, x):
+    # (psi_un, d1, d2) at 60 digits from B = 1 + s^2 (x^2 - 2 sqrt2 alpha x +
+    # 2 alpha Re alpha), the bracket with |alpha|^2 + alpha^2 cancelled exactly
+    mpmath.mp.dps = 60
+    a, x, p = mpmath.mpc(alpha.real, alpha.imag), mpmath.mpf(x), 1 / mpmath.mpf(q - 1.0)
+    w = x - mpmath.sqrt(2) * a
+    b = 1 + (mpmath.mpf(q) - 1) / 2 * (x * x - 2 * mpmath.sqrt(2) * a * x + 2 * a * a.real)
+    return b ** -p, -w * b ** (-p - 1), (mpmath.mpf(q) * w * w - b) * b ** (-p - 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q, alpha", [(4.999, 1.3e154j), (2.33, 1.3e154j), (1.5, 1e150 + 1e150j),
+                                      (1.02, -1e153 - 1e153j)])
+def test_a_wide_bracket_ratio_is_finite_silent_and_right(q, alpha):
+    # |Im B / Re B| passes 1.3e154 at these labels, and its square overflowed
+    # in log|B| and in 1/B; now it is scaled, and the state and its
+    # derivatives meet the 60-digit values.  (At the very centre of the
+    # 1.3e154j state, x = 0, |d2| = q 2 |alpha|^2 is past the doubles; far
+    # out, a part near the bottom of the doubles may underflow on the way,
+    # as it does at any alpha.)
+    from qcoherent.states import _psi_un_arrays, _wide_ratio
+
+    assert _wide_ratio(q, alpha)
+    centre = alpha.real / SQRT2
+    xs = [0.2, centre + 1e-153, centre - 3.0, 1e10, -1e200, 1.7e308]
+    got = _psi_un_arrays(q, alpha, np.array(xs))
+    for i, x in enumerate(xs):
+        for part, want in zip(got, _mp_state(q, alpha, x)):
+            assert abs(part[i] - complex(want)) <= 1e-13 * abs(want) + 1e-290, (x, part[i])
+    sample = psi_unnormalized(q, alpha, 0.2)
+    assert (sample.value, sample.d1, sample.d2) == tuple(part[0] for part in got)
+
+
+@pytest.mark.filterwarnings("error")
+def test_state_entry_points_at_a_wide_ratio_are_finite_or_refuse():
+    # these warned "overflow encountered in multiply" in the bracket; the
+    # closed routes refuse the bracket roots, which overflow at 1.3e154j
+    from qcoherent.momentum import momentum_amplitude_closed
+
+    assert cmath.isfinite(normalization_constant(2.33, 1.3e154j))
+    for call in (lambda: normalization_constant(2.33, 1.3e154j, method="closed-form"),
+                 lambda: momentum_amplitude_closed(2.33, 1.3e154j, 0.7),
+                 lambda: momentum_pd(2.33, 1.3e154j)):
+        with pytest.raises(NotConverged, match="bracket roots overflow"):
+            call()
+
+
+@pytest.mark.xfail(strict=True, reason="the oracle norm misses a state narrower than its seed "
+                   "panels: at 1.3e154j the peak at x = 0 is 4e-155 wide and A reads 8.7e114 "
+                   "(ROADMAP item 10)")
+def test_oracle_norm_of_a_state_narrower_than_its_panels():
+    # n = w int |B(w t)|^(-2p) dt with w = 1/(2 sqrt2 s^2 Im alpha), which
+    # mpmath gives as 2.1321e-154 at 40 digits, so A = 6.8485e76
+    assert normalization_constant(2.33, 1.3e154j).real == pytest.approx(6.8485e76, rel=1e-4)
 
 
 def test_coherent_wavefunction_derivatives_are_finite_at_the_largest_doubles():
