@@ -163,6 +163,8 @@ def _run_pd(args) -> int:
     args.k_max = float(ends[-1]) if args.k_max is None else args.k_max
     if not (args.k_min < args.k_max and args.k_steps >= 2):
         raise ValueError("pd needs k_min < k_max and k_steps >= 2")
+    if not math.isfinite(args.k_max - args.k_min):
+        raise ValueError("pd needs a finite k span k_max - k_min")
     grid = np.linspace(args.k_min, args.k_max, args.k_steps)
     dist = momentum_pd(args.q, alpha, grid, method=args.method, tol=args.tol)
     rows = [(s.k, s.pd, s.amplitude.real, s.amplitude.imag) for s in dist.samples]

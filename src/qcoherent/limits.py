@@ -2,11 +2,12 @@
 
 Everything the deformed family must recover as q -> 1 lives here: the
 exact coherent-state moment table, the Gaussian momentum density, a
-first-order-in-(q-1) approximate state, and ``limit_convergence_check``,
-which walks a decreasing q-sequence and scores each observable's gap to
-its limit.  A quantity is judged ``converged`` when its gaps strictly
-decrease along the sequence (machine-zero plateaus allowed; parity can
-pin a gap at 0 exactly) and the final gap is below ``final_tol``.
+first-order-in-(q-1) approximate state with its norm in closed form, and
+``limit_convergence_check``, which walks a decreasing q-sequence and
+scores each observable's gap to its limit.  A quantity is judged
+``converged`` when its gaps strictly decrease along the sequence
+(machine-zero plateaus allowed; parity can pin a gap at 0 exactly) and
+the final gap is below ``final_tol``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NotConverged, RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
 from .momentum import momentum_amplitude_bessel
-from .quadrature import _check_index, integrate_line
+from .quadrature import _check_index
 from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, require_alpha
 
 __all__ = [
@@ -53,21 +53,31 @@ def gaussian_momentum_pd(alpha: complex, k):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=256)
 def _expansion_norm(q: float, are: float, aim: float) -> float:
-    """1/sqrt of the expansion's norm integral, taken in y = x - sqrt2 Re alpha,
-    where the state sits at y = 0 whatever alpha, inside the line's core.
-    NotConverged where its density overflows double precision."""
-    def dens(y):
-        v = _expansion_raw(q, are, aim, y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (v * np.conj(v)).real
-        if not np.isfinite(d).all():
-            raise NotConverged(f"q-expansion density at alpha={complex(are, aim)} "
-                               "overflows double precision")
-        return d
+    """1/sqrt of the expansion's norm integral N, in closed form.
 
-    return integrate_line(dens, tol=1e-12).value.real ** -0.5
+    In y = x - sqrt2 Re alpha the density is exp(-y^2) |1 + (q-1)/8 W^2|^2
+    with W = y^2 - 2i Im alpha (sqrt2 y + Re alpha), and the Gaussian
+    moments int y^2j exp(-y^2) dy = Gamma(j + 1/2) give, with e = q - 1,
+    a = Re alpha and b = Im alpha,
+
+        N / sqrt(pi) = (1 + e/8 (3/4 - 4 b^2 - 4 (ab)^2))^2 + (e ab / 4)^2
+                       + (e/8)^2 (6 + 36 b^2 + 8 (ab)^2 + 32 b^4 + 64 b^2 (ab)^2),
+
+    |1 + e/8 <W^2>|^2 plus (e/8)^2 times the variance of W^2: no term is
+    negative, so no digit cancels and N > 0.  a enters only through ab, so
+    a real alpha of any size gives the alpha = 0 value bit for bit.
+    NotConverged where N overflows double precision.
+    """
+    e, b2, ab = q - 1.0, aim * aim, are * aim
+    ab2 = ab * ab
+    mean_re, mean_im = 1.0 + e / 8.0 * (0.75 - 4.0 * (b2 + ab2)), e * ab / 4.0
+    spread = 6.0 + 36.0 * b2 + 8.0 * ab2 + 32.0 * b2 * b2 + 64.0 * b2 * ab2
+    n = math.sqrt(math.pi) * (mean_re * mean_re + mean_im * mean_im + e * e / 64.0 * spread)
+    if not math.isfinite(n):
+        raise NotConverged(f"q-expansion norm at alpha={complex(are, aim)} "
+                           "overflows double precision")
+    return n ** -0.5
 
 
 # |exp(-W/2)| = exp(-y^2/2) is 0 in doubles past it: clipping y there leaves
@@ -78,28 +88,24 @@ _EXPANSION_Y = 40.0
 def _expansion_raw(q: float, are: float, aim: float, y):
     """The unnormalised expansion at x = y + sqrt2 Re alpha, through
     W = y^2 - 2i Im alpha (sqrt2 y + Re alpha), the state's quadratic form
-    there; NotConverged where W^2 overflows."""
+    there.  A finite ``_expansion_norm`` bounds |ab| by 5e153 and |b| by
+    5e76, so |W| < 1e154 on |y| <= 40 and nothing here overflows."""
     y = np.clip(y, -_EXPANSION_Y, _EXPANSION_Y)
     w = y * y - 2j * aim * (SQRT2 * y + are)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = w * w
-    if not np.isfinite(w2).all():
-        raise NotConverged(f"q-expansion W^2 at alpha={complex(are, aim)} "
-                           "overflows double precision")
-    return (1.0 + (q - 1.0) / 8.0 * w2) * np.exp(-0.5 * w)
+    return (1.0 + (q - 1.0) / 8.0 * (w * w)) * np.exp(-0.5 * w)
 
 
 def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
     """First-order-in-(q-1) approximation of the normalised state.
 
     Derived by differentiating the Gaussian twice in its exponent scale:
-    [1 + (q-1)/8 * W^2] exp(-W/2) with W the state's quadratic form, then
-    normalising numerically.  Emits RegimeWarning outside |q-1| <= regime;
-    the formula still evaluates, it just stops being a good approximation.
-    x must be finite (ValueError otherwise); far out the state is 0.  W and
-    the norm are taken relative to the centre sqrt2 Re alpha, so a state
-    centred far out is normalised like one at 0; NotConverged where W^2 or
-    the norm's density overflows double precision.
+    [1 + (q-1)/8 * W^2] exp(-W/2) with W the state's quadratic form, and
+    normalised by its norm in closed form (``_expansion_norm``).  Emits
+    RegimeWarning outside |q-1| <= regime; the formula still evaluates, it
+    just stops being a good approximation.  x must be finite (ValueError
+    otherwise); far out the state is 0.  W and the norm are taken relative
+    to the centre sqrt2 Re alpha, so a state centred far out is normalised
+    like one at 0; NotConverged where the norm overflows double precision.
     """
     if abs(q - 1.0) > regime + 1e-12:
         warnings.warn(

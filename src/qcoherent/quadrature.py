@@ -174,9 +174,13 @@ def _gk_reduce(fx, halfs, where):
     Returns (resk, err, floor) arrays of shape ([m,] panels): err carries
     the QUADPACK rescaling  resasc * min(1, (200*|K-G|/resasc)^1.5)  held
     at or above the round-off floor 50*eps*resabs, so summing it over
-    panels gives a defensible global estimate.  A value that is not finite
-    raises NotConverged naming the evaluator's points there: ``where()``
-    returns them, shape (panels, 15), and is called only then.
+    panels gives a defensible global estimate.  The min is taken before
+    the power, the same value, so a huge ratio cannot overflow.  A flat
+    panel (resasc = 0) reads its floor: its |K - G| is round-off, below
+    half the floor.  A
+    value that is not finite raises NotConverged naming the evaluator's
+    points there: ``where()`` returns them, shape (panels, 15), and is
+    called only then.
     """
     resabs = halfs * (np.abs(fx) @ _WK)
     if not np.isfinite(resabs).all():  # finite values can still overflow resabs
@@ -189,15 +193,7 @@ def _gk_reduce(fx, halfs, where):
     mean = resk / (2.0 * halfs)
     resasc = halfs * (np.abs(fx - mean[..., None]) @ _WK)
     raw = np.abs(resk - resg)
-    if (resasc > 0.0).all():
-        scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:  # a flat panel (resasc == 0) keeps the raw |K - G|
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.where(
-                resasc > 0.0,
-                resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-                raw,
-            )
+    scaled = resasc * np.minimum(1.0, 200.0 * raw / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5
     floor = 50.0 * _EPS * resabs
     return resk, np.maximum(scaled, floor), floor
 
@@ -552,9 +548,8 @@ def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
         int_{X_TOP}^inf |f| dx  ~=  |f(r2)| r2^p X_TOP^(1-p) / (p-1),
 
     computed in log10 space so extreme exponents cannot overflow; rising in
-    |f(r2)| and falling in p, it bounds components by max |f(r2)|, min p."""
-    if f_outer <= 0.0:
-        return 0.0
+    |f(r2)| and falling in p, it bounds components by max |f(r2)|, min p.
+    f_outer is at least 1e-300: ``_decay_probe`` keeps no smaller sample."""
     log10b = (
         math.log10(f_outer)
         + p_hat * math.log10(_PROBE_OUTER)

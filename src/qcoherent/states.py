@@ -347,18 +347,28 @@ def _psi_un_arrays(q: float, alpha: complex, x):
     Each factor is formed on its own, 1/B and w/B small where |x| is huge,
     so no part overflows at any finite x; at the q = 1 sentinel these
     collapse to the Gaussian derivatives, with the value from ``_psi_un``.
+    Near the centre of a state with |alpha| ~ 1e154, |d2| ~ q 2 |alpha|^2
+    is past the doubles, and there NotConverged is raised, at q = 1 too.
     """
     x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
     if q == 1.0:
         val = _psi_un(q, alpha, x)
         shift = x - SQRT2 * alpha
-        return val, -shift * val, shift * (shift * val) - val
-    log_mod, ratio, inv_re = _bracket(q, alpha, x)
-    val = _psi(q, log_mod, ratio)
-    inv_b = _inverse_b(q, alpha, ratio, inv_re)
-    w_b = (x - SQRT2 * alpha) * inv_b
-    return val, -w_b * val, (q * w_b * w_b - inv_b) * val
+        d1 = -shift * val
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = shift * (shift * val) - val
+    else:
+        log_mod, ratio, inv_re = _bracket(q, alpha, x)
+        val = _psi(q, log_mod, ratio)
+        inv_b = _inverse_b(q, alpha, ratio, inv_re)
+        w_b = (x - SQRT2 * alpha) * inv_b
+        d1 = -w_b * val
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = (q * w_b * w_b - inv_b) * val
+    if not np.isfinite(d2).all():
+        raise NotConverged(f"psi'' at q={q!r}, alpha={alpha!r} overflows double precision")
+    return val, d1, d2
 
 
 def _finite_x(x) -> np.ndarray:

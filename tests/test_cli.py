@@ -410,6 +410,16 @@ def test_pd_rejects_bad_q():
     assert run_cli("pd", "--q", "0.9") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--k-min", "3", "--k-max", "1"),
+    ("--k-min", "1", "--k-max", "1"),
+    ("--k-steps", "1"),
+])
+def test_pd_grid_rules_are_config_errors(argv, capsys):
+    assert run_cli("pd", "--q", "1.5", *argv) == 2
+    assert capsys.readouterr().err.startswith("config error: pd needs k_min < k_max")
+
+
 def test_pd_stdout_when_no_out(capsys):
     code = run_cli("pd", "--q", "1.5", "--k-steps", "11")
     assert code == 0
@@ -422,6 +432,7 @@ def test_pd_stdout_when_no_out(capsys):
     ("pd", "--q", "1.5", "--k-min", "1e300", "--k-max", "1.7e308"),
     ("sweep", "--alpha-re", "1e200"),
     ("pd", "--q", "1.5", "--alpha-re", "1e200"),
+    ("pd", "--q", "1.5", "--k-min", "-1e308", "--k-max", "1e308", "--k-steps", "3"),
 ])
 def test_library_value_error_is_a_config_error(argv, capsys):
     # a k grid whose Parseval window overflows, an alpha whose |alpha|^2 does

@@ -144,6 +144,55 @@ def test_q_expansion_state_forms_w_about_the_centre():
     assert abs(got - raw) <= 1e-13 * abs(raw)
 
 
+def _expansion_labels(n=40, seed=29):
+    # q in (1, 1.3], |alpha| up to 4 in every direction
+    rng = np.random.default_rng(seed)
+    q = 1.0 + 0.3 * (1.0 - rng.random(n))
+    r, t = 4.0 * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+    return [(float(qi), complex(ri * math.cos(ti), ri * math.sin(ti)))
+            for qi, ri, ti in zip(q, r, t)]
+
+
+def test_expansion_norm_closed_form_meets_a_30_digit_quadrature():
+    # the closed form against int exp(-y^2) |1 + (q-1)/8 W^2|^2 dy by
+    # mpmath's 8-node Gauss-Hermite rule at 30 digits, exact on this
+    # degree-8 polynomial times the Gaussian weight
+    import mpmath
+
+    with mpmath.workdps(30):
+        nodes = list(zip(*mpmath.gauss_quadrature(8, "hermite")))
+        for q, alpha in _expansion_labels():
+            e, a, b = mpmath.mpf(q) - 1, mpmath.mpf(alpha.real), mpmath.mpf(alpha.imag)
+
+            def poly(y):
+                w = y * y - 2j * b * (mpmath.sqrt(2) * y + a)
+                return abs(1 + e / 8 * w * w) ** 2
+
+            want = mpmath.fsum(wt * poly(y) for y, wt in nodes) ** -0.5
+            got = limits._expansion_norm(q, alpha.real, alpha.imag)
+            assert abs(got - want) <= 1e-15 * want, (q, alpha, got)
+
+
+@pytest.mark.parametrize("are", [1e30, 1e100, 1e150])
+def test_expansion_norm_of_a_real_alpha_is_the_value_at_zero(are):
+    # a real alpha shifts the state without changing its shape, and the
+    # closed form sees Re alpha only through Re alpha * Im alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (1.05, 1.3, 1.0):
+            assert limits._expansion_norm(q, are, 0.0) == limits._expansion_norm(q, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("gaps, verdict", [
+    ((0.1, 0.05, 0.001), "converged"),
+    ((0.1, 0.2, 0.001), "not-converged"),    # last gap below final_tol, not monotone
+    ((0.1, 0.05, 0.05), "not-converged"),    # monotone, last gap above final_tol
+    ((0.1, 1e-13, 1e-13), "converged"),      # a machine-zero plateau
+])
+def test_verdict_needs_falling_gaps_and_a_small_last_gap(gaps, verdict):
+    assert limits._verdict(gaps, 0.01) == verdict
+
+
 def test_limit_convergence_headline_run():
     rep = limit_convergence_check(0.5)
     assert isinstance(rep, LimitReport)

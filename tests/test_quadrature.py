@@ -217,6 +217,22 @@ def test_gk_reduce_rescales_as_quadpack(f, has_flat):
     assert np.array_equal(err, np.maximum(scaled, want_floor))
 
 
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gk_reduce_gives_a_constant_panel_its_floor(m, dtype):
+    # a constant panel's |K - G| and resasc are round-off, so its err is
+    # exactly the floor 50 eps resabs, from the smallest to the largest values
+    rng = np.random.default_rng(m)
+    halfs = 10.0 ** rng.uniform(-15.0, 3.0, 40)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, (m, 40))
+    phase = np.exp(2j * math.pi * rng.random((m, 40))) if dtype is complex else 1.0
+    fx = np.repeat((mags * phase)[..., None], 15, axis=-1)
+    fx = fx[0] if m == 1 else fx
+    resk, err, floor = quadrature._gk_reduce(fx, halfs, lambda: None)
+    assert np.array_equal(err, floor)
+    assert np.array_equal(floor, 50.0 * np.finfo(float).eps * (halfs * (np.abs(fx) @ quadrature._WK)))
+
+
 def _counting(f):
     """f with a log of (calls, nodes) of its evaluator."""
     log = [0, 0]
@@ -462,6 +478,13 @@ def test_line_offset_complex_gaussian():
 def test_line_rejects_nonintegrable_tail():
     with pytest.raises(SlowDecay):
         integrate_line(lambda x: 1.0 / (1.0 + np.abs(x)), tol=1e-8)
+
+
+@pytest.mark.parametrize("f", [np.ones_like, np.abs])
+def test_line_refuses_a_tail_that_does_not_decay(f):
+    # |f| does not fall from the probe's inner radius to its outer one
+    with pytest.raises(SlowDecay, match=r"tail exponent ~0\.000 on the \+inf side"):
+        integrate_line(f)
 
 
 def test_line_refuses_a_tail_beyond_the_top_it_cannot_bound():

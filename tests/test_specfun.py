@@ -14,7 +14,7 @@ import pytest
 import scipy.special as sp
 
 from qcoherent import specfun
-from qcoherent.errors import DivergentSeries, NotConverged, ParameterPole
+from qcoherent.errors import BranchCrossing, DivergentSeries, NotConverged, ParameterPole
 from qcoherent.quadrature import integrate_line
 from qcoherent.specfun import (
     LauricellaArgs,
@@ -26,6 +26,7 @@ from qcoherent.specfun import (
     lauricella_fd_series,
     pochhammer,
 )
+from qcoherent.states import coherent_coefficients
 
 
 # ------------------------------------------------------------- Hermite
@@ -132,6 +133,17 @@ def test_pochhammer_recurrence_random():
         assert pochhammer(a, m) == pytest.approx(
             pochhammer(a, m - 1) * (a + m - 1), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: hermite_poly(-1, 0.3), "order must be >= 0"),
+    (lambda: hermite_function(-2, 0.3), "order must be >= 0"),
+    (lambda: pochhammer(0.5, -1), "m must be >= 0"),
+    (lambda: coherent_coefficients(0.3 + 0.1j, -1), "n_max must be >= 0"),
+])
+def test_a_negative_order_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # ------------------------------------------------------------- Kummer
@@ -352,6 +364,33 @@ def test_fd_series_divergent_outside_polydisc():
         lauricella_fd_series(
             LauricellaArgs(1.0, (0.5,) * 4, 3.0, (1.0, 0.2, 0.2, 0.2)), tol=1e-10
         )
+
+
+_X_OUT = (1.5, 0.2, 0.2, 0.2)
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    # the Euler integral needs Re a > 0, and no real x_i >= 1
+    (lambda: lauricella_fd_integral(LauricellaArgs(-0.5, (0.5,) * 4, 3.0, (0.2,) * 4)),
+     ValueError, "Re a > 0"),
+    (lambda: lauricella_fd_integral(LauricellaArgs(0.0, (0.5,) * 4, 3.0, (0.2,) * 4)),
+     ValueError, "Re a > 0"),
+    (lambda: lauricella_fd_integral(LauricellaArgs(1.0, (0.5,) * 4, 3.0, (1.0, 0.2, 0.2, 0.2))),
+     BranchCrossing, "principal cut"),
+    (lambda: lauricella_fd_integral(LauricellaArgs(1.0, (0.5,) * 4, 3.0, _X_OUT)),
+     BranchCrossing, "principal cut"),
+    # outside the polydisc with the Euler form inadmissible, no route is left
+    (lambda: lauricella_fd(LauricellaArgs(1.0, (0.5,) * 4, 3.0, _X_OUT)),
+     DivergentSeries, "inadmissible"),
+    (lambda: lauricella_fd(LauricellaArgs(-1.0, (0.5,) * 4, 3.0, (1.5j, 0.2, 0.2, 0.2))),
+     DivergentSeries, "inadmissible"),
+    # the bundle itself: four b's and a c off the poles
+    (lambda: LauricellaArgs(1.0, (0.5,) * 3, 3.0, (0.2,) * 4), ValueError, "four entries"),
+    (lambda: LauricellaArgs(1.0, (0.5,) * 4, -2.0, (0.2,) * 4), ParameterPole, "non-positive"),
+])
+def test_fd_refuses_what_it_cannot_evaluate(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_fd_series_equal_arguments_reduce_to_2f1():

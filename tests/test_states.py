@@ -93,6 +93,11 @@ def test_q_exponential_underflows_to_zero():
     assert q_exponential(1.5, 1e150) == pytest.approx(4e-300, rel=1e-14)
 
 
+def test_q_exponential_is_zero_where_its_base_is_zero_and_its_power_positive():
+    # q = 0.5, z = -2: 1 + (1-q) z = 0 and 1/(1-q) = 2
+    assert q_exponential(0.5, -2.0) == 0.0
+
+
 def test_window_guard():
     require_window(1.4, 5.0, "anything")
     with pytest.raises(OutOfValidityWindow):
@@ -428,6 +433,21 @@ def test_oracle_norm_of_a_state_narrower_than_its_panels():
     # n = w int |B(w t)|^(-2p) dt with w = 1/(2 sqrt2 s^2 Im alpha), which
     # mpmath gives as 2.1321e-154 at 40 digits, so A = 6.8485e76
     assert normalization_constant(2.33, 1.3e154j).real == pytest.approx(6.8485e76, rel=1e-4)
+
+
+@pytest.mark.parametrize("q, alpha", [(4.999, 1.3e154j), (1.0, 1e154j)])
+def test_psi_second_derivative_past_the_doubles_is_refused_quietly(q, alpha):
+    # |psi''| = q 2 |alpha|^2 at the centre x = 0 is past the doubles: it
+    # read -inf+nanj (nan+nanj, normalised) after two RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged, match="overflows double precision"):
+            psi_unnormalized(q, alpha, 0.0)
+        with pytest.raises(NotConverged, match="overflows double precision"):
+            pseudo_coherent_wavefunction(q, alpha)(0.0)
+        if q != 1.0:
+            s = psi_unnormalized(q, alpha, 0.2)
+            assert all(cmath.isfinite(z) for z in (s.value, s.d1, s.d2))
 
 
 def test_coherent_wavefunction_derivatives_are_finite_at_the_largest_doubles():
@@ -779,6 +799,30 @@ def test_overlap_sentinel_exact_formula():
 def test_overlap_rejects_mixed_q():
     with pytest.raises(ValueError):
         overlap(StateLabel(1.3, 0.1), StateLabel(1.4, 0.1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: normalization_constant(1.5, 0.3, method=m),
+    lambda m: normalization_constant(1.0, 0.3, method=m),
+    lambda m: overlap(StateLabel(1.5, 0.3), StateLabel(1.5, 0.4), method=m),
+    lambda m: uncertainty_product(1.5, 0.3, method=m),
+    lambda m: momentum_pd(1.5, 0.3, method=m),
+])
+def test_an_unknown_method_is_refused(call):
+    with pytest.raises(ValueError, match="unknown method 'exact'"):
+        call("exact")
+
+
+def test_the_closed_routes_return_at_q_one_and_above():
+    assert uncertainty_product(1.5, 0.3, "closed-form") == pytest.approx(
+        uncertainty_product(1.5, 0.3), rel=1e-6)
+    assert moments_closed(1.0, 0.3 + 0.2j).product == 0.5
+
+
+@pytest.mark.parametrize("grid", [[0.5], np.zeros((2, 3))])
+def test_momentum_pd_refuses_a_grid_that_is_not_1d_with_two_points(grid):
+    with pytest.raises(ValueError, match="1-d grid with at least two points"):
+        momentum_pd(1.5, 0.3, grid)
 
 
 # ----------------------------------------------------- lowering operator
