@@ -23,7 +23,7 @@ from .errors import NotConverged, RegimeWarning
 from .moments import MomentReport, _coherent_exact, moments_oracle
 from .momentum import momentum_amplitude_bessel
 from .quadrature import _check_index
-from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, require_alpha
+from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, _gauss_form, require_alpha
 
 __all__ = [
     "LimitReport",
@@ -80,33 +80,22 @@ def _expansion_norm(q: float, are: float, aim: float) -> float:
     return n ** -0.5
 
 
-# |exp(-W/2)| = exp(-y^2/2) is 0 in doubles past it: clipping y there leaves
-# every value as it is, and W^2 never overflows at a far-off y alone
-_EXPANSION_Y = 40.0
-
-
-def _expansion_raw(q: float, are: float, aim: float, y):
-    """The unnormalised expansion at x = y + sqrt2 Re alpha, through
-    W = y^2 - 2i Im alpha (sqrt2 y + Re alpha), the state's quadratic form
-    there.  A finite ``_expansion_norm`` bounds |ab| by 5e153 and |b| by
-    5e76, so |W| < 1e154 on |y| <= 40 and nothing here overflows."""
-    y = np.clip(y, -_EXPANSION_Y, _EXPANSION_Y)
-    w = y * y - 2j * aim * (SQRT2 * y + are)
-    return (1.0 + (q - 1.0) / 8.0 * (w * w)) * np.exp(-0.5 * w)
-
-
 def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
     """First-order-in-(q-1) approximation of the normalised state.
 
     Derived by differentiating the Gaussian twice in its exponent scale:
-    [1 + (q-1)/8 * W^2] exp(-W/2) with W the state's quadratic form, and
-    normalised by its norm in closed form (``_expansion_norm``).  Emits
-    RegimeWarning outside |q-1| <= regime; the formula still evaluates, it
-    just stops being a good approximation.  x must be finite (ValueError
-    otherwise); far out the state is 0.  W and the norm are taken relative
-    to the centre sqrt2 Re alpha, so a state centred far out is normalised
-    like one at 0; NotConverged where the norm overflows double precision.
+    [1 + (q-1)/8 * W^2] exp(-W/2) with W the q = 1 state's quadratic form
+    (``states._gauss_form``), and normalised by its norm in closed form
+    (``_expansion_norm``).  Emits RegimeWarning outside |q-1| <= regime;
+    the formula still evaluates, it just stops being a good approximation.
+    q and x must be finite (ValueError otherwise); far out the state is 0.
+    W and the norm are taken relative to the centre sqrt2 Re alpha, so a
+    state centred far out is normalised like one at 0; NotConverged where
+    the norm overflows double precision.  A finite norm bounds |ab| by
+    5e153 and |b| by 5e76, so |W| < 1e154 and W^2 never overflows.
     """
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite; got q={q!r}")
     if abs(q - 1.0) > regime + 1e-12:
         warnings.warn(
             f"q={q:.6g} is outside the small-(q-1) regime |q-1| <= {regime:.3g}",
@@ -116,7 +105,8 @@ def q_expansion_state(q: float, alpha: complex, x, regime: float = 0.1):
     alpha = require_alpha(alpha)
     xs = _finite_x(x)
     scale = _expansion_norm(q, alpha.real, alpha.imag)
-    out = scale * _expansion_raw(q, alpha.real, alpha.imag, xs - SQRT2 * alpha.real)
+    w = _gauss_form(alpha, xs)
+    out = scale * ((1.0 + (q - 1.0) / 8.0 * (w * w)) * np.exp(-0.5 * w))
     return out if np.ndim(x) else complex(out)
 
 

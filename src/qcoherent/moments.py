@@ -112,16 +112,23 @@ def _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, method, deviations):
 
 
 def _coherent_exact(alpha: complex, method: str) -> MomentReport:
-    """Gaussian-limit moments in closed form; the q = 1 sentinel target."""
+    """Gaussian-limit moments in closed form; the q = 1 sentinel target.
+    NotConverged where <x^2> or <p^2> overflows double precision, which
+    an accepted alpha reaches from |alpha| ~ 9.5e153."""
     alpha = require_alpha(alpha)
     mean_x = SQRT2 * alpha.real
     mean_p = SQRT2 * alpha.imag
     dx = math.sqrt(0.5)
+    try:
+        mean_x2, mean_p2 = 0.5 + mean_x**2, 0.5 + mean_p**2
+    except OverflowError:
+        raise NotConverged(f"<x^2> or <p^2> at q = 1, alpha={alpha!r} "
+                           "overflows double precision") from None
     # both variances are exactly 1/2, so report the exact product rather
     # than sqrt(0.5)**2, which rounds one ulp high
     return MomentReport(
-        q=1.0, alpha=alpha, mean_x=mean_x, mean_x2=0.5 + mean_x**2,
-        mean_p=mean_p, mean_p2=0.5 + mean_p**2, var_x=0.5, var_p=0.5,
+        q=1.0, alpha=alpha, mean_x=mean_x, mean_x2=mean_x2,
+        mean_p=mean_p, mean_p2=mean_p2, var_x=0.5, var_p=0.5,
         delta_x=dx, delta_p=dx, product=0.5, method=method, deviations={},
     )
 

@@ -45,10 +45,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NotConverged
 from .quadrature import IntegrandSpec, _check_index, fourier_transform_line, integrate_interval
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
 from .states import (SQRT2, _bracket_sr, _psi_un, _require_open_window, _root_c,
-                     normalization_constant, require_alpha, require_window)
+                     coherent_psi, normalization_constant, require_alpha, require_window)
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -124,14 +125,6 @@ def default_k_grid(alpha: complex, n: int = 401) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
-def _gaussian_amplitude(alpha: complex, k):
-    # exact transform of the ordinary coherent state, vectorised over k
-    alpha = complex(alpha)
-    return math.pi ** -0.25 * np.exp(
-        -0.5 * (k * k + 2.0 * SQRT2 * 1j * alpha * k - alpha * alpha + abs(alpha) ** 2)
-    )
-
-
 def _mirrored(amplitudes):
     """ks -> (amplitudes(ks), amplitudes(-ks))."""
     return lambda ks: (amplitudes(ks), amplitudes(-ks))
@@ -147,8 +140,8 @@ def _bessel_amplitudes(q: float, alpha: complex, tol: float):
     |k| and forms both amplitudes from it, bit for bit as two calls would.
     """
     if q == 1.0:
-        def gaussian(k):
-            return _gaussian_amplitude(alpha, k)
+        def gaussian(k):  # the transform of a coherent state is the one at -i alpha
+            return coherent_psi(-1j * alpha, k)
 
         return gaussian, _mirrored(gaussian)
     from scipy.special import log1p
@@ -207,7 +200,7 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
     out = _bessel_amplitudes(q, require_alpha(alpha), tol)[0](k)
-    return out if out.ndim else complex(out)
+    return out if k.ndim else complex(out)
 
 
 def momentum_amplitude_oracle(q: float, alpha: complex, k, tol: float = 1e-9):
@@ -220,8 +213,7 @@ def momentum_amplitude_oracle(q: float, alpha: complex, k, tol: float = 1e-9):
         raise ValueError(f"k must be finite; got {k}")
     alpha = require_alpha(alpha)
     if q == 1.0:
-        out = _gaussian_amplitude(alpha, k)
-        return out if out.ndim else complex(out)
+        return coherent_psi(-1j * alpha, k)
     a_const = normalization_constant(q, alpha, tol=tol)
 
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
@@ -322,6 +314,15 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     if method not in ("oracle", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
 
+    # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
+    # the printed form's density does not decay, and keeps the fixed window.
+    # From |Im alpha| ~ 1e8 the difference cancels, and it is refused
+    rate = math.inf
+    if method == "oracle" and q != 1.0:
+        rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
+        if not rate > 0.0:
+            raise NotConverged(f"the momentum density's decay rate at q={q!r}, "
+                               f"alpha={alpha!r} cancels to {rate!r}")
     if method == "oracle" or q == 1.0:
         amplitudes, mirrored = _bessel_amplitudes(q, alpha, tol)  # A, c, phi(0) once per pd
     else:
@@ -336,11 +337,6 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     samples = tuple(map(tuple.__new__, repeat(MomentumSample),
                         zip(grid.tolist(), zs, map(pow, map(abs, zs), repeat(2)),
                             repeat(method))))
-    # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
-    # the printed form's density does not decay, and keeps the fixed window
-    rate = math.inf
-    if method == "oracle" and q != 1.0:
-        rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
     total = _parseval_total(mirrored, alpha, grid, rate)
     return MomentumDistribution(q, alpha, samples, total, method)
 

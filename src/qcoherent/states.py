@@ -9,7 +9,8 @@ which reduces to the ordinary coherent state as q -> 1 and develops
 power-law tails |psi|^2 ~ |x|^(-4/(q-1)) for q > 1.  That tail sets the
 validity windows enforced here: normalisable for q < 5, finite second
 position moment for q < 7/3.  ``q == 1.0`` is an exact sentinel that
-dispatches to the Gaussian formulas rather than the deformed bracket.
+dispatches to the Gaussian exp(-W/2) rather than the deformed bracket,
+with W formed once, about the state's centre (``_gauss_form``).
 
 The quartic |psi|^2 factors over four complex roots
 
@@ -66,7 +67,6 @@ SQRT2 = math.sqrt(2.0)
 Q_NORMALIZABLE_MAX = 5.0        # |psi|^2 ~ |x|^(-4/(q-1)) integrable iff q < 5
 Q_MOMENT_SUITE_MAX = 7.0 / 3.0  # x^2 |psi|^2 integrable iff q < 7/3
 CONVENTION_TOL = 1e-5           # closed form vs oracle acceptance threshold
-_GAUSS_X = 1e154                # each q = 1 Gaussian is 0 past it; x*x overflows
 
 
 def require_window(q: float, upper: float, what: str) -> None:
@@ -127,18 +127,32 @@ def q_exponential(q: float, z: complex) -> complex:
     return value
 
 
+def _gauss_form(alpha: complex, x):
+    """The q = 1 state's quadratic form x^2 - 2 sqrt2 alpha x + |alpha|^2 +
+    alpha^2, written about its centre sqrt2 Re alpha:
+
+        W = y^2 - 2i Im alpha (sqrt2 y + Re alpha),   y = x - sqrt2 Re alpha.
+
+    |exp(-W/2)| = exp(-y^2/2) is 0 in doubles past |y| = 40, so y is clipped
+    there: that leaves every value as it is, and |Im W| <= 2 |Im alpha|
+    (57 + |Re alpha|) stays finite for every alpha ``require_alpha`` accepts.
+    Split into its terms, the form would take factors such as
+    exp(|alpha|^2) and exp(-|alpha|^2) that overflow on their own.
+    """
+    y = np.clip(x - SQRT2 * alpha.real, -40.0, 40.0)
+    return y * y - 2j * alpha.imag * (SQRT2 * y + alpha.real)
+
+
 def coherent_psi(alpha: complex, x) -> complex:
     """Ordinary oscillator coherent state in closed form,
 
-        psi_alpha(x) = pi^(-1/4) exp(-alpha^2/2) exp(-|alpha|^2/2)
-                       exp(-x^2/2) exp(sqrt2 alpha x).
+        psi_alpha(x) = pi^(-1/4) exp(-W/2),   W = x^2 - 2 sqrt2 alpha x
+                                                  + |alpha|^2 + alpha^2,
 
-    Vectorised over finite x; finite and silent up to |x| = 1.79e308.
+    with W formed about the centre (``_gauss_form``).  Vectorised over
+    finite x; finite and silent at every finite x and accepted alpha.
     """
-    alpha = require_alpha(alpha)
-    x = np.clip(_finite_x(x), -_GAUSS_X, _GAUSS_X)
-    pref = math.pi ** -0.25 * cmath.exp(-0.5 * alpha * alpha - 0.5 * abs(alpha) ** 2)
-    val = pref * np.exp(-0.5 * x * x + SQRT2 * alpha * x)
+    val = math.pi ** -0.25 * _psi_un(1.0, require_alpha(alpha), _finite_x(x))
     return val if val.ndim else complex(val)
 
 
@@ -240,11 +254,6 @@ class WaveFunctionSample:
     d2: complex
 
 
-def _quad_poly(alpha: complex, x):
-    # x^2 - 2 sqrt2 alpha x + |alpha|^2 + alpha^2, vectorised
-    return x * x - 2.0 * SQRT2 * alpha * x + abs(alpha) ** 2 + alpha * alpha
-
-
 def _root_c(q: float, alpha: complex) -> complex:
     """c with c^2 = |alpha|^2 - alpha^2 + 2/(q-1) and Re c > sqrt2 |Im alpha|:
     the ket's ``_bracket_sr`` turned by -i, or by +i where that leaves
@@ -334,7 +343,7 @@ def _psi_un(q: float, alpha: complex, x):
     x = np.asarray(x, dtype=float)
     alpha = complex(alpha)
     if q == 1.0:
-        return np.exp(-0.5 * _quad_poly(alpha, np.clip(x, -_GAUSS_X, _GAUSS_X)))
+        return np.exp(-0.5 * _gauss_form(alpha, x))
     log_mod, ratio, _ = _bracket(q, alpha, x)
     return _psi(q, log_mod, ratio)
 
@@ -452,10 +461,7 @@ class StateLabel:
 
     def psi(self, x):
         """Normalised wavefunction, vectorised over finite x."""
-        xs = _finite_x(x)
-        if self.q == 1.0:
-            return coherent_psi(self.alpha, xs)
-        out = self.norm_constant * _psi_un(self.q, self.alpha, xs)
+        out = self.norm_constant * _psi_un(self.q, self.alpha, _finite_x(x))
         return out if np.ndim(x) else complex(out)
 
 
@@ -466,14 +472,18 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
     Hermitian by construction: overlap(a, b) = conj(overlap(b, a));
     |overlap| <= 1 with equality only at identical labels.  q = 1
     dispatches to the exact Gaussian formula exp(conj(alpha_a) alpha_b
-    - |alpha_a|^2/2 - |alpha_b|^2/2).
+    - |alpha_a|^2/2 - |alpha_b|^2/2), written about alpha_a as
+    exp(-|d|^2/2 + i Im(conj(alpha_a) d)), d = alpha_b - alpha_a: no terms
+    of size |alpha|^2 are summed to cancel, and |d|^2 is a float sum, so a
+    gap past the doubles reads 0, not an error.
     """
     if a.q != b.q:
         raise ValueError("overlap is defined within a single q family")
     q = a.q
     if q == 1.0:
-        aa, ab = a.alpha, b.alpha
-        return cmath.exp(aa.conjugate() * ab - 0.5 * abs(aa) ** 2 - 0.5 * abs(ab) ** 2)
+        aa, d = a.alpha, b.alpha - a.alpha
+        return cmath.exp(complex(-0.5 * (d.real * d.real + d.imag * d.imag),
+                                 aa.real * d.imag - aa.imag * d.real))
     if method == "oracle":
         def f(x):
             return np.conj(_psi_un(q, a.alpha, x)) * _psi_un(q, b.alpha, x)
@@ -518,15 +528,9 @@ def apply_aq(q: float, f, x: float) -> complex:
 
 
 def coherent_wavefunction(alpha: complex):
-    """Callable x -> WaveFunctionSample for the ordinary coherent state."""
-    alpha = require_alpha(alpha)
-
-    def f(x: float) -> WaveFunctionSample:
-        v = complex(coherent_psi(alpha, x))
-        shift = x - SQRT2 * alpha
-        return WaveFunctionSample(x, v, -shift * v, shift * (shift * v) - v)
-
-    return f
+    """Callable x -> WaveFunctionSample for the ordinary coherent state: the
+    q = 1 case of ``pseudo_coherent_wavefunction``, normalised."""
+    return pseudo_coherent_wavefunction(1.0, alpha, normalized=True)
 
 
 def pseudo_coherent_wavefunction(q: float, alpha: complex, normalized: bool = False):

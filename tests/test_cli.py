@@ -172,6 +172,23 @@ def test_numerical_failure_maps_to_exit_three(monkeypatch):
                    "--q-steps", "2") == 3
 
 
+def test_a_valid_tol_reaches_the_config_line(capsys):
+    assert run_cli("pd", "--q", "1.5", "--k-steps", "3", "--tol", "1e-7") == 0
+    assert " tol=9.9999999999999995e-08 " in capsys.readouterr().out.splitlines()[1]
+    assert run_cli("pd", "--q", "1.5", "--tol", "0") == 2
+
+
+@pytest.mark.parametrize("argv", [("--alpha-re", "abc"), ("--alpha-im", "nan")])
+def test_a_number_that_does_not_parse_is_a_usage_error(argv, capsys):
+    assert run_cli("pd", "--q", "1.5", *argv) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_a_dash_token_that_is_no_number_is_left_to_argparse():
+    argv = ["pd", "--q", "1.5", "--out", "-report.csv", "--alpha-im", "-5e-05"]
+    assert cli._attach_negative_values(argv) == argv[:4] + ["-report.csv", "--alpha-im=-5e-05"]
+
+
 # --------------------------------------------------------------- verify
 
 @pytest.fixture(scope="module")
@@ -278,6 +295,19 @@ def test_verify_findings_do_not_fail_exit_code(verify_report):
     code, rep = verify_report
     assert rep["meta"]["finding_count"] > 0
     assert code == 0
+
+
+def test_verify_exits_three_when_a_mandatory_check_fails(monkeypatch, tmp_path, capsys):
+    # a Parseval total off by 1 fails the parseval check; the report is
+    # still written, with the failing check marked
+    monkeypatch.setattr(cli, "momentum_pd", lambda *a, **k: SimpleNamespace(parseval_total=2.0))
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.2", "--q-steps", "1",
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mandatory checks failed: ") and "parseval" in err
+    checks = json.loads(out.read_text())["meta"]["mandatory_checks"]
+    assert checks["parseval"] == {"status": "fail", "detail": 1.0}
 
 
 def test_verify_byte_deterministic(tmp_path):

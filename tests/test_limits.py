@@ -82,6 +82,15 @@ def test_q_expansion_state_order_of_accuracy():
     assert errs[-1] < 1e-3
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_q_expansion_state_refuses_a_q_that_is_not_finite(q):
+    # the norm's overflow check read it as "overflows double precision"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="q must be finite"):
+            q_expansion_state(q, 0.3, 0.0, regime=math.inf)
+
+
 def test_q_expansion_state_warns_outside_regime():
     with pytest.warns(RegimeWarning):
         q_expansion_state(1.5, 0.3, 0.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qcoherent.moments import (
     uncertainty_product,
 )
 from qcoherent.quadrature import IntegrandSpec
-from qcoherent.states import CONVENTION_TOL, normalization_constant
+from qcoherent.states import CONVENTION_TOL, SQRT2, normalization_constant
 
 # frozen oracle outputs at (q, alpha) = (1.3, 0.3), quadrature tol 1e-11;
 # mean_x is exactly sqrt(2)*alpha by the density's reflection symmetry
@@ -486,6 +487,23 @@ def test_oracle_refuses_a_non_positive_norm_row(monkeypatch, norm, refused):
 def test_uncertainty_product_sentinel_exact():
     for alpha in (0.0, 0.5, 0.5 + 0.2j, 0.3j):
         assert uncertainty_product(1.0, alpha) == 0.5
+
+
+@pytest.mark.parametrize("alpha", [1.2e154, 1.2e154j, -1e154 + 3.0j])
+def test_sentinel_moments_past_the_doubles_are_refused_quietly(alpha):
+    # |alpha|^2 is a double, but <x^2> = 1/2 + 2 (Re alpha)^2 is not: the
+    # exact Gaussian report raised a bare OverflowError from its **
+    from qcoherent.limits import coherent_reference_moments
+
+    calls = (lambda: moments_oracle(1.0, alpha), lambda: moments_closed(1.0, alpha),
+             lambda: uncertainty_product(1.0, alpha),
+             lambda: coherent_reference_moments(alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NotConverged, match="overflows double precision"):
+                call()
+        assert moments_oracle(1.0, 9e153j).mean_p2 == 0.5 + (SQRT2 * 9e153) ** 2
 
 
 def test_uncertainty_product_bound_spot():

@@ -28,7 +28,7 @@ from qcoherent.momentum import (
     momentum_pd,
 )
 from qcoherent.quadrature import IntegrandSpec, integrate_interval
-from qcoherent.states import normalization_constant
+from qcoherent.states import coherent_psi, normalization_constant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -495,6 +495,29 @@ def test_pd_closed_method_is_labelled_and_quarantined():
     # the printed form's own k -> 0 limit: zero amplitude at the origin
     zero = dist.samples[1]
     assert zero == (0.0, 0j, 0.0, "closed-form") and type(zero.amplitude) is complex
+
+
+def test_pd_refuses_a_decay_rate_that_cancels():
+    # rate = 2 (Re c - sqrt2 |Im alpha|) reads 0 at 1e9j (and below 0 at
+    # 3e8j): the Parseval window 40 / rate raised a bare ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e9j, 3e8j, -1e8j):
+            with pytest.raises(NotConverged, match="decay rate"):
+                momentum_pd(1.5, alpha)
+
+
+@pytest.mark.parametrize("alpha", [9e153j, -9e153j, 6e153 + 6e153j, 0.4 - 30j])
+def test_sentinel_amplitude_is_the_coherent_state_at_minus_i_alpha(alpha):
+    # the Gaussian transform formed k^2, alpha^2 and |alpha|^2 on their own,
+    # and read nan at its own peak k = sqrt2 Im alpha from |alpha| ~ 1e154
+    ks = SQRT2 * alpha.imag + np.linspace(-3.0, 3.0, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (momentum_amplitude_bessel, momentum_amplitude_oracle):
+            got = route(1.0, alpha, ks)
+            assert got.tobytes() == coherent_psi(-1j * alpha, ks).tobytes()
+            assert abs(route(1.0, alpha, ks[6])) == pytest.approx(math.pi ** -0.25, rel=1e-15)
 
 
 def test_pd_window():

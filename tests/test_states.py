@@ -130,6 +130,47 @@ def test_coherent_psi_lowering_eigenvalue():
         assert abs(lhs - alpha * coherent_psi(alpha, x)) < 1e-9
 
 
+def test_coherent_psi_is_the_vacuum_moved_to_its_centre():
+    # at real alpha the state is the vacuum shifted by sqrt2 alpha, bit for
+    # bit; the split prefactor read e^900 e^-900 = nan at alpha = 30
+    x = np.linspace(-12.0, 12.0, 49)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.3, -2.5, 30.0, 1e3, -4e8, 1e150):
+            for xs in (x, SQRT2 * alpha + x):
+                got = coherent_psi(alpha, xs)
+                assert got.tobytes() == coherent_psi(0.0, xs - SQRT2 * alpha).tobytes()
+        for value in (coherent_psi(30, 42.4), StateLabel(1.0, 30).psi(42.4),
+                      coherent_wavefunction(30)(42.4).value):
+            assert value == 0.7508637016135873
+
+
+def test_coherent_psi_against_mpmath_at_complex_alpha():
+    rng = np.random.default_rng(20261020)
+    with warnings.catch_warnings(), mpmath.workdps(30):
+        warnings.simplefilter("error")
+        for _ in range(24):
+            alpha = 30.0 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            xs = SQRT2 * alpha.real + np.linspace(-6.0, 6.0, 13)
+            a = mpmath.mpc(alpha.real, alpha.imag)
+            for x, got in zip(xs, coherent_psi(alpha, xs)):
+                x = mpmath.mpf(x)
+                form = x * x - 2 * mpmath.sqrt(2) * a * x + abs(a) ** 2 + a * a
+                want = complex(mpmath.pi ** -0.25 * mpmath.exp(-form / 2))
+                assert abs(got - want) <= 1e-13, (alpha, x)
+            assert StateLabel(1.0, alpha).psi(xs).tobytes() == coherent_psi(alpha, xs).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [9e153, -9e153j, 6e153 + 6e153j])
+def test_q1_states_are_finite_and_silent_at_the_largest_alphas(alpha):
+    x = np.array([-1e300, -3.0, 0.0, 2.5, 1e300]) + SQRT2 * alpha.real
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in (coherent_psi(alpha, x), StateLabel(1.0, alpha).psi(x)):
+            assert np.isfinite(values).all() and np.abs(values).max() <= PI4
+        assert cmath.isfinite(coherent_wavefunction(alpha)(5.0).value)
+
+
 def test_coherent_coefficients_vacuum_and_poisson():
     cs = coherent_coefficients(0.0, 6)
     assert cs[0] == 1.0 and all(c == 0.0 for c in cs[1:])
@@ -794,6 +835,31 @@ def test_overlap_sentinel_exact_formula():
         - 0.5 * abs(b.alpha) ** 2
     )
     assert overlap(a, b) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("aa, ab", [
+    (1e154, 1e154 + 0.5j), (1e8, 1e8 + 0.2j), (1e3, 1e3 + 0.2), (0.6, -0.1 + 0.2j),
+    (-3.0 + 4.0j, 2.0 - 1.5j), (1e150, -1e150), (6e153 + 6e153j, -6e153 - 6e153j),
+])
+def test_overlap_sentinel_about_the_first_centre(aa, ab):
+    # the three terms of size |alpha|^2 summed to 1 at (1e154, 1e154 + 0.5j),
+    # where |<a|b>| = e^(-1/8), and raised OverflowError at a huge gap
+    with mpmath.workdps(800):
+        a, b = mpmath.mpc(aa.real, aa.imag), mpmath.mpc(ab.real, ab.imag)
+        want = complex(mpmath.exp(mpmath.conj(a) * b - abs(a) ** 2 / 2 - abs(b) ** 2 / 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = overlap(StateLabel(1.0, aa), StateLabel(1.0, ab))
+    eps = np.finfo(float).eps
+    assert abs(abs(got) - abs(want)) <= 2 * eps * abs(want)
+    # the phase Im(conj(alpha_a) (alpha_b - alpha_a)) is one rounded product
+    assert abs(got - want) <= 2 * eps * (1.0 + abs(aa) * abs(ab - aa)) * abs(want)
+
+
+def test_sentinel_normalization_is_the_gaussian_constant_by_both_methods():
+    for method in ("oracle", "closed-form"):
+        for alpha in (0.0, 0.4 + 0.2j, -3e100j):
+            assert normalization_constant(1.0, alpha, method=method) == complex(PI4)
 
 
 def test_overlap_rejects_mixed_q():
