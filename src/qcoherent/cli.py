@@ -11,7 +11,11 @@ Three subcommands:
   variants, <x^2>, <p>, <p^2>, the overlap, then at k = 0.8, 2 and 0.01
   the printed Kummer amplitude, its density away from k = 0, and the
   Bessel-K amplitude), then 4 q-independent ones (the q-exponential
-  expansion, the Hermite identity, two F_D checks).  The last three do
+  expansion, the Hermite identity, two F_D checks).  A grid point takes
+  one x-space pass (its oracle moments, the norm of alpha + 0.2 and the
+  oracle overlap of the two) and one closed Euler pass, both at
+  min(tol, 1e-10), next to A(alpha) from ``normalization_constant``
+  (``_grid_point_rows``).  The last three q-independent entries do
   not depend on the arguments: their numbers are computed on the first
   ``verify`` call and kept for the process (``_fixed_checks``), and every
   call builds fresh entries from them.  Its meta block holds 5 mandatory
@@ -21,6 +25,10 @@ Three subcommands:
   not failure); the exit status reflects only the mandatory checks.
 * ``pd``:     momentum probability density on a k grid, CSV rows plus a
   Parseval trailer comment, or JSON.
+
+Every JSON output is the text ``json.dumps(payload, indent=2)`` writes,
+formed by ``_json_text``, which gives the same bytes without json's
+pure-Python indenting encoder.
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure (or a
 mandatory verification check failing).  A q grid outside 1 < q_min <=
@@ -35,17 +43,17 @@ non-finite k) are config errors: exit 2, never a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import closedforms, specfun
 from .errors import NumericsError, OutOfValidityWindow
 from .limits import limit_convergence_check
-from .moments import moments_closed, moments_oracle
+from .moments import _oracle_integrals, _oracle_report, moments_closed, moments_oracle
 from .momentum import (
     default_k_grid,
     momentum_amplitude_bessel,
@@ -57,11 +65,10 @@ from .quadrature import integrate_line
 from .states import (
     CONVENTION_TOL,
     Q_MOMENT_SUITE_MAX,
-    StateLabel,
+    _norm_tol,
     coherent_coefficients,
     coherent_psi,
     normalization_constant,
-    overlap,
     q_exponential,
 )
 
@@ -83,15 +90,54 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """The text ``json.dumps(value, indent=2)`` writes, for the values a
+    report holds: str keys; str, float (np.float64 too), int, bool, None,
+    list, tuple and dict values.  With an indent, json runs its pure-Python
+    encoder; this writer forms the same leaves with the same functions
+    (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) and
+    lays out the nesting itself.  ``newline`` is a line break plus the
+    indentation of the line ``value`` starts on; its items go one level
+    deeper.  TypeError for anything else, as json raises."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(args, command, config, meta, entries) -> None:
     """Every command's JSON: a meta block (tool, command, schema, config,
-    then ``meta``) and the entries."""
+    then ``meta``) and the entries, as ``json.dumps(payload, indent=2)``
+    writes them (``_json_text``)."""
     payload = {
         "meta": {"tool": "qcoherent", "command": command, "schema": SCHEMA_VERSION,
                  "config": config, **meta},
         "entries": entries,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(_json_text(payload) + "\n", args.out)
 
 
 def _emit_table(args, command, config_args, columns, rows, extra) -> None:
@@ -229,17 +275,23 @@ _VERIFY_KS = (0.8, 2.0, _K_NEAR_ZERO)
 def _grid_point_rows(q, alpha, tol):
     """The 16 (equation, point, closed, oracle, note) rows of one grid point,
     then its oracle uncertainty product and its normalisation closure
-    |A_oracle|^2 n2_closed - 1, which the mandatory checks read.  The closed
-    moments of alpha and its closed overlap with alpha + 0.2 come from one
-    Euler pass of 18 rows, four complex logs a node."""
+    |A_oracle|^2 n2_closed - 1, which the mandatory checks read.
+
+    Each route takes one pass for the point, at min(tol, 1e-10), the norm's
+    accuracy.  The oracle moments of alpha, the norm of alpha + 0.2 and
+    the oracle overlap of the two are the eight rows of one line pass; the
+    closed moments of alpha and its closed overlap with alpha + 0.2 are
+    the 18 rows of one Euler pass, four complex logs a node.  A(alpha) is
+    ``normalization_constant``'s, as every amplitude reads it."""
     point = _point(q, alpha)
-    oracle = moments_oracle(q, alpha, tol=tol)
     a_oracle = normalization_constant(q, alpha, tol=tol)
     partner = alpha + 0.2
+    integrals = _oracle_integrals(q, alpha.real, alpha.imag, _norm_tol(tol), partner)
+    oracle = _oracle_report(q, alpha, integrals)
+    n_partner, ov_oracle_raw = integrals[6:]
     n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half), ov_raw = (
         closedforms._closed_moments(q, alpha, tol, partner))
-    sa, sb = StateLabel(q, alpha), StateLabel(q, partner)
-    ov_closed = sa.norm_constant * sb.norm_constant * ov_raw
+    a_pair = a_oracle * n_partner ** -0.5
     rows = [
         ("normalization_fd", point, n2 ** -0.5, a_oracle, None),
         ("normalization_fd_halfline", point, n2_half ** -0.5, a_oracle, _HALFLINE_NOTE),
@@ -249,7 +301,7 @@ def _grid_point_rows(q, alpha, tol):
         ("moment_p_fd", point, mean_p, oracle.mean_p, None),
         ("moment_p2_fd", point, mean_p2, oracle.mean_p2, None),
         ("overlap_fd", _point(q, alpha, partner_re=partner.real, partner_im=partner.imag),
-         ov_closed, overlap(sa, sb, method="oracle", tol=tol), None),
+         a_pair * ov_raw, a_pair * ov_oracle_raw, None),
     ]
     # the printed Kummer amplitude (and, away from k = 0, its density),
     # then the Bessel-K amplitude, each against the oracle amplitude at k

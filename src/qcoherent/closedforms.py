@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import BranchCrossing, ConventionMismatch, NotConverged
 from .specfun import _euler_integral, _log_gamma_ratio_half
-from .states import (Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _pair_roots,
+from .states import (Q_NORMALIZABLE_MAX, SQRT2, _norm_integral, _norm_tol, _pair_roots,
                      _require_open_window, require_alpha)
 
 __all__ = [
@@ -226,7 +226,7 @@ def _closed_moments(q: float, alpha: complex, tol: float, *partners):
     """
     alpha = require_alpha(alpha)
     halves = _state_halves(q, _moment_terms(alpha) + [(alpha, require_alpha(b), 0, 0, {0: 1.0})
-                                                      for b in partners], min(tol, 1e-10))
+                                                      for b in partners], _norm_tol(tol))
     n2 = _whole_norm(halves[0], q, alpha)
     return (n2, tuple(_whole(h) / n2 for h in halves[1:5]),
             (halves[0][0], halves[1][0] / halves[0][0]), *map(_whole, halves[5:]))
@@ -237,7 +237,7 @@ def norm_squared_closed(q: float, alpha: complex, tol: float = 1e-10) -> complex
     norm divides every normalised quantity."""
     _require_open_window(q, Q_NORMALIZABLE_MAX, "closed-form norm")
     alpha = require_alpha(alpha)
-    return _whole_norm(_norm_halves(q, alpha, alpha, min(tol, 1e-10)), q, alpha)
+    return _whole_norm(_norm_halves(q, alpha, alpha, _norm_tol(tol)), q, alpha)
 
 
 def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
@@ -246,7 +246,7 @@ def overlap_closed(q: float, alpha_a: complex, alpha_b: complex,
     the norm's row across two states, at the norm's min(tol, 1e-10)."""
     _require_open_window(q, Q_NORMALIZABLE_MAX, "closed-form overlap")
     alpha_a, alpha_b = require_alpha(alpha_a), require_alpha(alpha_b)
-    return _whole(_norm_halves(q, alpha_a, alpha_b, min(tol, 1e-10)))
+    return _whole(_norm_halves(q, alpha_a, alpha_b, _norm_tol(tol)))
 
 
 def real_alpha_norm_squared_exact(q: float) -> float:

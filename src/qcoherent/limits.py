@@ -20,10 +20,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NotConverged, RegimeWarning
-from .moments import MomentReport, _coherent_exact, moments_oracle
-from .momentum import momentum_amplitude_bessel
+from .moments import MomentReport, _coherent_exact, _oracle_integrals, _oracle_report
+from .momentum import _bessel_amplitudes
 from .quadrature import _check_index
-from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, _gauss_form, require_alpha
+from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, _gauss_form, _norm_tol, require_alpha
 
 __all__ = [
     "LimitReport",
@@ -148,13 +148,16 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     At every q in the (strictly decreasing, inside (1, 7/3)) sequence, runs
     the quadrature moment suite and takes the momentum density on the
     k_points-point grid over [-k_halfwidth, k_halfwidth] from the exact
-    transform, ``momentum_amplitude_bessel``, in one vectorised call.  ``tol``
-    is the moment suite's accuracy, and that of the density's normalisation.
-    ValueError, before any q is run, for a k_points that is not an integer
-    of at least 1, a k_halfwidth or a final_tol that is not positive and
-    finite, or a malformed q_sequence.
+    transform (``momentum_amplitude_bessel``'s) in one vectorised call.  The
+    moments and the density's normalisation A = n^(-1/2) come from one line
+    pass a q, the six rows of ``moments_oracle``, at min(tol, 1e-10): the
+    accuracy of a norm, which scales every other number.  ValueError,
+    before any q is run, for a tol, k_halfwidth or final_tol that is not
+    positive and finite, a k_points that is not an integer of at least 1,
+    or a malformed q_sequence.
     """
     alpha = require_alpha(alpha)
+    norm_tol = _norm_tol(tol)
     k_points = _check_index(k_points, "k_points")
     if k_points < 1:
         raise ValueError(f"k_points must be at least 1; got {k_points!r}")
@@ -176,10 +179,12 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     trajectories: dict[str, list[float]] = {n: [] for n in names}
     trajectories["pd_distance"] = []
     for q in qs:
-        report = moments_oracle(q, alpha, tol=tol)
+        integrals = _oracle_integrals(q, alpha.real, alpha.imag, norm_tol)
+        report = _oracle_report(q, alpha, integrals)
         for n in names:
             trajectories[n].append(abs(getattr(report, n) - getattr(ref, n)))
-        pd = np.abs(momentum_amplitude_bessel(q, alpha, k_grid, tol=tol)) ** 2
+        amplitudes, _ = _bessel_amplitudes(q, alpha, integrals[0] ** -0.5)
+        pd = np.abs(amplitudes(k_grid)) ** 2
         trajectories["pd_distance"].append(float(np.max(np.abs(pd - pd_ref))))
     gaps = {n: tuple(v) for n, v in trajectories.items()}
     verdicts = {n: _verdict(g, final_tol) for n, g in gaps.items()}

@@ -134,27 +134,60 @@ def _coherent_exact(alpha: complex, method: str) -> MomentReport:
 
 
 @lru_cache(maxsize=512)
-def _oracle_integrals(q: float, are: float, aim: float, tol: float) -> tuple[complex, ...]:
-    """The six integrals of ``moments_oracle`` at 1 < q, from one line pass:
-    the norm integral n = int |psi_un|^2 dx (real, so A = n^(-1/2)), then
-    <x>, <x^2>, <p>, and <p^2> by both routes, each divided by n and still
-    complex and unchecked."""
+def _oracle_integrals(q: float, are: float, aim: float, tol: float,
+                      *partners: complex) -> tuple[complex, ...]:
+    """The integrals of ``moments_oracle`` at 1 < q, from one line pass: the
+    norm integral n = int |psi_un|^2 dx (real, so A = n^(-1/2)), then <x>,
+    <x^2>, <p>, and <p^2> by both routes, each divided by n and still
+    complex and unchecked.
+
+    Each partner state beta adds two rows to the same pass, and two items,
+    undivided: its norm integral int |psi_un[beta]|^2 dx (real) and the raw
+    overlap int conj(psi_un[alpha]) psi_un[beta] dx.  The memo key holds
+    the partners; with none the pass is the six moment rows alone.
+    """
     alpha = complex(are, aim)
+    p = 1.0 / (q - 1.0)
 
     def weights(x):
         dens, mod, ratio, inv_re = _density(q, alpha, x)
         inv_b = _inverse_b(q, alpha, ratio, inv_re)
         w_b = (x - SQRT2 * alpha) * inv_b
         x_mod = x * mod  # (x r)^2, not x (x r^2): r^2 underflows first at huge |x|
-        return np.array([dens, x * dens, x_mod * x_mod, 1j * w_b * dens,
-                         (w_b.real * w_b.real + w_b.imag * w_b.imag) * dens,
-                         (inv_b - q * w_b * w_b) * dens])
+        rows = [dens, x * dens, x_mod * x_mod, 1j * w_b * dens,
+                (w_b.real * w_b.real + w_b.imag * w_b.imag) * dens,
+                (inv_b - q * w_b * w_b) * dens]
+        for beta in partners:
+            # conj(psi_un[alpha]) psi_un[beta] = r_alpha r_beta
+            # exp(i p (arg B_alpha - arg B_beta)), both arguments principal
+            dens_b, mod_b, ratio_b, _ = _density(q, beta, x)
+            turn = p * (np.arctan(ratio) - np.arctan(ratio_b))
+            rows += [dens_b, (mod * mod_b) * np.exp(1j * turn)]
+        return np.array(rows)
 
     values = integrate_line(weights, tol=tol).value.tolist()
-    norm = values[0].real
-    if norm <= 0.0:
-        raise ConventionMismatch(f"norm integral came out non-positive: {norm}")
-    return (norm, *(z / norm for z in values[1:]))
+    norms = [values[0].real, *(z.real for z in values[6::2])]
+    if min(norms) <= 0.0:
+        raise ConventionMismatch(f"norm integral came out non-positive: {min(norms)}")
+    norm = norms[0]
+    return (norm, *(z / norm for z in values[1:6]), *values[6:])
+
+
+def _oracle_report(q: float, alpha: complex, integrals) -> MomentReport:
+    """The oracle report from the first six items of ``_oracle_integrals``,
+    every check rerun: the means must be real and the two <p^2> routes
+    must agree."""
+    _, *means, p2_partner = integrals[:6]
+    deviations: dict = {}
+    mean_x, mean_x2, mean_p, mean_p2 = _real_means(means, deviations)
+    p2_primary = means[3]
+    deviations["mean_p2_partner_gap"] = abs(p2_partner - p2_primary) / abs(p2_primary)
+    if deviations["mean_p2_partner_gap"] > 1e-6:
+        raise NotConverged(
+            "the two <p^2> quadrature routes disagree by "
+            f"{deviations['mean_p2_partner_gap']:.3e}"
+        )
+    return _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, "oracle", deviations)
 
 
 def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
@@ -166,17 +199,7 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     alpha = require_alpha(alpha)
     if q == 1.0:
         return _coherent_exact(alpha, "oracle")
-    _, *means, p2_partner = _oracle_integrals(q, alpha.real, alpha.imag, tol)
-    deviations: dict = {}
-    mean_x, mean_x2, mean_p, mean_p2 = _real_means(means, deviations)
-    p2_primary = means[3]
-    deviations["mean_p2_partner_gap"] = abs(p2_partner - p2_primary) / abs(p2_primary)
-    if deviations["mean_p2_partner_gap"] > 1e-6:
-        raise NotConverged(
-            "the two <p^2> quadrature routes disagree by "
-            f"{deviations['mean_p2_partner_gap']:.3e}"
-        )
-    return _finish(q, alpha, mean_x, mean_x2, mean_p, mean_p2, "oracle", deviations)
+    return _oracle_report(q, alpha, _oracle_integrals(q, alpha.real, alpha.imag, tol))
 
 
 def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:

@@ -46,7 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotConverged
-from .quadrature import IntegrandSpec, _check_index, fourier_transform_line, integrate_interval
+from .quadrature import (IntegrandSpec, _check_index, _check_tol, fourier_transform_line,
+                         integrate_interval)
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
 from .states import (SQRT2, _bracket_sr, _psi_un, _require_open_window, _root_c,
                      coherent_psi, normalization_constant, require_alpha, require_window)
@@ -130,10 +131,12 @@ def _mirrored(amplitudes):
     return lambda ks: (amplitudes(ks), amplitudes(-ks))
 
 
-def _bessel_amplitudes(q: float, alpha: complex, tol: float):
+def _bessel_amplitudes(q: float, alpha: complex, a_const):
     """(amplitudes, mirrored): ks -> ``momentum_amplitude_bessel``(q, alpha, ks)
     and ks -> (phi(ks), phi(-ks)), with the factors that do not depend on k
-    (A, c, log phi(0)) formed once, here, for every call of either.
+    (c, log phi(0)) formed once, here, for every call of either.  The
+    normalisation constant A is ``a_const``, which the caller takes (the
+    public routes from ``normalization_constant``); at q = 1 it is not read.
 
     phi(k) = exp(log_mod - i sqrt2 alpha k), and log_mod = log phi(0) +
     log g(c|k|) is the same at k and -k, so ``mirrored`` takes g once per
@@ -148,7 +151,6 @@ def _bessel_amplitudes(q: float, alpha: complex, tol: float):
 
     p = 1.0 / (q - 1.0)
     c = _root_c(q, alpha)
-    a_const = normalization_constant(q, alpha, tol=tol)
     log_phi0 = (
         math.log(abs(complex(a_const))) - 0.5 * math.log(2.0)
         + _log_gamma_ratio_half(p) + cmath.log(c)
@@ -199,7 +201,10 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
-    out = _bessel_amplitudes(q, require_alpha(alpha), tol)[0](k)
+    alpha = require_alpha(alpha)
+    if q != 1.0:
+        _root_c(q, alpha)  # roots past the doubles are refused as such, before A's pass
+    out = _bessel_amplitudes(q, alpha, normalization_constant(q, alpha, tol=tol))[0](k)
     return out if k.ndim else complex(out)
 
 
@@ -313,6 +318,7 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
         raise ValueError("k_grid must be finite, with |k| at most half the largest double")
     if method not in ("oracle", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
+    _check_tol(tol)
 
     # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
     # the printed form's density does not decay, and keeps the fixed window.
@@ -323,8 +329,9 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
         if not rate > 0.0:
             raise NotConverged(f"the momentum density's decay rate at q={q!r}, "
                                f"alpha={alpha!r} cancels to {rate!r}")
-    if method == "oracle" or q == 1.0:
-        amplitudes, mirrored = _bessel_amplitudes(q, alpha, tol)  # A, c, phi(0) once per pd
+    if method == "oracle" or q == 1.0:  # A, c, phi(0) once per pd
+        a_const = normalization_constant(q, alpha, tol=tol)
+        amplitudes, mirrored = _bessel_amplitudes(q, alpha, a_const)
     else:
         def amplitudes(ks: np.ndarray) -> np.ndarray:
             return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0

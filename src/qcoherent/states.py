@@ -41,7 +41,7 @@ from .errors import (
     PoleHit,
     ZeroAmplitude,
 )
-from .quadrature import _check_index, integrate_line
+from .quadrature import _check_index, _check_tol, integrate_line
 
 __all__ = [
     "SQRT2",
@@ -394,6 +394,15 @@ def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
     return WaveFunctionSample(float(x), complex(v[0]), complex(d1[0]), complex(d2[0]))
 
 
+def _norm_tol(tol: float) -> float:
+    """The accuracy of every norm integral, min(tol, 1e-10): the norm scales
+    every normalised quantity, so it is never taken more coarsely than
+    1e-10.  ValueError for a tol that is not positive and finite, as every
+    integrator raises, so no clamp lets an infinite tol through."""
+    _check_tol(tol)
+    return min(tol, 1e-10)
+
+
 @lru_cache(maxsize=512)
 def _norm_integral(q: float, are: float, aim: float, tol: float) -> float:
     """int |psi_un|^2 dx by the quadrature oracle (q > 1), memoised."""
@@ -414,12 +423,14 @@ def normalization_constant(q: float, alpha: complex, method: str = "oracle",
     convention, checks it against the oracle, and raises
     ConventionMismatch beyond CONVENTION_TOL relative deviation.  A
     scales every normalised wavefunction, momentum amplitude and overlap,
-    so it is computed at min(tol, 1e-10) whatever the caller asks for;
-    the moment oracle normalises by the norm row of its own pass instead.
+    so it is computed at min(tol, 1e-10) whatever the caller asks for
+    (``_norm_tol``; ValueError for a tol that is not positive and
+    finite); the moment oracle normalises by the norm row of its own pass
+    instead.
     """
     require_window(q, Q_NORMALIZABLE_MAX, "normalization")
     alpha = require_alpha(alpha)
-    tol = min(tol, 1e-10)
+    tol = _norm_tol(tol)
     a_oracle = (math.pi ** -0.25 if q == 1.0
                 else _norm_integral(q, alpha.real, alpha.imag, tol) ** -0.5)
     if method == "oracle":

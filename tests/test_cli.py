@@ -12,11 +12,15 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qcoherent
-from qcoherent import cli, closedforms, specfun
+from qcoherent import cli, closedforms, moments, quadrature, specfun, states
 from qcoherent.errors import NotConverged
+from qcoherent.limits import limit_convergence_check
+from qcoherent.moments import moments_oracle
+from qcoherent.states import StateLabel, normalization_constant, overlap
 
 
 def run_cli(*argv):
@@ -319,19 +323,25 @@ def test_verify_byte_deterministic(tmp_path):
 
 
 def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
-    # the entries and the heisenberg check read one oracle report per q
+    # the entries and the heisenberg check read one oracle pass per q, which
+    # also takes the partner alpha + 0.2; no separate moments_oracle call
     calls = []
-    real = cli.moments_oracle
+    real = cli._oracle_integrals
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(cli, "moments_oracle", counted)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verify grid called moments_oracle")
+
+    monkeypatch.setattr(cli, "_oracle_integrals", counted)
+    monkeypatch.setattr(cli, "moments_oracle", refuse)
     out = tmp_path / "report.json"
     assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.5", "--q-steps", "2",
                    "--out", str(out)) == 0
-    assert [q for q, _ in calls] == [1.2, 1.5]
+    partner = complex(0.3, 0.1) + 0.2
+    assert calls == [(1.2, 0.3, 0.1, 1e-10, partner), (1.5, 0.3, 0.1, 1e-10, partner)]
 
 
 def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
@@ -413,6 +423,124 @@ def test_a_default_verify_takes_one_euler_pass_per_grid_point(monkeypatch, tmp_p
     monkeypatch.setattr(closedforms, "_euler_integral", counted)
     assert run_cli("verify", "--out", str(tmp_path / "v.json")) == 0
     assert passes == [18, 18, 18]
+
+
+def _count_calls(monkeypatch, fn):
+    """Route every qcoherent module's binding of ``fn`` through a counter;
+    returns the list the calls' first arguments are appended to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qcoherent"):
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _clear_every_memo():
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qcoherent"):
+            for value in list(vars(module).values()):
+                if hasattr(value, "cache_clear") and not isinstance(value, type):
+                    value.cache_clear()
+
+
+def test_a_default_verify_takes_one_line_pass_per_grid_point(monkeypatch, tmp_path):
+    # with the fixed checks and the calibration warm and the per-alpha memos
+    # empty: one 8-row pass per grid point (the oracle moments, the partner's
+    # norm, the overlap), A(alpha) once per grid point, and one six-row pass
+    # per limit-check q.  It was 19 passes: 3 moment passes, 9 norms,
+    # 3 overlaps and 4 limit-check moment passes
+    closedforms.calibrated_reflection()
+    cli._fixed_checks()
+    states._norm_integral.cache_clear()
+    moments._oracle_integrals.cache_clear()
+    lines = _count_calls(monkeypatch, quadrature.integrate_line)
+    fouriers = _count_calls(monkeypatch, quadrature.fourier_transform_line)
+    assert run_cli("verify", "--out", str(tmp_path / "v.json")) == 0
+    assert len(lines) == 10
+    assert len(fouriers) == 3
+
+
+def test_verify_oracle_values_are_the_public_routes_at_the_norm_tol(tmp_path):
+    # the grid point's one pass runs at min(tol, 1e-10): its moments are
+    # moments_oracle's at 1e-10, its overlap that of two StateLabels
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--out", str(out)) == 0
+    entries = json.loads(out.read_text())["entries"]
+    alpha = complex(0.3, 0.1)
+    fields = {"moment_x_fd": "mean_x", "moment_x2_fd": "mean_x2",
+              "moment_p_fd": "mean_p", "moment_p2_fd": "mean_p2"}
+    seen = 0
+    for e in entries:
+        q = e["point"].get("q")
+        if e["equation"] in fields:
+            want = getattr(moments_oracle(q, alpha, tol=1e-10), fields[e["equation"]])
+            assert e["oracle_value"][1] == 0.0
+            assert abs(e["oracle_value"][0] - want) <= 1e-13 * abs(want)
+            seen += 1
+        elif e["equation"] == "overlap_fd":
+            want = overlap(StateLabel(q, alpha), StateLabel(q, alpha + 0.2),
+                           method="oracle", tol=1e-10)
+            assert abs(complex(*e["oracle_value"]) - want) <= 1e-14 * abs(want)
+            seen += 1
+    assert seen == 15
+
+
+def test_no_value_depends_on_call_history(tmp_path):
+    # at this label the grid pass's norm rows differ from the norm passes in
+    # the last bits, so a verify that primed the norm memos from its pass
+    # would change what normalization_constant returns later
+    q, alpha = 2.2, 0.37 + 0.13j
+
+    def values():
+        return repr((
+            normalization_constant(q, alpha), normalization_constant(q, alpha + 0.2),
+            moments_oracle(q, alpha, tol=1e-10), moments_oracle(q, alpha),
+            overlap(StateLabel(q, alpha), StateLabel(q, alpha + 0.2), method="oracle",
+                    tol=1e-10),
+            limit_convergence_check(alpha, k_points=61)))
+
+    _clear_every_memo()
+    assert run_cli("verify", "--alpha-re", "0.37", "--alpha-im", "0.13",
+                   "--out", str(tmp_path / "v.json")) == 0
+    after_verify = values()
+    _clear_every_memo()
+    assert values() == after_verify
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("verify", "--alpha-re", "-1.2", "--alpha-im", "0.2", "--q-steps", "1", "--q-max", "1.2"),
+    ("sweep", "--method", "both", "--format", "json"),
+    ("sweep", "--q-min", "1.3", "--q-max", "1.3", "--q-steps", "1", "--format", "json"),
+    ("pd", "--q", "1.5", "--format", "json"),
+    ("pd", "--q", "1.2", "--k-steps", "3", "--method", "closed-form", "--format", "json"),
+])
+def test_json_output_is_the_bytes_json_dumps_writes(argv, tmp_path):
+    # the reports are written by cli's own writer; each must be exactly what
+    # json.dumps(payload, indent=2) writes for the same payload
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_odd_values():
+    payload = {"nan": math.nan, "inf": [math.inf, -math.inf], "zeros": [-0.0, 0.0, 5e-324],
+               "np": [np.float64(0.1), np.float64(-math.inf), np.float64(math.nan)],
+               "caf\u00e9 \u2603 \U0001f600 \"q\"\n": "\u00fc\t\\", "empty": [[], {}, ()],
+               "ints": [0, -7, 10 ** 30, True, False, None], "nested": {"a": {"b": [1.5]}}}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    for leaf in (math.nan, -0.0, 5e-324, np.float64(2.5), "\u00e9", [], {}, None):
+        assert cli._json_text(leaf) == json.dumps(leaf, indent=2)
+    with pytest.raises(TypeError):
+        cli._json_text(np.int64(3))
 
 
 # ------------------------------------------------------------------- pd

@@ -234,28 +234,38 @@ def test_limit_convergence_rejects_an_empty_sequence():
     {"k_halfwidth": math.inf},  # warned, then failed inside the Bessel form
     {"k_halfwidth": math.nan},
     {"k_halfwidth": 0.0},
+    {"tol": math.inf},         # min(tol, 1e-10) alone would take it to 1e-10
+    {"tol": math.nan},
 ])
 def test_limit_convergence_refuses_malformed_settings_up_front(monkeypatch, bad):
     def refuse(*args, **kwargs):
         raise AssertionError("a q was run before the settings were checked")
 
-    monkeypatch.setattr(limits, "moments_oracle", refuse)
+    monkeypatch.setattr(limits, "_oracle_integrals", refuse)
     with pytest.raises(ValueError, match=next(iter(bad))):
         limit_convergence_check(0.3, **bad)
 
 
 def test_limit_convergence_samples_each_k_once_per_q(monkeypatch):
     # the pd distance needs only the amplitude at the k points, one
-    # vectorised call per q: no Parseval total or other momentum_pd extra
-    # may be paid for on top
+    # vectorised call per q: no Parseval total (the mirrored amplitudes) or
+    # other momentum_pd extra may be paid for on top
     calls = []
-    real = limits.momentum_amplitude_bessel
+    real = limits._bessel_amplitudes
 
-    def counted(q, alpha, k, **kwargs):
-        calls.append(np.size(k))
-        return real(q, alpha, k, **kwargs)
+    def counted(q, alpha, a_const):
+        amplitudes, _ = real(q, alpha, a_const)
 
-    monkeypatch.setattr(limits, "momentum_amplitude_bessel", counted)
+        def sampled(k):
+            calls.append(np.size(k))
+            return amplitudes(k)
+
+        def mirrored(k):
+            raise AssertionError("the limit check took mirrored amplitudes")
+
+        return sampled, mirrored
+
+    monkeypatch.setattr(limits, "_bessel_amplitudes", counted)
     qs, k_points = (1.2, 1.1), 7
     limit_convergence_check(0.3, q_sequence=qs, k_points=k_points)
     assert calls == [k_points] * len(qs)

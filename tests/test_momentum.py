@@ -385,7 +385,8 @@ def test_folded_parseval_total_is_the_unfolded_integral(q, alpha):
     # unfolded integral over [-own, own] with both sides of k = 0 graded
     from qcoherent import momentum
 
-    amplitudes, _ = momentum._bessel_amplitudes(q, alpha, 1e-9)
+    amplitudes, _ = momentum._bessel_amplitudes(
+        q, alpha, normalization_constant(q, alpha, tol=1e-9))
     rate = 2.0 * (momentum._root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
     own = max(8.0 + 2.0 * abs(alpha), 40.0 / rate)
     spec = IntegrandSpec(lambda ks: np.abs(amplitudes(ks)) ** 2, singularities=(0.0,))
@@ -402,7 +403,8 @@ def test_mirrored_amplitudes_are_the_amplitudes_at_both_signs(q, alpha):
     # included)
     from qcoherent import momentum
 
-    amplitudes, mirrored = momentum._bessel_amplitudes(q, alpha, 1e-9)
+    amplitudes, mirrored = momentum._bessel_amplitudes(
+        q, alpha, normalization_constant(q, alpha, tol=1e-9))
     rng = np.random.default_rng(7)
     ks = np.concatenate([[0.0, 1e-300, 3e-9, 1e40], rng.uniform(0.0, 30.0, 40)])
     plus, minus = mirrored(ks)

@@ -611,6 +611,27 @@ def test_normalization_is_never_looser_than_1e_10():
     assert norm_squared_closed(q, alpha, tol=1e-5) == norm_squared_closed(q, alpha, tol=1e-10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_the_norm_clamp_rejects_a_tol_that_is_not_positive_and_finite(q, tol):
+    # min(tol, 1e-10) would take an infinite tol to 1e-10 and return a value;
+    # each route whose tol is the accuracy of a norm refuses it as the
+    # integrators do, the q = 1 Gaussian dispatch included
+    alpha = 0.3 + 0.1j
+    calls = [lambda: normalization_constant(q, alpha, tol=tol),
+             lambda: momentum_amplitude_bessel(q, alpha, [0.0, 1.0], tol=tol),
+             lambda: momentum_pd(q, alpha, tol=tol),
+             lambda: momentum_pd(q, alpha, method="closed-form", tol=tol)]
+    if q != 1.0:
+        calls += [lambda: normalization_constant(q, alpha, method="closed-form", tol=tol),
+                  lambda: norm_squared_closed(q, alpha, tol=tol),
+                  lambda: closedforms.overlap_closed(q, alpha, alpha + 0.2, tol=tol),
+                  lambda: closedforms._closed_moments(q, alpha, tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            call()
+
+
 @pytest.mark.xfail(strict=True, reason="the line pass is centred on x = 0, not on "
                    "sqrt2 Re alpha: a state centred past the core |x| <= 96 sits in a "
                    "power-substituted tail piece, which squeezes its peak between the nodes")
