@@ -11,10 +11,12 @@ Three subcommands:
   variants, <x^2>, <p>, <p^2>, the overlap, then at k = 0.8, 2 and 0.01
   the printed Kummer amplitude, its density away from k = 0, and the
   Bessel-K amplitude), then 4 q-independent ones (the q-exponential
-  expansion, the Hermite identity, two F_D checks).  A grid point takes
-  one x-space pass (its oracle moments, the norm of alpha + 0.2 and the
-  oracle overlap of the two) and one closed Euler pass, both at
-  min(tol, 1e-10), next to A(alpha) from ``normalization_constant``
+  expansion, the Hermite identity, two F_D checks).  The whole grid takes
+  one x-space pass (every q's oracle moments, the norm of alpha + 0.2 and
+  the oracle overlap of the two) and one Fourier pass (every q's oracle
+  amplitudes), and each grid point one closed Euler pass, all at
+  min(tol, 1e-10); A(alpha) is read from the x-space pass's norm rows and
+  scales every amplitude and the Parseval closure, so no norm pass is run
   (``_grid_point_rows``).  The last three q-independent entries do
   not depend on the arguments: their numbers are computed on the first
   ``verify`` call and kept for the process (``_fixed_checks``), and every
@@ -53,12 +55,13 @@ import numpy as np
 from . import closedforms, specfun
 from .errors import NumericsError, OutOfValidityWindow
 from .limits import limit_convergence_check
-from .moments import _oracle_integrals, _oracle_report, moments_closed, moments_oracle
+from .moments import _oracle_pass, _oracle_report, moments_closed, moments_oracle
 from .momentum import (
+    _bessel_amplitudes,
+    _bessel_pd,
+    _kummer_amplitude,
+    _psi_transforms,
     default_k_grid,
-    momentum_amplitude_bessel,
-    momentum_amplitude_closed,
-    momentum_amplitude_oracle,
     momentum_pd,
 )
 from .quadrature import integrate_line
@@ -68,7 +71,6 @@ from .states import (
     _norm_tol,
     coherent_coefficients,
     coherent_psi,
-    normalization_constant,
     q_exponential,
 )
 
@@ -272,21 +274,22 @@ _K_NEAR_ZERO = 0.01
 _VERIFY_KS = (0.8, 2.0, _K_NEAR_ZERO)
 
 
-def _grid_point_rows(q, alpha, tol):
+def _grid_point_rows(q, alpha, tol, integrals, transform):
     """The 16 (equation, point, closed, oracle, note) rows of one grid point,
-    then its oracle uncertainty product and its normalisation closure
-    |A_oracle|^2 n2_closed - 1, which the mandatory checks read.
+    then its oracle uncertainty product, its A(alpha) and its normalisation
+    closure |A_oracle|^2 n2_closed - 1, which the mandatory checks read.
 
-    Each route takes one pass for the point, at min(tol, 1e-10), the norm's
-    accuracy.  The oracle moments of alpha, the norm of alpha + 0.2 and
-    the oracle overlap of the two are the eight rows of one line pass; the
-    closed moments of alpha and its closed overlap with alpha + 0.2 are
-    the 18 rows of one Euler pass, four complex logs a node.  A(alpha) is
-    ``normalization_constant``'s, as every amplitude reads it."""
+    The point's oracle numbers are its share of the grid's two batched
+    passes (``_run_verify``): ``integrals``, its items of the x-space pass
+    (moments, the norm of alpha + 0.2, the raw overlap), and ``transform``,
+    its unnormalised oracle transforms at ``_VERIFY_KS``.  A(alpha) =
+    n^(-1/2) is read from the pass's norm row and scales the Bessel, oracle
+    and Kummer amplitudes; no norm pass is run.  The closed moments of
+    alpha and its closed overlap with alpha + 0.2 are the 18 rows of one
+    Euler pass, four complex logs a node."""
     point = _point(q, alpha)
-    a_oracle = normalization_constant(q, alpha, tol=tol)
+    a_oracle = complex(integrals[0] ** -0.5)
     partner = alpha + 0.2
-    integrals = _oracle_integrals(q, alpha.real, alpha.imag, _norm_tol(tol), partner)
     oracle = _oracle_report(q, alpha, integrals)
     n_partner, ov_oracle_raw = integrals[6:]
     n2, (mean_x, mean_x2, mean_p, mean_p2), (n2_half, mean_x_half), ov_raw = (
@@ -305,12 +308,11 @@ def _grid_point_rows(q, alpha, tol):
     ]
     # the printed Kummer amplitude (and, away from k = 0, its density),
     # then the Bessel-K amplitude, each against the oracle amplitude at k
-    ks = np.array(_VERIFY_KS)
-    bessel = momentum_amplitude_bessel(q, alpha, ks, tol=tol)
-    fourier = momentum_amplitude_oracle(q, alpha, ks, tol=tol)
+    bessel = _bessel_amplitudes(q, alpha, a_oracle)[0](np.array(_VERIFY_KS))
+    fourier = a_oracle * transform
     for k, amp_b, amp_o in zip(_VERIFY_KS, bessel, fourier.tolist()):
         k_point = _point(q, alpha, k=k)
-        amp_c = momentum_amplitude_closed(q, alpha, k)
+        amp_c = _kummer_amplitude(q, alpha, k, a_oracle, _norm_tol(tol))
         if k == _K_NEAR_ZERO:
             rows.append(("momentum_amplitude_k_to_zero", k_point, amp_c, amp_o, _K_TO_ZERO_NOTE))
         else:
@@ -319,7 +321,7 @@ def _grid_point_rows(q, alpha, tol):
                      ("momentum_pd_kummer", k_point, abs(amp_c) ** 2, abs(amp_o) ** 2,
                       "density from the printed amplitude")]
         rows.append(("momentum_amplitude_bessel", k_point, amp_b, amp_o, _BESSEL_NOTE))
-    return rows, oracle.product, abs(abs(a_oracle) ** 2 * n2 - 1.0)
+    return rows, oracle.product, a_oracle, abs(abs(a_oracle) ** 2 * n2 - 1.0)
 
 
 def _verify_fd_entries():
@@ -369,12 +371,19 @@ def _fixed_entries():
 def _run_verify(args) -> int:
     qs = _check_q_grid(args, "verify grid needs")
     alpha = complex(args.alpha_re, args.alpha_im)
-    entries, products, closures = [], [], []
-    for q in qs:
-        rows, product, closure = _grid_point_rows(q, alpha, args.tol)
+    # the oracle side of the whole grid, at min(tol, 1e-10): one line pass,
+    # eight rows a q (alpha's moments, the norm of alpha + 0.2, their raw
+    # overlap), and one Fourier pass, every q's transforms at every k
+    passes = _oracle_pass(tuple((q, alpha, (alpha + 0.2,)) for q in qs), _norm_tol(args.tol))
+    transforms = _psi_transforms(qs, alpha, np.array(_VERIFY_KS), args.tol)
+    entries, products, a_consts, closures = [], [], [], []
+    for q, integrals, transform in zip(qs, passes, transforms):
+        rows, product, a_oracle, closure = _grid_point_rows(q, alpha, args.tol, integrals,
+                                                            transform)
         entries += [_entry(equation, point, closed, oracle, args.tol, note=note)
                     for equation, point, closed, oracle, note in rows]
         products.append(product)
+        a_consts.append(a_oracle)
         closures.append(closure)
     # q-independent families
     zq, z = 1.01, 0.7
@@ -386,8 +395,9 @@ def _run_verify(args) -> int:
     hermite, *fd_entries = _fixed_entries()
     entries += [hermite, *fd_entries]
     # the two end points fix the default Parseval window; only the total is read
-    dist = momentum_pd(qs[len(qs) // 2], alpha, default_k_grid(alpha, 2), tol=args.tol)
-    parseval_gap = abs(dist.parseval_total - 1.0)
+    mid = len(qs) // 2
+    _, parseval_total = _bessel_pd(qs[mid], alpha, a_consts[mid], default_k_grid(alpha, 2))
+    parseval_gap = abs(parseval_total - 1.0)
     # Second moments shrink like (q - 1); the sequence must reach 1.02 for
     # their final gaps to clear the 1e-2 recovery tolerance.
     limit = limit_convergence_check(alpha, (1.2, 1.1, 1.05, 1.02), tol=1e-9, k_points=61)

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NotConverged, RegimeWarning
-from .moments import MomentReport, _coherent_exact, _oracle_integrals, _oracle_report
+from .moments import MomentReport, _coherent_exact, _oracle_pass, _oracle_report
 from .momentum import _bessel_amplitudes
 from .quadrature import _check_index
 from .states import SQRT2, Q_MOMENT_SUITE_MAX, _finite_x, _gauss_form, _norm_tol, require_alpha
@@ -149,9 +149,10 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     the quadrature moment suite and takes the momentum density on the
     k_points-point grid over [-k_halfwidth, k_halfwidth] from the exact
     transform (``momentum_amplitude_bessel``'s) in one vectorised call.  The
-    moments and the density's normalisation A = n^(-1/2) come from one line
-    pass a q, the six rows of ``moments_oracle``, at min(tol, 1e-10): the
-    accuracy of a norm, which scales every other number.  ValueError,
+    moments and the density's normalisation A = n^(-1/2) at every q come
+    from one line pass for the whole sequence, the six rows of
+    ``moments_oracle`` a q (``moments._oracle_pass``), at min(tol, 1e-10):
+    the accuracy of a norm, which scales every other number.  ValueError,
     before any q is run, for a tol, k_halfwidth or final_tol that is not
     positive and finite, a k_points that is not an integer of at least 1,
     or a malformed q_sequence.
@@ -178,8 +179,7 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     names = ("mean_x", "mean_x2", "mean_p", "mean_p2", "product")
     trajectories: dict[str, list[float]] = {n: [] for n in names}
     trajectories["pd_distance"] = []
-    for q in qs:
-        integrals = _oracle_integrals(q, alpha.real, alpha.imag, norm_tol)
+    for q, integrals in zip(qs, _oracle_pass(tuple((q, alpha, ()) for q in qs), norm_tol)):
         report = _oracle_report(q, alpha, integrals)
         for n in names:
             trajectories[n].append(abs(getattr(report, n) - getattr(ref, n)))

@@ -7,7 +7,10 @@ Two fully independent routes produce every number here:
   which normalises the other five and so is the oracle's only norm pass,
   <x>, <x^2>, <p>, and <p^2> as int |psi'|^2 (manifestly positive) next to
   its integration-by-parts partner -int conj(psi) psi'', whose relative
-  gap is recorded as a self-diagnostic.
+  gap is recorded as a self-diagnostic.  The pass itself
+  (``_oracle_pass``) takes any number of states, six rows each plus two
+  per partner state for its norm and overlap; ``verify`` and the q -> 1
+  limit check run their whole q grid as one such pass.
 * ``moments_closed``: the Lauricella closed forms from ``closedforms``
   under the calibrated convention, cross-checked against the oracle on
   every call; disagreement beyond CONVENTION_TOL raises
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import closedforms
 from .errors import ConventionMismatch, NotConverged
-from .quadrature import integrate_line
+from .quadrature import _check_tol, integrate_line
 from .states import (
     CONVENTION_TOL,
     Q_MOMENT_SUITE_MAX,
@@ -133,20 +136,11 @@ def _coherent_exact(alpha: complex, method: str) -> MomentReport:
     )
 
 
-@lru_cache(maxsize=512)
-def _oracle_integrals(q: float, are: float, aim: float, tol: float,
-                      *partners: complex) -> tuple[complex, ...]:
-    """The integrals of ``moments_oracle`` at 1 < q, from one line pass: the
-    norm integral n = int |psi_un|^2 dx (real, so A = n^(-1/2)), then <x>,
-    <x^2>, <p>, and <p^2> by both routes, each divided by n and still
-    complex and unchecked.
-
-    Each partner state beta adds two rows to the same pass, and two items,
-    undivided: its norm integral int |psi_un[beta]|^2 dx (real) and the raw
-    overlap int conj(psi_un[alpha]) psi_un[beta] dx.  The memo key holds
-    the partners; with none the pass is the six moment rows alone.
-    """
-    alpha = complex(are, aim)
+def _state_rows(q: float, alpha: complex, partners):
+    """x -> the rows of one state in a moment pass (q > 1): |psi_un|^2,
+    then x, x^2, p and p^2 by both routes times it, then two rows for
+    each partner state beta: its density |psi_un[beta]|^2 and
+    conj(psi_un[alpha]) psi_un[beta]."""
     p = 1.0 / (q - 1.0)
 
     def weights(x):
@@ -163,14 +157,48 @@ def _oracle_integrals(q: float, are: float, aim: float, tol: float,
             dens_b, mod_b, ratio_b, _ = _density(q, beta, x)
             turn = p * (np.arctan(ratio) - np.arctan(ratio_b))
             rows += [dens_b, (mod * mod_b) * np.exp(1j * turn)]
-        return np.array(rows)
+        return rows
+
+    return weights
+
+
+def _oracle_pass(states, tol: float) -> list[tuple[complex, ...]]:
+    """The integrals of several states from one line pass at ``tol``, one
+    tuple per (q, alpha, partners) item of ``states`` (1 < q), as
+    ``_oracle_integrals`` gives them: the norm integral n (real, so
+    A = n^(-1/2)), then <x>, <x^2>, <p>, and <p^2> by both routes, each
+    divided by n and still complex and unchecked, then per partner its
+    norm integral (real) and the raw overlap, undivided.
+
+    The states' rows (``_state_rows``) stack in order, each held to its
+    own target err_i <= tol max(1, |v_i|); one state is
+    ``_oracle_integrals``'s pass, row for row.  Nothing is memoised here.
+    """
+    state_weights = [_state_rows(q, alpha, partners) for q, alpha, partners in states]
+
+    def weights(x):
+        return np.array([row for state in state_weights for row in state(x)])
 
     values = integrate_line(weights, tol=tol).value.tolist()
-    norms = [values[0].real, *(z.real for z in values[6::2])]
-    if min(norms) <= 0.0:
-        raise ConventionMismatch(f"norm integral came out non-positive: {min(norms)}")
-    norm = norms[0]
-    return (norm, *(z / norm for z in values[1:6]), *values[6:])
+    out, start = [], 0
+    for _, _, partners in states:
+        own = values[start:start + 6 + 2 * len(partners)]
+        start += len(own)
+        norms = [own[0].real, *(z.real for z in own[6::2])]
+        if min(norms) <= 0.0:
+            raise ConventionMismatch(f"norm integral came out non-positive: {min(norms)}")
+        norm = norms[0]
+        out.append((norm, *(z / norm for z in own[1:6]), *own[6:]))
+    return out
+
+
+@lru_cache(maxsize=512)
+def _oracle_integrals(q: float, are: float, aim: float, tol: float,
+                      *partners: complex) -> tuple[complex, ...]:
+    """The integrals of ``moments_oracle`` at 1 < q: ``_oracle_pass`` of
+    the one state (q, alpha, partners), memoised.  The memo key holds the
+    partners; with none the pass is the six moment rows alone."""
+    return _oracle_pass(((q, complex(are, aim), partners),), tol)[0]
 
 
 def _oracle_report(q: float, alpha: complex, integrals) -> MomentReport:
@@ -194,9 +222,11 @@ def moments_oracle(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     """Moment suite by direct adaptive quadrature (1 <= q < 7/3).
 
     The quadrature pass is memoised per (q, alpha, tol); each call builds
-    a fresh report from it and reruns every check."""
+    a fresh report from it and reruns every check.  ValueError for a tol
+    that is not positive and finite, at the q = 1 dispatch too."""
     require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
     alpha = require_alpha(alpha)
+    _check_tol(tol)
     if q == 1.0:
         return _coherent_exact(alpha, "oracle")
     return _oracle_report(q, alpha, _oracle_integrals(q, alpha.real, alpha.imag, tol))
@@ -209,10 +239,12 @@ def moments_closed(q: float, alpha: complex, tol: float = 1e-9) -> MomentReport:
     computed at the same (q, alpha, tol), and each quantity's gap is
     recorded in ``deviations``; the closed A is checked against the
     oracle's n^(-1/2) from that same pass.  Any gap beyond CONVENTION_TOL
-    makes this raise ConventionMismatch rather than return.
+    makes this raise ConventionMismatch rather than return.  ValueError for
+    a tol that is not positive and finite, at the q = 1 dispatch too.
     """
     require_window(q, Q_MOMENT_SUITE_MAX, "moment suite")
     alpha = require_alpha(alpha)
+    _check_tol(tol)
     if q == 1.0:
         return _coherent_exact(alpha, "closed-form")
     reference = moments_oracle(q, alpha, tol=tol)

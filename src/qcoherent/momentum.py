@@ -208,23 +208,54 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     return out if k.ndim else complex(out)
 
 
+def _psi_transforms(qs, alpha: complex, k, tol: float) -> np.ndarray:
+    """(2 pi)^(-1/2) int psi_un(q, alpha, x) e^(-ikx) dx for every q > 1 of
+    ``qs``, unnormalised: one ``fourier_transform_line`` pass whose (m, n)
+    evaluator holds the m = len(qs) states, each transform held to its own
+    target.  Row i is qs[i]'s, shaped like k; one q gives the scalar
+    pass's numbers bit for bit.  The core half-width depends on alpha
+    alone, so every q shares it."""
+    core = max(16.0, 8.0 + 4.0 * abs(alpha))
+    return fourier_transform_line(lambda x: np.array([_psi_un(q, alpha, x) for q in qs]),
+                                  k, tol=tol, core_halfwidth=core).value
+
+
 def momentum_amplitude_oracle(q: float, alpha: complex, k, tol: float = 1e-9):
     """Normalised momentum amplitude by direct Fourier quadrature,
-    vectorised over k: one ``fourier_transform_line`` pass for all of them.
-    Returns a complex for scalar k, an ndarray otherwise."""
+    vectorised over k: one ``fourier_transform_line`` pass for all of them
+    (``_psi_transforms``).  Returns a complex for scalar k, an ndarray
+    otherwise; ValueError for a tol that is not positive and finite, at
+    q = 1 too."""
     require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError(f"k must be finite; got {k}")
     alpha = require_alpha(alpha)
+    _check_tol(tol)
     if q == 1.0:
         return coherent_psi(-1j * alpha, k)
     a_const = normalization_constant(q, alpha, tol=tol)
+    transform = _psi_transforms((q,), alpha, k if k.ndim else float(k), tol)[0]
+    return complex(a_const) * (transform if k.ndim else complex(transform))
 
-    core = max(16.0, 8.0 + 4.0 * abs(alpha))
-    res = fourier_transform_line(lambda x: _psi_un(q, alpha, x), k if k.ndim else float(k),
-                                 tol=tol, core_halfwidth=core)
-    return complex(a_const) * res.value
+
+def _kummer_amplitude(q: float, alpha: complex, k: float, a_const, tol: float) -> complex:
+    """``momentum_amplitude_closed`` at finite k != 0 and 1 < q < 3 with the
+    normalisation constant A = ``a_const``, which the caller takes; the
+    Kummer function is summed at ``tol``."""
+    from scipy.special import loggamma
+
+    p = 1.0 / (q - 1.0)
+    srad = _bracket_sr(q, alpha, abs(alpha) ** 2)
+    sgn = math.copysign(1.0, k)
+    log_pref = (
+        math.log(math.sqrt(2.0 * math.pi) * abs(complex(a_const)))
+        + (2.0 * p - 1.0) * math.log(abs(k))
+        - float(loggamma(2.0 * p))
+    )
+    phase = -1j * math.pi * sgn * p + 1j * (SQRT2 * alpha + srad)
+    phi = kummer_phi(p, 2.0 * p, -2j * srad * abs(k), tol=tol)
+    return sgn * cmath.exp(log_pref + phase) * phi
 
 
 def momentum_amplitude_closed(q: float, alpha: complex, k: float,
@@ -240,26 +271,18 @@ def momentum_amplitude_closed(q: float, alpha: complex, k: float,
     M being Kummer's confluent function.  Quarantine note: the |k|^(2p-1)
     factor forces phi -> 0 as k -> 0 whenever q < 3, which contradicts
     the quadrature oracle's non-zero phi(0); treat this route as a
-    reproduction of its source, not as ground truth.
+    reproduction of its source, not as ground truth.  ``tol`` is the
+    accuracy of M and of A, which comes from ``normalization_constant`` at
+    that tol, as in the other amplitude routes (ValueError for a tol that
+    is not positive and finite).
     """
     if k == 0.0 or not math.isfinite(k):
         raise ValueError("the printed closed form is defined for finite k != 0 only")
     _require_open_window(q, Q_MOMENTUM_MAX, "closed momentum amplitude")
-    from scipy.special import loggamma
-
+    _check_tol(tol)
     alpha = require_alpha(alpha)
-    p = 1.0 / (q - 1.0)
-    srad = _bracket_sr(q, alpha, abs(alpha) ** 2)
-    sgn = math.copysign(1.0, k)
-    a_const = normalization_constant(q, alpha)
-    log_pref = (
-        math.log(math.sqrt(2.0 * math.pi) * abs(complex(a_const)))
-        + (2.0 * p - 1.0) * math.log(abs(k))
-        - float(loggamma(2.0 * p))
-    )
-    phase = -1j * math.pi * sgn * p + 1j * (SQRT2 * alpha + srad)
-    phi = kummer_phi(p, 2.0 * p, -2j * srad * abs(k), tol=tol)
-    return sgn * cmath.exp(log_pref + phase) * phi
+    _bracket_sr(q, alpha, abs(alpha) ** 2)  # roots past the doubles are refused before A's pass
+    return _kummer_amplitude(q, alpha, k, normalization_constant(q, alpha, tol=tol), tol)
 
 
 _PARSEVAL_TOL = 1e-6  # comfortably inside the 1e-4 closure contract
@@ -293,6 +316,24 @@ def _parseval_total(mirrored, alpha: complex, grid: np.ndarray, rate: float) -> 
     return total
 
 
+def _bessel_pd(q: float, alpha: complex, a_const, grid: np.ndarray):
+    """(amplitudes, parseval_total) of the exact transform normalised by
+    A = ``a_const``, which the caller takes: ks -> phi(ks) from
+    ``_bessel_amplitudes``, and its Parseval total over the window
+    ``_parseval_total`` sizes for ``grid`` from the density's decay rate
+    2 (Re c - sqrt2 |Im alpha|) (infinite at q = 1).  From |Im alpha| ~ 1e8
+    that difference cancels, and a rate that is not positive is refused
+    (NotConverged)."""
+    rate = math.inf
+    if q != 1.0:
+        rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
+        if not rate > 0.0:
+            raise NotConverged(f"the momentum density's decay rate at q={q!r}, "
+                               f"alpha={alpha!r} cancels to {rate!r}")
+    amplitudes, mirrored = _bessel_amplitudes(q, alpha, a_const)
+    return amplitudes, _parseval_total(mirrored, alpha, grid, rate)
+
+
 def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
                 tol: float = 1e-9) -> MomentumDistribution:
     """pd(k) = |amplitude(k)|^2 on a grid, plus an adaptive Parseval total.
@@ -320,23 +361,15 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
         raise ValueError(f"unknown method {method!r}")
     _check_tol(tol)
 
-    # the transform's |phi|^2 decays like exp(-2 (Re c - sqrt2 |Im alpha|) |k|);
-    # the printed form's density does not decay, and keeps the fixed window.
-    # From |Im alpha| ~ 1e8 the difference cancels, and it is refused
-    rate = math.inf
-    if method == "oracle" and q != 1.0:
-        rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
-        if not rate > 0.0:
-            raise NotConverged(f"the momentum density's decay rate at q={q!r}, "
-                               f"alpha={alpha!r} cancels to {rate!r}")
     if method == "oracle" or q == 1.0:  # A, c, phi(0) once per pd
-        a_const = normalization_constant(q, alpha, tol=tol)
-        amplitudes, mirrored = _bessel_amplitudes(q, alpha, a_const)
-    else:
+        amplitudes, total = _bessel_pd(q, alpha, normalization_constant(q, alpha, tol=tol), grid)
+    else:  # A once per pd; the printed density does not decay: the fixed window
+        a_const = normalization_constant(q, alpha)
+
         def amplitudes(ks: np.ndarray) -> np.ndarray:
-            return np.array([momentum_amplitude_closed(q, alpha, float(k)) if k != 0.0
+            return np.array([_kummer_amplitude(q, alpha, float(k), a_const, 1e-10) if k != 0.0
                              else 0.0 + 0.0j for k in ks])
-        mirrored = _mirrored(amplitudes)
+        total = _parseval_total(_mirrored(amplitudes), alpha, grid, math.inf)
 
     # Python's abs, not np.abs, which differs in the last bit on some values;
     # tuple.__new__ builds each MomentumSample in C, from its fields
@@ -344,7 +377,6 @@ def momentum_pd(q: float, alpha: complex, k_grid=None, method: str = "oracle",
     samples = tuple(map(tuple.__new__, repeat(MomentumSample),
                         zip(grid.tolist(), zs, map(pow, map(abs, zs), repeat(2)),
                             repeat(method))))
-    total = _parseval_total(mirrored, alpha, grid, rate)
     return MomentumDistribution(q, alpha, samples, total, method)
 
 

@@ -46,6 +46,9 @@ Evaluators map a float ndarray of n nodes to an ndarray (complex is fine)
 of shape (n,), or (m, n) for m integrands on shared nodes that one pass
 refines until each meets err_i <= tol * max(1, |value_i|), as in
 ``scipy.integrate.quad_vec`` (not used: the oracle stays independent).
+This holds for all three routines; ``fourier_transform_line`` then gives
+each integrand's transform at every k, and its m = 1 case is the scalar
+evaluator's, bit for bit.
 All routines raise ValueError for a tol that is not a positive finite
 number, count integrand evaluations (nodes) and stop with NotConverged
 once ``max_evals`` is exhausted.  An adaptive pass stops sooner when
@@ -135,7 +138,8 @@ class IntegrandSpec:
 class QuadratureResult:
     """value with an error estimate and the evaluation count; for an (m, n)
     evaluator, length-m arrays with each component held to its own target,
-    and for ``fourier_transform_line`` over a k array, arrays shaped like k.
+    and for ``fourier_transform_line`` over a k array, arrays shaped like k
+    (shaped (m,) + k.shape for an (m, n) evaluator).
 
     err_estimate is conservative in practice (true error is normally far
     below it); evaluations counts integrand samples actually taken.
@@ -674,10 +678,13 @@ def fourier_transform_line(f, k, tol: float = 1e-10,
     (about 2 X_k |k|/pi of them for each |k|) would take more than
     ``max_evals``; ValueError for a k that is not finite or not a number
     or 1-d array, or a ``core_halfwidth`` that is not positive and finite.
-    Scalar integrands only: f maps n nodes to n values.  value and
-    err_estimate are a complex and a float for a number k, arrays shaped
-    like k otherwise; the method is "fourier-k0" when every k is 0 and
-    "fourier-osc" otherwise.
+    f maps n nodes to n values, or to (m, n) for m integrands on shared
+    nodes: their m transforms at every k share the pass, each held to its
+    own target, and a k's tails stop once all m have met theirs.  value
+    and err_estimate are a complex and a float for a number k and a scalar
+    f, arrays of shape k.shape otherwise, with a leading axis of m for an
+    (m, n) f; m = 1 gives the scalar f's numbers bit for bit.  The method
+    is "fourier-k0" when every k is 0 and "fourier-osc" otherwise.
     """
     _check_tol(tol)
     ks = np.asarray(k, dtype=float)
@@ -688,8 +695,8 @@ def fourier_transform_line(f, k, tol: float = 1e-10,
     if not (core_halfwidth > 0.0 and math.isfinite(core_halfwidth)):
         raise ValueError(f"core_halfwidth must be a positive finite number; "
                          f"got {core_halfwidth!r}")
-    zero = ks == 0.0
-    waves, where_k = np.unique(ks[~zero], return_inverse=True)
+    zero = ks.ravel() == 0.0  # one column a k, a number k included
+    waves, where_k = np.unique(ks.ravel()[~zero], return_inverse=True)
 
     # each core's 2*n_half half-period panels cost 15 nodes each, and k and
     # -k share one core: k whose cores alone overrun max_evals are refused
@@ -708,17 +715,23 @@ def fourier_transform_line(f, k, tol: float = 1e-10,
 
     spec = _as_spec(f)
     norm = 1.0 / math.sqrt(2.0 * math.pi)
-    value, err = np.zeros(ks.shape, dtype=complex), np.zeros(ks.shape)
-    evals = 0
+    parts, evals = [], 0  # (columns, values, errors), leading axis m for an (m, n) f
     if zero.any():
         res = integrate_line(spec, tol=tol, max_evals=max_evals)
-        value[zero], err[zero], evals = norm * res.value, norm * res.err_estimate, res.evaluations
+        parts.append((zero, norm * np.asarray(res.value)[..., None],
+                       norm * np.asarray(res.err_estimate)[..., None]))
+        evals = res.evaluations
     if cores:
         wave, wave_err, wave_evals = _fourier_waves(spec, cores, core_halfwidth, tol,
                                                     max_evals - evals)
-        value[~zero], err[~zero] = norm * wave[where_k], norm * wave_err[where_k]
+        parts.append((~zero, norm * wave[..., where_k], norm * wave_err[..., where_k]))
         evals += wave_evals
-    if ks.ndim == 0:
+    lead = parts[0][1].shape[:-1] if parts else ()  # an empty k evaluates nothing
+    value, err = np.zeros(lead + zero.shape, dtype=complex), np.zeros(lead + zero.shape)
+    for columns, part_value, part_err in parts:
+        value[..., columns], err[..., columns] = part_value, part_err
+    value, err = value.reshape(lead + ks.shape), err.reshape(lead + ks.shape)
+    if value.ndim == 0:
         value, err = complex(value), float(err)
     return QuadratureResult(value, err, evals, "fourier-osc" if cores else "fourier-k0")
 
@@ -742,31 +755,35 @@ def _fourier_core(cores, core_halfwidth, hints):
 
 def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
     """The unnormalised transforms of ``fourier_transform_line`` at the
-    distinct k != 0 of ``cores`` (``_Wave``): their values, error estimates
-    and evaluation count."""
+    distinct k != 0 of ``cores`` (``_Wave``): their values and error
+    estimates, shape (len(cores),) for a scalar integrand and
+    (m, len(cores)) for an (m, n) one, and the evaluation count."""
     ev = spec.evaluator
     kcol = np.array([[c.k] for c in cores])
     reach = np.array([[c.X] for c in cores])
     top = float(reach.max())
 
     def g(x):  # each k's component, zero past its own core
-        return np.where(np.abs(x) <= reach, ev(x) * np.exp(-1j * kcol * x), 0.0)
+        return np.where(np.abs(x) <= reach, ev(x)[..., None, :] * np.exp(-1j * kcol * x), 0.0)
 
     hints = frozenset(float(s) for s in spec.singularities if -top < s < top)
     core_pieces = _fourier_core(tuple(cores), core_halfwidth, hints)
     core = _adaptive(core_pieces, g, 0.25 * tol, max_evals, "fourier-core")
     evals = core.evaluations
 
-    # rows: the +inf and -inf tails of each k still summing, two a k;
-    # columns: half-period panels outward from its X, as many in every row
+    # terms[i, j, s]: integrand i's tail on side s (+inf, -inf) of the j-th
+    # k still summing, its half-period panels outward from X along the last
+    # axis, as many in every row; one integrand i for a scalar f
     pieces = [_phased(c.k) for c in cores]
-    targets = np.array([0.25 * tol * max(1.0, abs(v)) for v in core.value.tolist()])
+    targets = np.array([0.25 * tol * max(1.0, abs(v)) for v in core.value.ravel().tolist()])
+    targets = targets.reshape(-1, len(cores), 1)
     sides = np.array([[1.0], [-1.0]])
-    tail, tail_err = np.empty(len(cores), dtype=complex), np.empty(len(cores))
+    tail, tail_err = np.empty(targets.shape[:2], dtype=complex), np.empty(targets.shape[:2])
     live = np.arange(len(cores))  # the k still summing
-    terms, qerr = np.empty((2 * live.size, 0), dtype=complex), np.zeros(2 * live.size)
+    terms = np.empty(targets.shape[:2] + (2, 0), dtype=complex)
+    qerr = np.zeros(terms.shape[:-1])
     while True:
-        n_panels = terms.shape[1]
+        n_panels = terms.shape[-1]
         idx = np.arange(n_panels, 2 * n_panels or 16)  # 16 panels a side, then doubling
         waves = [cores[i] for i in live.tolist()]
         mids = np.concatenate([(sides * (c.X + (idx + 0.5) * c.half_period)).ravel()
@@ -774,22 +791,25 @@ def _fourier_waves(spec, cores, core_halfwidth, tol, max_evals):
         halfs = np.repeat([0.5 * c.half_period for c in waves], 2 * idx.size)
         vals, errs, _ = _pieces_batch(ev, pieces, np.repeat(live, 2 * idx.size), mids, halfs)
         evals += 15 * mids.size
-        terms = np.concatenate([terms, vals.reshape(len(terms), -1)], axis=1)
-        qerr += np.sum(errs.reshape(len(terms), -1), axis=1)
-        best, rem = _averaged_limit(np.cumsum(terms, axis=1))
-        target = np.repeat(targets[live], 2)
-        met = ((rem <= target) | (np.abs(terms[:, -1]) < 1e-305)).reshape(-1, 2).all(axis=1)
-        if met.any():  # a k stops once both its tails do
-            tail[live[met]] = best.reshape(-1, 2)[met].sum(axis=1)
-            tail_err[live[met]] = (qerr + rem).reshape(-1, 2)[met].sum(axis=1)
-            rows = ~np.repeat(met, 2)
-            live, terms, qerr = live[~met], terms[rows], qerr[rows]
-            rem, target = rem[rows], target[rows]
+        terms = np.concatenate([terms, vals.reshape(terms.shape[:-1] + (-1,))], axis=-1)
+        qerr += np.sum(errs.reshape(terms.shape[:-1] + (-1,)), axis=-1)
+        best, rem = (a.reshape(qerr.shape) for a in
+                     _averaged_limit(np.cumsum(terms, axis=-1).reshape(-1, terms.shape[-1])))
+        target = np.repeat(targets[:, live], 2, axis=-1)
+        met = ((rem <= target) | (np.abs(terms[..., -1]) < 1e-305)).all(axis=(0, 2))
+        if met.any():  # a k stops once every tail of it does
+            tail[:, live[met]] = best[:, met].sum(axis=-1)
+            tail_err[:, live[met]] = (qerr + rem)[:, met].sum(axis=-1)
+            live, terms, qerr = live[~met], terms[:, ~met], qerr[:, ~met]
+            rem, target = rem[:, ~met], target[:, ~met]
             if not live.size:
-                return core.value + tail, core.err_estimate + tail_err, evals
-        if terms.shape[1] >= 4096 or evals >= max_evals:
-            worst = np.argmax(rem / target)
+                shape = core.value.shape
+                return (core.value + tail.reshape(shape),
+                        core.err_estimate + tail_err.reshape(shape), evals)
+        if terms.shape[-1] >= 4096 or evals >= max_evals:
+            ratio = rem / target
+            worst = np.unravel_index(np.argmax(ratio), ratio.shape)
             raise NotConverged(
-                f"fourier tails not converged after {terms.shape[1]} panels per side "
+                f"fourier tails not converged after {terms.shape[-1]} panels per side "
                 f"({evals} evaluations): remainder {rem[worst]:.3e} (target {target[worst]:.3e})"
             )

@@ -486,10 +486,12 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
     - |alpha_a|^2/2 - |alpha_b|^2/2), written about alpha_a as
     exp(-|d|^2/2 + i Im(conj(alpha_a) d)), d = alpha_b - alpha_a: no terms
     of size |alpha|^2 are summed to cancel, and |d|^2 is a float sum, so a
-    gap past the doubles reads 0, not an error.
+    gap past the doubles reads 0, not an error.  ValueError for a tol that
+    is not positive and finite, at q = 1 too.
     """
     if a.q != b.q:
         raise ValueError("overlap is defined within a single q family")
+    _check_tol(tol)
     q = a.q
     if q == 1.0:
         aa, d = a.alpha, b.alpha - a.alpha

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qcoherent
-from qcoherent import cli, closedforms, moments, quadrature, specfun, states
+from qcoherent import cli, closedforms, moments, momentum, quadrature, specfun, states
 from qcoherent.errors import NotConverged
 from qcoherent.limits import limit_convergence_check
 from qcoherent.moments import moments_oracle
@@ -304,7 +304,7 @@ def test_verify_findings_do_not_fail_exit_code(verify_report):
 def test_verify_exits_three_when_a_mandatory_check_fails(monkeypatch, tmp_path, capsys):
     # a Parseval total off by 1 fails the parseval check; the report is
     # still written, with the failing check marked
-    monkeypatch.setattr(cli, "momentum_pd", lambda *a, **k: SimpleNamespace(parseval_total=2.0))
+    monkeypatch.setattr(cli, "_bessel_pd", lambda *a, **k: (None, 2.0))
     out = tmp_path / "v.json"
     assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.2", "--q-steps", "1",
                    "--out", str(out)) == 3
@@ -323,10 +323,11 @@ def test_verify_byte_deterministic(tmp_path):
 
 
 def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
-    # the entries and the heisenberg check read one oracle pass per q, which
-    # also takes the partner alpha + 0.2; no separate moments_oracle call
+    # the entries and the heisenberg check read one oracle pass for the
+    # whole grid, which also takes the partner alpha + 0.2 at every q; no
+    # separate moments_oracle call
     calls = []
-    real = cli._oracle_integrals
+    real = cli._oracle_pass
 
     def counted(*args):
         calls.append(args)
@@ -335,18 +336,21 @@ def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("the verify grid called moments_oracle")
 
-    monkeypatch.setattr(cli, "_oracle_integrals", counted)
+    monkeypatch.setattr(cli, "_oracle_pass", counted)
     monkeypatch.setattr(cli, "moments_oracle", refuse)
     out = tmp_path / "report.json"
     assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.5", "--q-steps", "2",
                    "--out", str(out)) == 0
-    partner = complex(0.3, 0.1) + 0.2
-    assert calls == [(1.2, 0.3, 0.1, 1e-10, partner), (1.5, 0.3, 0.1, 1e-10, partner)]
+    alpha = complex(0.3, 0.1)
+    partner = alpha + 0.2
+    assert calls == [(((1.2, alpha, (partner,)), (1.5, alpha, (partner,))), 1e-10)]
 
 
 def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
-    # one vectorised Bessel-K and one vectorised Fourier-oracle call per grid
-    # point, and one printed Kummer amplitude per (grid point, k)
+    # one vectorised Bessel-K call per grid point, one printed Kummer
+    # amplitude per (grid point, k) and one Fourier pass for every grid
+    # point and k, each scaled by the grid pass's A(alpha): the public
+    # amplitude routes, which take A from normalization_constant, are not run
     def count(name):
         seen, real = [], getattr(cli, name)
 
@@ -357,16 +361,22 @@ def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
         monkeypatch.setattr(cli, name, counted)
         return seen
 
-    bessel, oracle, closed = (count(f"momentum_amplitude_{route}")
-                              for route in ("bessel", "oracle", "closed"))
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verify grid called a public amplitude route")
+
+    for route in ("bessel", "oracle", "closed"):
+        monkeypatch.setattr(momentum, f"momentum_amplitude_{route}", refuse)
+    bessel, oracle, closed = (count(name) for name in
+                              ("_bessel_amplitudes", "_psi_transforms", "_kummer_amplitude"))
     out = tmp_path / "report.json"
     assert run_cli("verify", "--q-min", "1.2", "--q-max", "1.5", "--q-steps", "2",
                    "--out", str(out)) == 0
     assert [q for q, *_ in bessel] == [1.2, 1.5]
-    assert [(q, list(k)) for q, _, k in oracle] == [(1.2, [0.8, 2.0, 0.01]),
-                                                   (1.5, [0.8, 2.0, 0.01])]
+    assert [(list(qs), list(k)) for qs, _, k, _ in oracle] == [([1.2, 1.5], [0.8, 2.0, 0.01])]
     per_k = [(q, k) for q in (1.2, 1.5) for k in (0.8, 2.0, 0.01)]
-    assert [(q, k) for q, _, k in closed] == per_k
+    assert [(q, k) for q, _, k, *_ in closed] == per_k
+    a_consts = {q: a for q, _, a in bessel}
+    assert all(a == a_consts[q] for q, _, _, a, _ in closed)
 
 
 def _verify_in_a_fresh_process(out, *argv):
@@ -452,19 +462,22 @@ def _clear_every_memo():
 
 def test_a_default_verify_takes_one_line_pass_per_grid_point(monkeypatch, tmp_path):
     # with the fixed checks and the calibration warm and the per-alpha memos
-    # empty: one 8-row pass per grid point (the oracle moments, the partner's
-    # norm, the overlap), A(alpha) once per grid point, and one six-row pass
-    # per limit-check q.  It was 19 passes: 3 moment passes, 9 norms,
-    # 3 overlaps and 4 limit-check moment passes
+    # empty: one line pass for the whole grid (its oracle moments, the
+    # partner's norm and the overlap, eight rows a grid point), one for the
+    # limit check's whole q sequence, one Fourier pass for the grid, and no
+    # norm pass: A(alpha) is the grid pass's.  It was 10 line passes (3 grid
+    # points, 3 norms of A(alpha), 4 limit-check q) and 3 Fourier passes
     closedforms.calibrated_reflection()
     cli._fixed_checks()
     states._norm_integral.cache_clear()
     moments._oracle_integrals.cache_clear()
     lines = _count_calls(monkeypatch, quadrature.integrate_line)
     fouriers = _count_calls(monkeypatch, quadrature.fourier_transform_line)
+    norms = _count_calls(monkeypatch, states._norm_integral)
     assert run_cli("verify", "--out", str(tmp_path / "v.json")) == 0
-    assert len(lines) == 10
-    assert len(fouriers) == 3
+    assert len(lines) == 2
+    assert len(fouriers) == 1
+    assert norms == []
 
 
 def test_verify_oracle_values_are_the_public_routes_at_the_norm_tol(tmp_path):

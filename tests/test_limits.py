@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcoherent import limits
+from qcoherent import limits, moments
 from qcoherent.errors import RegimeWarning
 from qcoherent.limits import (
     LimitReport,
@@ -241,7 +241,7 @@ def test_limit_convergence_refuses_malformed_settings_up_front(monkeypatch, bad)
     def refuse(*args, **kwargs):
         raise AssertionError("a q was run before the settings were checked")
 
-    monkeypatch.setattr(limits, "_oracle_integrals", refuse)
+    monkeypatch.setattr(limits, "_oracle_pass", refuse)
     with pytest.raises(ValueError, match=next(iter(bad))):
         limit_convergence_check(0.3, **bad)
 
@@ -269,6 +269,32 @@ def test_limit_convergence_samples_each_k_once_per_q(monkeypatch):
     qs, k_points = (1.2, 1.1), 7
     limit_convergence_check(0.3, q_sequence=qs, k_points=k_points)
     assert calls == [k_points] * len(qs)
+
+
+def test_limit_convergence_takes_one_line_pass_for_its_whole_sequence(monkeypatch):
+    # the moments and A of every q come from one line pass, six rows a q, at
+    # min(tol, 1e-10); each q's moments are within round-off of its own pass
+    passes, lines = [], []
+    real_pass, real_line = limits._oracle_pass, moments.integrate_line
+
+    def counted_pass(states, tol):
+        passes.append((states, tol))
+        return real_pass(states, tol)
+
+    def counted_line(f, tol=1e-10, **kwargs):
+        lines.append(tol)
+        return real_line(f, tol=tol, **kwargs)
+
+    monkeypatch.setattr(limits, "_oracle_pass", counted_pass)
+    monkeypatch.setattr(moments, "integrate_line", counted_line)
+    qs, alpha = (1.2, 1.1, 1.05, 1.02), complex(0.3, 0.1)
+    rep = limit_convergence_check(alpha, q_sequence=qs, tol=1e-9, k_points=21)
+    assert passes == [(tuple((q, alpha, ()) for q in qs), 1e-10)]
+    assert lines == [1e-10]
+    ref = coherent_reference_moments(alpha)
+    for q, gap in zip(qs, rep.gaps["mean_x2"]):
+        own = moments._oracle_report(q, alpha, real_pass(((q, alpha, ()),), 1e-10)[0])
+        assert abs(gap - abs(own.mean_x2 - ref.mean_x2)) <= 1e-14 * own.mean_x2
 
 
 def test_limit_report_is_immutable():

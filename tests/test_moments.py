@@ -53,6 +53,31 @@ def test_oracle_is_one_line_pass(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_one_state_pass_is_the_memoised_oracle_pass():
+    # _oracle_integrals is the one-state case of the multi-state pass: the
+    # same rows in the same order, so the same bits, with and without a
+    # partner state
+    for q, alpha, partners in ((1.5, 0.4 + 0.1j, ()), (2.2, 0.37 + 0.13j, (0.57 + 0.13j,)),
+                               (1.05, -0.8 + 0.2j, (0.3j, 1.1))):
+        moments._oracle_integrals.cache_clear()
+        want = moments._oracle_integrals(q, alpha.real, alpha.imag, 1e-10, *partners)
+        got = moments._oracle_pass(((q, alpha, partners),), 1e-10)
+        assert len(got) == 1 and np.array(got[0]).tobytes() == np.array(want).tobytes()
+
+
+def test_a_multi_state_pass_gives_each_state_its_own_integrals():
+    # several states on one pass's nodes, each row held to its own target:
+    # every state's integrals are its own pass's to round-off
+    states = ((1.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.7, 0.3 + 0.1j, (0.5 + 0.1j,)),
+              (2.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.05, -0.6 + 0.2j, ()))
+    got = moments._oracle_pass(states, 1e-10)
+    assert [len(g) for g in got] == [8, 8, 8, 6]
+    for (q, alpha, partners), items in zip(states, got):
+        own = moments._oracle_pass(((q, alpha, partners),), 1e-10)[0]
+        for g, w in zip(items, own):
+            assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (q, g, w)
+
+
 def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):
     """Route the evaluator of module.<name>, its positional argument ``arg``
     (a callable or an IntegrandSpec), through a (calls, nodes, evaluations)

@@ -650,6 +650,34 @@ def test_fourier_k_array_with_zeros_and_a_repeat_is_the_scalar_calls():
     assert (got.method, zero.method, wave.method) == ("fourier-osc", "fourier-k0", "fourier-osc")
 
 
+def _lorentzian(x):
+    return 1.0 / (1.0 + x * x)
+
+
+def _gauss_shifted(x):
+    return np.exp(-0.5 * (x - 0.3) ** 2 + 0.2j * x)
+
+
+@pytest.mark.parametrize("k", [1.3, np.array([0.8, -2.0, 0.01]), 0.0,
+                               np.array([0.0, 1.5, 1.5])])
+def test_fourier_rows_of_an_m_by_n_integrand_are_its_scalar_calls(k):
+    # an (m, n) evaluator shares one pass among its m integrands: each row
+    # is held to its own target, so it is its scalar call to round-off, and
+    # with m = 1 it is the scalar call bit for bit
+    scalars = [fourier_transform_line(f, k, tol=1e-10) for f in (_lorentzian, _gauss_shifted)]
+    both = fourier_transform_line(lambda x: np.array([_lorentzian(x), _gauss_shifted(x)]),
+                                  k, tol=1e-10)
+    assert both.value.shape == both.err_estimate.shape == (2,) + np.shape(k)
+    for row, scalar in zip(both.value, scalars):
+        assert np.max(np.abs(row - scalar.value)) <= 1e-14 * np.max(np.abs(scalar.value))
+    for f, scalar in zip((_lorentzian, _gauss_shifted), scalars):
+        one = fourier_transform_line(lambda x: f(x)[None], k, tol=1e-10)
+        assert one.value.shape == (1,) + np.shape(k)
+        assert one.value[0].tobytes() == np.asarray(scalar.value).tobytes()
+        assert one.err_estimate[0].tobytes() == np.asarray(scalar.err_estimate).tobytes()
+        assert (one.evaluations, one.method) == (scalar.evaluations, scalar.method)
+
+
 @pytest.mark.parametrize("k", [0.0, 0.7, [0.0, 0.0], [0.7, -2.0, 0.0], []])
 def test_fourier_evaluations_stay_an_int(k):
     # the benchmark's tracer reads evaluations only when it is an int

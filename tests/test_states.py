@@ -23,7 +23,8 @@ from qcoherent.errors import (
 from qcoherent.closedforms import norm_squared_closed
 from qcoherent.limits import limit_convergence_check
 from qcoherent.moments import moments_closed, moments_oracle, uncertainty_product
-from qcoherent.momentum import momentum_amplitude_bessel, momentum_amplitude_oracle, momentum_pd
+from qcoherent.momentum import (momentum_amplitude_bessel, momentum_amplitude_closed,
+                                momentum_amplitude_oracle, momentum_pd)
 from qcoherent.quadrature import integrate_line
 from qcoherent.states import (
     CONVENTION_TOL,
@@ -457,8 +458,6 @@ def test_a_wide_bracket_ratio_is_finite_silent_and_right(q, alpha):
 def test_state_entry_points_at_a_wide_ratio_are_finite_or_refuse():
     # these warned "overflow encountered in multiply" in the bracket; the
     # closed routes refuse the bracket roots, which overflow at 1.3e154j
-    from qcoherent.momentum import momentum_amplitude_closed
-
     assert cmath.isfinite(normalization_constant(2.33, 1.3e154j))
     for call in (lambda: normalization_constant(2.33, 1.3e154j, method="closed-form"),
                  lambda: momentum_amplitude_closed(2.33, 1.3e154j, 0.7),
@@ -630,6 +629,42 @@ def test_the_norm_clamp_rejects_a_tol_that_is_not_positive_and_finite(q, tol):
     for call in calls:
         with pytest.raises(ValueError, match="tol must be a positive finite number"):
             call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_the_q_one_dispatches_reject_a_tol_that_is_not_positive_and_finite(q, tol):
+    # the exact Gaussian dispatch at q = 1 returned a value for any tol
+    # (product 0.5, an amplitude, an overlap of 0.980) while every q > 1
+    # call refused it; each entry point now checks tol before dispatching
+    alpha = 0.3 + 0.1j
+    calls = [lambda: moments_oracle(q, alpha, tol=tol),
+             lambda: moments_closed(q, alpha, tol=tol),
+             lambda: uncertainty_product(q, alpha, tol=tol),
+             lambda: momentum_amplitude_oracle(q, alpha, 0.5, tol=tol),
+             lambda: momentum_amplitude_oracle(q, alpha, [0.0, 0.5], tol=tol),
+             lambda: overlap(StateLabel(q, alpha), StateLabel(q, alpha + 0.2), tol=tol),
+             lambda: overlap(StateLabel(q, alpha), StateLabel(q, alpha + 0.2),
+                             method="closed-form", tol=tol)]
+    if q != 1.0:  # the printed amplitude has no q = 1 dispatch
+        calls.append(lambda: momentum_amplitude_closed(q, alpha, 0.5, tol=tol))
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            call()
+
+
+def test_the_kummer_route_takes_a_at_its_own_tol():
+    # the printed amplitude's A is normalization_constant's at the call's
+    # tol, as the Bessel route's is; it was A at 1e-10 whatever the tol
+    from qcoherent import momentum
+
+    q, alpha, k = 1.7, 1.2 - 0.5j, 0.8
+    assert normalization_constant(q, alpha, tol=1e-13) != normalization_constant(q, alpha)
+    for tol in (1e-10, 1e-13):
+        want = momentum._kummer_amplitude(q, alpha, k, normalization_constant(q, alpha, tol=tol),
+                                          tol)
+        assert momentum_amplitude_closed(q, alpha, k, tol=tol) == want
+    assert momentum_amplitude_closed(q, alpha, k) == momentum_amplitude_closed(q, alpha, k, 1e-10)
 
 
 @pytest.mark.xfail(strict=True, reason="the line pass is centred on x = 0, not on "
