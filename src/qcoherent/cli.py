@@ -11,10 +11,12 @@ Three subcommands:
   variants, <x^2>, <p>, <p^2>, the overlap, then at k = 0.8, 2 and 0.01
   the printed Kummer amplitude, its density away from k = 0, and the
   Bessel-K amplitude), then 4 q-independent ones (the q-exponential
-  expansion, the Hermite identity, two F_D checks).  The whole grid takes
-  one x-space pass (every q's oracle moments, the norm of alpha + 0.2 and
-  the oracle overlap of the two) and one Fourier pass (every q's oracle
-  amplitudes), and each grid point one closed Euler pass, all at
+  expansion, the Hermite identity, two F_D checks).  A call takes all its
+  x-space numbers from one line pass (every grid q's oracle moments, the
+  norm of alpha + 0.2 and the oracle overlap of the two, and the moments
+  of each q of the q -> 1 check's sequence off the grid, every state of
+  it evaluated at once) and its amplitudes from one Fourier pass (every
+  q's), and each grid point takes one closed Euler pass, all at
   min(tol, 1e-10); A(alpha) is read from the x-space pass's norm rows and
   scales every amplitude and the Parseval closure, so no norm pass is run
   (``_grid_point_rows``).  The last three q-independent entries do
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import closedforms, specfun
 from .errors import NumericsError, OutOfValidityWindow
-from .limits import limit_convergence_check
+from .limits import _limit_report
 from .moments import _oracle_pass, _oracle_report, moments_closed, moments_oracle
 from .momentum import (
     _bessel_amplitudes,
@@ -272,6 +274,10 @@ _K_TO_ZERO_NOTE = (
 )
 _K_NEAR_ZERO = 0.01
 _VERIFY_KS = (0.8, 2.0, _K_NEAR_ZERO)
+# The q -> 1 check's sequence.  Second moments shrink like (q - 1); the
+# sequence must reach 1.02 for their final gaps to clear the 1e-2 recovery
+# tolerance.
+_LIMIT_QS = (1.2, 1.1, 1.05, 1.02)
 
 
 def _grid_point_rows(q, alpha, tol, integrals, transform):
@@ -279,7 +285,7 @@ def _grid_point_rows(q, alpha, tol, integrals, transform):
     then its oracle uncertainty product, its A(alpha) and its normalisation
     closure |A_oracle|^2 n2_closed - 1, which the mandatory checks read.
 
-    The point's oracle numbers are its share of the grid's two batched
+    The point's oracle numbers are its share of the call's two batched
     passes (``_run_verify``): ``integrals``, its items of the x-space pass
     (moments, the norm of alpha + 0.2, the raw overlap), and ``transform``,
     its unnormalised oracle transforms at ``_VERIFY_KS``.  A(alpha) =
@@ -371,10 +377,14 @@ def _fixed_entries():
 def _run_verify(args) -> int:
     qs = _check_q_grid(args, "verify grid needs")
     alpha = complex(args.alpha_re, args.alpha_im)
-    # the oracle side of the whole grid, at min(tol, 1e-10): one line pass,
-    # eight rows a q (alpha's moments, the norm of alpha + 0.2, their raw
-    # overlap), and one Fourier pass, every q's transforms at every k
-    passes = _oracle_pass(tuple((q, alpha, (alpha + 0.2,)) for q in qs), _norm_tol(args.tol))
+    # the oracle side of the whole grid, at min(tol, 1e-10): one Fourier
+    # pass, every q's transforms at every k, and one line pass, eight rows a
+    # grid q (alpha's moments, the norm of alpha + 0.2, their raw overlap)
+    # and each q of the limit check's sequence that is off the grid, six rows
+    # (its moments); min(tol, 1e-10) is never looser than the check's own 1e-10
+    off_grid = tuple(q for q in _LIMIT_QS if q not in qs)
+    passes = _oracle_pass(tuple((q, alpha, (alpha + 0.2,)) for q in qs)
+                          + tuple((q, alpha, ()) for q in off_grid), _norm_tol(args.tol))
     transforms = _psi_transforms(qs, alpha, np.array(_VERIFY_KS), args.tol)
     entries, products, a_consts, closures = [], [], [], []
     for q, integrals, transform in zip(qs, passes, transforms):
@@ -398,9 +408,10 @@ def _run_verify(args) -> int:
     mid = len(qs) // 2
     _, parseval_total = _bessel_pd(qs[mid], alpha, a_consts[mid], default_k_grid(alpha, 2))
     parseval_gap = abs(parseval_total - 1.0)
-    # Second moments shrink like (q - 1); the sequence must reach 1.02 for
-    # their final gaps to clear the 1e-2 recovery tolerance.
-    limit = limit_convergence_check(alpha, (1.2, 1.1, 1.05, 1.02), tol=1e-9, k_points=61)
+    # the q -> 1 check of limit_convergence_check(alpha, _LIMIT_QS,
+    # k_points=61), its moments and A read from the grid's line pass
+    items = dict(zip((*qs, *off_grid), passes))
+    limit = _limit_report(alpha, _LIMIT_QS, [items[q] for q in _LIMIT_QS], 61, 6.0, 1e-2)
     closure, min_product = max(closures), min(products)
     checks = {name: {"status": "pass" if ok else "fail", "detail": detail}
               for name, ok, detail in (

@@ -152,10 +152,11 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
     moments and the density's normalisation A = n^(-1/2) at every q come
     from one line pass for the whole sequence, the six rows of
     ``moments_oracle`` a q (``moments._oracle_pass``), at min(tol, 1e-10):
-    the accuracy of a norm, which scales every other number.  ValueError,
-    before any q is run, for a tol, k_halfwidth or final_tol that is not
-    positive and finite, a k_points that is not an integer of at least 1,
-    or a malformed q_sequence.
+    the accuracy of a norm, which scales every other number; the report is
+    ``_limit_report`` of that pass.  ValueError, before any q is run, for a
+    tol, k_halfwidth or final_tol that is not positive and finite, a
+    k_points that is not an integer of at least 1, or a malformed
+    q_sequence.
     """
     alpha = require_alpha(alpha)
     norm_tol = _norm_tol(tol)
@@ -173,13 +174,25 @@ def limit_convergence_check(alpha: complex, q_sequence=(1.2, 1.1, 1.05, 1.02),
         raise ValueError("q_sequence must be strictly decreasing")
     if any(not (1.0 < q < Q_MOMENT_SUITE_MAX) for q in qs):
         raise ValueError(f"q_sequence must lie inside (1, {Q_MOMENT_SUITE_MAX:.6g})")
+    passes = _oracle_pass(tuple((q, alpha, ()) for q in qs), norm_tol)
+    return _limit_report(alpha, qs, passes, k_points, k_halfwidth, final_tol)
+
+
+def _limit_report(alpha: complex, qs, passes, k_points: int, k_halfwidth: float,
+                  final_tol: float) -> LimitReport:
+    """The ``LimitReport`` of ``limit_convergence_check`` for the checked
+    settings, from ``passes``: one ``moments._oracle_pass`` item per q of
+    ``qs``, of which only the first six integrals are read (the moments,
+    and A = n^(-1/2) for the density), so the item of a state with partner
+    rows serves as well.  ``verify`` takes its items from its own grid's
+    pass, which holds these q."""
     ref = coherent_reference_moments(alpha)
     k_grid = np.linspace(-k_halfwidth, k_halfwidth, k_points)
     pd_ref = gaussian_momentum_pd(alpha, k_grid)
     names = ("mean_x", "mean_x2", "mean_p", "mean_p2", "product")
     trajectories: dict[str, list[float]] = {n: [] for n in names}
     trajectories["pd_distance"] = []
-    for q, integrals in zip(qs, _oracle_pass(tuple((q, alpha, ()) for q in qs), norm_tol)):
+    for q, integrals in zip(qs, passes):
         report = _oracle_report(q, alpha, integrals)
         for n in names:
             trajectories[n].append(abs(getattr(report, n) - getattr(ref, n)))

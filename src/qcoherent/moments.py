@@ -9,8 +9,9 @@ Two fully independent routes produce every number here:
   its integration-by-parts partner -int conj(psi) psi'', whose relative
   gap is recorded as a self-diagnostic.  The pass itself
   (``_oracle_pass``) takes any number of states, six rows each plus two
-  per partner state for its norm and overlap; ``verify`` and the q -> 1
-  limit check run their whole q grid as one such pass.
+  per partner state for its norm and overlap, and evaluates several as
+  one stack; the q -> 1 limit check runs its whole q sequence as one such
+  pass, and ``verify`` its grid together with that sequence.
 * ``moments_closed``: the Lauricella closed forms from ``closedforms``
   under the calibrated convention, cross-checked against the oracle on
   every call; disagreement beyond CONVENTION_TOL raises
@@ -40,6 +41,7 @@ from .states import (
     CONVENTION_TOL,
     Q_MOMENT_SUITE_MAX,
     SQRT2,
+    _columns,
     _density,
     _inverse_b,
     require_alpha,
@@ -136,21 +138,28 @@ def _coherent_exact(alpha: complex, method: str) -> MomentReport:
     )
 
 
+def _moment_rows(q, alpha, x, dens, mod, ratio, inv_re, wide=None):
+    """The six moment rows of a state (q > 1) from its ``_density`` parts:
+    |psi_un|^2, then x, x^2, p and p^2 by both routes times it.  q and
+    alpha may be the (S, 1) columns of a stack, with ``wide`` as in
+    ``states._bracket``."""
+    inv_b = _inverse_b(q, alpha, ratio, inv_re, wide)
+    w_b = (x - SQRT2 * alpha) * inv_b
+    x_mod = x * mod  # (x r)^2, not x (x r^2): r^2 underflows first at huge |x|
+    return (dens, x * dens, x_mod * x_mod, 1j * w_b * dens,
+            (w_b.real * w_b.real + w_b.imag * w_b.imag) * dens,
+            (inv_b - q * w_b * w_b) * dens)
+
+
 def _state_rows(q: float, alpha: complex, partners):
-    """x -> the rows of one state in a moment pass (q > 1): |psi_un|^2,
-    then x, x^2, p and p^2 by both routes times it, then two rows for
-    each partner state beta: its density |psi_un[beta]|^2 and
-    conj(psi_un[alpha]) psi_un[beta]."""
+    """x -> the rows of one state in a moment pass (q > 1): its six
+    ``_moment_rows``, then two rows for each partner state beta: its
+    density |psi_un[beta]|^2 and conj(psi_un[alpha]) psi_un[beta]."""
     p = 1.0 / (q - 1.0)
 
     def weights(x):
         dens, mod, ratio, inv_re = _density(q, alpha, x)
-        inv_b = _inverse_b(q, alpha, ratio, inv_re)
-        w_b = (x - SQRT2 * alpha) * inv_b
-        x_mod = x * mod  # (x r)^2, not x (x r^2): r^2 underflows first at huge |x|
-        rows = [dens, x * dens, x_mod * x_mod, 1j * w_b * dens,
-                (w_b.real * w_b.real + w_b.imag * w_b.imag) * dens,
-                (inv_b - q * w_b * w_b) * dens]
+        rows = [*_moment_rows(q, alpha, x, dens, mod, ratio, inv_re)]
         for beta in partners:
             # conj(psi_un[alpha]) psi_un[beta] = r_alpha r_beta
             # exp(i p (arg B_alpha - arg B_beta)), both arguments principal
@@ -158,6 +167,48 @@ def _state_rows(q: float, alpha: complex, partners):
             turn = p * (np.arctan(ratio) - np.arctan(ratio_b))
             rows += [dens_b, (mod * mod_b) * np.exp(1j * turn)]
         return rows
+
+    return weights
+
+
+def _stack_rows(states):
+    """x -> the rows of several states as one (R, n) array, each row bit for
+    bit ``_state_rows``'s, or None where ``states._columns`` refuses the
+    stack.  Every state and every partner is one (q, alpha) column of a
+    single ``_density`` call; the states' own rows take their share of it,
+    each partner its share and its state's, and every row is written to its
+    place in the order ``_state_rows`` lists them."""
+    labels = [(q, alpha) for q, alpha, _ in states]
+    owner, offsets, partner_at, start = [], [], [], 0
+    for i, (q, _, partners) in enumerate(states):
+        labels += [(q, beta) for beta in partners]
+        owner += [i] * len(partners)
+        offsets.append(start)
+        partner_at += range(start + 6, start + 6 + 2 * len(partners), 2)
+        start += 6 + 2 * len(partners)
+    columns = _columns(labels)
+    if columns is None:
+        return None
+    q_all, alpha_all = columns
+    n_own, n_rows = len(states), start
+    q, alpha = q_all[:n_own], alpha_all[:n_own]
+    p = 1.0 / (q_all[n_own:] - 1.0)  # each partner's, its state's p
+    own_at = np.array(offsets)[None, :] + np.arange(6)[:, None]  # row k of state i
+    owner = np.array(owner, dtype=int)  # each partner's state
+    partner_at = np.array(partner_at, dtype=int)  # each partner's density row
+
+    def weights(x):
+        dens, mod, ratio, inv_re = _density(q_all, alpha_all, x, wide=False)
+        out = np.empty((n_rows, x.size), dtype=complex)
+        for at, row in zip(own_at, _moment_rows(q, alpha, x, dens[:n_own], mod[:n_own],
+                                                ratio[:n_own], inv_re[:n_own], wide=False)):
+            out[at] = row
+        if owner.size:
+            arg = np.arctan(ratio)
+            turn = p * (arg[owner] - arg[n_own:])
+            out[partner_at] = dens[n_own:]
+            out[partner_at + 1] = (mod[owner] * mod[n_own:]) * np.exp(1j * turn)
+        return out
 
     return weights
 
@@ -172,12 +223,17 @@ def _oracle_pass(states, tol: float) -> list[tuple[complex, ...]]:
 
     The states' rows (``_state_rows``) stack in order, each held to its
     own target err_i <= tol max(1, |v_i|); one state is
-    ``_oracle_integrals``'s pass, row for row.  Nothing is memoised here.
+    ``_oracle_integrals``'s pass, row for row.  Several states are
+    evaluated at once (``_stack_rows``), with the same bits; one state, or
+    a stack ``states._columns`` refuses, evaluates state by state.
+    Nothing is memoised here.
     """
-    state_weights = [_state_rows(q, alpha, partners) for q, alpha, partners in states]
+    weights = _stack_rows(states) if len(states) > 1 else None
+    if weights is None:
+        state_weights = [_state_rows(q, alpha, partners) for q, alpha, partners in states]
 
-    def weights(x):
-        return np.array([row for state in state_weights for row in state(x)])
+        def weights(x):
+            return np.array([row for state in state_weights for row in state(x)])
 
     values = integrate_line(weights, tol=tol).value.tolist()
     out, start = [], 0

@@ -49,8 +49,9 @@ from .errors import NotConverged
 from .quadrature import (IntegrandSpec, _check_index, _check_tol, fourier_transform_line,
                          integrate_interval)
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
-from .states import (SQRT2, _bracket_sr, _psi_un, _require_open_window, _root_c,
-                     coherent_psi, normalization_constant, require_alpha, require_window)
+from .states import (SQRT2, _bracket, _bracket_sr, _columns, _psi, _psi_un,
+                     _require_open_window, _root_c, coherent_psi, normalization_constant,
+                     require_alpha, require_window)
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -213,11 +214,19 @@ def _psi_transforms(qs, alpha: complex, k, tol: float) -> np.ndarray:
     ``qs``, unnormalised: one ``fourier_transform_line`` pass whose (m, n)
     evaluator holds the m = len(qs) states, each transform held to its own
     target.  Row i is qs[i]'s, shaped like k; one q gives the scalar
-    pass's numbers bit for bit.  The core half-width depends on alpha
-    alone, so every q shares it."""
+    pass's numbers bit for bit.  Several q are evaluated at once, q a
+    column against x (``states._columns``), each row bit for bit its own
+    ``_psi_un``; one q, or a stack ``_columns`` refuses, evaluates q by q.
+    The core half-width depends on alpha alone, so every q shares it."""
+    columns = _columns([(q, alpha) for q in qs]) if len(qs) > 1 else None
+    if columns is None:
+        def psi_rows(x):
+            return np.array([_psi_un(q, alpha, x) for q in qs])
+    else:
+        def psi_rows(x):
+            return _psi(columns[0], *_bracket(*columns, x, wide=False)[:2])
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
-    return fourier_transform_line(lambda x: np.array([_psi_un(q, alpha, x) for q in qs]),
-                                  k, tol=tol, core_halfwidth=core).value
+    return fourier_transform_line(psi_rows, k, tol=tol, core_halfwidth=core).value
 
 
 def momentum_amplitude_oracle(q: float, alpha: complex, k, tol: float = 1e-9):

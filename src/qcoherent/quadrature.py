@@ -13,7 +13,9 @@ into the piece's integrand (its Jacobian), so each generation of the pass
 (one round of panel splitting) costs one evaluator call and one G7/K15
 reduction however many pieces it spans, and one map per piece it touches.
 A batch over several pieces is taken as one contiguous run of panels per
-piece and scattered back into panel order for the reduction.  Every pass
+piece; only a batch not already in piece order (the panels a generation
+splits) is sorted into runs and scattered back into panel order for the
+reduction.  Every pass
 takes its seed panels from one memo keyed on its pieces' edges
 (``_seed_layout``), so a pass whose edges recur (the hint-free line, the
 Euler halves, a Fourier core's wave set) reuses the layout built first.
@@ -227,11 +229,13 @@ def _pieces_batch(ev, pieces, owner, mids, halfs):
     pieces[owner[i]]: one ``sample`` call per piece on the run of its
     nodes, one ev call on the points of every run, each run's finish on
     its share of the values, one reduction.  A batch that spans several
-    pieces is taken as contiguous runs, one per piece: a stable sort by
-    owner, a slice per run, and one inverse scatter that puts the values
-    back in panel order before the reduction, so each panel gets the same
-    values as piece by piece.  A non-finite value is reported at its point
-    of ev, not at its v."""
+    pieces is taken as contiguous runs, one per piece.  A batch already in
+    piece order (a seed batch, a round of the Fourier tail stream) is its
+    own runs, sliced as it stands; an unordered one (the panels a
+    generation splits) is put in order by a stable sort by owner and its
+    values scattered back into panel order before the reduction.  Either
+    way each panel gets the same values as piece by piece.  A non-finite
+    value is reported at its point of ev, not at its v."""
     v = mids[:, None] + halfs[:, None] * _XK[None, :]
     first = owner[0]
     if (owner == first).all():  # one piece: one run, nothing to sort
@@ -240,8 +244,10 @@ def _pieces_batch(ev, pieces, owner, mids, halfs):
         out = np.asarray(finish(fx), dtype=complex)
         return _gk_reduce(out.reshape(fx.shape[:-1] + v.shape), halfs,
                           lambda: at.reshape(v.shape))
-    order = np.argsort(owner, kind="stable")
-    v = v[order]
+    ordered = bool((owner[1:] >= owner[:-1]).all())
+    if not ordered:
+        order = np.argsort(owner, kind="stable")
+        v = v[order]
     runs, start = [], 0
     for piece, stop in zip(pieces, np.bincount(owner, minlength=len(pieces)).cumsum().tolist()):
         if stop > start:
@@ -253,6 +259,10 @@ def _pieces_batch(ev, pieces, owner, mids, halfs):
     for points, finish in runs:
         parts.append(finish(fx[..., start:start + points.size]))
         start += points.size
+    if ordered:
+        out = np.concatenate(parts, axis=-1, dtype=complex)
+        return _gk_reduce(out.reshape(fx.shape[:-1] + v.shape), halfs,
+                          lambda: at.reshape(v.shape))
     out = np.empty(fx.shape[:-1] + v.shape, dtype=complex)
     out[..., order, :] = np.concatenate(parts, axis=-1).reshape(out.shape)
 

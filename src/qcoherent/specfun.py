@@ -11,7 +11,8 @@ pochhammer
     Rising factorial (a)_m for complex a.
 kummer_phi
     Confluent hypergeometric phi(a, b; z) = sum_m (a)_m z^m / ((b)_m m!).
-    Power series up to |z| = 30; past that the Euler-type integral
+    Power series up to |z| = 30, at -z through Kummer's transformation
+    when Re z < 0; past that the Euler-type integral
     representation (when Re b > Re a > 0) or the large-|z| asymptotic
     expansion takes over.
 lauricella_fd_series / lauricella_fd_integral / lauricella_fd
@@ -380,9 +381,14 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
 
     Series below |z| = 30 (term-ratio stopping); above that the integral
     representation when Re b > Re a > 0, else the asymptotic expansion.
-    The integral branch raises NotConverged where Re a or Re(b-a) is below
-    0.0015, the exponent its endpoint grading cannot smooth (``_grade``).
-    ValueError for an a, b or z that is not finite.
+    For Re z < 0 the series is summed through Kummer's transformation
+    phi(a, b; z) = e^z phi(b - a, b; -z) (DLMF 13.2.39): at z itself its
+    terms grow to about e^|z| and cancel down to a value near e^Re z, which
+    at (p, 2p, -2i srad |k|) of the printed momentum amplitude lost 1e-5 of
+    the value from |z| ~ 27.  The integral branch raises NotConverged where
+    Re a or Re(b-a) is below 0.0015, the exponent its endpoint grading
+    cannot smooth (``_grade``).  ValueError for an a, b or z that is not
+    finite.
     """
     _check_tol(tol)
     a, b, z = complex(a), complex(b), complex(z)
@@ -391,6 +397,8 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     if _is_nonpositive_integer(b):
         raise ParameterPole(f"lower parameter b={b} is a non-positive integer")
     if abs(z) <= _KUMMER_SERIES_RADIUS:
+        if z.real < 0.0:
+            return cmath.exp(z) * _phi_series(b - a, b, -z, tol)
         return _phi_series(a, b, z, tol)
     if b.real > a.real > 0.0:
         return _euler_value(lambda t: z * t, a, b, tol, "kummer-integral").value

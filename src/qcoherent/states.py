@@ -265,7 +265,7 @@ def _root_c(q: float, alpha: complex) -> complex:
     return c if c.real > 0.0 else complex(0.0, 1.0) * sr
 
 
-def _bracket(q: float, alpha: complex, x):
+def _bracket(q: float, alpha: complex, x, wide=None):
     """(log|B|, Im B / Re B, 1 / Re B) at real x for q > 1, in real arithmetic.
 
     With s^2 = (q-1)/2 and y = x - sqrt2 Re alpha the bracket is
@@ -279,7 +279,9 @@ def _bracket(q: float, alpha: complex, x):
     scaled down by rho and 2 log rho added back (rho = 1, log rho = 0
     everywhere else).  The ratio Im B / Re B gets the same treatment
     (``_scaled_ratio``) only where ``_wide_ratio`` says it can pass 2^500,
-    so every part is finite and silent at any finite x and alpha.
+    so every part is finite and silent at any finite x and alpha.  ``wide``
+    is that answer when the caller has it: a stack of states (``_columns``),
+    whose q and alpha are (S, 1) columns against x, passes False.
     """
     s2 = 0.5 * (q - 1.0)
     y = x - SQRT2 * alpha.real
@@ -289,7 +291,7 @@ def _bracket(q: float, alpha: complex, x):
     inv_re = 1.0 / (1.0 + t) / rho / rho
     ratio = (-2.0 * SQRT2 * s2 * alpha.imag) * ((x - alpha.real / SQRT2) * inv_re)
     log_mod = np.log1p(t) + 2.0 * np.log(rho)
-    if _wide_ratio(q, alpha):
+    if _wide_ratio(q, alpha) if wide is None else wide:
         sigma, rs = _scaled_ratio(ratio)
         return log_mod + (0.5 * np.log1p(rs * rs) + np.log(sigma)), ratio, inv_re
     return log_mod + 0.5 * np.log1p(ratio * ratio), ratio, inv_re
@@ -306,6 +308,19 @@ def _wide_ratio(q: float, alpha: complex) -> bool:
     return SQRT2 * math.sqrt(s2) * aim + 2.0 * s2 * aim * abs(alpha.real) > 2.0 ** 500
 
 
+def _columns(labels):
+    """The (q, alpha) of several states (q > 1) as (S, 1) columns, so that
+    one evaluation against x gives every state's row, each bit for bit its
+    own (``_bracket`` and the helpers after it broadcast, with wide=False).
+    None where some state's ratio can pass 2^500 (``_wide_ratio``): the
+    stack's plain arithmetic would not give that state's bits, so each
+    state takes its own rows."""
+    if any(_wide_ratio(q, alpha) for q, alpha in labels):
+        return None
+    qs, alphas = zip(*labels)
+    return np.array(qs, dtype=float)[:, None], np.array(alphas, dtype=complex)[:, None]
+
+
 def _scaled_ratio(ratio):
     """(sigma, ratio / sigma) with sigma = max(|ratio| 2^-500, 1): then
     1 + ratio^2 = sigma^2 (1 + (ratio/sigma)^2) to 2^-1000 relative, and no
@@ -314,12 +329,12 @@ def _scaled_ratio(ratio):
     return sigma, ratio / sigma
 
 
-def _density(q: float, alpha: complex, x):
+def _density(q: float, alpha: complex, x, wide=None):
     """(|psi_un|^2, |psi_un|, Im B / Re B, 1 / Re B) at real x for q > 1:
     the density r^2 with r = |B|^(-p) = exp(-p log|B|), p = 1/(q-1), and
     the bracket parts the moment rows reuse.  The norm pass integrates it,
-    and it is row 0 of the moment pass."""
-    log_mod, ratio, inv_re = _bracket(q, alpha, x)
+    and it is row 0 of the moment pass.  ``wide`` as in ``_bracket``."""
+    log_mod, ratio, inv_re = _bracket(q, alpha, x, wide)
     mod = np.exp((1.0 / (1.0 - q)) * log_mod)
     return mod * mod, mod, ratio, inv_re
 
@@ -329,10 +344,11 @@ def _psi(q: float, log_mod, ratio):
     return np.exp((1.0 / (1.0 - q)) * (log_mod + 1j * np.arctan(ratio)))
 
 
-def _inverse_b(q: float, alpha: complex, ratio, inv_re):
+def _inverse_b(q: float, alpha: complex, ratio, inv_re, wide=None):
     # 1/B = (1 - i Im B/Re B) / (Re B (1 + (Im B/Re B)^2)), no part above 1;
-    # where the ratio can pass 2^500 (``_wide_ratio``), from the scaled ratio
-    if _wide_ratio(q, alpha):
+    # where the ratio can pass 2^500 (``_wide_ratio``, or ``wide`` as in
+    # ``_bracket``), from the scaled ratio
+    if _wide_ratio(q, alpha) if wide is None else wide:
         sigma, rs = _scaled_ratio(ratio)
         return (inv_re / sigma) * ((1.0 / sigma - 1j * rs) / (1.0 + rs * rs))
     return (inv_re / (1.0 + ratio * ratio)) * (1.0 - 1j * ratio)

@@ -323,9 +323,10 @@ def test_verify_byte_deterministic(tmp_path):
 
 
 def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
-    # the entries and the heisenberg check read one oracle pass for the
-    # whole grid, which also takes the partner alpha + 0.2 at every q; no
-    # separate moments_oracle call
+    # the entries, the heisenberg check and the q -> 1 check read one oracle
+    # pass: the grid, which also takes the partner alpha + 0.2 at every q,
+    # then the limit sequence's q off the grid (1.2 is on it); no separate
+    # moments_oracle call
     calls = []
     real = cli._oracle_pass
 
@@ -343,7 +344,8 @@ def test_verify_runs_moment_oracle_once_per_q(monkeypatch, tmp_path):
                    "--out", str(out)) == 0
     alpha = complex(0.3, 0.1)
     partner = alpha + 0.2
-    assert calls == [(((1.2, alpha, (partner,)), (1.5, alpha, (partner,))), 1e-10)]
+    assert calls == [(((1.2, alpha, (partner,)), (1.5, alpha, (partner,)),
+                       (1.1, alpha, ()), (1.05, alpha, ()), (1.02, alpha, ())), 1e-10)]
 
 
 def test_verify_calls_each_momentum_route_once_per_point(monkeypatch, tmp_path):
@@ -463,10 +465,11 @@ def _clear_every_memo():
 def test_a_default_verify_takes_one_line_pass_per_grid_point(monkeypatch, tmp_path):
     # with the fixed checks and the calibration warm and the per-alpha memos
     # empty: one line pass for the whole grid (its oracle moments, the
-    # partner's norm and the overlap, eight rows a grid point), one for the
-    # limit check's whole q sequence, one Fourier pass for the grid, and no
-    # norm pass: A(alpha) is the grid pass's.  It was 10 line passes (3 grid
-    # points, 3 norms of A(alpha), 4 limit-check q) and 3 Fourier passes
+    # partner's norm and the overlap, eight rows a grid point) and for the
+    # limit check's q off the grid (six rows each), one Fourier pass for the
+    # grid, and no norm pass: A(alpha) is the grid pass's.  It was 10 line
+    # passes (3 grid points, 3 norms of A(alpha), 4 limit-check q) and 3
+    # Fourier passes, then 2 line passes (the grid's and the limit check's)
     closedforms.calibrated_reflection()
     cli._fixed_checks()
     states._norm_integral.cache_clear()
@@ -475,9 +478,22 @@ def test_a_default_verify_takes_one_line_pass_per_grid_point(monkeypatch, tmp_pa
     fouriers = _count_calls(monkeypatch, quadrature.fourier_transform_line)
     norms = _count_calls(monkeypatch, states._norm_integral)
     assert run_cli("verify", "--out", str(tmp_path / "v.json")) == 0
-    assert len(lines) == 2
+    assert len(lines) == 1
     assert len(fouriers) == 1
     assert norms == []
+
+
+@pytest.mark.parametrize("alpha_im, code", [("0.1", 0), ("0.6", 3)])
+def test_verify_limit_verdicts_are_the_public_checks(tmp_path, alpha_im, code):
+    # verify reads the q -> 1 check from its own grid pass, at the default
+    # label and at 0.3 + 0.6i, where limit_recovery fails: its verdicts are
+    # those of limit_convergence_check's own pass
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--alpha-im", alpha_im, "--out", str(out)) == code
+    detail = json.loads(out.read_text())["meta"]["mandatory_checks"]["limit_recovery"]["detail"]
+    want = limit_convergence_check(complex(0.3, float(alpha_im)), k_points=61)
+    assert detail == dict(want.verdicts)
+    assert want.all_converged == (code == 0)
 
 
 def test_verify_oracle_values_are_the_public_routes_at_the_norm_tol(tmp_path):
@@ -597,6 +613,20 @@ def test_pd_stdout_when_no_out(capsys):
     text = capsys.readouterr().out
     assert "parseval_total" in text
     assert len([ln for ln in text.splitlines() if not ln.startswith("#")]) == 12
+
+
+@pytest.mark.filterwarnings("error")
+def test_pd_closed_form_at_a_negative_kummer_argument_returns(tmp_path):
+    # at 0.3 - 0.2i the printed amplitude's Kummer argument has Re z < 0.
+    # The series summed at z lost 6e-6 of M to cancellation at k = 8, and
+    # the Parseval integral of the printed density spent its evaluation
+    # budget: exit 3 after minutes.  Summed at -z it returns
+    out = tmp_path / "pd.csv"
+    assert run_cli("pd", "--q", "1.7", "--alpha-re", "0.3", "--alpha-im", "-0.2",
+                   "--method", "closed-form", "--out", str(out)) == 0
+    comments, rows = read_rows(out)
+    assert len(rows) == 401 and all(math.isfinite(float(r["pd"])) for r in rows)
+    assert any("parseval_total" in c for c in comments)
 
 
 @pytest.mark.parametrize("argv", [

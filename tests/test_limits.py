@@ -297,6 +297,16 @@ def test_limit_convergence_takes_one_line_pass_for_its_whole_sequence(monkeypatc
         assert abs(gap - abs(own.mean_x2 - ref.mean_x2)) <= 1e-14 * own.mean_x2
 
 
+@pytest.mark.parametrize("alpha", [0.3 + 0.1j, 0.3 + 0.6j, -0.7])
+def test_limit_report_of_the_checks_own_pass_is_the_check(alpha):
+    # limit_convergence_check is its validation, its one pass and
+    # _limit_report of that pass, which verify feeds from its grid's pass
+    qs = (1.2, 1.1, 1.05, 1.02)
+    passes = moments._oracle_pass(tuple((q, alpha, ()) for q in qs), 1e-10)
+    got = limits._limit_report(complex(alpha), qs, passes, 61, 6.0, 1e-2)
+    assert repr(got) == repr(limit_convergence_check(alpha, k_points=61))
+
+
 def test_limit_report_is_immutable():
     rep = limit_convergence_check(0.0, q_sequence=(1.2, 1.1), k_points=41)
     with pytest.raises(AttributeError):

@@ -16,7 +16,7 @@ from qcoherent.moments import (
     moments_oracle,
     uncertainty_product,
 )
-from qcoherent.quadrature import IntegrandSpec
+from qcoherent.quadrature import IntegrandSpec, QuadratureResult
 from qcoherent.states import CONVENTION_TOL, SQRT2, normalization_constant
 
 # frozen oracle outputs at (q, alpha) = (1.3, 0.3), quadrature tol 1e-11;
@@ -76,6 +76,59 @@ def test_a_multi_state_pass_gives_each_state_its_own_integrals():
         own = moments._oracle_pass(((q, alpha, partners),), 1e-10)[0]
         for g, w in zip(items, own):
             assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (q, g, w)
+
+
+def _pass_evaluator(monkeypatch, states):
+    """The evaluator ``_oracle_pass`` hands its line pass for ``states``."""
+    seen = []
+    rows = sum(6 + 2 * len(partners) for _, _, partners in states)
+
+    def capture(f, tol):
+        seen.append(f)
+        return QuadratureResult(np.ones(rows, dtype=complex), np.zeros(rows), 0, "gk-line")
+
+    monkeypatch.setattr(moments, "integrate_line", capture)
+    moments._oracle_pass(states, 1e-10)
+    return seen[0]
+
+
+_WIDE = 0.4 + 1e151j  # |Im B / Re B| passes 2^500 on the line (states._wide_ratio)
+
+
+@pytest.mark.parametrize("states, stacked", [
+    (((1.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.7, 0.3 + 0.1j, (0.5 + 0.1j,)),
+      (2.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.1, 0.3 + 0.1j, ()), (1.05, 0.3 + 0.1j, ()),
+      (1.02, 0.3 + 0.1j, ())), True),
+    (((1.05, -0.8 + 0.2j, (0.3j, 1.1)), (2.3, 1.4 - 1.3j, ()), (1.6, 0.0, (-0.2 - 0.7j,))),
+     True),
+    (((1.5, 0.4 + 0.1j, ()), (1.5, _WIDE, (0.1,)), (2.2, 0.3, ())), False),
+    (((1.5, 0.4 + 0.1j, ()), (1.5, 0.2, (_WIDE,))), False),
+    (((1.5, 0.4 + 0.1j, (0.6 + 0.1j,)),), False),
+])
+def test_a_pass_evaluates_each_state_as_its_own_rows(monkeypatch, states, stacked):
+    # a pass of several states evaluates them as one stack, q and alpha (S, 1)
+    # columns against x; every row is still bit for bit that state's own
+    # (_state_rows).  A stack holding a state whose ratio can pass 2^500, as
+    # a state or as a partner, and a one-state pass take each state's own
+    # evaluator
+    x = np.concatenate([np.linspace(-120.0, 120.0, 481), [0.0, 1e3, -1e3, 3e7, -1e30,
+                                                           1e151, 1e200, -1e300]])
+    ev = _pass_evaluator(monkeypatch, states)
+    want = np.array([row for q, alpha, partners in states
+                     for row in moments._state_rows(q, alpha, partners)(x)])
+    assert ev(x).tobytes() == want.tobytes()
+    assert (len(states) > 1 and moments._stack_rows(states) is not None) == stacked
+
+
+def test_a_one_state_pass_takes_no_stack(monkeypatch):
+    # one state keeps its own evaluator, and its bits and speed with it
+    def refuse(*args):
+        raise AssertionError("a one-state pass built a stack")
+
+    monkeypatch.setattr(moments, "_stack_rows", refuse)
+    moments._oracle_integrals.cache_clear()
+    moments_oracle(1.5, 0.4 + 0.1j)
+    moments._oracle_pass(((2.2, 0.37 + 0.13j, (0.57 + 0.13j,)),), 1e-10)
 
 
 def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):

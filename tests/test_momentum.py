@@ -129,6 +129,29 @@ def test_oracle_vector_route_matches_the_scalar_route_and_bessel(tol):
             assert np.all(np.abs(route - bessel) <= 10.0 * tol * np.maximum(1.0, np.abs(bessel)))
 
 
+@pytest.mark.parametrize("qs, alpha", [((1.2, 1.7, 2.2), 0.3 + 0.1j), ((1.05, 2.9), -1.2 + 0.2j),
+                                       ((1.5, 1.5 + 1e-12), 0.0)])
+def test_psi_transforms_over_several_q_are_each_qs_rows(qs, alpha):
+    # several q are one stacked evaluator, q a column against x, whose rows
+    # are each q's own _psi_un bit for bit: the pass gives the bits of the
+    # pass over the q-by-q rows.  Each q is its one-q call within the tol:
+    # the shared pass refines on every q's panels, and a k's tails sum on
+    # until every q's have met their targets (1.5e-12 apart at q = 1.7)
+    from qcoherent import momentum
+    from qcoherent.quadrature import fourier_transform_line
+    from qcoherent.states import _psi_un
+
+    ks = np.array([0.8, 2.0, 0.01])
+    got = momentum._psi_transforms(qs, alpha, ks, 1e-10)
+    core = max(16.0, 8.0 + 4.0 * abs(alpha))
+    want = fourier_transform_line(lambda x: np.array([_psi_un(q, alpha, x) for q in qs]), ks,
+                                  tol=1e-10, core_halfwidth=core).value
+    assert got.tobytes() == want.tobytes()
+    for q, row in zip(qs, got):
+        own = momentum._psi_transforms((q,), alpha, ks, 1e-10)[0]
+        assert np.all(np.abs(row - own) <= 1e-10 * np.maximum(1.0, np.abs(own)))
+
+
 def test_oracle_k_array_with_zeros_and_a_repeat_is_the_scalar_calls():
     # one distinct k != 0: the vector call keeps the scalar calls' bits
     q, alpha = 1.6, 0.4 - 0.2j

@@ -291,6 +291,34 @@ def test_a_batch_over_several_pieces_is_each_panel_on_its_own(monkeypatch, rows)
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_an_ordered_batch_is_the_sorted_path_without_the_sort(monkeypatch, rows):
+    # a batch already in piece order (a seed batch, a round of the Fourier
+    # tail stream) is its own runs: no sort and no scatter back, and the
+    # same bits, panel for panel, as a shuffled copy of it taken through
+    # the sort-and-scatter path
+    pieces = quadrature._LINE_PIECES + [quadrature._tail_piece(1.0, 3.0),
+                                        quadrature._tail_piece(-1.0, 1.7)]
+    owner = np.array([0, 0, 0, 1, 1, 2, 2, 2])
+    mids = np.array([-40.0, 2.5, 90.0, 0.875, 0.125, 0.3, 0.0625, 0.6])
+    halfs = np.array([8.0, 0.5, 6.0, 0.125, 0.125, 0.05, 0.0625, 0.1])
+
+    def ev(x):
+        f = np.exp(0.1j * x) / (1.0 + x * x) ** 0.9
+        return np.array([f, f * x / (3.0 + x * x)]) if rows == 2 else f
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ordered batch was sorted")
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature.np, "argsort", refuse)
+        got = quadrature._pieces_batch(ev, pieces, owner, mids, halfs)
+    perm = np.array([5, 0, 3, 7, 1, 6, 2, 4])
+    shuffled = quadrature._pieces_batch(ev, pieces, owner[perm], mids[perm], halfs[perm])
+    for a, b in zip(got, shuffled):
+        assert a[..., perm].tobytes() == b.tobytes()
+
+
 def _sample_log(monkeypatch, module):
     """Log, for the one adaptive pass that ``module._adaptive`` runs, the
     number of its pieces, every ``sample`` call by piece index, and the

@@ -5,6 +5,7 @@ confluent and Gauss hypergeometrics, the quadrature oracle for
 orthonormality, and the in-package private 2F1 for reduction identities.
 """
 
+import cmath
 import math
 import warnings
 
@@ -204,6 +205,35 @@ def test_kummer_phi_matches_mpmath_moderate_and_large():
         want = complex(mpmath.hyp1f1(a, b, z))
         got = kummer_phi(a, b, z)
         assert got == pytest.approx(want, rel=5e-9)
+
+
+def test_kummer_phi_series_at_a_negative_real_part_matches_mpmath():
+    # below |z| = 30 with Re z < 0 the series is summed at -z (Kummer's
+    # transformation).  At z itself its terms grow to about e^|z| and cancel
+    # to a value near e^Re z: at the printed momentum amplitude's
+    # (p, 2p, -2i srad |k|), q = 1.7, alpha = 0.3 - 0.2i, M was 5.5e-10,
+    # 6.0e-6 and 5.8e-5 off at k = 5, 8 and 8.6 (z ~ -17, -27, -29.5).
+    # Half the draws are that (p, 2p) family, half have complex a and b;
+    # z lies in the half-plane's middle, |arg(-z)| <= pi/3, where the
+    # amplitude's z lies.  Next to the imaginary axis the terms cancel at z
+    # and -z alike (phi(1, 2; 29i) is 2.1e-5 off), which the
+    # transformation does not change
+    rng = np.random.default_rng(53)
+    for i in range(40):
+        if i % 2:
+            a = complex(rng.uniform(0.2, 4.0), rng.uniform(-1.0, 1.0))
+            b = complex(rng.uniform(0.5, 5.0), rng.uniform(-1.0, 1.0))
+        else:
+            a = 1.0 / rng.uniform(0.05, 2.0)
+            b = 2.0 * a
+        z = -complex(rng.uniform(0.5, 30.0) * np.exp(1j * rng.uniform(-math.pi, math.pi) / 3))
+        want = complex(mpmath.hyp1f1(a, b, z))
+        got = kummer_phi(a, b, z, tol=1e-12)
+        assert abs(got - want) <= 1e-10 * abs(want), (a, b, z, got, want)
+    p, k = 1.0 / 0.7, 8.0
+    z = -2j * cmath.sqrt((0.3 - 0.2j) ** 2 - abs(0.3 - 0.2j) ** 2 - 2.0 / 0.7) * k
+    want = complex(mpmath.hyp1f1(p, 2.0 * p, z))
+    assert abs(kummer_phi(p, 2.0 * p, z, tol=1e-10) - want) <= 1e-10 * abs(want)
 
 
 def test_kummer_phi_integral_branch_matches_mpmath():
