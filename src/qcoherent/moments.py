@@ -9,8 +9,9 @@ Two fully independent routes produce every number here:
   its integration-by-parts partner -int conj(psi) psi'', whose relative
   gap is recorded as a self-diagnostic.  The pass itself
   (``_oracle_pass``) takes any number of states, six rows each plus two
-  per partner state for its norm and overlap, and evaluates several as
-  one stack; the q -> 1 limit check runs its whole q sequence as one such
+  per partner state for its norm and overlap, and one evaluator gives
+  them all as one stack, each state's rows with the bits they have on
+  their own; the q -> 1 limit check runs its whole q sequence as one such
   pass, and ``verify`` its grid together with that sequence.
 * ``moments_closed``: the Lauricella closed forms from ``closedforms``
   under the calibrated convention, cross-checked against the oracle on
@@ -41,9 +42,9 @@ from .states import (
     CONVENTION_TOL,
     Q_MOMENT_SUITE_MAX,
     SQRT2,
-    _columns,
     _density,
     _inverse_b,
+    _States,
     require_alpha,
     require_window,
 )
@@ -138,46 +139,27 @@ def _coherent_exact(alpha: complex, method: str) -> MomentReport:
     )
 
 
-def _moment_rows(q, alpha, x, dens, mod, ratio, inv_re, wide=None):
-    """The six moment rows of a state (q > 1) from its ``_density`` parts:
-    |psi_un|^2, then x, x^2, p and p^2 by both routes times it.  q and
-    alpha may be the (S, 1) columns of a stack, with ``wide`` as in
-    ``states._bracket``."""
-    inv_b = _inverse_b(q, alpha, ratio, inv_re, wide)
-    w_b = (x - SQRT2 * alpha) * inv_b
+def _moment_rows(st, x, dens, mod, ratio, inv_re):
+    """The six moment rows of the states of ``st`` (a ``states._States``)
+    from their ``_density`` parts: |psi_un|^2, then x, x^2, p and p^2 by
+    both routes times it."""
+    inv_b = _inverse_b(st, ratio, inv_re)
+    w_b = (x - st.shift) * inv_b
     x_mod = x * mod  # (x r)^2, not x (x r^2): r^2 underflows first at huge |x|
     return (dens, x * dens, x_mod * x_mod, 1j * w_b * dens,
             (w_b.real * w_b.real + w_b.imag * w_b.imag) * dens,
-            (inv_b - q * w_b * w_b) * dens)
-
-
-def _state_rows(q: float, alpha: complex, partners):
-    """x -> the rows of one state in a moment pass (q > 1): its six
-    ``_moment_rows``, then two rows for each partner state beta: its
-    density |psi_un[beta]|^2 and conj(psi_un[alpha]) psi_un[beta]."""
-    p = 1.0 / (q - 1.0)
-
-    def weights(x):
-        dens, mod, ratio, inv_re = _density(q, alpha, x)
-        rows = [*_moment_rows(q, alpha, x, dens, mod, ratio, inv_re)]
-        for beta in partners:
-            # conj(psi_un[alpha]) psi_un[beta] = r_alpha r_beta
-            # exp(i p (arg B_alpha - arg B_beta)), both arguments principal
-            dens_b, mod_b, ratio_b, _ = _density(q, beta, x)
-            turn = p * (np.arctan(ratio) - np.arctan(ratio_b))
-            rows += [dens_b, (mod * mod_b) * np.exp(1j * turn)]
-        return rows
-
-    return weights
+            (inv_b - st.q * w_b * w_b) * dens)
 
 
 def _stack_rows(states):
-    """x -> the rows of several states as one (R, n) array, each row bit for
-    bit ``_state_rows``'s, or None where ``states._columns`` refuses the
-    stack.  Every state and every partner is one (q, alpha) column of a
-    single ``_density`` call; the states' own rows take their share of it,
-    each partner its share and its state's, and every row is written to its
-    place in the order ``_state_rows`` lists them."""
+    """x -> the rows of a pass's states as one (R, n) array: each state's six
+    ``_moment_rows``, then two rows for each partner state beta, its density
+    |psi_un[beta]|^2 and conj(psi_un[alpha]) psi_un[beta].  Every state and
+    every partner is one label of a single ``_States`` record, built here
+    once, and of a single ``_density`` call a node batch; the states' own
+    rows take their share of it, each partner its share and its state's, and
+    every row is written straight to its place.  A state's rows have the
+    same bits whatever else the pass holds."""
     labels = [(q, alpha) for q, alpha, _ in states]
     owner, offsets, partner_at, start = [], [], [], 0
     for i, (q, _, partners) in enumerate(states):
@@ -186,22 +168,23 @@ def _stack_rows(states):
         offsets.append(start)
         partner_at += range(start + 6, start + 6 + 2 * len(partners), 2)
         start += 6 + 2 * len(partners)
-    columns = _columns(labels)
-    if columns is None:
-        return None
-    q_all, alpha_all = columns
     n_own, n_rows = len(states), start
-    q, alpha = q_all[:n_own], alpha_all[:n_own]
-    p = 1.0 / (q_all[n_own:] - 1.0)  # each partner's, its state's p
-    own_at = np.array(offsets)[None, :] + np.arange(6)[:, None]  # row k of state i
+    every, own = _States(labels), _States(labels[:n_own])
+    # the own states' share of every part: all of it for a lone state, one
+    # row for one state with partners, else the first n_own rows
+    head = slice(None) if len(labels) == 1 else 0 if n_own == 1 else slice(n_own)
+    own_at = range(6) if n_own == 1 else np.array(offsets) + np.arange(6)[:, None]
+    # conj(psi_un[alpha]) psi_un[beta] = r_alpha r_beta exp(i p (arg B_alpha
+    # - arg B_beta)), both arguments principal; p = 1/(q-1) = -1/(1-q)
+    p = -every.expo[n_own:] if owner else None
     owner = np.array(owner, dtype=int)  # each partner's state
     partner_at = np.array(partner_at, dtype=int)  # each partner's density row
 
     def weights(x):
-        dens, mod, ratio, inv_re = _density(q_all, alpha_all, x, wide=False)
+        dens, mod, ratio, inv_re = _density(every, x)
         out = np.empty((n_rows, x.size), dtype=complex)
-        for at, row in zip(own_at, _moment_rows(q, alpha, x, dens[:n_own], mod[:n_own],
-                                                ratio[:n_own], inv_re[:n_own], wide=False)):
+        for at, row in zip(own_at, _moment_rows(own, x, dens[head], mod[head], ratio[head],
+                                                inv_re[head])):
             out[at] = row
         if owner.size:
             arg = np.arctan(ratio)
@@ -221,21 +204,12 @@ def _oracle_pass(states, tol: float) -> list[tuple[complex, ...]]:
     divided by n and still complex and unchecked, then per partner its
     norm integral (real) and the raw overlap, undivided.
 
-    The states' rows (``_state_rows``) stack in order, each held to its
-    own target err_i <= tol max(1, |v_i|); one state is
-    ``_oracle_integrals``'s pass, row for row.  Several states are
-    evaluated at once (``_stack_rows``), with the same bits; one state, or
-    a stack ``states._columns`` refuses, evaluates state by state.
-    Nothing is memoised here.
+    The states' rows stack in order, each held to its own target
+    err_i <= tol max(1, |v_i|), and one evaluator (``_stack_rows``) gives
+    them all, whatever the state count; one state is
+    ``_oracle_integrals``'s pass, row for row.  Nothing is memoised here.
     """
-    weights = _stack_rows(states) if len(states) > 1 else None
-    if weights is None:
-        state_weights = [_state_rows(q, alpha, partners) for q, alpha, partners in states]
-
-        def weights(x):
-            return np.array([row for state in state_weights for row in state(x)])
-
-    values = integrate_line(weights, tol=tol).value.tolist()
+    values = integrate_line(_stack_rows(states), tol=tol).value.tolist()
     out, start = [], 0
     for _, _, partners in states:
         own = values[start:start + 6 + 2 * len(partners)]

@@ -10,12 +10,15 @@ all with the exact Gaussian dispatch at the q = 1 sentinel and defined for
   evaluated as 1 + s^2 u, ``states._bracket``, the same bracket expanded),
   and Re c > sqrt2 |Im alpha| for every q > 1, so the contour
   shifts back to the real w axis and Basset's integral (DLMF 10.32.11)
-  gives a Bessel-K expression in k, vectorised over any k array.
+  gives a Bessel-K expression in k, vectorised over any k array.  Where
+  its decay rate 2 (Re c - sqrt2 |Im alpha|) cancels (``_decay_rate``)
+  it is refused.
 * ``momentum_amplitude_oracle``: numerical Fourier quadrature with the
   oscillatory-tail machinery in ``quadrature``, vectorised over k: the
   transforms at several k share one adaptive pass over x and one tail
-  stream.  It is the independent check of the Bessel form in the tests and
-  in ``verify``.
+  stream, and ``verify``'s several q one evaluator (``_psi_transforms``).
+  It is the independent check of the Bessel form in the tests and in
+  ``verify``.
 * ``momentum_amplitude_closed``: a confluent-hypergeometric (Kummer phi)
   expression *exactly as printed in its source*, k != 0.  It is kept in
   quarantine: its k -> 0 limit vanishes for q < 3 while the transform's
@@ -49,9 +52,9 @@ from .errors import NotConverged
 from .quadrature import (IntegrandSpec, _check_index, _check_tol, fourier_transform_line,
                          integrate_interval)
 from .specfun import _log_bessel_g, _log_gamma_ratio_half, kummer_phi
-from .states import (SQRT2, _bracket, _bracket_sr, _columns, _psi, _psi_un,
-                     _require_open_window, _root_c, coherent_psi, normalization_constant,
-                     require_alpha, require_window)
+from .states import (SQRT2, _bracket, _bracket_sr, _psi, _require_open_window, _root_c,
+                     _States, coherent_psi, normalization_constant, require_alpha,
+                     require_window)
 
 __all__ = [
     "Q_MOMENTUM_MAX",
@@ -194,17 +197,19 @@ def momentum_amplitude_bessel(q: float, alpha: complex, k, tol: float = 1e-10):
     (|k|/2c)^nu K_nu(c|k|) e^(-i sqrt2 alpha k) rewritten so that k = 0 is
     an ordinary point.  Everything but A is one exponent, so no factor
     overflows on its own at large |k| |Im alpha| or as q -> 1; where the
-    decay takes phi below the doubles it is 0, for every finite k.  ``tol``
-    is the accuracy of the normalisation constant A, the one quadrature.
-    Returns a complex for scalar k, an ndarray otherwise.
+    decay takes phi below the doubles it is 0, for every finite k.  Where
+    the decay rate cancels to 0 or below (``_decay_rate``; at q = 1.5 from
+    |Im alpha| ~ 1e8) the amplitudes would read the exponential of that
+    rounding, and NotConverged is raised instead.  ``tol`` is the accuracy
+    of the normalisation constant A, the one quadrature.  Returns a complex
+    for scalar k, an ndarray otherwise.
     """
     require_window(q, Q_MOMENTUM_MAX, "momentum amplitude")
     k = np.asarray(k, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("k must be finite")
     alpha = require_alpha(alpha)
-    if q != 1.0:
-        _root_c(q, alpha)  # roots past the doubles are refused as such, before A's pass
+    _decay_rate(q, alpha)  # refused before A's pass: roots past the doubles, a cancelled rate
     out = _bessel_amplitudes(q, alpha, normalization_constant(q, alpha, tol=tol))[0](k)
     return out if k.ndim else complex(out)
 
@@ -213,18 +218,16 @@ def _psi_transforms(qs, alpha: complex, k, tol: float) -> np.ndarray:
     """(2 pi)^(-1/2) int psi_un(q, alpha, x) e^(-ikx) dx for every q > 1 of
     ``qs``, unnormalised: one ``fourier_transform_line`` pass whose (m, n)
     evaluator holds the m = len(qs) states, each transform held to its own
-    target.  Row i is qs[i]'s, shaped like k; one q gives the scalar
-    pass's numbers bit for bit.  Several q are evaluated at once, q a
-    column against x (``states._columns``), each row bit for bit its own
-    ``_psi_un``; one q, or a stack ``_columns`` refuses, evaluates q by q.
-    The core half-width depends on alpha alone, so every q shares it."""
-    columns = _columns([(q, alpha) for q in qs]) if len(qs) > 1 else None
-    if columns is None:
-        def psi_rows(x):
-            return np.array([_psi_un(q, alpha, x) for q in qs])
-    else:
-        def psi_rows(x):
-            return _psi(columns[0], *_bracket(*columns, x, wide=False)[:2])
+    target.  Row i is qs[i]'s, shaped like k.  The evaluator is one
+    ``states._States`` record of every q, built once (q a column against x
+    for several), whose rows are each bit for bit that q's own ``_psi_un``,
+    so one q gives the scalar pass's numbers bit for bit.  The core
+    half-width depends on alpha alone, so every q shares it."""
+    st = _States([(q, alpha) for q in qs])
+
+    def psi_rows(x):
+        return _psi(st, *_bracket(st, x)[:2]).reshape(len(qs), x.size)
+
     core = max(16.0, 8.0 + 4.0 * abs(alpha))
     return fourier_transform_line(psi_rows, k, tol=tol, core_halfwidth=core).value
 
@@ -325,20 +328,27 @@ def _parseval_total(mirrored, alpha: complex, grid: np.ndarray, rate: float) -> 
     return total
 
 
+def _decay_rate(q: float, alpha: complex) -> float:
+    """The momentum density's decay rate 2 (Re c - sqrt2 |Im alpha|),
+    infinite at q = 1.  From |Im alpha| ~ 1e8 that difference cancels, and
+    the amplitudes with it: a rate that is not positive is refused
+    (NotConverged), as are roots past the doubles (``_root_c``)."""
+    if q == 1.0:
+        return math.inf
+    rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
+    if not rate > 0.0:
+        raise NotConverged(f"the momentum density's decay rate at q={q!r}, "
+                           f"alpha={alpha!r} cancels to {rate!r}")
+    return rate
+
+
 def _bessel_pd(q: float, alpha: complex, a_const, grid: np.ndarray):
     """(amplitudes, parseval_total) of the exact transform normalised by
     A = ``a_const``, which the caller takes: ks -> phi(ks) from
     ``_bessel_amplitudes``, and its Parseval total over the window
-    ``_parseval_total`` sizes for ``grid`` from the density's decay rate
-    2 (Re c - sqrt2 |Im alpha|) (infinite at q = 1).  From |Im alpha| ~ 1e8
-    that difference cancels, and a rate that is not positive is refused
-    (NotConverged)."""
-    rate = math.inf
-    if q != 1.0:
-        rate = 2.0 * (_root_c(q, alpha).real - SQRT2 * abs(alpha.imag))
-        if not rate > 0.0:
-            raise NotConverged(f"the momentum density's decay rate at q={q!r}, "
-                               f"alpha={alpha!r} cancels to {rate!r}")
+    ``_parseval_total`` sizes for ``grid`` from ``_decay_rate``, which
+    refuses a rate that cancels."""
+    rate = _decay_rate(q, alpha)
     amplitudes, mirrored = _bessel_amplitudes(q, alpha, a_const)
     return amplitudes, _parseval_total(mirrored, alpha, grid, rate)
 

@@ -73,8 +73,8 @@ from .errors import (
     NotConverged,
     ParameterPole,
 )
-from .quadrature import (_END_EXPONENT, _UNIT_EDGES, QuadratureResult, _adaptive, _check_index,
-                         _check_tol, _Piece)
+from .quadrature import (_END_EXPONENT, _EPS, _UNIT_EDGES, QuadratureResult, _adaptive,
+                         _check_index, _check_tol, _Piece)
 
 __all__ = [
     "LauricellaArgs",
@@ -153,17 +153,23 @@ def pochhammer(a: complex, m: int) -> complex:
     return out
 
 
-def _phi_series(a: complex, b: complex, z: complex, tol: float) -> complex:
+def _phi_series(a: complex, b: complex, z: complex, tol: float) -> complex | None:
+    """The Kummer series of phi(a, b; z), or None where its terms cancel
+    past ``tol``: the round-off of the largest |term|, eps max|term|, is
+    above tol |sum|."""
     term = 1.0 + 0.0j
     total = term
+    top = 1.0
     quiet = 0
     for m in range(1, 20000):
         term *= (a + m - 1) / (b + m - 1) * z / m
         total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
+        size = abs(term)
+        top = max(top, size)
+        if size <= tol * max(abs(total), 1e-300):
             quiet += 1
             if quiet >= 2:
-                return total
+                return total if _EPS * top <= tol * abs(total) else None
         else:
             quiet = 0
     raise NotConverged(f"Kummer series stalled at |z|={abs(z):.3g}")
@@ -385,7 +391,10 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
     phi(a, b; z) = e^z phi(b - a, b; -z) (DLMF 13.2.39): at z itself its
     terms grow to about e^|z| and cancel down to a value near e^Re z, which
     at (p, 2p, -2i srad |k|) of the printed momentum amplitude lost 1e-5 of
-    the value from |z| ~ 27.  The integral branch raises NotConverged where
+    the value from |z| ~ 27.  Next to the imaginary axis the terms cancel at
+    z and -z alike (phi(1, 2; 29i) lost 2.1e-5): where eps max|term| passes
+    tol |sum|, the integral is taken instead if Re b > Re a > 0, and
+    NotConverged is raised otherwise.  The integral branch raises NotConverged where
     Re a or Re(b-a) is below 0.0015, the exponent its endpoint grading
     cannot smooth (``_grade``).  ValueError for an a, b or z that is not
     finite.
@@ -396,13 +405,17 @@ def kummer_phi(a: complex, b: complex, z: complex, tol: float = 1e-12) -> comple
         raise ValueError(f"a, b and z must be finite; got a={a!r}, b={b!r}, z={z!r}")
     if _is_nonpositive_integer(b):
         raise ParameterPole(f"lower parameter b={b} is a non-positive integer")
+    euler = b.real > a.real > 0.0
     if abs(z) <= _KUMMER_SERIES_RADIUS:
-        if z.real < 0.0:
-            return cmath.exp(z) * _phi_series(b - a, b, -z, tol)
-        return _phi_series(a, b, z, tol)
-    if b.real > a.real > 0.0:
-        return _euler_value(lambda t: z * t, a, b, tol, "kummer-integral").value
-    return _phi_asymptotic(a, b, z)
+        series = _phi_series(b - a, b, -z, tol) if z.real < 0.0 else _phi_series(a, b, z, tol)
+        if series is not None:
+            return cmath.exp(z) * series if z.real < 0.0 else series
+        if not euler:
+            raise NotConverged(f"the Kummer series at a={a!r}, b={b!r}, z={z!r} cancels "
+                               f"past tol={tol!r}, and Re b > Re a > 0 fails")
+    elif not euler:
+        return _phi_asymptotic(a, b, z)
+    return _euler_value(lambda t: z * t, a, b, tol, "kummer-integral").value
 
 
 def _debye_polynomials(n: int) -> np.ndarray:

@@ -22,7 +22,10 @@ The quartic |psi|^2 factors over four complex roots
 arithmetic, from B = 1 + s^2 u with s^2 = (q-1)/2 (``_bracket``): Re B >= 1,
 so B has no real root and its principal argument crosses no cut, and
 log|B| goes through log1p, exact as q -> 1 and finite out to the largest
-doubles; only ``quadrature`` decides where the sampled line ends.
+doubles; only ``quadrature`` decides where the sampled line ends.  Every
+evaluation reads its per-state constants from one ``_States`` record,
+formed once per pass for one state or a stack of them; a stack evaluates
+every state at once and gives each the bits it has on its own.
 """
 
 from __future__ import annotations
@@ -265,8 +268,37 @@ def _root_c(q: float, alpha: complex) -> complex:
     return c if c.real > 0.0 else complex(0.0, 1.0) * sr
 
 
-def _bracket(q: float, alpha: complex, x, wide=None):
-    """(log|B|, Im B / Re B, 1 / Re B) at real x for q > 1, in real arithmetic.
+class _States:
+    """The constants of one state (q > 1), or of several, that every
+    evaluation against x reads, formed once per pass: q, 1/(1-q),
+    s^2 = (q-1)/2, sqrt2 Re alpha (the centre), Re alpha / sqrt2 (where
+    Im B = 0), -2 sqrt2 s^2 Im alpha (the slope of Im B) and sqrt2 alpha,
+    numbers for one state and (S, 1) columns for several, so that one
+    evaluation gives every state's rows; and ``wide``, whether some state's
+    Im B / Re B can pass 2^500 (``_wide_ratio``).  A wide record takes the
+    scaled branches of ``_bracket`` and ``_inverse_b``, which give the
+    plain branches' bits wherever that ratio stays below 2^500, so every
+    state of a stack keeps its own bits."""
+
+    __slots__ = ("q", "expo", "s2", "centre", "zero", "slope", "shift", "wide")
+
+    def __init__(self, labels):
+        if len(labels) == 1:
+            ((q, alpha),) = labels
+            alpha = complex(alpha)
+        else:
+            qs, alphas = zip(*labels)
+            q = np.array(qs, dtype=float)[:, None]
+            alpha = np.array(alphas, dtype=complex)[:, None]
+        self.q, self.expo, self.s2 = q, 1.0 / (1.0 - q), 0.5 * (q - 1.0)
+        self.centre, self.zero = SQRT2 * alpha.real, alpha.real / SQRT2
+        self.slope, self.shift = -2.0 * SQRT2 * self.s2 * alpha.imag, SQRT2 * alpha
+        self.wide = any(_wide_ratio(q, alpha) for q, alpha in labels)
+
+
+def _bracket(st: _States, x):
+    """(log|B|, Im B / Re B, 1 / Re B) at real x for the states of ``st``,
+    in real arithmetic.
 
     With s^2 = (q-1)/2 and y = x - sqrt2 Re alpha the bracket is
     B = 1 + s^2 (w^2 + |alpha|^2 - alpha^2), w = x - sqrt2 alpha, so
@@ -278,20 +310,17 @@ def _bracket(q: float, alpha: complex, x, wide=None):
     scales its error; past |y| = 2^500, where y^2 would overflow, y is
     scaled down by rho and 2 log rho added back (rho = 1, log rho = 0
     everywhere else).  The ratio Im B / Re B gets the same treatment
-    (``_scaled_ratio``) only where ``_wide_ratio`` says it can pass 2^500,
-    so every part is finite and silent at any finite x and alpha.  ``wide``
-    is that answer when the caller has it: a stack of states (``_columns``),
-    whose q and alpha are (S, 1) columns against x, passes False.
+    (``_scaled_ratio``) where the record is wide, so every part is finite
+    and silent at any finite x and alpha.
     """
-    s2 = 0.5 * (q - 1.0)
-    y = x - SQRT2 * alpha.real
+    y = x - st.centre
     rho = np.maximum(np.abs(y) * 2.0 ** -500, 1.0)
     ys = y / rho
-    t = s2 * ys * ys  # Re B / rho^2 - 1
+    t = st.s2 * ys * ys  # Re B / rho^2 - 1
     inv_re = 1.0 / (1.0 + t) / rho / rho
-    ratio = (-2.0 * SQRT2 * s2 * alpha.imag) * ((x - alpha.real / SQRT2) * inv_re)
+    ratio = st.slope * ((x - st.zero) * inv_re)
     log_mod = np.log1p(t) + 2.0 * np.log(rho)
-    if _wide_ratio(q, alpha) if wide is None else wide:
+    if st.wide:  # sigma = 1, log sigma = 0: the plain branch's bits
         sigma, rs = _scaled_ratio(ratio)
         return log_mod + (0.5 * np.log1p(rs * rs) + np.log(sigma)), ratio, inv_re
     return log_mod + 0.5 * np.log1p(ratio * ratio), ratio, inv_re
@@ -301,24 +330,10 @@ def _wide_ratio(q: float, alpha: complex) -> bool:
     """Whether |Im B / Re B| can pass 2^500 on the real line, where its
     square nears the end of the doubles.  Its bound there,
     sqrt2 s |Im alpha| + 2 s^2 |Im alpha| |Re alpha| (s^2 = (q-1)/2),
-    depends on (q, alpha) alone, so this one scalar test per call keeps the
-    plain arithmetic, and its bits, for every other state."""
+    depends on (q, alpha) alone, so ``_States`` tests it once per pass."""
     s2 = 0.5 * (q - 1.0)
     aim = abs(alpha.imag)
     return SQRT2 * math.sqrt(s2) * aim + 2.0 * s2 * aim * abs(alpha.real) > 2.0 ** 500
-
-
-def _columns(labels):
-    """The (q, alpha) of several states (q > 1) as (S, 1) columns, so that
-    one evaluation against x gives every state's row, each bit for bit its
-    own (``_bracket`` and the helpers after it broadcast, with wide=False).
-    None where some state's ratio can pass 2^500 (``_wide_ratio``): the
-    stack's plain arithmetic would not give that state's bits, so each
-    state takes its own rows."""
-    if any(_wide_ratio(q, alpha) for q, alpha in labels):
-        return None
-    qs, alphas = zip(*labels)
-    return np.array(qs, dtype=float)[:, None], np.array(alphas, dtype=complex)[:, None]
 
 
 def _scaled_ratio(ratio):
@@ -329,28 +344,27 @@ def _scaled_ratio(ratio):
     return sigma, ratio / sigma
 
 
-def _density(q: float, alpha: complex, x, wide=None):
-    """(|psi_un|^2, |psi_un|, Im B / Re B, 1 / Re B) at real x for q > 1:
-    the density r^2 with r = |B|^(-p) = exp(-p log|B|), p = 1/(q-1), and
-    the bracket parts the moment rows reuse.  The norm pass integrates it,
-    and it is row 0 of the moment pass.  ``wide`` as in ``_bracket``."""
-    log_mod, ratio, inv_re = _bracket(q, alpha, x, wide)
-    mod = np.exp((1.0 / (1.0 - q)) * log_mod)
+def _density(st: _States, x):
+    """(|psi_un|^2, |psi_un|, Im B / Re B, 1 / Re B) at real x for the
+    states of ``st``: the density r^2 with r = |B|^(-p) = exp(-p log|B|),
+    p = 1/(q-1), and the bracket parts the moment rows reuse.  The norm
+    pass integrates it, and it is row 0 of the moment pass."""
+    log_mod, ratio, inv_re = _bracket(st, x)
+    mod = np.exp(st.expo * log_mod)
     return mod * mod, mod, ratio, inv_re
 
 
-def _psi(q: float, log_mod, ratio):
+def _psi(st: _States, log_mod, ratio):
     # B^(-p) = exp(-p (log|B| + i arg B)), principal since Re B >= 1
-    return np.exp((1.0 / (1.0 - q)) * (log_mod + 1j * np.arctan(ratio)))
+    return np.exp(st.expo * (log_mod + 1j * np.arctan(ratio)))
 
 
-def _inverse_b(q: float, alpha: complex, ratio, inv_re, wide=None):
+def _inverse_b(st: _States, ratio, inv_re):
     # 1/B = (1 - i Im B/Re B) / (Re B (1 + (Im B/Re B)^2)), no part above 1;
-    # where the ratio can pass 2^500 (``_wide_ratio``, or ``wide`` as in
-    # ``_bracket``), from the scaled ratio
-    if _wide_ratio(q, alpha) if wide is None else wide:
+    # a wide record takes the scaled ratio, the plain bits where sigma = 1
+    if st.wide:
         sigma, rs = _scaled_ratio(ratio)
-        return (inv_re / sigma) * ((1.0 / sigma - 1j * rs) / (1.0 + rs * rs))
+        return (inv_re / sigma / (1.0 + rs * rs)) * (1.0 / sigma - 1j * rs)
     return (inv_re / (1.0 + ratio * ratio)) * (1.0 - 1j * ratio)
 
 
@@ -360,8 +374,8 @@ def _psi_un(q: float, alpha: complex, x):
     alpha = complex(alpha)
     if q == 1.0:
         return np.exp(-0.5 * _gauss_form(alpha, x))
-    log_mod, ratio, _ = _bracket(q, alpha, x)
-    return _psi(q, log_mod, ratio)
+    st = _States(((q, alpha),))
+    return _psi(st, *_bracket(st, x)[:2])
 
 
 def _psi_un_arrays(q: float, alpha: complex, x):
@@ -384,10 +398,11 @@ def _psi_un_arrays(q: float, alpha: complex, x):
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = shift * (shift * val) - val
     else:
-        log_mod, ratio, inv_re = _bracket(q, alpha, x)
-        val = _psi(q, log_mod, ratio)
-        inv_b = _inverse_b(q, alpha, ratio, inv_re)
-        w_b = (x - SQRT2 * alpha) * inv_b
+        st = _States(((q, alpha),))
+        log_mod, ratio, inv_re = _bracket(st, x)
+        val = _psi(st, log_mod, ratio)
+        inv_b = _inverse_b(st, ratio, inv_re)
+        w_b = (x - st.shift) * inv_b
         d1 = -w_b * val
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = (q * w_b * w_b - inv_b) * val
@@ -422,8 +437,8 @@ def _norm_tol(tol: float) -> float:
 @lru_cache(maxsize=512)
 def _norm_integral(q: float, are: float, aim: float, tol: float) -> float:
     """int |psi_un|^2 dx by the quadrature oracle (q > 1), memoised."""
-    alpha = complex(are, aim)
-    nrm = integrate_line(lambda x: _density(q, alpha, x)[0], tol=tol).value.real
+    st = _States(((q, complex(are, aim)),))
+    nrm = integrate_line(lambda x: _density(st, x)[0], tol=tol).value.real
     if nrm <= 0.0:
         raise ConventionMismatch(f"norm integral came out non-positive: {nrm}")
     return nrm
@@ -514,8 +529,11 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
         return cmath.exp(complex(-0.5 * (d.real * d.real + d.imag * d.imag),
                                  aa.real * d.imag - aa.imag * d.real))
     if method == "oracle":
+        st = _States(((q, a.alpha), (q, b.alpha)))
+
         def f(x):
-            return np.conj(_psi_un(q, a.alpha, x)) * _psi_un(q, b.alpha, x)
+            psi = _psi(st, *_bracket(st, x)[:2])
+            return np.conj(psi[0]) * psi[1]
 
         res = integrate_line(f, tol=tol)
         return a.norm_constant * b.norm_constant * res.value

@@ -92,43 +92,40 @@ def _pass_evaluator(monkeypatch, states):
     return seen[0]
 
 
-_WIDE = 0.4 + 1e151j  # |Im B / Re B| passes 2^500 on the line (states._wide_ratio)
+_WIDE = 0.4 + 1e151j  # |Im B / Re B| passes 2^500 on the line (a wide states._States)
 
 
-@pytest.mark.parametrize("states, stacked", [
-    (((1.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.7, 0.3 + 0.1j, (0.5 + 0.1j,)),
-      (2.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.1, 0.3 + 0.1j, ()), (1.05, 0.3 + 0.1j, ()),
-      (1.02, 0.3 + 0.1j, ())), True),
-    (((1.05, -0.8 + 0.2j, (0.3j, 1.1)), (2.3, 1.4 - 1.3j, ()), (1.6, 0.0, (-0.2 - 0.7j,))),
-     True),
-    (((1.5, 0.4 + 0.1j, ()), (1.5, _WIDE, (0.1,)), (2.2, 0.3, ())), False),
-    (((1.5, 0.4 + 0.1j, ()), (1.5, 0.2, (_WIDE,))), False),
-    (((1.5, 0.4 + 0.1j, (0.6 + 0.1j,)),), False),
+@pytest.mark.parametrize("states", [
+    ((1.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.7, 0.3 + 0.1j, (0.5 + 0.1j,)),
+     (2.2, 0.3 + 0.1j, (0.5 + 0.1j,)), (1.1, 0.3 + 0.1j, ()), (1.05, 0.3 + 0.1j, ()),
+     (1.02, 0.3 + 0.1j, ())),
+    ((1.05, -0.8 + 0.2j, (0.3j, 1.1)), (2.3, 1.4 - 1.3j, ()), (1.6, 0.0, (-0.2 - 0.7j,))),
+    ((1.5, 0.4 + 0.1j, ()), (1.5, _WIDE, (0.1,)), (2.2, 0.3, ())),
+    ((1.5, 0.4 + 0.1j, ()), (1.5, 0.2, (_WIDE,))),
+    ((1.5, 0.4 + 0.1j, (0.6 + 0.1j,)),),
+    ((1.5, 0.4 + 0.1j, (_WIDE,)),),
 ])
-def test_a_pass_evaluates_each_state_as_its_own_rows(monkeypatch, states, stacked):
-    # a pass of several states evaluates them as one stack, q and alpha (S, 1)
-    # columns against x; every row is still bit for bit that state's own
-    # (_state_rows).  A stack holding a state whose ratio can pass 2^500, as
-    # a state or as a partner, and a one-state pass take each state's own
-    # evaluator
+def test_a_pass_evaluates_each_state_as_its_own_rows(monkeypatch, states):
+    # one evaluator, whatever the state count, q and alpha (S, 1) columns
+    # against x for several labels; a state's rows keep their bits whatever
+    # else the pass holds, a wide state (as a state or as a partner)
+    # included.  Each state's rows are bit for bit its own one-state pass's,
+    # its six moment rows those of its pass without partners, and each
+    # partner's density row that partner's own norm row
     x = np.concatenate([np.linspace(-120.0, 120.0, 481), [0.0, 1e3, -1e3, 3e7, -1e30,
                                                            1e151, 1e200, -1e300]])
-    ev = _pass_evaluator(monkeypatch, states)
-    want = np.array([row for q, alpha, partners in states
-                     for row in moments._state_rows(q, alpha, partners)(x)])
-    assert ev(x).tobytes() == want.tobytes()
-    assert (len(states) > 1 and moments._stack_rows(states) is not None) == stacked
-
-
-def test_a_one_state_pass_takes_no_stack(monkeypatch):
-    # one state keeps its own evaluator, and its bits and speed with it
-    def refuse(*args):
-        raise AssertionError("a one-state pass built a stack")
-
-    monkeypatch.setattr(moments, "_stack_rows", refuse)
-    moments._oracle_integrals.cache_clear()
-    moments_oracle(1.5, 0.4 + 0.1j)
-    moments._oracle_pass(((2.2, 0.37 + 0.13j, (0.57 + 0.13j,)),), 1e-10)
+    got = _pass_evaluator(monkeypatch, states)(x)
+    start = 0
+    for q, alpha, partners in states:
+        own = _pass_evaluator(monkeypatch, ((q, alpha, partners),))(x)
+        assert got[start:start + len(own)].tobytes() == own.tobytes()
+        lone = _pass_evaluator(monkeypatch, ((q, alpha, ()),))(x)
+        assert own[:6].tobytes() == lone.tobytes()
+        for i, beta in enumerate(partners):
+            norm_row = _pass_evaluator(monkeypatch, ((q, beta, ()),))(x)[0]
+            assert own[6 + 2 * i].tobytes() == norm_row.tobytes()
+        start += len(own)
+    assert start == len(got)
 
 
 def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):

@@ -532,6 +532,20 @@ def test_pd_refuses_a_decay_rate_that_cancels():
                 momentum_pd(1.5, alpha)
 
 
+def test_bessel_amplitude_refuses_a_decay_rate_that_cancels():
+    # the public amplitude shares momentum_pd's refusal: at q = 1.5 the rate
+    # reads 0 at 1e8j and 1e9j and below 0 at 3e8j and 3e9j, where the
+    # amplitude peaked at e^10 and 6.2e27 with no error, and at 3e9j warned
+    # of an overflow in exp and returned inf.  At 1e4j the rate is 2.8e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e8j, 3e8j, 1e9j, 3e9j):
+            with pytest.raises(NotConverged, match="decay rate"):
+                momentum_amplitude_bessel(1.5, alpha, default_k_grid(alpha))
+        got = momentum_amplitude_bessel(1.5, 1e4j, default_k_grid(1e4j))
+    assert np.all(np.isfinite(got)) and abs(got[200]) > 0.0
+
+
 @pytest.mark.parametrize("alpha", [9e153j, -9e153j, 6e153 + 6e153j, 0.4 - 30j])
 def test_sentinel_amplitude_is_the_coherent_state_at_minus_i_alpha(alpha):
     # the Gaussian transform formed k^2, alpha^2 and |alpha|^2 on their own,

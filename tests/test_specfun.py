@@ -216,9 +216,13 @@ def test_kummer_phi_series_at_a_negative_real_part_matches_mpmath():
     # Half the draws are that (p, 2p) family, half have complex a and b;
     # z lies in the half-plane's middle, |arg(-z)| <= pi/3, where the
     # amplitude's z lies.  Next to the imaginary axis the terms cancel at z
-    # and -z alike (phi(1, 2; 29i) is 2.1e-5 off), which the
-    # transformation does not change
+    # and -z alike (phi(1, 2; 29i) was 2.1e-5 off), which the
+    # transformation does not change: there the integral stands in where
+    # Re b > Re a > 0, and elsewhere the series refuses.  One draw here is
+    # refused, at |arg(-z)| = 60 degrees with Re b < Re a: its terms cancel
+    # by 1.0e4, and the sum the series gave was 2.7e-12 off at tol 1e-12
     rng = np.random.default_rng(53)
+    refused = []
     for i in range(40):
         if i % 2:
             a = complex(rng.uniform(0.2, 4.0), rng.uniform(-1.0, 1.0))
@@ -228,12 +232,37 @@ def test_kummer_phi_series_at_a_negative_real_part_matches_mpmath():
             b = 2.0 * a
         z = -complex(rng.uniform(0.5, 30.0) * np.exp(1j * rng.uniform(-math.pi, math.pi) / 3))
         want = complex(mpmath.hyp1f1(a, b, z))
-        got = kummer_phi(a, b, z, tol=1e-12)
+        try:
+            got = kummer_phi(a, b, z, tol=1e-12)
+        except NotConverged:
+            refused.append(i)
+            assert not b.real > a.real > 0.0 and abs(cmath.phase(-z)) > 1.0, (a, b, z)
+            continue
         assert abs(got - want) <= 1e-10 * abs(want), (a, b, z, got, want)
+    assert refused == [1]
     p, k = 1.0 / 0.7, 8.0
     z = -2j * cmath.sqrt((0.3 - 0.2j) ** 2 - abs(0.3 - 0.2j) ** 2 - 2.0 / 0.7) * k
     want = complex(mpmath.hyp1f1(p, 2.0 * p, z))
     assert abs(kummer_phi(p, 2.0 * p, z, tol=1e-10) - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("a, b, z", [(1.0, 2.0, 29j), (0.7, 1.4, 28j), (2.5, 3.0, 25j),
+                                     (1.5, 3.0, -2.0 + 29j), (0.5, 2.5, 20j)])
+def test_kummer_phi_series_that_cancels_takes_the_integral(a, b, z):
+    # below |z| = 30 next to the imaginary axis the series' terms cancel: at
+    # the default tol it was 2.1e-5, 6.3e-6, 1.2e-6, 8.6e-6 and 7.2e-11 off
+    # at these points, with no error.  With Re b > Re a > 0 the integral
+    # branch takes them
+    with mpmath.workdps(40):
+        want = complex(mpmath.hyp1f1(a, b, z))
+    assert abs(kummer_phi(a, b, z) - want) <= 1e-13 * abs(want)
+
+
+def test_kummer_phi_series_that_cancels_is_refused_without_an_integral():
+    # the same cancellation with Re b <= Re a has no integral to take it;
+    # the series read 5.2e-5 off there, with no error
+    with pytest.raises(NotConverged, match="cancels"):
+        kummer_phi(2.0, 1.5, 29j)
 
 
 def test_kummer_phi_integral_branch_matches_mpmath():

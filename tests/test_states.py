@@ -358,7 +358,7 @@ def test_psi_un_value_only_matches_full_evaluation_bitwise():
 
 
 def test_psi_un_derivatives_match_the_bracket_powers_bitwise():
-    from qcoherent.states import _bracket, _inverse_b, _psi_un_arrays
+    from qcoherent.states import _bracket, _inverse_b, _psi_un_arrays, _States
 
     # d1 = -(w/B) psi and d2 = (q (w/B)^2 - 1/B) psi, bit for bit, with 1/B
     # and w/B = (x - sqrt2 alpha) (1/B) from the bracket's real parts; on
@@ -366,8 +366,9 @@ def test_psi_un_derivatives_match_the_bracket_powers_bitwise():
     x = np.concatenate([np.linspace(-60.0, 60.0, 1201), _FAR_LANES])
     for q, alpha in [(1.5, 0.4 + 0.1j), (2.3, -0.7 + 0.2j), (4.2, 1.3j)]:
         v, d1, d2 = _psi_un_arrays(q, alpha, x)
-        _, ratio, inv_re = _bracket(q, alpha, x)
-        inv_b = _inverse_b(q, alpha, ratio, inv_re)
+        st = _States(((q, alpha),))
+        _, ratio, inv_re = _bracket(st, x)
+        inv_b = _inverse_b(st, ratio, inv_re)
         w_b = (x - SQRT2 * alpha) * inv_b
         assert d1.tobytes() == (-w_b * v).tobytes()
         assert d2.tobytes() == ((q * w_b * w_b - inv_b) * v).tobytes()
@@ -441,9 +442,9 @@ def test_a_wide_bracket_ratio_is_finite_silent_and_right(q, alpha):
     # 1.3e154j state, x = 0, |d2| = q 2 |alpha|^2 is past the doubles; far
     # out, a part near the bottom of the doubles may underflow on the way,
     # as it does at any alpha.)
-    from qcoherent.states import _psi_un_arrays, _wide_ratio
+    from qcoherent.states import _psi_un_arrays, _States
 
-    assert _wide_ratio(q, alpha)
+    assert _States(((q, alpha),)).wide
     centre = alpha.real / SQRT2
     xs = [0.2, centre + 1e-153, centre - 3.0, 1e10, -1e200, 1.7e308]
     got = _psi_un_arrays(q, alpha, np.array(xs))
@@ -452,6 +453,31 @@ def test_a_wide_bracket_ratio_is_finite_silent_and_right(q, alpha):
             assert abs(part[i] - complex(want)) <= 1e-13 * abs(want) + 1e-290, (x, part[i])
     sample = psi_unnormalized(q, alpha, 0.2)
     assert (sample.value, sample.d1, sample.d2) == tuple(part[0] for part in got)
+
+
+def test_the_scaled_ratio_branch_gives_the_plain_bits_below_two_to_the_500():
+    # a wide record takes the scaled branch of log|B| and 1/B for every state
+    # it holds; where |Im B / Re B| stays below 2^500, sigma = 1 and that
+    # branch gives the plain branch's bytes, so a stack with one wide state
+    # leaves every other state its own bits
+    from qcoherent.states import _bracket, _inverse_b, _States
+
+    rng = np.random.default_rng(20261021)
+    x = np.concatenate([np.linspace(-200.0, 200.0, 2001), _FAR_LANES,
+                        [-f for f in _FAR_LANES], [0.0, 3e7, -1e100]])
+    scale = np.array([1.0, 1e3, 1e40, 1e70])
+    for _ in range(60):
+        q = 1.0 + 3.99 * rng.random() + 1e-9
+        alpha = complex(*(rng.normal(size=2) * rng.choice(scale, size=2)))
+        plain = _States(((q, alpha),))
+        assert not plain.wide, (q, alpha)
+        scaled = _States(((q, alpha),))
+        scaled.wide = True
+        log_mod, ratio, inv_re = _bracket(plain, x)
+        scaled_parts = _bracket(scaled, x)
+        assert log_mod.tobytes() == scaled_parts[0].tobytes(), (q, alpha)
+        assert (_inverse_b(plain, ratio, inv_re).tobytes()
+                == _inverse_b(scaled, ratio, inv_re).tobytes()), (q, alpha)
 
 
 @pytest.mark.filterwarnings("error")
