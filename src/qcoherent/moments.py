@@ -43,7 +43,9 @@ from .states import (
     Q_MOMENT_SUITE_MAX,
     SQRT2,
     _density,
+    _density_tail,
     _inverse_b,
+    _line_spec,
     _States,
     require_alpha,
     require_window,
@@ -196,6 +198,31 @@ def _stack_rows(states):
     return weights
 
 
+def _moment_tails(q: float) -> tuple[tuple[float, float], ...]:
+    """(e, log c) of the six moment rows' exact tails, c |x|^(-e): the
+    density's (``_density_tail``) times x and x^2 (e-1 and e-2), w/B ~
+    1/(s^2 x) (e+1, c/s^2), |w/B|^2 (e+2, c/s^4) and 1/B - q (w/B)^2 ~
+    (s^2 - q)/(s^4 x^2), where |s^2 - q| = (q+1)/2 (e+2, c (q+1)/(2 s^4))."""
+    e, log_c = _density_tail(q)
+    log_s2 = math.log(0.5 * (q - 1.0))
+    return ((e, log_c), (e - 1.0, log_c), (e - 2.0, log_c), (e + 1.0, log_c - log_s2),
+            (e + 2.0, log_c - 2.0 * log_s2),
+            (e + 2.0, log_c + math.log(0.5 * (q + 1.0)) - 2.0 * log_s2))
+
+
+def _stack_tails(states) -> list[tuple[float, float]]:
+    """The exact tail (e, log c) of each row of ``_stack_rows(states)``:
+    each state's ``_moment_tails``, then for each partner, which shares the
+    state's q, the density's tail twice: its own density, and |psi_un[alpha]
+    psi_un[beta]|, whose exponent 2p + 2p and coefficient s^(-2p) s^(-2p)
+    are the density's."""
+    rows = []
+    for q, _, partners in states:
+        rows += _moment_tails(q)
+        rows += [_density_tail(q)] * (2 * len(partners))
+    return rows
+
+
 def _oracle_pass(states, tol: float) -> list[tuple[complex, ...]]:
     """The integrals of several states from one line pass at ``tol``, one
     tuple per (q, alpha, partners) item of ``states`` (1 < q), as
@@ -207,9 +234,13 @@ def _oracle_pass(states, tol: float) -> list[tuple[complex, ...]]:
     The states' rows stack in order, each held to its own target
     err_i <= tol max(1, |v_i|), and one evaluator (``_stack_rows``) gives
     them all, whatever the state count; one state is
-    ``_oracle_integrals``'s pass, row for row.  Nothing is memoised here.
+    ``_oracle_integrals``'s pass, row for row.  The line pass reads every
+    row's exact tails (``_stack_tails``), so it takes no decay probe, and
+    runs about the first state's centre once that lies past the line's
+    core (``states._line_spec``).  Nothing is memoised here.
     """
-    values = integrate_line(_stack_rows(states), tol=tol).value.tolist()
+    spec = _line_spec(_stack_rows(states), states[0][1], _stack_tails(states))
+    values = integrate_line(spec, tol=tol).value.tolist()
     out, start = [], 0
     for _, _, partners in states:
         own = values[start:start + 6 + 2 * len(partners)]

@@ -33,9 +33,12 @@ QUADPACK's qk15 values to full precision.  On top of that sit
 
 * ``integrate_interval`` -- finite interval, optional singularity hints,
 * ``integrate_line``     -- whole real line: adaptive core [-96, 96] plus
-  power-substituted tails x = 96/v^gamma chosen from a decay exponent
-  sampled on both sides in one call, so even barely-integrable algebraic
-  tails stay smooth,
+  power-substituted tails x = 96/v^gamma chosen from each side's decay
+  exponent, so even barely-integrable algebraic tails stay smooth.  An
+  integrand that states its exact tails (``IntegrandSpec.tails``: every
+  state pass of the package) gives the exponent and the exact mass past
+  |x| = 1e250; for any other the exponent is sampled on both sides in one
+  more evaluator call and that mass bounded from the samples,
 * ``fourier_transform_line`` -- (2*pi)^(-1/2) * int exp(-i*k*x) f(x) dx
   for one k or a 1-d array of k, sharing f's values among them: one
   adaptive pass over every k's core, then the tails of every k as one
@@ -130,10 +133,19 @@ class IntegrandSpec:
                   non-zero hint round onto it, so an integrand that is
                   infinite there raises NotConverged once refinement
                   reaches that depth
+    tails         None, or the exact algebraic tails that ``integrate_line``
+                  reads in place of its decay probe: a pair (plus, minus)
+                  for the +inf and the -inf side, each one finite
+                  (e_i, log c_i) a component, |f_i(x)| ~ c_i |x|^(-e_i) as
+                  x -> +-inf (a natural log); they set the side's
+                  substitution and its exact mass past |x| = 1e250.  Only
+                  ``integrate_line`` reads them; a malformed pair raises
+                  ValueError there
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     singularities: tuple[float, ...] = ()
+    tails: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -475,7 +487,8 @@ def integrate_interval(f, a: float, b: float, tol: float = 1e-10,
 
 def _decay_probe(evaluator) -> list[tuple[float, float] | None]:
     """Crude tail sampling: local |f_i| ~ |x|^(-p_i) exponents on the +inf
-    and the -inf side, from one 12-node evaluator call (6 nodes a side).
+    and the -inf side, from one 12-node evaluator call (6 nodes a side),
+    for an integrand that carries no exact tails (``IntegrandSpec.tails``).
 
     Returns, per side, (smallest exponent, largest |f_i| at the outer
     radius) over the components, or None when every tail is already below
@@ -528,7 +541,8 @@ def _tail_piece(side: float, p_hat: float) -> _Piece:
     side*[X, X_TOP], via the power substitution x = side*X/v^gamma.
 
     An |x|^(-p) tail becomes v^(gamma*(p-1)-1) at v = 0.  gamma follows
-    the end rule (``_END_EXPONENT``) at the sampled decay exponent:
+    the end rule (``_END_EXPONENT``) at the side's smallest decay exponent,
+    exact or sampled:
     gamma*(p_hat-1) >= 5, so that end is v^4 or smoother, however slowly
     the tail decays; at a rougher end, such as v^1.5, the pass halves the
     panel next to v = 0 one generation at a time.  The orientation works
@@ -556,21 +570,35 @@ def _tail_piece(side: float, p_hat: float) -> _Piece:
 _LINE_PIECES = _pieces(sorted(_seed_edges(_LINE_CORE)), set())
 
 
-def _beyond_top_bound(p_hat: float, f_outer: float) -> float:
-    """Upper bound on the tail mass past _X_TOP for an |x|^(-p) tail,
+def _beyond_top_mass(e: float, log_c: float) -> float:
+    """The mass past _X_TOP of a tail c |x|^(-e) (e > 1),
 
-        int_{X_TOP}^inf |f| dx  ~=  |f(r2)| r2^p X_TOP^(1-p) / (p-1),
+        int_{X_TOP}^inf c x^(-e) dx  =  c X_TOP^(1-e) / (e-1),
 
-    computed in log10 space so extreme exponents cannot overflow; rising in
-    |f(r2)| and falling in p, it bounds components by max |f(r2)|, min p.
-    f_outer is at least 1e-300: ``_decay_probe`` keeps no smaller sample."""
-    log10b = (
-        math.log10(f_outer)
-        + p_hat * math.log10(_PROBE_OUTER)
-        + (1.0 - p_hat) * math.log10(_X_TOP)
-        - math.log10(p_hat - 1.0)
-    )
-    return 10.0 ** min(300.0, log10b)
+    computed in log10 space (and capped at 1e300) so that no exponent or
+    coefficient overflows.  For an exact tail, where |f| is c |x|^(-e) to
+    leading order, the next order is smaller by about 1/X_TOP relative
+    times the integrand's own length scales (for a state, its centre), so
+    this is the mass to double precision and serves as its bound.  A
+    probed tail takes the slowest sampled exponent and c = max |f(r2)|
+    r2^p at the probe's outer radius r2, a bound on every component."""
+    log10m = log_c / math.log(10.0) + (1.0 - e) * math.log10(_X_TOP) - math.log10(e - 1.0)
+    return 10.0 ** min(300.0, log10m)
+
+
+def _exact_tails(tails) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """The two sides of ``IntegrandSpec.tails`` as lists of (e, log c)
+    floats; ValueError unless they are a pair of sides, each a non-empty
+    list of finite (e, log c) pairs, one a component."""
+    try:
+        plus, minus = ([(float(e), float(log_c)) for e, log_c in side] for side in tails)
+    except (TypeError, ValueError):
+        plus = minus = []
+    if not (plus and len(plus) == len(minus)
+            and all(math.isfinite(x) for pair in plus + minus for x in pair)):
+        raise ValueError("tails must be a pair of sides, each one finite (exponent, "
+                         f"log coefficient) pair a component; got {tails!r}")
+    return plus, minus
 
 
 def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> QuadratureResult:
@@ -579,50 +607,69 @@ def integrate_line(f, tol: float = 1e-10, max_evals: int = 1_000_000) -> Quadrat
     One adaptive pass at 0.5*tol over the core [-96, 96] (hints as in
     ``_pieces``) and one power-substituted tail piece per side (see
     ``_tail_piece``), all sampled through one evaluator call per
-    generation; the tail substitution order comes from the slowest
-    sampled decay exponent (``_decay_probe``, one more call).  A sampled
-    exponent at or below 1.01 raises SlowDecay at once.  So does a tail
-    whose mass past |x| = 1e250, which no panel samples, is bounded
-    (``_beyond_top_bound``) above the pass's target 0.5*tol*max(1, |value|)
+    generation.  The tail substitution order comes from the side's
+    smallest decay exponent: the exact one when f is an ``IntegrandSpec``
+    with ``tails``, and otherwise one sampled by ``_decay_probe`` (one
+    more call, 12 more evaluations).  An exponent at or below 1.01 raises
+    SlowDecay at once.  So does a tail whose mass past |x| = 1e250, which
+    no panel samples, is above the pass's target 0.5*tol*max(1, |value|)
     for some component: the returned err_estimate could not back the
-    request.  That mass is about 10^(-250(p-1))/(p-1) for an |x|^(-p)
-    tail, so the slowest algebraic tails resolved decay like |x|^(-1.035)
-    at tol 1e-8 and |x|^(-1.05) at tol 1e-12; |x|^(-1.02) is refused at
-    both.  An oscillating tail, such as e^(ikx) |x|^(-p), is not resolved:
-    the substitution packs ever more periods into each panel toward
-    v = 0, and the pass spends ``max_evals`` and raises NotConverged.  Its
-    integral is sqrt(2*pi) times ``fourier_transform_line`` of the
-    envelope at -k, which sums the tails from half-period panels.  Tails
-    already below the double-precision noise floor at the probe radii are
-    dropped as exact zeros.
+    request.  That mass (``_beyond_top_mass``) is exact for exact tails,
+    each component's own, and bounded from the probe otherwise, from the
+    slowest exponent and the largest sample; it is about
+    10^(-250(p-1))/(p-1) for an |x|^(-p) tail, so the slowest algebraic
+    tails resolved decay like |x|^(-1.035) at tol 1e-8 and |x|^(-1.05) at
+    tol 1e-12; |x|^(-1.02) is refused at both.  An
+    oscillating tail, such as e^(ikx) |x|^(-p), is not resolved: the
+    substitution packs ever more periods into each panel toward v = 0, and
+    the pass spends ``max_evals`` and raises NotConverged.  Its integral is
+    sqrt(2*pi) times ``fourier_transform_line`` of the envelope at -k,
+    which sums the tails from half-period panels.  Exact tails are
+    integrated on both sides; a probed side is left out, as an exact zero,
+    where every tail is below the double-precision noise floor at the
+    probe radii.
     """
     _check_tol(tol)
     spec = _as_spec(f)
     ev = spec.evaluator
-    sides: list[tuple[float, float, float]] = []
-    for side, probe in zip((1.0, -1.0), _decay_probe(ev)):
-        if probe is None:
+    probed = spec.tails is None
+    sides = []  # (side, smallest exponent, the masses past _X_TOP or their bound)
+    for side, tail in zip((1.0, -1.0), _decay_probe(ev) if probed else _exact_tails(spec.tails)):
+        if tail is None:
             continue  # tail below the noise floor: identically zero here
-        p_hat, f_outer = probe
-        if p_hat <= 1.01:
+        if probed:  # f_outer >= 1e-300: _decay_probe keeps no smaller sample
+            p_hat, f_outer = tail
+            tail = [(p_hat, math.log(f_outer) + p_hat * math.log(_PROBE_OUTER))]
+        else:
+            p_hat = min(e for e, _ in tail)
+        if not p_hat > 1.01:
             raise SlowDecay(
-                f"tail exponent ~{p_hat:.3f} on the {'+' if side > 0 else '-'}inf side; "
-                "integral does not converge absolutely"
+                f"tail exponent {'~' if probed else ''}{p_hat:.3f} on the "
+                f"{'+' if side > 0 else '-'}inf side; integral does not converge absolutely"
             )
-        sides.append((side, p_hat, f_outer))
+        sides.append((side, p_hat, [_beyond_top_mass(e, log_c) for e, log_c in tail]))
 
     hints = {float(s) for s in spec.singularities if -_LINE_CORE < s < _LINE_CORE}
     core = _pieces(sorted(_seed_edges(_LINE_CORE) | hints), hints) if hints else _LINE_PIECES
     tails = [_tail_piece(side, p_hat) for side, p_hat, _ in sides]
     res = _adaptive(core + tails, ev, 0.5 * tol, max_evals, "gk-line")
-    beyond = sum(_beyond_top_bound(p_hat, f_outer) for _, p_hat, f_outer in sides)
+    shape = np.shape(res.value)
+    if not probed and len(spec.tails[0]) != np.size(res.value):
+        raise ValueError(f"tails name {len(spec.tails[0])} components; the integrand "
+                         f"has {np.size(res.value)}")
+    beyond = np.zeros(shape)
+    for *_, masses in sides:  # a probed bound covers every component alike
+        beyond += masses[0] if probed else np.reshape(masses, shape)
     target = 0.5 * tol * np.maximum(1.0, np.abs(res.value))
-    if np.any(beyond > target):
+    if (beyond > target).any():
+        c = np.argmax(np.ravel(beyond / target))
         raise SlowDecay(f"tail mass beyond |x| = {_X_TOP:.0e} is bounded only by "
-                        f"{beyond:.3e}, above the target {np.min(target):.3e}")
+                        f"{np.ravel(beyond)[c]:.3e}, above the target {np.ravel(target)[c]:.3e}")
     err = res.err_estimate + beyond
+    if not shape:
+        err = float(err)
     # the decay probe took 6 nodes a side
-    return QuadratureResult(res.value, err, 12 + res.evaluations, "gk-line")
+    return QuadratureResult(res.value, err, res.evaluations + (12 if probed else 0), "gk-line")
 
 
 def _averaged_limit(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

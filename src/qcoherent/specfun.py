@@ -36,12 +36,13 @@ _log_bessel_g (private)
 Kummer's integral branch and F_D's share one Euler integral,
 ``_euler_integral``: graded halves u < 1/2 and u > 1/2 as the pieces of
 one adaptive pass with one log f call per generation, the integrand formed
-in log space, and any number of rows, each with its own exponents a and
-c, on shared nodes.  Each half is graded to a smooth endpoint power
-(``_grade``): not at all where every row's exponent on that side is a
-positive integer, else by the power that lifts the smallest exponent to at
-least 5, and a graded half is seeded down to its end layer at v = 1
-(``_layer_depth``).  Each half is a node map (``_euler_half``) that a
+in log space and scaled, row by row, by its largest value on a fixed probe
+grid whose nodes join the first generation's call, and any number of rows,
+each with its own exponents a and c, on shared nodes.  Each half is graded
+to a smooth endpoint power (``_grade``): not at all where every row's
+exponent on that side is a positive integer, else by the power that lifts
+the smallest exponent to at least 5, and a graded half is seeded down to
+its end layer at v = 1 (``_layer_depth``).  Each half is a node map (``_euler_half``) that a
 piece of the pass takes once per run of nodes: the points handed to log f
 and the row factors of the finish come from that one map.  The closed forms of
 ``closedforms`` run all rows of a state through it at once; F_D and Kummer
@@ -260,10 +261,12 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     u^(a-1) never underflows to 0.  Each half maps a run of nodes once
     (``_euler_half``): its points and its finish share log v, t and
     log1p(-t), and nothing is kept between runs.  Each row is divided by
-    exp of its largest probe log-magnitude (33 nodes a half, both halves
-    in one log_f call), which is restored only on the result; a result
-    that overflows, or a scaled node value that would (a peak between the
-    probe nodes), raises NotConverged.  Each half starts from
+    exp of its largest probe log-magnitude (33 nodes a half, both halves),
+    which is restored only on the result; the probe nodes ride on the
+    first generation's log_f call, ahead of its seed nodes, so the scale is
+    set before any panel is finished and no call is spent on it alone.  A
+    result that overflows, or a scaled node value that would (a peak
+    between the probe nodes), raises NotConverged.  Each half starts from
     ``_UNIT_EDGES``' four panels, and a graded half (g > 1) adds the ladder
     1 - 2^-j down to the width of its steepest row's layer at v = 1
     (``_layer_depth``), where the pass would otherwise spend a generation
@@ -279,9 +282,17 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
     halves = (_euler_half(g_left, False, *exponents), _euler_half(g_right, True, *exponents))
     n = _EULER_PROBE.size
     (u_left, rows_left), (u_right, rows_right) = (h(_EULER_PROBE) for h in halves)
-    log_fu = log_f(np.concatenate([u_left, u_right]))
-    log_scale = np.maximum(rows_left(log_fu[:, :n]).real.max(axis=1),
-                           rows_right(log_fu[:, n:]).real.max(axis=1))
+    probe_u = np.concatenate([u_left, u_right])
+    log_scale = None
+
+    def ev(u):  # the first generation's log_f call takes the probe nodes too
+        nonlocal log_scale
+        if log_scale is not None:
+            return log_f(u)
+        log_fu = log_f(np.concatenate([probe_u, u]))
+        log_scale = np.maximum(rows_left(log_fu[:, :n]).real.max(axis=1),
+                               rows_right(log_fu[:, n:2 * n]).real.max(axis=1))
+        return log_fu[:, 2 * n:]
 
     def piece(half, depth):  # each row's integrand over its probe peak exp(log_scale)
         def sample(v):
@@ -298,7 +309,7 @@ def _euler_integral(log_f, a, c, tol: float, method: str) -> QuadratureResult:
 
         return _Piece(_euler_ladder(depth), sample)
 
-    res = _adaptive([piece(h, d) for h, d in zip(halves, depths)], log_f, 0.5 * tol,
+    res = _adaptive([piece(h, d) for h, d in zip(halves, depths)], ev, 0.5 * tol,
                     1_000_000, method)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         scale = np.exp(log_scale)

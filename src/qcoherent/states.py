@@ -44,7 +44,7 @@ from .errors import (
     PoleHit,
     ZeroAmplitude,
 )
-from .quadrature import _check_index, _check_tol, integrate_line
+from .quadrature import _LINE_CORE, IntegrandSpec, _check_index, _check_tol, integrate_line
 
 __all__ = [
     "SQRT2",
@@ -425,6 +425,32 @@ def psi_unnormalized(q: float, alpha: complex, x: float) -> WaveFunctionSample:
     return WaveFunctionSample(float(x), complex(v[0]), complex(d1[0]), complex(d2[0]))
 
 
+def _density_tail(q: float) -> tuple[float, float]:
+    """(e, log c) of the density's exact tail, |psi_un|^2 ~ c |x|^(-e) as
+    |x| -> inf: |B| ~ s^2 x^2, so e = 4p and c = s^(-4p) (p = 1/(q-1),
+    s^2 = (q-1)/2), its log taken so that no c overflows as q -> 1."""
+    p = 1.0 / (q - 1.0)
+    return 4.0 * p, -2.0 * p * math.log(0.5 * (q - 1.0))
+
+
+def _line_spec(evaluator, alpha: complex, rows) -> IntegrandSpec:
+    """The ``IntegrandSpec`` of a line pass over states whose first is
+    centred at sqrt2 Re alpha, whose rows ``evaluator`` gives at x and
+    whose exact tails are ``rows``, one (e, log c) a row, the same on both
+    sides.
+
+    The pass runs about a shift: 0 while that centre lies in the line's
+    core |x| <= 96, else the centre, so that a state centred past the core
+    sits in the core and not in a power-substituted tail piece, whose seed
+    panels squeeze its peak between their nodes.  Every row's exponent and
+    leading coefficient are the same in x - shift."""
+    centre = SQRT2 * complex(alpha).real
+    shift = centre if abs(centre) > _LINE_CORE else 0.0
+    rows = tuple(rows)
+    return IntegrandSpec(evaluator if shift == 0.0 else lambda y: evaluator(y + shift),
+                         tails=(rows, rows))
+
+
 def _norm_tol(tol: float) -> float:
     """The accuracy of every norm integral, min(tol, 1e-10): the norm scales
     every normalised quantity, so it is never taken more coarsely than
@@ -436,9 +462,12 @@ def _norm_tol(tol: float) -> float:
 
 @lru_cache(maxsize=512)
 def _norm_integral(q: float, are: float, aim: float, tol: float) -> float:
-    """int |psi_un|^2 dx by the quadrature oracle (q > 1), memoised."""
-    st = _States(((q, complex(are, aim)),))
-    nrm = integrate_line(lambda x: _density(st, x)[0], tol=tol).value.real
+    """int |psi_un|^2 dx by the quadrature oracle (q > 1), memoised; the
+    line pass reads the density's exact tails (``_density_tail``)."""
+    alpha = complex(are, aim)
+    st = _States(((q, alpha),))
+    spec = _line_spec(lambda x: _density(st, x)[0], alpha, (_density_tail(q),))
+    nrm = integrate_line(spec, tol=tol).value.real
     if nrm <= 0.0:
         raise ConventionMismatch(f"norm integral came out non-positive: {nrm}")
     return nrm
@@ -535,7 +564,8 @@ def overlap(a: StateLabel, b: StateLabel, method: str = "oracle",
             psi = _psi(st, *_bracket(st, x)[:2])
             return np.conj(psi[0]) * psi[1]
 
-        res = integrate_line(f, tol=tol)
+        # |psi_a psi_b| has the density's tail at one q
+        res = integrate_line(_line_spec(f, a.alpha, (_density_tail(q),)), tol=tol)
         return a.norm_constant * b.norm_constant * res.value
     if method != "closed-form":
         raise ValueError(f"unknown method {method!r}")

@@ -89,7 +89,7 @@ def _pass_evaluator(monkeypatch, states):
 
     monkeypatch.setattr(moments, "integrate_line", capture)
     moments._oracle_pass(states, 1e-10)
-    return seen[0]
+    return seen[0].evaluator
 
 
 _WIDE = 0.4 + 1e151j  # |Im B / Re B| passes 2^500 on the line (a wide states._States)
@@ -156,10 +156,10 @@ def _evaluator_log(monkeypatch, module, name="integrate_line", arg=0):
 
 
 def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
-    # q = 1.6, alpha = 0.4+0.1i: the decay probe of both sides is one call,
-    # then one call per adaptive generation.  Seeded with 32 core panels and
-    # four on each tail, the six-row pass meets its target in one generation
-    # (12 probe nodes plus 40 panels of 15 nodes).  Its row 0 is the norm
+    # q = 1.6, alpha = 0.4+0.1i: one call per adaptive generation, and no
+    # decay probe, since the pass states its rows' exact tails.  Seeded with
+    # 32 core panels and four on each tail, the six-row pass meets its target
+    # in one generation (40 panels of 15 nodes).  Its row 0 is the norm
     # integral, so no separate norm pass runs.
     from qcoherent import states
 
@@ -169,7 +169,7 @@ def test_oracle_passes_cost_one_evaluator_call_per_generation(monkeypatch):
     moments._oracle_integrals.cache_clear()
     moments_oracle(1.6, 0.4 + 0.1j)
     assert norm_log == []  # no norm integral at tol 1e-10
-    assert moment_log == [[2, 612, 612]]  # the 6-row moment pass at tol 1e-9
+    assert moment_log == [[1, 600, 600]]  # the 6-row moment pass at tol 1e-9
 
 
 def test_both_routes_take_no_separate_norm_pass():
@@ -277,8 +277,8 @@ def test_a_high_q_label_takes_few_generations(monkeypatch):
     # ladder reaches 2^-8 <= 1/(25 * 6.2).  The six-row pass takes 2
     # generations (4 before its core seed had edges +-0.375) and the Euler
     # pass 1, against 5 and 5 with v^1.5 tails and quarter seeds:
-    # (evaluator calls, nodes, evaluations), the line's first call being its
-    # decay probe
+    # (evaluator calls, nodes, evaluations); the line pass states its exact
+    # tails and takes no decay probe
     closedforms.calibrated_reflection()
     q, alpha = 2.25, 0.3 + 0.5j
     normalization_constant(q, alpha)
@@ -286,7 +286,7 @@ def test_a_high_q_label_takes_few_generations(monkeypatch):
     moment_log = _evaluator_log(monkeypatch, moments)
     euler_log = _evaluator_log(monkeypatch, specfun, "_adaptive", arg=1)
     moments_closed(q, alpha)
-    assert moment_log == [[3, 672, 672]]
+    assert moment_log == [[2, 660, 660]]
     assert euler_log == [[1, 210, 210]]
 
 
@@ -432,6 +432,20 @@ def test_oracle_next_to_seven_thirds_is_exact_or_refused():
             pass
         with pytest.raises(SlowDecay):
             moments_oracle(2.32, alpha, tol=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q, alpha", [(1.5, 1000.0), (2.0, 300.0), (2.0, 1000.0)])
+def test_oracle_of_a_state_centred_past_the_core_meets_the_anchors(q, alpha):
+    # these raised SlowDecay "tail exponent ~0.631" (0.970, 0.000): the
+    # decay probe read the state's own peak, at x = 1414 or 424, as a tail
+    # that does not decay.  With the rows' exact tails the pass returns the
+    # real-alpha anchors: Var x = 2/(7-3q), Var p = (5-q)/(4(q+1)) and
+    # <x> = sqrt2 alpha (Var x is <x^2> - <x>^2, two terms of size 2 alpha^2)
+    m = moments_oracle(q, alpha)
+    assert abs(m.var_x / (2.0 / (7.0 - 3.0 * q)) - 1.0) <= 1e-9
+    assert abs(m.var_p / ((5.0 - q) / (4.0 * (q + 1.0))) - 1.0) <= 1e-12
+    assert abs(m.mean_x / (SQRT2 * alpha) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("q, alpha", [(2.3333, 0.3), (7.0 / 3.0 - 1e-6, -1.2)])

@@ -473,10 +473,10 @@ def test_pd_cli_keeps_its_frozen_bytes(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PD_CLI_SHA256
 
 
-@pytest.mark.xfail(strict=True, reason="the line passes are centred on x = 0, not on "
-                   "sqrt2 Re alpha: a state centred past the core |x| <= 96 loses its norm")
 def test_pd_of_a_state_centred_far_out_closes():
-    # parseval_total read 2.4e26, with nothing to say that it is wrong
+    # parseval_total read 2.4e26, with nothing to say that it is wrong, while
+    # the norm pass was centred on x = 0 and the state (centre 424) sat in a
+    # power-substituted tail piece; the pass now runs about the centre
     assert abs(momentum_pd(1.05, 300.0).parseval_total - 1.0) < 1e-4
 
 

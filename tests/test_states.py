@@ -693,18 +693,34 @@ def test_the_kummer_route_takes_a_at_its_own_tol():
     assert momentum_amplitude_closed(q, alpha, k) == momentum_amplitude_closed(q, alpha, k, 1e-10)
 
 
-@pytest.mark.xfail(strict=True, reason="the line pass is centred on x = 0, not on "
-                   "sqrt2 Re alpha: a state centred past the core |x| <= 96 sits in a "
-                   "power-substituted tail piece, which squeezes its peak between the nodes")
-@pytest.mark.parametrize("q", [1.05, 1.2])
+@pytest.mark.parametrize("q", [1.05, 1.2, 1.5, 2.0, 4.0])
 def test_oracle_norm_of_a_state_centred_far_out(q):
     # for real alpha the norm does not depend on alpha; at sqrt2 alpha = 424
-    # the oracle read 7.4e-27 (q = 1.05) and 1.6e-11 (q = 1.2), silently
+    # the oracle read 7.4e-27 (q = 1.05) and 1.6e-11 (q = 1.2), silently,
+    # while a state centred past the core |x| <= 96 sat in a power-
+    # substituted tail piece, which squeezed its peak between the nodes.
+    # Such a state's pass now runs about its centre
     from qcoherent.closedforms import real_alpha_norm_squared_exact
     from qcoherent.states import _norm_integral
 
     want = real_alpha_norm_squared_exact(q)
-    assert _norm_integral(q, 300.0, 0.0, 1e-10) == pytest.approx(want, rel=1e-9)
+    for alpha in (300.0, -1000.0, 1e4):
+        assert _norm_integral(q, alpha, 0.0, 1e-10) == pytest.approx(want, rel=1e-10), alpha
+
+
+@pytest.mark.parametrize("q", [1.014, 1.02, 1.05])
+def test_oracle_norm_of_a_narrow_state_next_to_the_core_edge(q):
+    # at q = 1.014 and 1.02, alpha = 67 (centre 94.8) read 4e-2 off and
+    # alpha = 70 and 100 (centres 99 and 141) 1e0, with no error: the decay
+    # probe sampled the + tail below its noise floor and left the side out.
+    # The density's exact tails leave a side out only where a bound from
+    # Re B >= 1 + s^2 y^2 puts it there
+    from qcoherent.closedforms import real_alpha_norm_squared_exact
+    from qcoherent.states import _norm_integral
+
+    want = real_alpha_norm_squared_exact(q)
+    for alpha in (60.0, 67.0, 70.0, 100.0):
+        assert abs(_norm_integral(q, alpha, 0.0, 1e-10) / want - 1.0) <= 1e-14, alpha
 
 
 @pytest.mark.parametrize("q", [1.0 + 1e-12, 1.0 + 2.0 ** -52])
